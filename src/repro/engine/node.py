@@ -2,19 +2,13 @@
 
 :class:`NodeRuntime` is the engine-side view of one simulated device: it owns
 the node's :class:`~repro.protocols.base.ProtocolContext`, instantiates the
-protocol at activation time, keeps the activation age up to date, and reports
-the per-round outputs that the simulator streams to its observers (the
-property checker among them).
+protocol at activation (and again at a fault's reincarnation), and holds the
+per-node counters the round loop keeps: how many outputs the node has
+recorded, and its first synchronized local round.
 
-The class is deliberately lean (``__slots__``, direct protocol references in
-the per-round methods).  Note the hot-path split: the per-round methods here
-(:meth:`begin_round`, :meth:`choose_action`, :meth:`deliver`,
-:meth:`record_output`) are the *reference* implementation of the per-round
-state transitions — used by tests and any driver that steps nodes manually —
-but :meth:`repro.engine.simulator.Simulator.run` inlines the same transitions
-into its round loop for speed.  **A behavioural change to any per-round
-method below must be mirrored in the simulator's loop** (the engine
-equivalence suite pins both against recorded goldens).
+The per-round state transitions — advancing the activation age, driving the
+protocol hooks, latching the first synchronization — live in one place, the
+round loop of :meth:`repro.engine.simulator.Simulator.run`.
 """
 
 from __future__ import annotations
@@ -26,9 +20,7 @@ from repro.exceptions import SimulationError
 from repro.params import ModelParameters
 from repro.protocols.base import ProtocolContext, ProtocolFactory, SynchronizationProtocol
 from repro.timestamps import draw_uid
-from repro.radio.actions import RadioAction
-from repro.radio.events import ReceptionOutcome
-from repro.types import GlobalRound, NodeId, Role, SyncOutput
+from repro.types import GlobalRound, NodeId, Role
 
 
 class NodeRuntime:
@@ -135,54 +127,3 @@ class NodeRuntime:
         self._protocol = factory(self._context)
         self.outputs_recorded = 0
         self._protocol.on_activate()
-
-    # -- per-round driving ----------------------------------------------
-
-    def begin_round(self) -> None:
-        """Advance the activation age at the start of every round after the first."""
-        if self._context is None:
-            raise SimulationError(f"node {self.node_id} is not active")
-        if self.outputs_recorded:
-            self._context.local_round += 1
-
-    def choose_action(self) -> RadioAction:
-        """Ask the protocol for this round's radio action."""
-        protocol = self._protocol
-        if protocol is None:
-            raise SimulationError(f"node {self.node_id} is not active")
-        return protocol.choose_action()
-
-    def deliver(self, outcome: ReceptionOutcome) -> None:
-        """Deliver the end-of-round reception outcome to the protocol."""
-        protocol = self._protocol
-        if protocol is None:
-            raise SimulationError(f"node {self.node_id} is not active")
-        protocol.on_reception(outcome)
-
-    def record_output(self) -> SyncOutput:
-        """Record (and return) the protocol's output for this round.
-
-        Only a counter is kept — the per-round output history lives in the
-        trace recorder (when one is attached), so trace-free executions hold
-        no per-node round history at all.
-        """
-        protocol = self._protocol
-        if protocol is None:
-            raise SimulationError(f"node {self.node_id} is not active")
-        output = protocol.current_output()
-        if output is not None and self.first_sync_local_round is None:
-            self.first_sync_local_round = self._context.local_round  # type: ignore[union-attr]
-        self.outputs_recorded += 1
-        return output
-
-    # -- reporting -------------------------------------------------------
-
-    @property
-    def synchronized(self) -> bool:
-        """True once the node has produced a non-⊥ output."""
-        return self.first_sync_local_round is not None
-
-    @property
-    def sync_latency(self) -> Optional[int]:
-        """Rounds from activation to first non-⊥ output (1 = synced immediately)."""
-        return self.first_sync_local_round

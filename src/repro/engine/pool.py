@@ -664,27 +664,32 @@ class ExecutionPool:
     ) -> list["Future[ChunkResult]"]:
         """Re-dispatch the chunks behind a group of crash-failed futures.
 
+        Each re-dispatch spends one attempt of every chunk in the group; a
+        fresh executor breaking during it is a failed attempt like any other.
         Raises the wrapped :class:`WorkerCrashError` when any of them has
         exhausted its retry budget (or was submitted by a caller the pool has
         no payload for) — :meth:`recover` runs either way, so the pool is
         reusable after the raise.
         """
         payloads = [self._chunk_payloads.pop(future, None) for future in dead]
-        crash = self.recover(error)
-        if any(p is None or p.attempt >= self._crash_retries for p in payloads):
-            raise crash from error
-        executor = self._ensure_executor()
-        fresh: list["Future[ChunkResult]"] = []
-        try:
-            for payload in payloads:
-                assert payload is not None  # narrowed by the budget check above
-                future = executor.submit(payload.fn, *payload.args)
+        while True:
+            crash = self.recover(error)
+            live = [p for p in payloads if p is not None and p.attempt < self._crash_retries]
+            if len(live) < len(payloads):
+                raise crash from error
+            executor = self._ensure_executor()
+            for payload in live:
                 payload.attempt += 1
-                self._chunk_payloads[future] = payload
-                fresh.append(future)
-        except BrokenProcessPool as resubmit_error:
-            raise self.recover(resubmit_error) from resubmit_error
-        attempt = max(payload.attempt for payload in payloads if payload is not None)
+            fresh: list["Future[ChunkResult]"] = []
+            try:
+                for payload in live:
+                    future = executor.submit(payload.fn, *payload.args)
+                    self._chunk_payloads[future] = payload
+                    fresh.append(future)
+                break
+            except BrokenProcessPool as resubmit_error:
+                error = resubmit_error
+        attempt = max(payload.attempt for payload in live)
         self._metric_chunk_retries.inc(len(fresh))
         logger.warning(
             "re-dispatching %d chunk(s) after worker crash (attempt %d of %d)",

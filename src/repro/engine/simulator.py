@@ -1,17 +1,24 @@
 """The round-driven simulator.
 
-The simulator realizes the model of §2 as a synchronous loop.  In every
-global round it:
+The simulator realizes the model of §2 as one synchronous loop for every
+execution, fault-injected or not.  In every global round it:
 
 1. activates the nodes the activation schedule designates for the round;
-2. asks every active node's protocol for its radio action;
-3. asks the interference adversary for its disruption set (the adversary sees
+2. on rounds the fault plan names, applies its churn, corruption and
+   Byzantine start;
+3. asks every active node's protocol for its radio action;
+4. asks the interference adversary for its disruption set (the adversary sees
    the execution only through the *previous* round);
-4. resolves the round on the :class:`~repro.radio.network.SingleHopRadioNetwork`
+5. resolves the round on the :class:`~repro.radio.network.SingleHopRadioNetwork`
    (collision rule + disruption);
-5. delivers each node's reception outcome and streams the resolved round to
+6. delivers each node's reception outcome and streams the resolved round to
    the observer pipeline (trace recorder, property checker, metrics
    collector, spectrum log, plus any caller-supplied observers).
+
+Faults enter the loop as data: the fault injector lists the rounds that
+carry events (a fault-free run pays one set-membership test per round), a
+Byzantine node's dispatch row holds a forging protocol from its start round
+on, and a stabilization-tracker observer measures recovery.
 
 Properties and metrics are computed *incrementally* as the execution streams
 by, so a run with :attr:`~repro.engine.observers.TraceLevel.NONE` buffers no
@@ -19,7 +26,8 @@ per-round history at all and still produces the same report and metrics as a
 full-trace run.
 
 The loop ends when every node that will ever be activated has synchronized
-(plus an optional grace period), or when ``max_rounds`` is reached.
+— under a fault plan: every fault has fired and the present honest nodes
+agree again — plus an optional grace period, or at ``max_rounds``.
 """
 
 from __future__ import annotations
@@ -38,7 +46,7 @@ from repro.engine.results import SimulationResult
 from repro.engine.rng import RandomStreams
 from repro.engine.trace import RoundRecord
 from repro.exceptions import ConfigurationError, SimulationError
-from repro.faults.injector import FaultInjector
+from repro.faults.injector import FaultInjector, ForgingProtocol
 from repro.faults.plan import FaultPlan
 from repro.faults.stabilization import StabilizationTracker
 from repro.params import ModelParameters
@@ -47,6 +55,9 @@ from repro.radio.actions import RadioAction
 from repro.radio.network import SingleHopRadioNetwork
 from repro.radio.spectrum_log import SpectrumLog
 from repro.types import NodeId, Role, SyncOutput
+
+#: One node's dispatch row in the round loop (see `Simulator._row`).
+_Row = tuple[NodeId, NodeRuntime, SynchronizationProtocol, ProtocolContext]
 
 
 @dataclass
@@ -143,7 +154,7 @@ class Simulator:
     observers:
         Additional streaming :class:`~repro.engine.observers.RoundObserver`
         instances notified after the built-in pipeline (spectrum log, trace
-        recorder, checker, metrics).
+        recorder, checker, metrics, stabilization tracker).
     """
 
     def __init__(
@@ -166,15 +177,15 @@ class Simulator:
         # active set: `_activate` appends and the round loop iterates it
         # directly instead of rebuilding a filtered copy every round.
         self._nodes: dict[NodeId, NodeRuntime] = {}
-        # Per-node hot-path dispatch: (node_id, runtime, protocol, context)
-        # rows appended at activation, so the round loop drives each protocol
-        # directly instead of going through the runtime's guarded wrappers.
-        self._active_rows: list[
-            tuple[NodeId, NodeRuntime, SynchronizationProtocol, ProtocolContext]
-        ] = []
+        # Per-node hot-path dispatch rows (built by `_row`), appended at
+        # activation, so the round loop drives each protocol directly.
+        self._active_rows: list[_Row] = []
         self._synced_nodes: set[NodeId] = set()
         self._leader_uids: set[int] = set()
         self._pending_activations = config.activation.node_count
+        # Set by `run` for fault-injected executions only.
+        self._injector: FaultInjector | None = None
+        self._tracker: StabilizationTracker | None = None
 
     @property
     def config(self) -> SimulationConfig:
@@ -193,17 +204,22 @@ class Simulator:
                 level=config.trace_level, sample_interval=config.trace_sample_interval
             )
         injector: FaultInjector | None = None
+        tracker: StabilizationTracker | None = None
+        event_rounds: frozenset[int] = frozenset()
         if config.faults is not None:
             injector = FaultInjector(
                 config.faults, self._streams, config.activation.node_count, config.params
             )
+            tracker = StabilizationTracker(injector.byzantine_nodes, injector.byzantine_start_round)
+            event_rounds = injector.event_rounds
+        self._injector, self._tracker = injector, tracker
         checker = StreamingPropertyChecker(
             exclude=injector.byzantine_nodes if injector is not None else frozenset()
         )
         metrics = MetricsObserver()
         observers: tuple[RoundObserver, ...] = tuple(
             observer
-            for observer in (self._spectrum, recorder, checker, metrics)
+            for observer in (self._spectrum, recorder, checker, metrics, tracker)
             if observer is not None
         ) + self._extra_observers
 
@@ -216,20 +232,7 @@ class Simulator:
         # per-observer attribute lookup.  With TraceLevel.NONE the tuple holds
         # no recorder at all: streaming observers only, nothing buffered.
         notify_round = tuple(observer.on_round for observer in observers)
-        if injector is not None:
-            # Fault-injected executions run a separate loop so the fault-free
-            # hot path below stays exactly as the perf baseline pinned it (no
-            # per-node membership checks added to every round).
-            return self._run_with_faults(
-                injector,
-                checker,
-                metrics,
-                recorder,
-                observers,
-                notify_round,
-                activation_rng,
-                adversary_rng,
-            )
+        departed: dict[NodeId, NodeRuntime] = {}
         rows = self._active_rows
         activations_for_round = config.activation.activations_for_round
         resolve_round = self._network.resolve_round
@@ -244,10 +247,11 @@ class Simulator:
             activations = activations_for_round(global_round, activation_rng)
             if activations:
                 self._activate(activations, global_round, observers)
+            if global_round in event_rounds:
+                self._apply_faults(global_round, checker, departed)
 
-            # The two per-node passes below inline NodeRuntime.begin_round /
-            # choose_action / deliver / record_output: same state transitions,
-            # one call per protocol hook instead of one per guarded wrapper.
+            # Activation (or reincarnation) sets local round 1 for the node's
+            # first round; every later round starts by advancing it.
             actions: dict[NodeId, RadioAction] = {}
             for node_id, node, protocol, context in rows:
                 if node.outputs_recorded:
@@ -304,147 +308,38 @@ class Simulator:
             trace=recorder.trace if recorder is not None else None,
             report=checker.report(),
             metrics=metrics.result(leader_uids=frozenset(self._leader_uids)),
-        )
-
-    def _run_with_faults(
-        self,
-        injector: FaultInjector,
-        checker: StreamingPropertyChecker,
-        metrics: MetricsObserver,
-        recorder: TraceRecorder | None,
-        observers: tuple[RoundObserver, ...],
-        notify_round: tuple,
-        activation_rng,
-        adversary_rng,
-    ) -> SimulationResult:
-        """The fault-injected twin of the :meth:`run` round loop.
-
-        Same per-node state transitions, plus: scheduled faults applied at
-        each round start, Byzantine nodes' actions replaced by forged
-        broadcasts (their protocol instances are bypassed entirely once they
-        turn — no reception, ⊥ output, CONTENDER role), and a per-round
-        convergence observation fed to the stabilization tracker.  The run
-        stops once every activation *and* every scheduled fault has happened
-        and the present honest nodes have reconverged.
-        """
-        config = self._config
-        rows = self._active_rows
-        activations_for_round = config.activation.activations_for_round
-        resolve_round = self._network.resolve_round
-        choose_disruption = self._choose_disruption
-        synced_nodes = self._synced_nodes
-        leader_uids = self._leader_uids
-        leader_role = Role.LEADER
-        contender_role = Role.CONTENDER
-        byzantine = injector.byzantine_nodes
-        tracker = StabilizationTracker()
-        departed: dict[NodeId, NodeRuntime] = {}
-
-        rounds_simulated = 0
-        grace_remaining: int | None = None
-        for global_round in range(1, config.max_rounds + 1):
-            activations = activations_for_round(global_round, activation_rng)
-            if activations:
-                self._activate(activations, global_round, observers)
-
-            injected = self._apply_faults(global_round, injector, checker, departed)
-            if injector.byzantine_starts_at(global_round):
-                injected = True
-            if injected:
-                tracker.record_epoch(global_round)
-
-            forging = injector.byzantine_active(global_round)
-            actions: dict[NodeId, RadioAction] = {}
-            for node_id, node, protocol, context in rows:
-                if forging and node_id in byzantine:
-                    actions[node_id] = injector.byzantine_action(node_id)
-                    continue
-                if node.outputs_recorded:
-                    context.local_round += 1
-                actions[node_id] = protocol.choose_action()
-
-            disrupted = choose_disruption(global_round, adversary_rng, len(rows))
-            resolution = resolve_round(global_round, actions, disrupted, activations)
-
-            outputs: dict[NodeId, SyncOutput] = {}
-            roles: dict[NodeId, Role] = {}
-            outcomes = resolution.outcomes
-            distinct: set[int] = set()
-            honest_present = 0
-            unsynchronized = 0
-            for node_id, node, protocol, context in rows:
-                if forging and node_id in byzantine:
-                    outputs[node_id] = None
-                    roles[node_id] = contender_role
-                    continue
-                outcome = outcomes.get(node_id)
-                if outcome is None:
-                    raise SimulationError(
-                        f"node {node_id} acted in round {global_round} but got no outcome"
-                    )
-                protocol.on_reception(outcome)
-                output = protocol.current_output()
-                if output is not None and node.first_sync_local_round is None:
-                    node.first_sync_local_round = context.local_round
-                    synced_nodes.add(node_id)
-                node.outputs_recorded += 1
-                outputs[node_id] = output
-                role = protocol.role
-                roles[node_id] = role
-                if role is leader_role:
-                    leader_uids.add(context.uid)
-                honest_present += 1
-                if output is None:
-                    unsynchronized += 1
-                else:
-                    distinct.add(output)
-            converged = honest_present > 0 and unsynchronized == 0 and len(distinct) <= 1
-            tracker.observe_round(global_round, converged)
-
-            record = RoundRecord(
-                global_round=global_round,
-                outputs=outputs,
-                roles=roles,
-                activity=resolution.activity,
-            )
-            for notify in notify_round:
-                notify(record)
-            rounds_simulated = global_round
-
-            if self._should_stop_with_faults(global_round, injector, converged):
-                if grace_remaining is None:
-                    grace_remaining = config.extra_rounds_after_sync
-                if grace_remaining <= 0:
-                    break
-                grace_remaining -= 1
-            else:
-                grace_remaining = None
-
-        for observer in observers:
-            observer.on_simulation_end(rounds_simulated)
-
-        return SimulationResult(
-            trace=recorder.trace if recorder is not None else None,
-            report=checker.report(),
-            metrics=metrics.result(leader_uids=frozenset(self._leader_uids)),
-            stabilization=tracker.finalize(rounds_simulated),
+            stabilization=tracker.finalize(rounds_simulated) if tracker is not None else None,
         )
 
     # -- internals --------------------------------------------------------
 
+    def _row(self, runtime: NodeRuntime, global_round: int) -> _Row:
+        """A node's dispatch row; a Byzantine node's drives a forger once it turns."""
+        protocol = runtime.protocol
+        injector = self._injector
+        if (
+            injector is not None
+            and runtime.node_id in injector.byzantine_nodes
+            and injector.byzantine_active(global_round)
+        ):
+            protocol = ForgingProtocol(runtime.context, injector, runtime.node_id)
+        return (runtime.node_id, runtime, protocol, runtime.context)
+
     def _apply_faults(
         self,
         global_round: int,
-        injector: FaultInjector,
         checker: StreamingPropertyChecker,
         departed: dict[NodeId, NodeRuntime],
-    ) -> bool:
-        """Apply the round's scheduled churn/corruption; True if anything fired.
+    ) -> None:
+        """Apply the round's scheduled churn, corruption and Byzantine start.
 
         Events naming nodes that are not currently present (not yet
         activated, already departed, or — for corruption — Byzantine) are
-        skipped, so one plan sweeps cleanly across node-count axes.
+        skipped, so one plan sweeps cleanly across node-count axes.  A round
+        on which anything fired opens a stabilization epoch.
         """
+        injector, tracker = self._injector, self._tracker
+        assert injector is not None and tracker is not None
         injected = False
         rows = self._active_rows
         for node_id in injector.leaves_at(global_round):
@@ -461,7 +356,7 @@ class Simulator:
             runtime.reincarnate(
                 injector.rejoin_stream(node_id, global_round), self._protocol_factory
             )
-            rows.append((node_id, runtime, runtime.protocol, runtime.context))
+            rows.append(self._row(runtime, global_round))
             checker.reset_node(node_id)
             injected = True
         byzantine = injector.byzantine_nodes
@@ -475,26 +370,15 @@ class Simulator:
                         injector.corruption_stream(node_id, global_round),
                         self._protocol_factory,
                     )
-                    rows[index] = (node_id, runtime, runtime.protocol, runtime.context)
+                    rows[index] = self._row(runtime, global_round)
                     checker.reset_node(node_id)
                     injected = True
                     break
-        return injected
-
-    def _should_stop_with_faults(
-        self, global_round: int, injector: FaultInjector, converged: bool
-    ) -> bool:
-        """Stop once activations and scheduled faults are exhausted and the
-        present honest nodes have reconverged."""
-        if not self._config.stop_when_synchronized:
-            return False
-        if self._pending_activations > 0:
-            return False
-        if global_round < self._config.activation.last_activation_round():
-            return False
-        if global_round < injector.last_fault_round:
-            return False
-        return converged
+        if injector.byzantine_starts_at(global_round):
+            rows[:] = [self._row(row[1], global_round) for row in rows]
+            injected = True
+        if injected:
+            tracker.record_epoch(global_round)
 
     def _activate(
         self,
@@ -512,7 +396,7 @@ class Simulator:
             )
             runtime.activate(global_round, self._protocol_factory)
             self._nodes[node_id] = runtime
-            self._active_rows.append((node_id, runtime, runtime.protocol, runtime.context))
+            self._active_rows.append(self._row(runtime, global_round))
             for observer in observers:
                 observer.on_activation(node_id, global_round)
             self._pending_activations -= 1
@@ -540,6 +424,9 @@ class Simulator:
             return False
         if global_round < self._config.activation.last_activation_round():
             return False
+        if self._injector is not None and self._tracker is not None:
+            # All faults fired, and the present honest nodes agree again.
+            return global_round >= self._injector.last_fault_round and self._tracker.converged
         if not self._nodes:
             return False
         # The synced-node set only grows (outputs latch), so this membership

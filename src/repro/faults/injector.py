@@ -3,7 +3,8 @@
 The :class:`FaultInjector` turns a declarative plan into concrete per-round
 decisions for one execution: which nodes are Byzantine (drawn from the
 trial's ``("fault", "byzantine")`` stream), what a Byzantine node transmits
-each round, and which churn/corruption events apply at each round start.
+each round (as a :class:`ForgingProtocol`), and which churn/corruption
+events apply at each round start.
 
 All randomness flows through the simulation's :class:`~repro.engine.rng.
 RandomStreams` under ``("fault", ...)`` labels, so fault-free draws (node,
@@ -19,8 +20,11 @@ from typing import TYPE_CHECKING
 
 from repro.faults.plan import FaultPlan
 from repro.params import ModelParameters
+from repro.protocols.base import ProtocolContext, SynchronizationProtocol
 from repro.radio.actions import RadioAction, broadcast
+from repro.radio.events import ReceptionOutcome
 from repro.radio.messages import LeaderMessage
+from repro.types import SyncOutput
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.rng import RandomStreams
@@ -55,10 +59,8 @@ class FaultInjector:
         node_count: int,
         params: ModelParameters,
     ) -> None:
-        self._plan = plan
         self._streams = streams
         self._params = params
-        self._node_count = node_count
 
         count = min(plan.byzantine_count, node_count)
         if count:
@@ -93,6 +95,12 @@ class FaultInjector:
             self._corruptions[event.round_index] += targets
 
         self.last_fault_round = plan.last_fault_round()
+        # Every round with a leave, a rejoin, a corruption, or the Byzantine
+        # start: the only rounds on which the round loop consults the plan.
+        event_rounds = {*self._leaves, *self._rejoins, *self._corruptions}
+        if self.byzantine_nodes:
+            event_rounds.add(self.byzantine_start_round)
+        self.event_rounds = frozenset(event_rounds)
 
     # -- membership ------------------------------------------------------
 
@@ -141,5 +149,25 @@ class FaultInjector:
         return self._streams.stream("fault", "rejoin", node_id, global_round)
 
     def corruption_stream(self, node_id: int, global_round: int) -> random.Random:
-        """The per-(trial, node, round) stream arbitrary state is drawn from."""
+        """The per-(trial, node, round) stream a corrupted node restarts on."""
         return self._streams.stream("fault", "corrupt", node_id, global_round)
+
+
+class ForgingProtocol(SynchronizationProtocol):
+    """What a Byzantine node runs once it turns: it transmits
+    :meth:`FaultInjector.byzantine_action` every round, ignores what it
+    hears, outputs ⊥ and keeps the default CONTENDER role."""
+
+    def __init__(self, context: ProtocolContext, injector: FaultInjector, node_id: int) -> None:
+        super().__init__(context)
+        self._injector = injector
+        self._node_id = node_id
+
+    def choose_action(self) -> RadioAction:
+        return self._injector.byzantine_action(self._node_id)
+
+    def on_reception(self, outcome: ReceptionOutcome) -> None:
+        pass
+
+    def current_output(self) -> SyncOutput:
+        return None

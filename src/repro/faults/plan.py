@@ -17,10 +17,10 @@ Three fault families are supported:
   forged :class:`~repro.radio.messages.LeaderMessage` sync values on random
   frequencies.  Which nodes turn Byzantine is drawn deterministically from
   the per-trial ``("fault", "byzantine")`` stream.
-* **transient corruption** — at scheduled rounds, selected nodes' runtime
-  state is discarded and rebuilt from a per-``(trial, node, round)``
-  ``derive_seed`` stream, modelling recovery from arbitrary state as in the
-  snap-stabilization literature.
+* **transient corruption** — at scheduled rounds, selected nodes are reset:
+  the protocol restarts fresh at local round 1 with a new uid, on a
+  per-``(trial, node, round)`` ``derive_seed`` stream.  This is a reset, not
+  the arbitrary state of the snap-stabilization literature.
 
 Every fault source is a deterministic function of the plan and the trial's
 master seed, so serial, pooled, and resumed executions of a fault-injected
@@ -97,10 +97,10 @@ class CorruptionEvent:
     """One scheduled transient-corruption injection.
 
     At the start of ``round_index``, every targeted node that is present (and
-    not Byzantine) has its runtime state overwritten: the protocol instance is
-    rebuilt from a fresh per-``(trial, node, round)`` random stream, modelling
-    an adversary that set the node to an arbitrary state the protocol must
-    recover from.
+    not Byzantine) is reset: its protocol instance is rebuilt as if freshly
+    activated — local round 1, a new uid — on a per-``(trial, node, round)``
+    random stream.  The node loses its state rather than holding an
+    arbitrary one; the protocol must recover from the reset.
     """
 
     round_index: int

@@ -1,26 +1,38 @@
 """Stabilization measurement: rounds-to-reconverge after fault injections.
 
-The snap-stabilization literature asks how long a protocol needs to return to
-a legitimate configuration after its state is perturbed.  For the wireless
-synchronization problem the legitimate configuration is *converged output
-agreement*: every present honest node emits a non-⊥ round number and all of
-them agree.
+Each round in which at least one injection applied opens an *epoch*.  The
+epoch's recovery time is the number of rounds until the first round end at
+which every present honest node outputs the same non-⊥ value (0 = converged
+again at the end of the injection round itself; a round with no present
+honest node is not converged).  There is no closure requirement.  Epochs
+that never reconverge before the run ends are charged
+``rounds_simulated - epoch + 1`` — strictly greater than any in-run recovery
+value, so "never recovered" always dominates "recovered late" in aggregates.
 
-:class:`StabilizationTracker` is fed by the simulator's fault-aware round
-loop: each round in which at least one injection applied opens an *epoch*,
-and each subsequent round reports whether the present honest nodes are
-converged.  The per-epoch recovery time is the number of rounds from the
-injection until the first converged round end (0 = the system was already
-converged again at the end of the injection round itself).  Epochs that never
-reconverge before the run ends are charged ``rounds_simulated - epoch + 1`` —
-strictly greater than any in-run recovery value, so "never recovered" always
-dominates "recovered late" in aggregates.
+Delaët et al. (*Snap-Stabilization in Message-Passing Systems*, arXiv
+0802.1123) and Altisen & Bozga (*Revisited Convergence of Dolev et al.'s BFS
+Spanning Tree Algorithm*, arXiv 2502.17035) instead count rounds from an
+arbitrary configuration until a *legitimate* one, where legitimacy is closed:
+every execution from it stays legitimate (snap-stabilization is the case of
+zero rounds).  This metric starts from an injection into a running execution
+(a corrupted node is reset to a fresh protocol, not scrambled), and it is a
+first hitting time, so it bounds a closure-based time from below.  Closure
+does hold here by synch commit plus correctness — converged nodes keep
+counting up in step — as long as no later activation or injection happens.
+
+The property checker excludes Byzantine nodes from round 1; the tracker
+excludes them only from ``byzantine_start_round`` on, since until then they
+run the protocol and reconvergence waits for them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping, Optional
+from typing import Any, Collection, Mapping, Optional
+
+from repro.engine.observers import BaseRoundObserver
+from repro.engine.trace import RoundRecord
+from repro.types import NodeId, SyncOutput
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,13 +76,21 @@ class StabilizationReport:
         )
 
 
-class StabilizationTracker:
-    """Accumulates per-epoch reconvergence times during one execution."""
+class StabilizationTracker(BaseRoundObserver):
+    """Accumulates per-epoch reconvergence times during one execution.
 
-    def __init__(self) -> None:
+    A round observer: the simulator opens epochs with :meth:`record_epoch`,
+    and the ``byzantine`` nodes count as honest until ``byzantine_start_round``.
+    """
+
+    def __init__(self, byzantine: frozenset[NodeId], byzantine_start_round: int) -> None:
+        self._byzantine = byzantine
+        self._byzantine_start_round = byzantine_start_round
         self._epochs: list[int] = []
         self._recovery: list[Optional[int]] = []
         self._pending: list[int] = []  # indices into _epochs awaiting reconvergence
+        #: Whether the present honest nodes were converged at the last round end.
+        self.converged = False
 
     def record_epoch(self, global_round: int) -> None:
         """Open an injection epoch at ``global_round`` (idempotent per round)."""
@@ -79,6 +99,16 @@ class StabilizationTracker:
         self._pending.append(len(self._epochs))
         self._epochs.append(global_round)
         self._recovery.append(None)
+
+    def on_round(self, record: RoundRecord) -> None:
+        outputs: Collection[SyncOutput] = record.outputs.values()
+        if self._byzantine and record.global_round >= self._byzantine_start_round:
+            byzantine = self._byzantine
+            outputs = [
+                output for node_id, output in record.outputs.items() if node_id not in byzantine
+            ]
+        self.converged = bool(outputs) and None not in outputs and len(set(outputs)) == 1
+        self.observe_round(record.global_round, self.converged)
 
     def observe_round(self, global_round: int, converged: bool) -> None:
         """Fold one round-end convergence observation into the pending epochs."""

@@ -6,9 +6,10 @@ Three legs, mirroring the engine's own golden-equivalence contract:
   JSON-round-trippable, and content-hashed; the hash is pinned here so a
   schema drift cannot slip through silently;
 * **golden digests** — fault-injected executions (churn × Byzantine ×
-  corruption on trapdoor + good-samaritan) are pinned as full execution
-  digests and must be byte-identical across serial, pooled, and
-  interrupt-resumed campaign execution;
+  corruption on trapdoor + good-samaritan, named edge cases of the
+  injection loop, and a seeded draw of random configurations) are pinned as
+  full execution digests and must be byte-identical across serial, pooled,
+  and interrupt-resumed campaign execution;
 * **refusal** — the vectorized kernel refuses fault-injected templates with
   exactly one warning per batch and degrades to the scalar loop.
 
@@ -19,30 +20,42 @@ Regenerate the goldens after an intentional behaviour change::
 
 from __future__ import annotations
 
+import functools
 import json
+import random
 import sys
 from pathlib import Path
+from typing import Callable
 
 import pytest
 
-from repro.adversary.activation import SimultaneousActivation
-from repro.adversary.jammers import NoInterference
+from repro.adversary.activation import (
+    ActivationSchedule,
+    RandomActivation,
+    SimultaneousActivation,
+    StaggeredActivation,
+)
+from repro.adversary.jammers import NoInterference, ReactiveJammer
+from repro.adversary.registry import ADVERSARY_FACTORIES
 from repro.engine.observers import TraceLevel
 from repro.engine.plan import ExecutionPlan
 from repro.engine.pool import ExecutionPool
 from repro.engine.runner import run_reduced_trials, run_trials
 from repro.engine.serialization import execution_digest
 from repro.engine.simulator import SimulationConfig, simulate
+from repro.engine.trace import RoundRecord
 from repro.exceptions import ConfigurationError
 from repro.faults import (
     ChurnEvent,
     CorruptionEvent,
     FaultPlan,
     StabilizationReport,
+    StabilizationTracker,
     load_fault_plan,
 )
 from repro.params import ModelParameters
-from repro.protocols.registry import protocol_factory
+from repro.protocols.registry import PROTOCOL_FACTORIES, protocol_factory
+from repro.radio.events import RoundActivity
 
 GOLDEN_PATH = Path(__file__).resolve().parents[1] / "golden" / "fault_equivalence.json"
 
@@ -77,12 +90,187 @@ FAULT_PLANS: dict[str, FaultPlan] = {
 PROTOCOLS = ("trapdoor", "good-samaritan", "fault-tolerant-trapdoor")
 
 
-def matrix_keys() -> list[str]:
+def edge_config(
+    plan: FaultPlan,
+    activation: ActivationSchedule,
+    adversary=None,
+    protocol: str = "trapdoor",
+) -> SimulationConfig:
+    return SimulationConfig(
+        params=PARAMS,
+        protocol_factory=protocol_factory(protocol),
+        activation=activation,
+        adversary=adversary if adversary is not None else NoInterference(),
+        max_rounds=800,
+        seed=SEED,
+        faults=plan,
+    )
+
+
+#: Edge cases of the injection loop.  Which nodes turn Byzantine is drawn
+#: per trial, so the cases that must hit a Byzantine node churn, corrupt or
+#: delay every node.
+EDGE_CASES: dict[str, Callable[[], SimulationConfig]] = {
+    # Every node is away at the start round, so the Byzantine ones rejoin
+    # already forging; the others rejoin honest.
+    "byzantine-churned-across-start": lambda: edge_config(
+        FaultPlan(
+            churn=tuple(ChurnEvent(node, 40 + node, 60 + node) for node in range(4)),
+            byzantine_count=2,
+            byzantine_start_round=50,
+        ),
+        SimultaneousActivation(count=4),
+    ),
+    # Only node 0 is awake at the start round: the Byzantine nodes wake up
+    # forging, under a jammer that reacts to their forgeries.
+    "byzantine-activated-after-start": lambda: edge_config(
+        FaultPlan(byzantine_count=3, byzantine_start_round=5),
+        StaggeredActivation(count=5, spacing=10),
+        adversary=ReactiveJammer(),
+    ),
+    # Corruption skips Byzantine nodes, both before and after they turn.
+    "corruption-names-byzantine": lambda: edge_config(
+        FaultPlan(
+            byzantine_count=2,
+            byzantine_start_round=20,
+            corruption=(
+                CorruptionEvent(round_index=10, node_ids=(0, 1, 2, 3)),
+                CorruptionEvent(round_index=40, node_ids=(0, 1, 2, 3)),
+            ),
+        ),
+        SimultaneousActivation(count=4),
+    ),
+    # Leaves, rejoins and corruption of nodes that are not awake yet (or
+    # not in the population at all) are skipped.
+    "events-name-inactive-nodes": lambda: edge_config(
+        FaultPlan(
+            churn=(
+                ChurnEvent(node_id=3, leave_round=20, rejoin_round=50),
+                ChurnEvent(node_id=2, leave_round=40),
+                ChurnEvent(node_id=7, leave_round=5, rejoin_round=9),
+            ),
+            corruption=(CorruptionEvent(round_index=10, node_ids=(2, 3, 9)),),
+        ),
+        StaggeredActivation(count=4, spacing=30),
+    ),
+    # Every node is Byzantine but honest until round 300: the churn epoch
+    # at round 10 recovers; the forging epoch, with no honest node left,
+    # never does.  Excluding Byzantine nodes from round 1 changes this.
+    "all-byzantine-churn-before-forging": lambda: edge_config(
+        FaultPlan(
+            churn=(ChurnEvent(node_id=1, leave_round=10),),
+            byzantine_count=4,
+            byzantine_start_round=300,
+        ),
+        SimultaneousActivation(count=4),
+    ),
+    # The start round comes before anyone is awake: an epoch with no
+    # present node, then forgers from their first round.
+    "byzantine-start-before-activation": lambda: edge_config(
+        FaultPlan(byzantine_count=2, byzantine_start_round=1),
+        SimultaneousActivation(count=4, round_index=20),
+        protocol="fault-tolerant-trapdoor",
+    ),
+    # A rejoin, a corruption and the Byzantine start in one round.
+    "events-coincide-with-start": lambda: edge_config(
+        FaultPlan(
+            churn=(ChurnEvent(node_id=0, leave_round=15, rejoin_round=30),),
+            byzantine_count=1,
+            byzantine_start_round=30,
+            corruption=(CorruptionEvent(round_index=30, node_ids=(1, 2)),),
+        ),
+        SimultaneousActivation(count=4),
+        protocol="good-samaritan",
+    ),
+}
+
+#: How many seeded random configurations the golden file pins.
+GENERATED_COUNT = 60
+
+#: The (F, t, N) points the generated configurations draw from.
+GENERATED_PARAMS = (
+    ModelParameters(frequencies=4, disruption_budget=1, participant_bound=8),
+    ModelParameters(frequencies=8, disruption_budget=3, participant_bound=16),
+    ModelParameters(frequencies=2, disruption_budget=0, participant_bound=4),
+    ModelParameters(frequencies=6, disruption_budget=2, participant_bound=8),
+)
+
+
+def random_plan(rng: random.Random, nodes: int, horizon: int) -> FaultPlan:
+    """A non-empty plan whose events may name absent or out-of-range nodes."""
+    while True:
+        churn = []
+        for node_id in rng.sample(range(nodes + 2), rng.randint(0, 2)):
+            leave = rng.randint(1, horizon)
+            rejoin = leave + rng.randint(1, horizon) if rng.random() < 0.7 else None
+            churn.append(ChurnEvent(node_id, leave, rejoin))
+        corruption = [
+            CorruptionEvent(rng.randint(1, horizon), tuple(rng.sample(range(nodes + 1), 2)))
+            for _ in range(rng.randint(0, 2))
+        ]
+        plan = FaultPlan(
+            churn=tuple(churn),
+            byzantine_count=rng.choice((0, 0, 1, 2, nodes)),
+            byzantine_start_round=rng.randint(1, horizon),
+            corruption=tuple(corruption),
+        )
+        if not plan.empty:
+            return plan
+
+
+def random_activation(rng: random.Random, nodes: int) -> ActivationSchedule:
+    kind = rng.choice(("simultaneous", "staggered", "random"))
+    if kind == "simultaneous":
+        return SimultaneousActivation(count=nodes, round_index=rng.randint(1, 5))
+    if kind == "staggered":
+        return StaggeredActivation(count=nodes, spacing=rng.randint(1, 12))
+    return RandomActivation(count=nodes, window=rng.randint(5, 60), seed=rng.randrange(1000))
+
+
+@functools.cache
+def generated_configs() -> tuple[SimulationConfig, ...]:
+    """Protocol × jammer × activation × (F, t, N) × plan × trace level ×
+    grace period × stop rule, drawn from one fixed seed."""
+    rng = random.Random("fault-golden")
+    configs = []
+    for _ in range(GENERATED_COUNT):
+        params = rng.choice(GENERATED_PARAMS)
+        nodes = rng.randint(2, min(6, params.participant_bound))
+        max_rounds = rng.choice((300, 600, 1_000))
+        configs.append(
+            SimulationConfig(
+                params=params,
+                protocol_factory=protocol_factory(rng.choice(sorted(PROTOCOL_FACTORIES))),
+                activation=random_activation(rng, nodes),
+                adversary=ADVERSARY_FACTORIES[rng.choice(sorted(ADVERSARY_FACTORIES))](),
+                max_rounds=max_rounds,
+                seed=rng.randrange(1_000),
+                stop_when_synchronized=rng.random() < 0.8,
+                extra_rounds_after_sync=rng.choice((0, 0, 3, 25)),
+                trace_level=rng.choice(tuple(TraceLevel)),
+                trace_sample_interval=rng.choice((1, 7, 50)),
+                faults=random_plan(rng, nodes, max_rounds // 2),
+            )
+        )
+    return tuple(configs)
+
+
+def scenario_keys() -> list[str]:
+    """The protocol × named-plan matrix."""
     return [
         f"{protocol}|{scenario}"
         for protocol in sorted(PROTOCOLS)
         for scenario in sorted(FAULT_PLANS)
     ]
+
+
+def matrix_keys() -> list[str]:
+    """Every pinned key: the scenario matrix, the edge cases, the generated draw."""
+    return sorted(
+        scenario_keys()
+        + [f"edge|{name}" for name in EDGE_CASES]
+        + [f"generated|{index:02d}" for index in range(GENERATED_COUNT)]
+    )
 
 
 def config_for(key: str, trace_level: TraceLevel = TraceLevel.FULL) -> SimulationConfig:
@@ -99,8 +287,18 @@ def config_for(key: str, trace_level: TraceLevel = TraceLevel.FULL) -> Simulatio
     )
 
 
+def golden_config(key: str) -> SimulationConfig:
+    """The configuration one pinned key names."""
+    family, name = key.split("|")
+    if family == "edge":
+        return EDGE_CASES[name]()
+    if family == "generated":
+        return generated_configs()[int(name)]
+    return config_for(key)
+
+
 def compute_digest(key: str) -> str:
-    return execution_digest(simulate(config_for(key)))
+    return execution_digest(simulate(golden_config(key)))
 
 
 @pytest.fixture(scope="module")
@@ -180,13 +378,14 @@ class TestGoldenDigests:
     def test_pooled_execution_matches_goldens(self, goldens):
         with ExecutionPool(workers=2, chunk_size=1) as pool:
             for key in matrix_keys():
-                [result] = pool.run_seeds(config_for(key), [SEED])
+                config = golden_config(key)
+                [result] = pool.run_seeds(config, [config.seed])
                 assert execution_digest(result) == goldens[key], (
                     f"pooled fault-injected digest changed for {key}"
                 )
 
     def test_reduced_rows_match_serial_reduction(self):
-        for key in matrix_keys():
+        for key in scenario_keys():
             config = config_for(key, trace_level=TraceLevel.NONE)
             with ExecutionPool(workers=2, chunk_size=1) as pool:
                 pooled = run_reduced_trials(config, seeds=(SEED, SEED + 1), pool=pool)
@@ -194,7 +393,7 @@ class TestGoldenDigests:
 
     def test_stabilization_metric_is_reported(self):
         """Every fault-injected execution carries a stabilization report."""
-        for key in matrix_keys():
+        for key in scenario_keys():
             result = simulate(config_for(key, trace_level=TraceLevel.NONE))
             report = result.stabilization
             assert isinstance(report, StabilizationReport)
@@ -209,6 +408,27 @@ class TestGoldenDigests:
         assert len(rounds) == 3
         assert summary.max_stabilization_rounds == max(rounds)
         assert "stabilization" in summary.describe()
+
+
+class TestStabilizationTracker:
+    @staticmethod
+    def feed(tracker: StabilizationTracker, outputs_by_round: list[dict]) -> None:
+        for global_round, outputs in enumerate(outputs_by_round, start=1):
+            tracker.on_round(RoundRecord(global_round, outputs, {}, RoundActivity(global_round)))
+
+    def test_byzantine_node_counts_as_honest_until_its_start_round(self):
+        # Node 1 turns Byzantine at round 3 and outputs ⊥ throughout: it
+        # holds convergence back in rounds 1-2 and is ignored from round 3.
+        tracker = StabilizationTracker(frozenset({1}), byzantine_start_round=3)
+        tracker.record_epoch(1)
+        self.feed(tracker, [{0: 5, 1: None}] * 4)
+        assert tracker.finalize(4) == StabilizationReport((1,), (2,), reconverged=True)
+
+    def test_round_without_a_present_honest_node_is_not_converged(self):
+        tracker = StabilizationTracker(frozenset({0}), byzantine_start_round=1)
+        tracker.record_epoch(1)
+        self.feed(tracker, [{0: None}, {}])
+        assert tracker.finalize(2) == StabilizationReport((1,), (2,), reconverged=False)
 
 
 class TestCampaignResume:

@@ -1,4 +1,8 @@
-"""Unit tests for :class:`repro.engine.node.NodeRuntime`."""
+"""Unit tests for :class:`repro.engine.node.NodeRuntime`.
+
+The per-round state transitions live in the simulator's round loop, so the
+round-driving checks run one node through :func:`repro.engine.simulator.simulate`.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +10,9 @@ import random
 
 import pytest
 
+from repro.adversary.activation import ExplicitActivation
 from repro.engine.node import NodeRuntime
+from repro.engine.simulator import SimulationConfig, simulate
 from repro.exceptions import SimulationError
 from repro.protocols.base import ProtocolContext, SynchronizationProtocol
 from repro.radio.actions import RadioAction, listen
@@ -22,11 +28,13 @@ class ScriptedProtocol(SynchronizationProtocol):
         self.sync_after = sync_after
         self.activated = False
         self.receptions: list[ReceptionOutcome] = []
+        self.action_rounds: list[int] = []
 
     def on_activate(self) -> None:
         self.activated = True
 
     def choose_action(self) -> RadioAction:
+        self.action_rounds.append(self.context.local_round)
         return listen(1)
 
     def on_reception(self, outcome: ReceptionOutcome) -> None:
@@ -53,7 +61,7 @@ class TestLifecycle:
         with pytest.raises(SimulationError):
             _ = runtime.protocol
         with pytest.raises(SimulationError):
-            runtime.begin_round()
+            _ = runtime.context
 
     def test_activation_draws_uid_and_calls_hook(self, params):
         runtime = make_runtime(params)
@@ -70,30 +78,40 @@ class TestLifecycle:
 
 
 class TestRoundDriving:
-    def drive_round(self, runtime):
-        runtime.begin_round()
-        runtime.choose_action()
-        runtime.deliver(ReceptionOutcome(frequency=1, broadcast=False))
-        return runtime.record_output()
+    """One scripted node, activated in global round 5, driven for ``rounds``."""
+
+    def drive(self, params, rounds, sync_after=3):
+        protocols: list[ScriptedProtocol] = []
+
+        def factory(context: ProtocolContext) -> ScriptedProtocol:
+            protocols.append(ScriptedProtocol(context, sync_after))
+            return protocols[-1]
+
+        result = simulate(
+            SimulationConfig(
+                params=params,
+                protocol_factory=factory,
+                activation=ExplicitActivation(rounds=[5]),
+                max_rounds=4 + rounds,
+                stop_when_synchronized=False,
+            )
+        )
+        [protocol] = protocols
+        return result, protocol
 
     def test_local_round_advances_only_after_first_round(self, params):
-        runtime = make_runtime(params)
-        assert runtime.local_round == 1
-        self.drive_round(runtime)
-        assert runtime.local_round == 1
-        self.drive_round(runtime)
-        assert runtime.local_round == 2
+        _, protocol = self.drive(params, rounds=3)
+        assert protocol.action_rounds == [1, 2, 3]
+        assert len(protocol.receptions) == 3
 
     def test_outputs_and_sync_latency_recorded(self, params):
-        runtime = make_runtime(params, sync_after=3)
-        outputs = [self.drive_round(runtime) for _ in range(4)]
-        assert outputs == [None, None, 103, 104]
-        assert runtime.synchronized
-        assert runtime.sync_latency == 3
+        result, _ = self.drive(params, rounds=4, sync_after=3)
+        assert result.trace is not None
+        assert [record.outputs[0] for record in result.trace.records[4:]] == [None, None, 103, 104]
+        assert result.synchronized
+        assert result.metrics.sync_latencies == {0: 3}
 
     def test_unsynced_node_reports_no_latency(self, params):
-        runtime = make_runtime(params, sync_after=100)
-        for _ in range(5):
-            self.drive_round(runtime)
-        assert not runtime.synchronized
-        assert runtime.sync_latency is None
+        result, _ = self.drive(params, rounds=5, sync_after=100)
+        assert not result.synchronized
+        assert result.metrics.sync_latencies == {}

@@ -14,6 +14,8 @@ The pool's contract has three legs:
 from __future__ import annotations
 
 import os
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -281,3 +283,57 @@ class TestCrashRetry:
         with ExecutionPool(workers=2, chunk_size=1) as pool:
             reduced = run_reduced_trials(config, seeds=2, pool=pool)
         assert reduced == run_reduced_trials(config, seeds=2)
+
+
+def script_executors(monkeypatch, behaviours):
+    """Replace the pool's executor with in-process stubs, one per start.
+
+    ``behaviours[i]`` scripts the i-th executor: ``"crash"`` fails every
+    submitted future with ``BrokenProcessPool`` (a worker died mid-batch),
+    an int ``k`` makes its k-th ``submit`` raise ``BrokenProcessPool`` (the
+    executor broke while chunks were being submitted), and ``"run"`` runs
+    each chunk in-process.  No worker process is involved, so the crash
+    sequence is exact.
+    """
+    script = iter(behaviours)
+
+    class ScriptedExecutor:
+        def __init__(self, max_workers):
+            self.behaviour = next(script)
+            self.submits = 0
+
+        def submit(self, fn, *args):
+            self.submits += 1
+            if self.behaviour == self.submits:
+                raise BrokenProcessPool("executor broke mid-submit")
+            future = Future()
+            if self.behaviour == "crash":
+                future.set_exception(BrokenProcessPool("a worker crashed"))
+            else:
+                future.set_result(fn(*args))
+            return future
+
+        def shutdown(self, wait=True, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr("repro.engine.pool.ProcessPoolExecutor", ScriptedExecutor)
+
+
+class TestBrokenResubmission:
+    def test_counts_as_one_failed_attempt_not_a_raise(self, monkeypatch, batch_config):
+        # Start 1: the batch crashes.  Start 2: the executor breaks on the
+        # second chunk of the resubmission.  Start 3: the retry completes.
+        script_executors(monkeypatch, ["crash", 2, "run"])
+        with ExecutionPool(workers=2, chunk_size=1) as pool:
+            summary = run_trials(batch_config, seeds=3, pool=pool)
+            assert pool.starts == 3
+        serial = run_trials(batch_config, seeds=3)
+        assert [r.metrics for r in summary.results] == [r.metrics for r in serial.results]
+
+    def test_spends_the_budget(self, monkeypatch, batch_config):
+        script_executors(monkeypatch, ["crash", 2, "run"])
+        with ExecutionPool(workers=2, chunk_size=1, crash_retries=1) as pool:
+            with pytest.raises(WorkerCrashError, match="executor broke mid-submit"):
+                run_trials(batch_config, seeds=3, pool=pool)
+            assert pool.starts == 2
+            assert not pool.running

@@ -188,23 +188,40 @@ class TestByteIdentity:
 
 
 class TestCancelResume:
-    def test_cancel_mid_run_then_resubmit_resumes_exactly(self, tmp_path, service):
+    def test_cancel_mid_run_then_resubmit_resumes_exactly(
+        self, tmp_path, service, monkeypatch
+    ):
         """Cancel after the first committed cell; the resubmitted identical
-        request completes a store equal to the uninterrupted one."""
+        request completes a store equal to the uninterrupted one.
+
+        The job's second commit waits until the cancel is acknowledged, so
+        the 3-cell job cannot finish before the cancel lands.
+        """
         spec = campaign_spec("resumable", cells=3)
         request = JobRequest.for_campaign(spec, store="resumable.sqlite")
+        cancel_acknowledged = threading.Event()
+        commits = 0
+        record_cell = ResultStore.record_cell
+
+        def gated_record_cell(store, *args, **kwargs):
+            nonlocal commits
+            commits += 1
+            if commits == 2:
+                cancel_acknowledged.wait(timeout=30.0)
+            return record_cell(store, *args, **kwargs)
+
+        monkeypatch.setattr(ResultStore, "record_cell", gated_record_cell)
         with ServiceClient("127.0.0.1", service.port) as client:
             response = client.request({"op": "submit", "request": request.to_dict()})
             job_id = response["job"]
             # Cancel as soon as the first cell commits (streamed live).  A
             # watch owns its connection, so the cancel goes over a second one
             # — exactly what `repro client cancel` does.
-            cancelled_once = False
             for record in client.watch(job_id):
-                if record.get("kind") == "cell-committed" and not cancelled_once:
-                    cancelled_once = True
+                if record.get("kind") == "cell-committed" and not cancel_acknowledged.is_set():
                     with ServiceClient("127.0.0.1", service.port) as canceller:
                         canceller.cancel(job_id)
+                    cancel_acknowledged.set()
                 if record.get("final"):
                     final = record
             assert final["state"] == "cancelled"
