@@ -3,12 +3,11 @@
 Not a paper artefact — this benchmark instruments the orchestration layer the
 same way ``test_engine_throughput`` instruments the round loop.  The regime is
 many *tiny* work units (small campaign cells, 2-seed search candidates): here
-the pre-pool execution path — a fresh ``ProcessPoolExecutor`` created and torn
-down per cell / per candidate, every trial crossing the process boundary as a
-fully pickled config and returning a full ``SimulationResult`` — is dominated
-by pool spin-up and pickling, not simulation.  The persistent
-:class:`~repro.engine.pool.ExecutionPool` (one spin-up per session, chunked
-template-and-delta dispatch, in-worker reduction) removes that tax.
+a pool per cell — a temporary :class:`~repro.engine.pool.ExecutionPool`
+started and shut down per cell, every trial returning a full
+``SimulationResult`` reduced in the parent — is dominated by pool spin-up,
+not simulation.  One persistent pool for the whole grid (one spin-up per
+session, in-worker reduction) removes that tax.
 
 Both paths must produce byte-identical store rows — asserted here — so the
 speedup is free.  Measured on the baseline machine: ~3.7x on the campaign
@@ -47,10 +46,10 @@ GRID = CampaignSpec(
 
 
 def _run_fresh_pool_per_cell(store: ResultStore) -> None:
-    """The pre-pool execution path, reproduced exactly.
+    """A pool per cell.
 
-    One ``run_trials(plan=ExecutionPlan(workers=2))`` call per cell — i.e. one fresh
-    ``ProcessPoolExecutor`` spin-up/teardown per cell, full configs out, full
+    One ``run_trials(plan=ExecutionPlan(workers=2))`` call per cell — i.e. one
+    temporary ``ExecutionPool`` spin-up/teardown per cell, full
     ``SimulationResult`` objects back, reduction to store rows in the parent.
     """
     GRID.validate_workloads()

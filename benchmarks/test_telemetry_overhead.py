@@ -65,7 +65,7 @@ def _run_campaign_scenario(telemetry=None) -> float:
     with tempfile.TemporaryDirectory(prefix="repro-tel-overhead-") as tmp:
         with ResultStore(Path(tmp) / "cells.db") as store:
             with CampaignRunner(
-                spec, store, workers=2, pool_chunk=2, telemetry=telemetry
+                spec, store, plan=ExecutionPlan(workers=2, pool_chunk=2), telemetry=telemetry
             ) as runner:
                 progress = runner.run()
     assert progress.complete

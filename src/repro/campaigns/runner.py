@@ -8,7 +8,7 @@ resumes exactly where it stopped, and — because every execution derives all
 randomness from its own seed — the resumed results are bit-identical to an
 uninterrupted run.
 
-With ``workers > 1`` (or an explicit ``pool=``) the runner batches *every
+With a parallel plan (or an explicit ``pool=``) the runner batches *every
 pending cell's* trials onto one persistent
 :class:`~repro.engine.pool.ExecutionPool`: work is dispatched in chunks
 (template-and-delta pickling), workers reduce each trial to the scalars the
@@ -32,7 +32,7 @@ from typing import Callable, Optional, Sequence
 from repro.campaigns.spec import CampaignCell, CampaignSpec
 from repro.campaigns.store import ResultStore, TrialRecord
 from repro.engine.observers import TraceLevel
-from repro.engine.plan import ExecutionPlan, resolve_plan
+from repro.engine.plan import ExecutionPlan
 from repro.engine.pool import (
     ExecutionPool,
     ReducedTrial,
@@ -97,8 +97,6 @@ class CampaignRunner:
         The declarative grid to complete.
     store:
         The persistent store holding completed cells.
-    workers:
-        Deprecated — pass ``plan=ExecutionPlan(workers=...)``.
     trace_level:
         Per-trial trace retention.  Campaign cells persist only summary
         scalars, so the default is :attr:`TraceLevel.NONE` — memory stays
@@ -109,10 +107,6 @@ class CampaignRunner:
         to share with other subsystems (e.g. one pool across several
         campaigns and a search); overrides the plan's worker count for
         dispatch.  The runner never shuts down a pool it was handed.
-    pool_chunk:
-        Deprecated — pass ``plan=ExecutionPlan(pool_chunk=...)``.
-    batch:
-        Deprecated — pass ``plan=ExecutionPlan(batch=True)``.
     plan:
         The :class:`~repro.engine.plan.ExecutionPlan` for the campaign.  A
         parallel plan makes the runner hold one persistent
@@ -139,20 +133,15 @@ class CampaignRunner:
         self,
         spec: CampaignSpec,
         store: ResultStore,
-        workers: Optional[int] = None,
+        *,
         trace_level: TraceLevel = TraceLevel.NONE,
         pool: Optional[ExecutionPool] = None,
-        pool_chunk: Optional[int] = None,
-        batch: bool = False,
         telemetry: Optional[Telemetry] = None,
-        *,
         plan: Optional[ExecutionPlan] = None,
     ) -> None:
         self._spec = spec
         self._store = store
-        self._plan = resolve_plan(
-            plan, api="CampaignRunner", workers=workers, pool_chunk=pool_chunk, batch=batch
-        )
+        self._plan = plan or ExecutionPlan()
         self._trace_level = trace_level
         self._batch = self._plan.batch
         self._telemetry = as_telemetry(telemetry)
@@ -186,7 +175,7 @@ class CampaignRunner:
 
     @property
     def plan(self) -> ExecutionPlan:
-        """The resolved execution plan this runner follows."""
+        """The execution plan this runner follows."""
         return self._plan
 
     @property

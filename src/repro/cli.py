@@ -68,7 +68,6 @@ from repro.campaigns.spec import CAMPAIGN_WORKLOADS, CampaignSpec, workload_with
 from repro.campaigns.store import ResultStore
 from repro.engine.observers import TraceLevel
 from repro.engine.plan import ExecutionPlan
-from repro.engine.pool import ExecutionPool
 from repro.engine.runner import run_trials
 from repro.engine.serialization import write_result_json, write_round_log_csv, write_trials_json
 from repro.engine.simulator import SimulationConfig, simulate
@@ -717,28 +716,17 @@ def _command_trials(args: argparse.Namespace) -> int:
         )
     started = time.perf_counter()
     plan = _plan_from_args(args)
+    # The plan's own pool (None when serial), so dispatch reports to the
+    # telemetry handle; shut down below — one CLI call has nothing to reuse it for.
+    pool = plan.pool(telemetry=telemetry)
     try:
-        if plan.parallel:
-            # Chunked dispatch on a pool (torn down right after — one-shot CLI
-            # calls have nothing to persist a pool across).  Built explicitly
-            # rather than via plan.pool() so the pool sees the telemetry handle.
-            with ExecutionPool(
-                plan.workers, chunk_size=plan.pool_chunk, telemetry=telemetry
-            ) as pool:
-                summary = run_trials(
-                    config,
-                    seeds=args.trial_count,
-                    trace_level=TraceLevel(args.trace_level),
-                    pool=pool,
-                    plan=plan.serial(),
-                )
-        else:
-            summary = run_trials(
-                config,
-                seeds=args.trial_count,
-                trace_level=TraceLevel(args.trace_level),
-                plan=plan,
-            )
+        summary = run_trials(
+            config,
+            seeds=args.trial_count,
+            trace_level=TraceLevel(args.trace_level),
+            pool=pool,
+            plan=plan,
+        )
         if telemetry is not None:
             if config.faults is not None:
                 # One event per injection epoch per trial, carrying where the
@@ -764,6 +752,8 @@ def _command_trials(args: argparse.Namespace) -> int:
                 )
             )
     finally:
+        if pool is not None:
+            pool.shutdown()
         # Final snapshot first (needs the live sink), then the sink closes
         # inside _finish_telemetry.
         if monitor is not None:

@@ -15,7 +15,6 @@ from repro.engine.observers import (
     TraceRecorder,
     replay_trace,
 )
-from repro.engine.parallel import run_configs
 from repro.engine.pool import ExecutionPool, ReducedTrial, WorkerCrashError
 from repro.engine.results import SimulationResult
 from repro.engine.rng import RandomStreams, derive_seed
@@ -53,7 +52,6 @@ __all__ = [
     "TraceLevel",
     "TraceRecorder",
     "replay_trace",
-    "run_configs",
     "ExecutionPool",
     "ReducedTrial",
     "WorkerCrashError",

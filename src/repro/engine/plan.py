@@ -1,19 +1,15 @@
-"""The unified public execution surface: :class:`ExecutionPlan`.
+"""The one public spelling of how a batch executes: :class:`ExecutionPlan`.
 
 Execution knobs accreted across five call sites as the orchestration stack
-grew — ``workers=`` (PR 1), ``pool=``/``pool_chunk=`` (PR 5), ``batch=``
-(PR 6), and the telemetry output options (PR 7).  Before a network surface
-freezes them (the campaign service ships jobs as JSON), they collapse into
-one frozen, JSON-round-trippable plan object:
+grew — worker count, pool chunk size, the batch kernel, and the telemetry
+output options.  They live in one frozen, JSON-round-trippable plan object:
 
 * :func:`~repro.engine.runner.run_trials`,
   :func:`~repro.engine.runner.run_reduced_trials`,
   :class:`~repro.campaigns.runner.CampaignRunner`,
   :class:`~repro.search.runner.StrategySearch`, and
-  :class:`~repro.experiments.harness.ExperimentHarness` all accept ``plan=``;
-* the legacy ``workers=`` / ``pool_chunk=`` / ``batch=`` keywords keep
-  working (identical behavior) but raise :class:`DeprecationWarning` — they
-  are one release away from removal;
+  :class:`~repro.experiments.harness.ExperimentHarness` all take it as
+  ``plan=``, their only execution spelling;
 * a service :class:`~repro.service.protocol.JobRequest` embeds the plan's
   JSON form verbatim, so the wire schema and the Python API are one surface.
 
@@ -30,7 +26,6 @@ dispatch; the plan still contributes ``batch``).
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, fields, replace
 from typing import TYPE_CHECKING, Any, Mapping, Optional
 
@@ -173,49 +168,3 @@ class ExecutionPlan:
         parts.append("batch kernel" if self.batch else "scalar loop")
         return ", ".join(parts)
 
-
-def _warn_legacy(api: str, kwarg: str, stacklevel: int) -> None:
-    warnings.warn(
-        f"{api}({kwarg}=...) is deprecated; pass plan=ExecutionPlan({kwarg}=...) "
-        "instead (see repro.engine.plan — the execution knobs are one "
-        "serializable surface now)",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
-
-
-def resolve_plan(
-    plan: Optional[ExecutionPlan],
-    *,
-    api: str,
-    stacklevel: int = 4,
-    workers: Optional[int] = None,
-    pool_chunk: Optional[int] = None,
-    batch: bool = False,
-) -> ExecutionPlan:
-    """Fold legacy execution kwargs into a plan, deprecation-warning each.
-
-    The one shared shim behind every ``plan=``-accepting entry point: with no
-    legacy kwarg it returns ``plan`` (or the serial default) untouched; each
-    legacy kwarg that *was* passed raises a :class:`DeprecationWarning` naming
-    its replacement; mixing ``plan=`` with legacy kwargs is refused outright
-    (two sources of truth for the same knob is exactly the accretion the plan
-    replaces).
-    """
-    legacy: dict[str, Any] = {}
-    if workers is not None:
-        legacy["workers"] = workers
-    if pool_chunk is not None:
-        legacy["pool_chunk"] = pool_chunk
-    if batch:
-        legacy["batch"] = batch
-    if not legacy:
-        return plan if plan is not None else ExecutionPlan()
-    if plan is not None:
-        raise ConfigurationError(
-            f"{api} got both plan= and legacy execution kwargs "
-            f"({', '.join(sorted(legacy))}); fold everything into the plan"
-        )
-    for kwarg in legacy:
-        _warn_legacy(api, kwarg, stacklevel)
-    return ExecutionPlan(**legacy)

@@ -1,13 +1,31 @@
-"""The session-scoped persistent execution pool.
+"""Where a multi-seed batch executes, and the persistent execution pool.
 
-:func:`~repro.engine.parallel.run_configs` deliberately creates a fresh
-:class:`~concurrent.futures.ProcessPoolExecutor` per call: a one-shot batch
-should not leave worker processes behind.  But the workloads above it —
-campaign sweeps over thousands of small cells, adversarial search over
-thousands of candidates — call it once per cell or per candidate, and the
-per-call pool spin-up/teardown plus per-trial config pickling come to dominate
-once the simulations themselves are fast.  :class:`ExecutionPool` removes that
-orchestration tax three ways:
+Every configuration carries its own master seed and all randomness in an
+execution derives from it, so executions are embarrassingly parallel and a
+parallel batch is bit-for-bit the same batch as a serial one, just faster.
+:func:`~repro.engine.runner.run_trials` and
+:func:`~repro.engine.runner.run_reduced_trials` run every batch on the first
+of three paths that applies:
+
+* **pooled** (``pool=`` an :class:`ExecutionPool`) — the batch is dispatched
+  in chunks onto a persistent worker pool the caller reuses across many
+  batches.  Campaign runners and adversarial search hold one pool for their
+  whole session, so a sweep of small cells pays spin-up once, not per cell.
+* **temporary pool** (a parallel :class:`~repro.engine.plan.ExecutionPlan`
+  and no ``pool=``) — the same dispatch on a pool opened for this one batch
+  and shut down before the call returns: nothing persists, nothing leaks.
+* **in-process** (a serial plan) — :func:`seed_rows`, the very row code each
+  worker runs on its chunk.
+
+``plan.batch`` composes with all three: same-template seed batches run on the
+vectorized lockstep kernel (:mod:`repro.engine.batch`), which advances a whole
+chunk through the round loop as numpy array ops — in each worker on the pool
+paths.  Only trace-free batchable configurations qualify
+(:func:`repro.engine.batch.batchable`); anything else transparently falls back
+to the scalar loop.  Results are bit-identical on every path (the
+golden-equivalence suite pins this).
+
+:class:`ExecutionPool` removes the orchestration tax three ways:
 
 * **persistent workers** — the process pool is started lazily on first use and
   reused across every subsequent call (and across
@@ -22,16 +40,29 @@ orchestration tax three ways:
   :class:`ReducedTrial` row and the full :class:`SimulationResult` never
   crosses the process boundary, keeping parent memory flat.
 
-Every execution derives all randomness from its own seed, so none of this
-changes results: a pooled/chunked/reduced batch is bit-identical to a serial
-one (the golden-equivalence suite pins this).
-
 A crashed worker (a hard ``os._exit``, an OOM kill) breaks the underlying
-executor; the pool surfaces the failure as :class:`WorkerCrashError` and
-discards the broken executor, so the *next* call transparently starts a fresh
-one — a long campaign driver can catch, log, and resume without rebuilding its
-own state.  Unpicklable work falls back to in-process serial execution with a
-warning, exactly like the one-shot path.
+executor.  The pool discards it and re-dispatches the lost chunks on fresh
+workers up to ``crash_retries`` times before surfacing
+:class:`WorkerCrashError`; either way the *next* call starts fresh workers, so
+a long campaign driver can catch, log, and resume without rebuilding its own
+state.  Configurations must be picklable to cross the process boundary (every
+built-in protocol factory, activation schedule, and adversary is); the batch
+is probed before anything is submitted, and unpicklable work — typically a
+closure factory in a test — runs in-process with a warning, so a genuine
+worker exception is never misread as a pickling problem.
+
+Telemetry sits at the orchestration boundaries of these paths, never inside
+them: a live :class:`~repro.telemetry.Telemetry` handle on a pool counts each
+chunk at dispatch (``chunk-dispatched`` events, the in-flight gauge,
+scalar/batch counters), campaign runners open spans around the phases that
+*surround* execution (``campaign.run`` > ``campaign.dispatch`` /
+``campaign.cell`` > ``campaign.execute`` / ``campaign.commit``), the search
+wraps each live candidate in ``search.evaluate``, and the bench harness wraps
+each timed scenario in ``bench.scenario``.  Workers send back only a plain
+:class:`~repro.telemetry.metrics.WorkerStatsDelta` per chunk, and no span or
+instrument call is ever made per simulated round — the round loops in
+:mod:`repro.engine.simulator` / :mod:`repro.engine.batch` are untouched
+(``benchmarks/test_telemetry_overhead.py`` pins that boundary statically).
 """
 
 from __future__ import annotations
@@ -114,13 +145,34 @@ class ReducedTrial:
 def simulate_one(template: "SimulationConfig", seed: int) -> SimulationResult:
     """Run one seed of a template in-process — the unit every path executes.
 
-    Both the in-worker chunk loops below and the serial paths in
-    :mod:`repro.engine.runner` call exactly this, which is what keeps seed
-    substitution identical no matter where a trial runs.
+    :func:`seed_rows` and the scalar fallback of the batch kernel call exactly
+    this, which is what keeps seed substitution identical no matter where a
+    trial runs.
     """
     from repro.engine.simulator import simulate
 
     return simulate(replace(template, seed=seed))
+
+
+def seed_rows(
+    template: "SimulationConfig", seeds: Sequence[int], reduce: bool, batch: bool
+) -> list:
+    """Run one template's seeds in this process and return the rows in seed order.
+
+    The one row-producing code path: a worker runs it on its chunk, and the
+    serial runners run it on the whole batch.  With ``batch=True`` the seeds
+    go through the vectorized lockstep kernel (:mod:`repro.engine.batch`),
+    which falls back to the scalar loop for a non-batchable template.  With
+    ``reduce=True`` each trial is reduced to a :class:`ReducedTrial` as it
+    finishes, so memory stays flat.
+    """
+    if batch:
+        from repro.engine.batch import run_batch, run_reduced_batch
+
+        return run_reduced_batch(template, seeds) if reduce else run_batch(template, seeds)
+    if reduce:
+        return [ReducedTrial.from_result(seed, simulate_one(template, seed)) for seed in seeds]
+    return [simulate_one(template, seed) for seed in seeds]
 
 
 @dataclass(frozen=True, slots=True)
@@ -178,30 +230,16 @@ def _run_seed_chunk(
     reduce: bool,
     batch: bool = False,
 ) -> ChunkResult:
-    """Worker entry point: run one chunk of seeds against a shared template.
-
-    With ``batch=True`` the chunk runs through the vectorized lockstep kernel
-    (:mod:`repro.engine.batch`) when the template is batchable — bit-identical
-    to the scalar loop, just amortized across the chunk's seeds — and falls
-    back to the scalar loop per seed otherwise.  The rows come back wrapped
-    in a :class:`ChunkResult` carrying this worker's stats delta.
-    """
+    """Worker entry point: :func:`seed_rows` on one chunk, plus its stats delta."""
     started = time.perf_counter()
+    rows = seed_rows(template, seeds, reduce, batch)
+    seconds = time.perf_counter() - started
     batched = False
-    rows: list[SimulationResult] | list[ReducedTrial]
     if batch:
-        from repro.engine.batch import batchable, run_batch, run_reduced_batch
+        from repro.engine.batch import batchable
 
         batched = batchable(template)
-        rows = run_reduced_batch(template, seeds) if reduce else run_batch(template, seeds)
-    elif reduce:
-        rows = [ReducedTrial.from_result(seed, simulate_one(template, seed)) for seed in seeds]
-    else:
-        rows = [simulate_one(template, seed) for seed in seeds]
-    return ChunkResult(
-        rows=tuple(rows),
-        stats=_chunk_stats(rows, batched, time.perf_counter() - started),
-    )
+    return ChunkResult(rows=tuple(rows), stats=_chunk_stats(rows, batched, seconds))
 
 
 def _run_config_chunk(configs: tuple["SimulationConfig", ...]) -> ChunkResult:
@@ -298,13 +336,14 @@ class ExecutionPool:
         spreads a batch over roughly ``4 × workers`` chunks — large enough to
         amortize the template pickle, small enough to keep every worker busy.
     crash_retries:
-        How many times :meth:`run_seeds` / :meth:`run_configs` re-dispatch a
-        chunk whose worker process crashed before letting the
-        :class:`WorkerCrashError` propagate (deterministic seeds make the
+        How many times a chunk is re-dispatched on fresh workers after its
+        executor broke — at submission in any dispatch, or mid-batch in
+        :meth:`run_seeds` / :meth:`run_configs` — before the
+        :class:`WorkerCrashError` propagates (deterministic seeds make the
         re-run byte-identical).  ``0`` restores fail-fast.  Callers that
         drain futures themselves (e.g. the campaign's as-completed loop)
-        keep the raise-after-:meth:`recover` contract and retry at their own
-        layer if desired.
+        keep the raise-after-:meth:`recover` contract for mid-batch crashes
+        and retry at their own layer if desired.
     telemetry:
         Optional :class:`~repro.telemetry.Telemetry` handle.  A live handle
         counts dispatched chunks/trials per execution path (scalar vs batch),
@@ -496,19 +535,9 @@ class ExecutionPool:
             # The unpicklable path above warns from run_batch in-process
             # instead, so each dispatch warns exactly once either way.
             warn_fault_batch_fallback(template.faults)
-        executor = self._ensure_executor()
-        try:
-            futures = []
-            for chunk in chunks:
-                future = executor.submit(_run_seed_chunk, template, chunk, reduce, batch)
-                self._chunk_payloads[future] = _ChunkPayload(
-                    fn=_run_seed_chunk, args=(template, chunk, reduce, batch)
-                )
-                futures.append(future)
-        except BrokenProcessPool as error:
-            # submit() itself raises when a worker died since the last call —
-            # route it through the same self-healing path as a mid-batch crash.
-            raise self.recover(error) from error
+        futures = self._submit(
+            [_ChunkPayload(_run_seed_chunk, (template, chunk, reduce, batch)) for chunk in chunks]
+        )
         if self._telemetry.enabled:
             self._observe_dispatch(futures, chunks, reduce=reduce, batch=batch)
         return futures
@@ -597,15 +626,7 @@ class ExecutionPool:
         if not payload_is_picklable(config_list):
             warn_serial_fallback(telemetry=self._telemetry)
             return self.ingest(_run_config_chunk(tuple(config_list)))
-        executor = self._ensure_executor()
-        try:
-            futures = []
-            for chunk in chunks:
-                future = executor.submit(_run_config_chunk, chunk)
-                self._chunk_payloads[future] = _ChunkPayload(fn=_run_config_chunk, args=(chunk,))
-                futures.append(future)
-        except BrokenProcessPool as error:
-            raise self.recover(error) from error
+        futures = self._submit([_ChunkPayload(_run_config_chunk, (chunk,)) for chunk in chunks])
         if self._telemetry.enabled:
             self._observe_dispatch(futures, chunks, reduce=False, batch=False)
         return self._gather(futures)
@@ -640,9 +661,7 @@ class ExecutionPool:
         A worker crash breaks the whole executor, so every not-yet-consumed
         future fails together; all of them are re-dispatched as one group on a
         fresh executor (rows still land in chunk order — each retry future
-        replaces its predecessor in place).  After ``crash_retries`` failed
-        attempts for the same chunk the :class:`WorkerCrashError` propagates,
-        exactly like the pre-retry behaviour with ``crash_retries=0``.
+        replaces its predecessor in place).
         """
         pending = list(futures)
         results: list = []
@@ -652,56 +671,59 @@ class ExecutionPool:
             try:
                 outcome = future.result()
             except BrokenProcessPool as error:
-                pending[index:] = self._retry_chunks(pending[index:], error)
+                payloads = [self._chunk_payloads.pop(dead) for dead in pending[index:]]
+                pending[index:] = self._submit(payloads, error)
                 continue
             self._chunk_payloads.pop(future, None)
             results.extend(self.ingest(outcome))
             index += 1
         return results
 
-    def _retry_chunks(
-        self, dead: Sequence["Future[ChunkResult]"], error: BrokenProcessPool
+    def _submit(
+        self, payloads: Sequence[_ChunkPayload], error: Optional[BrokenProcessPool] = None
     ) -> list["Future[ChunkResult]"]:
-        """Re-dispatch the chunks behind a group of crash-failed futures.
+        """Submit chunks in order, recovering broken executors within budget.
 
-        Each re-dispatch spends one attempt of every chunk in the group; a
-        fresh executor breaking during it is a failed attempt like any other.
-        Raises the wrapped :class:`WorkerCrashError` when any of them has
-        exhausted its retry budget (or was submitted by a caller the pool has
-        no payload for) — :meth:`recover` runs either way, so the pool is
-        reusable after the raise.
+        ``error`` is the crash that lost an earlier dispatch of these chunks
+        (``None`` on first dispatch).  Every broken executor — one that
+        crashed mid-batch, or one that ``submit`` finds broken because a
+        worker died since the last call or mid-submission — is recovered and
+        spends one attempt of every chunk in the group.  Once a chunk has
+        used up ``crash_retries`` attempts the wrapped
+        :class:`WorkerCrashError` propagates; :meth:`recover` has run by
+        then, so the pool is reusable after the raise.
         """
-        payloads = [self._chunk_payloads.pop(future, None) for future in dead]
         while True:
-            crash = self.recover(error)
-            live = [p for p in payloads if p is not None and p.attempt < self._crash_retries]
-            if len(live) < len(payloads):
-                raise crash from error
+            if error is not None:
+                crash = self.recover(error)
+                if any(payload.attempt >= self._crash_retries for payload in payloads):
+                    raise crash from error
+                for payload in payloads:
+                    payload.attempt += 1
             executor = self._ensure_executor()
-            for payload in live:
-                payload.attempt += 1
-            fresh: list["Future[ChunkResult]"] = []
+            futures: list["Future[ChunkResult]"] = []
             try:
-                for payload in live:
+                for payload in payloads:
                     future = executor.submit(payload.fn, *payload.args)
                     self._chunk_payloads[future] = payload
-                    fresh.append(future)
+                    futures.append(future)
                 break
-            except BrokenProcessPool as resubmit_error:
-                error = resubmit_error
-        attempt = max(payload.attempt for payload in live)
-        self._metric_chunk_retries.inc(len(fresh))
-        logger.warning(
-            "re-dispatching %d chunk(s) after worker crash (attempt %d of %d)",
-            len(fresh),
-            attempt,
-            self._crash_retries,
-        )
-        if self._telemetry.enabled:
-            self._telemetry.emit(
-                ChunkRetried(detail=str(error), chunks=len(fresh), attempt=attempt)
+            except BrokenProcessPool as submit_error:
+                error = submit_error
+        if error is not None:
+            attempt = max(payload.attempt for payload in payloads)
+            self._metric_chunk_retries.inc(len(futures))
+            logger.warning(
+                "re-dispatching %d chunk(s) after worker crash (attempt %d of %d)",
+                len(futures),
+                attempt,
+                self._crash_retries,
             )
-        return fresh
+            if self._telemetry.enabled:
+                self._telemetry.emit(
+                    ChunkRetried(detail=str(error), chunks=len(futures), attempt=attempt)
+                )
+        return futures
 
     def _crashed_workers(self) -> list[tuple[int, Optional[float]]]:
         """The current executor's abnormally dead workers, as (pid, uptime).

@@ -16,11 +16,10 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 from repro.engine.observers import TraceLevel
-from repro.engine.parallel import run_configs
-from repro.engine.plan import ExecutionPlan, resolve_plan
-from repro.engine.pool import ExecutionPool, ReducedTrial, simulate_one
+from repro.engine.plan import ExecutionPlan
+from repro.engine.pool import ExecutionPool, ReducedTrial, seed_rows
 from repro.engine.results import SimulationResult
-from repro.engine.simulator import SimulationConfig
+from repro.engine.simulator import SimulationConfig, simulate
 from repro.faults.plan import FaultPlan
 
 
@@ -190,19 +189,55 @@ def _normalize_seeds(seeds: Sequence[int] | int) -> tuple[int, ...]:
     return tuple(range(seeds)) if isinstance(seeds, int) else tuple(seeds)
 
 
-def _template_for(config: SimulationConfig, trace_level: Optional[TraceLevel]) -> SimulationConfig:
+def _template_for(
+    config: SimulationConfig, trace_level: Optional[TraceLevel], faults: Optional[FaultPlan]
+) -> SimulationConfig:
+    """``config`` with the batch-wide fault plan and trace level applied."""
+    if faults is not None:
+        config = replace(config, faults=faults)
     return config if trace_level is None else replace(config, trace_level=trace_level)
+
+
+def _dispatch(
+    template: SimulationConfig,
+    seeds: tuple[int, ...],
+    plan: ExecutionPlan,
+    pool: Optional[ExecutionPool],
+    reduce: bool,
+    configs: Optional[list[SimulationConfig]] = None,
+) -> list:
+    """Run one batch on the first path that applies; rows come back in seed order.
+
+    1. The caller's live ``pool``.
+    2. A parallel ``plan``: a temporary pool from :meth:`ExecutionPlan.pool`,
+       shut down before returning.
+    3. Otherwise in-process, through :func:`~repro.engine.pool.seed_rows` —
+       the row code every worker runs on its chunk.
+
+    ``configs`` (one per seed, built by a ``config_for_seed`` hook) replaces
+    the shared template: whole configurations travel, and the batch kernel
+    is not used.
+    """
+    if pool is None:
+        pool = plan.pool()
+        if pool is not None:
+            with pool:
+                return _dispatch(template, seeds, plan, pool, reduce, configs)
+        if configs is not None:
+            return [simulate(config) for config in configs]
+        return seed_rows(template, seeds, reduce, plan.batch)
+    if configs is not None:
+        return pool.run_configs(configs)
+    return pool.run_seeds(template, seeds, reduce=reduce, batch=plan.batch)
 
 
 def run_trials(
     config: SimulationConfig,
     seeds: Sequence[int] | int = 10,
     config_for_seed: Callable[[SimulationConfig, int], SimulationConfig] | None = None,
-    workers: Optional[int] = None,
+    *,
     trace_level: Optional[TraceLevel] = None,
     pool: Optional[ExecutionPool] = None,
-    batch: bool = False,
-    *,
     plan: Optional[ExecutionPlan] = None,
     faults: Optional[FaultPlan] = None,
 ) -> TrialSummary:
@@ -220,8 +255,6 @@ def run_trials(
         experiments that need, e.g., a freshly pre-drawn oblivious adversary
         per trial).  The hook runs in the parent process, so it does not need
         to be picklable even under a parallel plan.
-    workers:
-        Deprecated — pass ``plan=ExecutionPlan(workers=...)``.
     trace_level:
         Optional override of the configuration's
         :class:`~repro.engine.observers.TraceLevel` for the whole batch
@@ -234,12 +267,10 @@ def run_trials(
         is not serializable, so it stays a separate argument from the plan
         and wins dispatch when both are given.  Neither ``pool`` nor the
         plan ever changes results.
-    batch:
-        Deprecated — pass ``plan=ExecutionPlan(batch=True)``.
     plan:
         The :class:`~repro.engine.plan.ExecutionPlan` for the batch: worker
-        count (``1`` = serial, ``>1`` = a one-shot process pool created and
-        torn down inside this call), optional pool chunk size, and whether
+        count (``1`` = serial, ``>1`` = a temporary pool opened and shut
+        down inside this call), optional pool chunk size, and whether
         same-template batches route through the vectorized lockstep kernel
         (:mod:`repro.engine.batch`, transparent scalar fallback; ignored when
         ``config_for_seed`` makes the batch heterogeneous).  Every execution
@@ -250,45 +281,14 @@ def run_trials(
         (sugar for ``replace(config, faults=...)``); fault randomness derives
         from each trial's own seed, so the plan never breaks determinism.
     """
-    if faults is not None:
-        config = replace(config, faults=faults)
-    resolved = resolve_plan(plan, api="run_trials", workers=workers, batch=batch)
     seed_list = _normalize_seeds(seeds)
-    if pool is not None and config_for_seed is None:
-        # Template-and-delta: the configs differ only by seed, so ship the
-        # template once per chunk instead of len(seeds) full configs.
-        results = pool.run_seeds(
-            _template_for(config, trace_level), seed_list, batch=resolved.batch
-        )
-        return TrialSummary(results=tuple(results), seeds=seed_list)
-    if resolved.batch and config_for_seed is None:
-        template = _template_for(config, trace_level)
-        if resolved.parallel:
-            with ExecutionPool(resolved.workers, chunk_size=resolved.pool_chunk) as one_shot:
-                results = one_shot.run_seeds(template, seed_list, batch=True)
-            return TrialSummary(results=tuple(results), seeds=seed_list)
-        from repro.engine.batch import run_batch
-
-        return TrialSummary(results=tuple(run_batch(template, seed_list)), seeds=seed_list)
-    if pool is None and config_for_seed is None and resolved.parallel and resolved.pool_chunk:
-        # An explicitly chunked parallel plan: honor the chunk size via a
-        # one-shot pool (run_configs has no chunking knob).  Same results
-        # either way — chunking only shapes dispatch.
-        template = _template_for(config, trace_level)
-        with ExecutionPool(resolved.workers, chunk_size=resolved.pool_chunk) as one_shot:
-            results = one_shot.run_seeds(template, seed_list)
-        return TrialSummary(results=tuple(results), seeds=seed_list)
-
-    configs = []
-    for seed in seed_list:
-        trial_config = replace(config, seed=seed)
-        if trace_level is not None:
-            trial_config = replace(trial_config, trace_level=trace_level)
-        if config_for_seed is not None:
-            trial_config = config_for_seed(trial_config, seed)
-        configs.append(trial_config)
-
-    results = run_configs(configs, workers=resolved.workers, pool=pool)
+    template = _template_for(config, trace_level, faults)
+    configs = None
+    if config_for_seed is not None:
+        configs = [config_for_seed(replace(template, seed=seed), seed) for seed in seed_list]
+    results = _dispatch(
+        template, seed_list, plan or ExecutionPlan(), pool, reduce=False, configs=configs
+    )
     return TrialSummary(results=tuple(results), seeds=seed_list)
 
 
@@ -297,7 +297,6 @@ def run_reduced_trials(
     seeds: Sequence[int] | int = 10,
     trace_level: Optional[TraceLevel] = TraceLevel.NONE,
     pool: Optional[ExecutionPool] = None,
-    batch: bool = False,
     *,
     plan: Optional[ExecutionPlan] = None,
     faults: Optional[FaultPlan] = None,
@@ -317,30 +316,14 @@ def run_reduced_trials(
 
     ``trace_level`` defaults to :attr:`TraceLevel.NONE` (summary consumers
     never read traces); pass ``None`` to keep the config's own level.
-    Execution routing comes from ``plan`` — a parallel plan without a live
-    ``pool`` runs on a one-shot pool; ``plan.batch`` routes batchable
-    templates through the vectorized lockstep kernel (scalar fallback
-    otherwise) — identical rows on every path.  ``batch=`` is the deprecated
-    spelling of ``plan=ExecutionPlan(batch=True)``.  ``faults=`` applies a
-    :class:`~repro.faults.plan.FaultPlan` to every trial, exactly as in
-    :func:`run_trials`; the rows then carry ``stabilization_rounds``.
+    ``pool`` and ``plan`` route execution exactly as in :func:`run_trials`
+    — a parallel plan without a live ``pool`` runs on a temporary pool;
+    ``plan.batch`` routes batchable templates through the vectorized
+    lockstep kernel (scalar fallback otherwise) — identical rows on every
+    path.  ``faults=`` applies a :class:`~repro.faults.plan.FaultPlan` to
+    every trial, exactly as in :func:`run_trials`; the rows then carry
+    ``stabilization_rounds``.
     """
-    if faults is not None:
-        config = replace(config, faults=faults)
-    resolved = resolve_plan(plan, api="run_reduced_trials", batch=batch)
     seed_list = _normalize_seeds(seeds)
-    template = _template_for(config, trace_level)
-    if pool is not None:
-        return tuple(pool.run_seeds(template, seed_list, reduce=True, batch=resolved.batch))
-    if resolved.parallel:
-        with ExecutionPool(resolved.workers, chunk_size=resolved.pool_chunk) as one_shot:
-            return tuple(
-                one_shot.run_seeds(template, seed_list, reduce=True, batch=resolved.batch)
-            )
-    if resolved.batch:
-        from repro.engine.batch import run_reduced_batch
-
-        return tuple(run_reduced_batch(template, seed_list))
-    return tuple(
-        ReducedTrial.from_result(seed, simulate_one(template, seed)) for seed in seed_list
-    )
+    template = _template_for(config, trace_level, faults)
+    return tuple(_dispatch(template, seed_list, plan or ExecutionPlan(), pool, reduce=True))

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 from repro.adversary.activation import ActivationSchedule
 from repro.adversary.base import InterferenceAdversary
 from repro.engine.observers import TraceLevel
-from repro.engine.plan import ExecutionPlan, resolve_plan
+from repro.engine.plan import ExecutionPlan
 from repro.engine.runner import TrialSummary, run_trials
 from repro.engine.simulator import SimulationConfig
 from repro.exceptions import ExperimentError
@@ -113,8 +113,6 @@ class ExperimentHarness:
         Optional per-trial configuration hook forwarded to
         :func:`repro.engine.runner.run_trials` (used e.g. to pre-draw a fresh
         oblivious jammer per seed).
-    workers:
-        Deprecated — pass ``plan=ExecutionPlan(workers=...)``.
     trace_level:
         Optional :class:`~repro.engine.observers.TraceLevel` applied to every
         trial.  Sweeps that only consume summary statistics should pass
@@ -135,15 +133,14 @@ class ExperimentHarness:
         self,
         seeds: Sequence[int] | int = 5,
         config_hook: Callable[[SimulationConfig, int], SimulationConfig] | None = None,
-        workers: int | None = None,
+        *,
         trace_level: TraceLevel | None = None,
         pool: "ExecutionPool | None" = None,
-        *,
         plan: ExecutionPlan | None = None,
     ) -> None:
         self._seeds = seeds
         self._config_hook = config_hook
-        self._plan = resolve_plan(plan, api="ExperimentHarness", workers=workers)
+        self._plan = plan
         self._trace_level = trace_level
         self._pool = pool
 
@@ -219,8 +216,8 @@ class ExperimentHarness:
 
         The key covers everything that determines the point's statistics:
         the configuration, the harness seeds, and the point's identity
-        fields.  It deliberately excludes ``workers`` and ``trace_level``
-        (they never change results).
+        fields.  It deliberately excludes the execution plan and
+        ``trace_level`` (they never change results).
         """
         from repro.campaigns.spec import cell_key
 

@@ -5,9 +5,9 @@ the adversary: the protocol under test, the named workload providing the
 activation pattern, the model parameters, the seed list, and the round cap.
 Evaluating a genome decodes it, overrides the workload's adversary, runs the
 configuration across all seeds through
-:func:`~repro.engine.runner.run_trials` (optionally on a worker pool —
-parallel batches are bit-identical to serial ones), and reduces the per-trial
-outcomes to one scalar score that the optimizers *maximize*.
+:func:`~repro.engine.runner.run_reduced_trials` (optionally on a worker pool
+— parallel batches are bit-identical to serial ones), and reduces the
+per-trial outcomes to one scalar score that the optimizers *maximize*.
 
 Scores are computed from the same scalars the campaign store persists
 (:class:`~repro.campaigns.store.TrialRecord`), so a score recomputed from a
@@ -23,10 +23,9 @@ from typing import Any, Mapping, Sequence
 
 from repro.campaigns.spec import resolve_workload
 from repro.campaigns.store import TrialRecord
-from repro.engine.observers import TraceLevel
 from repro.engine.plan import ExecutionPlan
 from repro.engine.pool import ExecutionPool
-from repro.engine.runner import interpolated_percentile, run_reduced_trials, run_trials
+from repro.engine.runner import interpolated_percentile, run_reduced_trials
 from repro.engine.simulator import SimulationConfig
 from repro.exceptions import ConfigurationError
 from repro.faults.plan import FaultPlan
@@ -225,10 +224,8 @@ class SearchObjective:
     def evaluate(
         self,
         genome: StrategyGenome,
-        workers: int | None = None,
-        pool: ExecutionPool | None = None,
-        batch: bool = False,
         *,
+        pool: ExecutionPool | None = None,
         plan: ExecutionPlan | None = None,
     ) -> Evaluation:
         """Run a genome across every seed and score the outcome.
@@ -239,35 +236,15 @@ class SearchObjective:
         caller reuses across candidates — what
         :class:`~repro.search.runner.StrategySearch` holds for a whole
         search) ever changes results, so neither is part of any candidate
-        identity.  ``workers``/``batch`` are the pre-plan spellings, kept as
-        convenience aliases here (the deprecation lives on the public entry
-        points one layer up).  On the pooled path workers reduce each trial
-        to the persisted scalars in-process, so a search over thousands of
-        candidates ships back only
+        identity.  Every path reduces each trial to the persisted scalars
+        where it ran — in the workers on a pool — so a search over thousands
+        of candidates ships back only
         :class:`~repro.campaigns.store.TrialRecord`-shaped rows.
         """
-        if plan is None:
-            plan = ExecutionPlan(workers=workers if workers is not None else 1, batch=batch)
-        if pool is not None or plan.batch:
-            reduced = run_reduced_trials(
-                self.config_for(genome),
-                seeds=self.seeds,
-                trace_level=TraceLevel.NONE,
-                pool=pool,
-                plan=plan,
-            )
-            records = tuple(TrialRecord.from_reduced(trial) for trial in reduced)
-            return Evaluation(genome=genome, records=records, score=self.score_records(records))
-        summary = run_trials(
-            self.config_for(genome),
-            seeds=self.seeds,
-            trace_level=TraceLevel.NONE,
-            plan=plan,
+        reduced = run_reduced_trials(
+            self.config_for(genome), seeds=self.seeds, pool=pool, plan=plan
         )
-        records = tuple(
-            TrialRecord.from_result(seed, result)
-            for seed, result in zip(summary.seeds, summary.results)
-        )
+        records = tuple(TrialRecord.from_reduced(trial) for trial in reduced)
         return Evaluation(genome=genome, records=records, score=self.score_records(records))
 
     def effective_latencies(self, records: Sequence[TrialRecord]) -> list[int]:

@@ -23,6 +23,7 @@ from repro.campaigns.query import (
 from repro.campaigns.runner import CampaignRunner
 from repro.campaigns.spec import SPEC_SCHEMA_VERSION, CampaignSpec, cell_key, register_workload
 from repro.campaigns.store import ResultStore, TrialRecord
+from repro.engine.plan import ExecutionPlan
 from repro.engine.runner import run_trials
 from repro.exceptions import ConfigurationError, ExperimentError
 from repro.experiments.harness import ExperimentHarness, SweepPoint
@@ -512,7 +513,9 @@ class TestPooledRunner:
         with ResultStore(tmp_path / "serial.db") as serial_store:
             CampaignRunner(spec, serial_store).run()
             with ResultStore(tmp_path / "pooled.db") as pooled_store:
-                with CampaignRunner(spec, pooled_store, workers=2, pool_chunk=1) as runner:
+                with CampaignRunner(
+                    spec, pooled_store, plan=ExecutionPlan(workers=2, pool_chunk=1)
+                ) as runner:
                     progress = runner.run()
                 assert progress.complete and progress.executed == 4
                 # Same keys, same descriptions, same trial scalars, same
@@ -525,7 +528,7 @@ class TestPooledRunner:
     def test_pool_survives_across_run_invocations(self, tmp_path):
         spec = tiny_spec()
         with ResultStore(tmp_path / "store.db") as store:
-            with CampaignRunner(spec, store, workers=2) as runner:
+            with CampaignRunner(spec, store, plan=ExecutionPlan(workers=2)) as runner:
                 first = runner.run(max_cells=2)
                 second = runner.run()
                 assert (first.executed, second.executed) == (2, 2)
@@ -547,7 +550,7 @@ class TestPooledRunner:
         spec = tiny_spec()
         seen = []
         with ResultStore(tmp_path / "store.db") as store:
-            with CampaignRunner(spec, store, workers=2) as runner:
+            with CampaignRunner(spec, store, plan=ExecutionPlan(workers=2)) as runner:
                 runner.run(on_cell=lambda cell, progress: seen.append(
                     (cell.key, progress.executed, progress.remaining)
                 ))
@@ -590,7 +593,7 @@ class TestPooledRunner:
                 CampaignRunner(spec, serial_store).run()
             committed_during_run = []
             with ResultStore(tmp_path / "pooled.db") as pooled_store:
-                with CampaignRunner(spec, pooled_store, workers=2) as runner:
+                with CampaignRunner(spec, pooled_store, plan=ExecutionPlan(workers=2)) as runner:
                     with pytest.warns(RuntimeWarning, match="not picklable") as caught:
                         runner.run(on_cell=lambda cell, progress: committed_during_run.append(
                             pooled_store.cell_count()

@@ -1,6 +1,6 @@
-"""The unified execution surface: ExecutionPlan and the legacy-kwarg shims.
+"""The unified execution surface: ExecutionPlan.
 
-Pins the three contracts of the API redesign:
+Pins the three contracts of the API:
 
 - :class:`~repro.engine.plan.ExecutionPlan` is a frozen, validated,
   JSON-round-trippable value — the one serializable spelling of "how should
@@ -8,16 +8,14 @@ Pins the three contracts of the API redesign:
   schema.
 - Every public entry point (:func:`run_trials`, :func:`run_reduced_trials`,
   :class:`CampaignRunner`, :class:`StrategySearch`,
-  :class:`ExperimentHarness`) accepts ``plan=``; the legacy execution kwargs
-  still work but each emits a :class:`DeprecationWarning` naming the plan
-  replacement, and mixing both spellings is rejected outright.
-- Results are identical whichever spelling dispatches them.
+  :class:`ExperimentHarness`, :meth:`SearchObjective.evaluate`) spells
+  execution as ``plan=`` only; the pre-plan keywords raise ``TypeError``.
+- Results are identical whichever plan dispatches them.
 """
 
 from __future__ import annotations
 
 import json
-import warnings
 
 import pytest
 
@@ -26,7 +24,7 @@ from repro.adversary.jammers import NoInterference
 from repro.campaigns.runner import CampaignRunner
 from repro.campaigns.spec import CampaignSpec
 from repro.campaigns.store import ResultStore
-from repro.engine.plan import PLAN_SCHEMA, ExecutionPlan, resolve_plan
+from repro.engine.plan import PLAN_SCHEMA, ExecutionPlan
 from repro.engine.runner import run_reduced_trials, run_trials
 from repro.engine.simulator import SimulationConfig
 from repro.exceptions import ConfigurationError
@@ -36,6 +34,7 @@ from repro.protocols.registry import protocol_factory
 from repro.search.checkpoint import SearchSpec
 from repro.search.objective import SearchObjective
 from repro.search.runner import StrategySearch
+from repro.search.space import ParametricGenome
 
 PARAMS = ModelParameters(frequencies=4, disruption_budget=1, participant_bound=8)
 
@@ -109,98 +108,13 @@ class TestExecutionPlanValue:
             ExecutionPlan.from_json("{not json")
 
 
-class TestResolvePlanShim:
-    def test_no_arguments_resolves_to_default(self):
-        assert resolve_plan(None, api="x") == ExecutionPlan()
-
-    def test_plan_passes_through_unchanged(self):
-        plan = ExecutionPlan(workers=3)
-        assert resolve_plan(plan, api="x") is plan
-
-    def test_mixing_plan_and_legacy_kwargs_is_rejected(self):
-        with pytest.raises(ConfigurationError, match="both plan="):
-            resolve_plan(ExecutionPlan(), api="x", workers=2)
-
-    def test_each_legacy_kwarg_warns_with_the_plan_replacement(self):
-        for kwarg, kwargs in [
-            ("workers", {"workers": 2}),
-            ("pool_chunk", {"pool_chunk": 3}),
-            ("batch", {"batch": True}),
-        ]:
-            with pytest.warns(DeprecationWarning, match=rf"plan=ExecutionPlan\({kwarg}="):
-                resolved = resolve_plan(None, api="x", **kwargs)
-            assert getattr(resolved, kwarg) == kwargs[kwarg]
-
-
-class TestPublicEntryPointDeprecations:
-    """Every public execution API warns on legacy kwargs and honours plan=."""
-
-    def test_run_trials_workers_kwarg_warns(self):
-        with pytest.warns(DeprecationWarning, match=r"run_trials\(workers=.*plan="):
-            run_trials(small_config(), seeds=1, workers=2)
-
-    def test_run_trials_batch_kwarg_warns(self):
-        with pytest.warns(DeprecationWarning, match=r"run_trials\(batch=.*plan="):
-            run_trials(small_config(), seeds=1, batch=True)
-
-    def test_run_reduced_trials_batch_kwarg_warns(self):
-        with pytest.warns(DeprecationWarning, match=r"run_reduced_trials\(batch="):
-            run_reduced_trials(small_config(), seeds=1, batch=True)
-
-    def test_experiment_harness_workers_kwarg_warns(self):
-        with pytest.warns(DeprecationWarning, match=r"ExperimentHarness\(workers="):
-            ExperimentHarness(seeds=1, workers=2)
-
-    def test_campaign_runner_legacy_kwargs_warn(self, tmp_path):
-        spec = _campaign_spec("deprecated-campaign")
-        with ResultStore(str(tmp_path / "store.sqlite")) as store:
-            for kwarg, kwargs in [
-                ("workers", {"workers": 2}),
-                ("pool_chunk", {"pool_chunk": 2}),
-                ("batch", {"batch": True}),
-            ]:
-                with pytest.warns(DeprecationWarning, match=rf"CampaignRunner\({kwarg}="):
-                    with CampaignRunner(spec, store, **kwargs):
-                        pass
-
-    def test_strategy_search_legacy_kwargs_warn(self, tmp_path):
-        spec = _search_spec("deprecated-search")
-        with ResultStore(str(tmp_path / "store.sqlite")) as store:
-            for kwarg, kwargs in [
-                ("workers", {"workers": 2}),
-                ("pool_chunk", {"pool_chunk": 2}),
-                ("batch", {"batch": True}),
-            ]:
-                with pytest.warns(DeprecationWarning, match=rf"StrategySearch\({kwarg}="):
-                    with StrategySearch(spec, store, **kwargs):
-                        pass
-
-    def test_plan_spelling_is_warning_free(self, tmp_path):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            run_trials(small_config(), seeds=1, plan=ExecutionPlan())
-            ExperimentHarness(seeds=1, plan=ExecutionPlan())
-            with ResultStore(str(tmp_path / "store.sqlite")) as store:
-                with CampaignRunner(
-                    _campaign_spec("plan-campaign"), store, plan=ExecutionPlan()
-                ):
-                    pass
-                with StrategySearch(
-                    _search_spec("plan-search"), store, plan=ExecutionPlan()
-                ):
-                    pass
-
-
 class TestSpellingEquivalence:
-    """Legacy kwargs and plan= dispatch to identical results."""
+    """Every plan shape dispatches to the serial results."""
 
-    def test_run_trials_plan_equals_legacy_equals_serial(self):
+    def test_run_trials_parallel_plan_matches_serial(self):
         serial = run_trials(small_config(), seeds=3)
         via_plan = run_trials(small_config(), seeds=3, plan=ExecutionPlan(workers=2))
-        with pytest.warns(DeprecationWarning):
-            via_legacy = run_trials(small_config(), seeds=3, workers=2)
         assert via_plan.latencies() == serial.latencies()
-        assert via_legacy.latencies() == serial.latencies()
         for a, b in zip(via_plan.results, serial.results):
             assert a.metrics == b.metrics
 
@@ -218,19 +132,67 @@ class TestSpellingEquivalence:
         )
         assert parallel == serial
 
-    def test_campaign_runner_plan_matches_legacy_stores(self, tmp_path):
+    def test_campaign_runner_parallel_plan_matches_serial_store(self, tmp_path):
         spec = _campaign_spec("equivalence")
         with ResultStore(str(tmp_path / "via_plan.sqlite")) as store:
             with CampaignRunner(spec, store, plan=ExecutionPlan(workers=2)) as runner:
                 runner.run()
             plan_cells = list(store.iter_cells("equivalence"))
-        with ResultStore(str(tmp_path / "via_legacy.sqlite")) as store:
-            with pytest.warns(DeprecationWarning):
-                runner = CampaignRunner(spec, store, workers=2)
-            with runner:
-                runner.run()
-            legacy_cells = list(store.iter_cells("equivalence"))
-        assert plan_cells == legacy_cells
+        with ResultStore(str(tmp_path / "serial.sqlite")) as store:
+            CampaignRunner(spec, store).run()
+            serial_cells = list(store.iter_cells("equivalence"))
+        assert plan_cells == serial_cells
+
+
+def _run_trials(tmp_path, **kwargs):
+    run_trials(small_config(), seeds=1, **kwargs)
+
+
+def _run_reduced_trials(tmp_path, **kwargs):
+    run_reduced_trials(small_config(), seeds=1, **kwargs)
+
+
+def _campaign_runner(tmp_path, **kwargs):
+    with ResultStore(str(tmp_path / "store.sqlite")) as store:
+        CampaignRunner(_campaign_spec("removed"), store, **kwargs)
+
+
+def _strategy_search(tmp_path, **kwargs):
+    with ResultStore(str(tmp_path / "store.sqlite")) as store:
+        StrategySearch(_search_spec("removed"), store, **kwargs)
+
+
+def _experiment_harness(tmp_path, **kwargs):
+    ExperimentHarness(seeds=1, **kwargs)
+
+
+def _search_objective_evaluate(tmp_path, **kwargs):
+    _search_spec("removed").objective.evaluate(ParametricGenome(name="sweep"), **kwargs)
+
+
+@pytest.mark.parametrize(
+    "entry_point,keyword",
+    [
+        (_run_trials, "workers"),
+        (_run_trials, "batch"),
+        (_run_reduced_trials, "batch"),
+        (_campaign_runner, "workers"),
+        (_campaign_runner, "pool_chunk"),
+        (_campaign_runner, "batch"),
+        (_strategy_search, "workers"),
+        (_strategy_search, "pool_chunk"),
+        (_strategy_search, "batch"),
+        (_experiment_harness, "workers"),
+        (_search_objective_evaluate, "workers"),
+        (_search_objective_evaluate, "batch"),
+    ],
+    ids=lambda value: value if isinstance(value, str) else value.__name__.lstrip("_"),
+)
+def test_removed_execution_keyword_raises_type_error(tmp_path, entry_point, keyword):
+    """The pre-plan keywords are gone: ``plan=ExecutionPlan(...)`` is the only spelling."""
+    value = True if keyword == "batch" else 2
+    with pytest.raises(TypeError, match=rf"unexpected keyword argument '{keyword}'"):
+        entry_point(tmp_path, **{keyword: value})
 
 
 def _campaign_spec(name: str) -> CampaignSpec:

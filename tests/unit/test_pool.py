@@ -25,6 +25,7 @@ from repro.adversary.activation import StaggeredActivation
 from repro.adversary.base import AdversaryContext, InterferenceAdversary
 from repro.adversary.jammers import RandomJammer
 from repro.engine.observers import TraceLevel
+from repro.engine.plan import ExecutionPlan
 from repro.engine.pool import ExecutionPool, ReducedTrial, WorkerCrashError
 from repro.engine.runner import run_reduced_trials, run_trials
 from repro.engine.simulator import SimulationConfig
@@ -48,6 +49,13 @@ def batch_config(params):
 def pool():
     with ExecutionPool(workers=2, chunk_size=2) as pool:
         yield pool
+
+
+#: Both dispatch shapes: a same-template seed batch (``run_seeds``) and a
+#: ``config_for_seed`` batch (``run_configs``).
+both_dispatches = pytest.mark.parametrize(
+    "hook", [None, lambda config, seed: config], ids=["seeds", "configs"]
+)
 
 
 class TestValidation:
@@ -284,6 +292,19 @@ class TestCrashRetry:
             reduced = run_reduced_trials(config, seeds=2, pool=pool)
         assert reduced == run_reduced_trials(config, seeds=2)
 
+    @both_dispatches
+    def test_parallel_plan_without_a_pool_retries_too(self, params, tmp_path, hook):
+        # The temporary pool a parallel plan opens has the same retry budget
+        # as a caller's pool — for template batches and config_for_seed ones.
+        config = self._crash_once_config(params, tmp_path)
+        summary = run_trials(
+            config, seeds=3, config_for_seed=hook, plan=ExecutionPlan(workers=2)
+        )
+        serial = run_trials(config, seeds=3, config_for_seed=hook)
+        assert summary.latencies() == serial.latencies()
+        for parallel_result, serial_result in zip(summary.results, serial.results):
+            assert parallel_result.metrics == serial_result.metrics
+
 
 def script_executors(monkeypatch, behaviours):
     """Replace the pool's executor with in-process stubs, one per start.
@@ -336,4 +357,30 @@ class TestBrokenResubmission:
             with pytest.raises(WorkerCrashError, match="executor broke mid-submit"):
                 run_trials(batch_config, seeds=3, pool=pool)
             assert pool.starts == 2
+            assert not pool.running
+
+    @both_dispatches
+    def test_broken_first_submit_is_a_retry(self, monkeypatch, batch_config, hook):
+        # Start 1 is already broken when the batch's first chunk is submitted
+        # (a worker died since the last call).  Start 2 runs the batch.
+        from repro.telemetry import Telemetry
+
+        script_executors(monkeypatch, [1, "run"])
+        telemetry = Telemetry()
+        with ExecutionPool(workers=2, chunk_size=1, telemetry=telemetry) as pool:
+            summary = run_trials(batch_config, seeds=3, config_for_seed=hook, pool=pool)
+            assert pool.starts == 2
+        counters = telemetry.snapshot()["counters"]
+        assert counters["pool.chunk_retries"] == 3
+        assert counters["events.chunk-retried"] == 1
+        serial = run_trials(batch_config, seeds=3, config_for_seed=hook)
+        assert [r.metrics for r in summary.results] == [r.metrics for r in serial.results]
+
+    @both_dispatches
+    def test_broken_first_submit_without_budget_raises(self, monkeypatch, batch_config, hook):
+        script_executors(monkeypatch, [1, "run"])
+        with ExecutionPool(workers=2, chunk_size=1, crash_retries=0) as pool:
+            with pytest.raises(WorkerCrashError, match="executor broke mid-submit"):
+                run_trials(batch_config, seeds=3, config_for_seed=hook, pool=pool)
+            assert pool.starts == 1
             assert not pool.running

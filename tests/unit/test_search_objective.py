@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.campaigns.store import TrialRecord
+from repro.engine.plan import ExecutionPlan
 from repro.exceptions import ConfigurationError
 from repro.search.objective import OBJECTIVE_METRICS, SearchObjective
 from repro.search.space import ParametricGenome
@@ -94,8 +95,8 @@ class TestEvaluation:
 
     def test_parallel_evaluation_matches_serial(self):
         genome = ParametricGenome(name="sweep")
-        serial = TINY.evaluate(genome, workers=1)
-        parallel = TINY.evaluate(genome, workers=2)
+        serial = TINY.evaluate(genome, plan=ExecutionPlan())
+        parallel = TINY.evaluate(genome, plan=ExecutionPlan(workers=2))
         assert parallel.records == serial.records
         assert parallel.score == serial.score
 

@@ -13,6 +13,7 @@ import json
 import pytest
 
 from repro.campaigns.store import ResultStore
+from repro.engine.plan import ExecutionPlan
 from repro.exceptions import ConfigurationError, ExperimentError
 from repro.search.checkpoint import SearchCheckpoint, SearchSpec, is_search_spec_json
 from repro.search.objective import SearchObjective
@@ -208,7 +209,9 @@ class TestPooledSearch:
         with ResultStore(tmp_path / "serial.db") as serial_store:
             serial = StrategySearch(spec, serial_store).run()
             with ResultStore(tmp_path / "pooled.db") as pooled_store:
-                with StrategySearch(spec, pooled_store, workers=2, pool_chunk=1) as search:
+                with StrategySearch(
+                    spec, pooled_store, plan=ExecutionPlan(workers=2, pool_chunk=1)
+                ) as search:
                     pooled = search.run()
                     assert search.pool is not None
                     # One executor start serves the warm start and every
@@ -231,13 +234,13 @@ class TestPooledSearch:
             uninterrupted_keys = sorted(store.completed_keys())
 
         with ResultStore(tmp_path / "resumable.db") as store:
-            with StrategySearch(spec, store, workers=2) as search:
+            with StrategySearch(spec, store, plan=ExecutionPlan(workers=2)) as search:
                 partial = search.run(max_evaluations=3)
             assert not partial.complete
             assert partial.executed == 3
             # A brand-new search object — and therefore a brand-new pool, as
             # after a crash or a process restart — finishes the budget.
-            with StrategySearch(spec, store, workers=2) as search:
+            with StrategySearch(spec, store, plan=ExecutionPlan(workers=2)) as search:
                 resumed = search.run()
             assert resumed.complete
             assert resumed.best.key == uninterrupted.best.key
@@ -249,7 +252,7 @@ class TestPooledSearch:
         spec = tiny_spec()
         with ResultStore(":memory:") as store:
             StrategySearch(spec, store).run()
-            with StrategySearch(spec, store, workers=2) as search:
+            with StrategySearch(spec, store, plan=ExecutionPlan(workers=2)) as search:
                 replay = search.run()
                 assert replay.executed == 0
                 assert search.pool is not None
