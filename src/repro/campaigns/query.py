@@ -3,7 +3,7 @@
 The store keeps raw per-trial scalars; this module turns them back into the
 statistics the experiment layer speaks — success (liveness) rates, agreement,
 round counts, interpolated latency percentiles — either per cell
-(:class:`StoredSummary`, a drop-in statistical twin of
+(:class:`StoredSummary`, computed by the same code as a live
 :class:`~repro.engine.runner.TrialSummary`) or grouped over any subset of the
 grid dimensions (:func:`aggregate`), in row-dict form that feeds
 :func:`repro.experiments.tables.render_table` and
@@ -12,15 +12,14 @@ grid dimensions (:func:`aggregate`), in row-dict form that feeds
 
 from __future__ import annotations
 
-import functools
 import json
-import statistics
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Optional, Sequence
 
-from repro.campaigns.store import ResultStore, TrialRecord
-from repro.engine.runner import interpolated_percentile
+from repro.campaigns.store import ResultStore
+from repro.engine.pool import ReducedTrial
+from repro.engine.runner import TrialStatistics
 from repro.exceptions import ExperimentError
 
 #: The grid dimensions :func:`aggregate` can group by (all are recorded in
@@ -37,131 +36,27 @@ GROUPABLE_DIMENSIONS = (
 
 
 @dataclass(frozen=True)
-class StoredSummary:
+class StoredSummary(TrialStatistics):
     """Trial statistics recomputed from persisted records.
 
-    Mirrors the statistical surface of
-    :class:`~repro.engine.runner.TrialSummary` exactly — same formulas, same
-    interpolation convention — so a benchmark reading through the store gets
-    bit-identical numbers to one calling
+    Every statistic comes from
+    :class:`~repro.engine.runner.TrialStatistics`, the code behind the live
+    :class:`~repro.engine.runner.TrialSummary`, so a benchmark reading
+    through the store gets bit-identical numbers to one calling
     :func:`~repro.engine.runner.run_trials` directly.
     """
 
-    records: tuple[TrialRecord, ...]
+    records: tuple[ReducedTrial, ...]
 
     @property
-    def trials(self) -> int:
-        """Number of persisted executions."""
-        return len(self.records)
+    def rows(self) -> tuple[ReducedTrial, ...]:
+        """The persisted records, in seed order."""
+        return self.records
 
     @property
     def seeds(self) -> tuple[int, ...]:
         """The seeds the records were run with, in record order."""
         return tuple(record.seed for record in self.records)
-
-    @property
-    def liveness_rate(self) -> float:
-        """Fraction of executions in which every node synchronized."""
-        if not self.records:
-            return 0.0
-        return sum(1 for r in self.records if r.synchronized) / len(self.records)
-
-    @property
-    def agreement_rate(self) -> float:
-        """Fraction of executions with no agreement violation."""
-        if not self.records:
-            return 0.0
-        return sum(1 for r in self.records if r.agreement) / len(self.records)
-
-    @property
-    def safety_rate(self) -> float:
-        """Fraction of executions with no safety violation of any kind."""
-        if not self.records:
-            return 0.0
-        return sum(1 for r in self.records if r.safety) / len(self.records)
-
-    @property
-    def unique_leader_rate(self) -> float:
-        """Fraction of executions that elected at most one leader."""
-        if not self.records:
-            return 0.0
-        return sum(1 for r in self.records if r.leader_count <= 1) / len(self.records)
-
-    def latencies(self) -> list[int]:
-        """Max activation-to-sync latencies of the executions that synchronized."""
-        return [r.max_sync_latency for r in self.records if r.max_sync_latency is not None]
-
-    @functools.cached_property
-    def sorted_latencies(self) -> tuple[int, ...]:
-        """The latency sample in ascending order, computed once per summary
-        (mirrors :attr:`TrialSummary.sorted_latencies`)."""
-        return tuple(sorted(self.latencies()))
-
-    @property
-    def mean_latency(self) -> float | None:
-        """Mean of the per-execution worst-case latencies (synchronized runs only)."""
-        latencies = self.sorted_latencies
-        return statistics.fmean(latencies) if latencies else None
-
-    @property
-    def median_latency(self) -> float | None:
-        """Median of the per-execution worst-case latencies."""
-        latencies = self.sorted_latencies
-        return float(statistics.median(latencies)) if latencies else None
-
-    @property
-    def max_latency(self) -> int | None:
-        """Worst latency observed across the whole batch."""
-        latencies = self.sorted_latencies
-        return latencies[-1] if latencies else None
-
-    @property
-    def mean_rounds(self) -> float | None:
-        """Mean number of simulated rounds per execution."""
-        if not self.records:
-            return None
-        return statistics.fmean(r.rounds_simulated for r in self.records)
-
-    def percentile_latency(self, fraction: float) -> float | None:
-        """An interpolated empirical latency percentile (``fraction`` in ``[0, 1]``)."""
-        return interpolated_percentile(self.sorted_latencies, fraction, assume_sorted=True)
-
-    def stabilization_rounds(self) -> list[int]:
-        """Per-trial worst rounds-to-reconverge (fault-injected trials only).
-
-        Mirrors :meth:`TrialSummary.stabilization_rounds`; empty for
-        fault-free cells, whose stored column is NULL.
-        """
-        return [
-            r.stabilization_rounds
-            for r in self.records
-            if r.stabilization_rounds is not None
-        ]
-
-    @property
-    def max_stabilization_rounds(self) -> int | None:
-        """Worst rounds-to-reconverge across the cell (``None`` fault-free)."""
-        rounds = self.stabilization_rounds()
-        return max(rounds) if rounds else None
-
-    @property
-    def mean_stabilization_rounds(self) -> float | None:
-        """Mean per-trial worst rounds-to-reconverge (``None`` fault-free)."""
-        rounds = self.stabilization_rounds()
-        return statistics.fmean(rounds) if rounds else None
-
-    def describe(self) -> str:
-        """One-line summary matching :meth:`TrialSummary.describe`."""
-        mean = f"{self.mean_latency:.1f}" if self.mean_latency is not None else "-"
-        worst = self.max_latency if self.max_latency is not None else "-"
-        line = (
-            f"{self.trials} trials: liveness {self.liveness_rate:.0%}, "
-            f"agreement {self.agreement_rate:.0%}, mean latency {mean}, worst {worst}"
-        )
-        stabilization = self.max_stabilization_rounds
-        if stabilization is not None:
-            line += f", stabilization {stabilization}"
-        return line
 
 
 def summary_for_cell(store: ResultStore, key: str) -> StoredSummary:
@@ -235,7 +130,7 @@ def aggregate(
             raise ExperimentError(
                 f"cannot group by {dimension!r}; groupable: {', '.join(GROUPABLE_DIMENSIONS)}"
             )
-    groups: dict[tuple, list[TrialRecord]] = {}
+    groups: dict[tuple, list[ReducedTrial]] = {}
     for _key, description, records in store.iter_cells(campaign):
         group = tuple(description.get(dimension) for dimension in group_by)
         groups.setdefault(group, []).extend(records)

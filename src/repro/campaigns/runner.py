@@ -8,29 +8,31 @@ resumes exactly where it stopped, and — because every execution derives all
 randomness from its own seed — the resumed results are bit-identical to an
 uninterrupted run.
 
-With a parallel plan (or an explicit ``pool=``) the runner batches *every
-pending cell's* trials onto one persistent
-:class:`~repro.engine.pool.ExecutionPool`: work is dispatched in chunks
-(template-and-delta pickling), workers reduce each trial to the scalars the
-store persists before anything crosses the process boundary, and each cell is
-committed — atomically, exactly as in the serial path — the moment its last
-chunk completes.  One pool serves the whole run, and survives across ``run``
-invocations, so a grid of ten thousand small cells pays pool spin-up once
-instead of ten thousand times.  None of this changes results: the stored rows
-are bit-identical to a serial campaign's.
+One loop executes every run, cell by cell in grid order.  Serially each cell
+runs in-process when the loop reaches it.  With a parallel plan (or an
+explicit ``pool=``) *every pending cell's* trials are submitted up front to
+one persistent :class:`~repro.engine.pool.ExecutionPool`: work is dispatched
+in chunks (template-and-delta pickling), workers reduce each trial to the
+scalars the store persists before anything crosses the process boundary, and
+the loop commits each cell — atomically, exactly as in the serial path — as
+soon as its rows are in.  The rows come through the pool's own retrying
+drain, so a worker crash re-dispatches the outstanding chunks within the
+pool's ``crash_retries`` instead of failing the run, and a run stopped early
+cancels the chunks no worker has started.  One pool serves the whole run, and
+survives across ``run`` invocations, so a grid of ten thousand small cells
+pays pool spin-up once instead of ten thousand times.  None of this changes
+results: the stored rows are bit-identical to a serial campaign's.
 """
 
 from __future__ import annotations
 
 import logging
 import time
-from concurrent.futures import Future, as_completed
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Generator, Optional, Sequence
 
 from repro.campaigns.spec import CampaignCell, CampaignSpec
-from repro.campaigns.store import ResultStore, TrialRecord
+from repro.campaigns.store import ResultStore
 from repro.engine.observers import TraceLevel
 from repro.engine.plan import ExecutionPlan
 from repro.engine.pool import (
@@ -158,7 +160,7 @@ class CampaignRunner:
         )
         self._metric_commit_latency = self._telemetry.histogram(
             "campaign.cell_commit_seconds",
-            help="per-cell latency from execution start (or pool submission) to commit",
+            help="per-cell latency from the loop reaching the cell to its commit",
         )
         self._metric_rate = self._telemetry.gauge(
             "campaign.cells_per_second", help="executed cells per second, last run() invocation"
@@ -226,9 +228,10 @@ class CampaignRunner:
         on_cell:
             Optional callback invoked after each cell commits, with the cell
             and the progress so far (used by the CLI for live status lines).
-            On the pooled path cells commit as their futures complete, so the
-            callback order may differ from grid order; the stored content
-            never does.
+            Cells commit and callbacks fire in grid order on every path.  A
+            callback that raises stops the run after that cell's commit; on
+            a pool, the later cells' chunks that no worker has started are
+            cancelled.
 
         Returns
         -------
@@ -274,21 +277,25 @@ class CampaignRunner:
                 remaining=len(pending) - executed,
             )
 
-        with self._telemetry.span("campaign.run", campaign=self._spec.name):
-            if self._pool is not None and len(to_run) > 1:
-                if payload_is_picklable(self._cell_template(to_run[0])):
-                    executed = self._run_batched(to_run, progress_after, on_cell)
-                else:
-                    # An unpicklable grid (closure-built workload parts) cannot
-                    # reach the workers.  Degrade to the fully serial path — one
-                    # warning, and crucially still one atomic commit per cell as
-                    # it finishes, so interrupt-resume keeps working — instead of
-                    # letting the batched submission loop execute everything
-                    # eagerly in-process with every commit deferred to the end.
-                    warn_serial_fallback(stacklevel=2, telemetry=self._telemetry)
-                    executed = self._run_serial(to_run, progress_after, on_cell, pool=None)
-            else:
-                executed = self._run_serial(to_run, progress_after, on_cell, pool=self._pool)
+        executed = 0
+        rows = self._cell_rows(to_run)
+        try:
+            with self._telemetry.span("campaign.run", campaign=self._spec.name):
+                for cell in to_run:
+                    cell_started = time.perf_counter()
+                    with self._telemetry.span("campaign.cell", cell=cell.key):
+                        with self._telemetry.span("campaign.execute"):
+                            reduced = next(rows)
+                        with self._telemetry.span("campaign.commit"):
+                            self._commit_cell(cell, reduced)
+                    self._observe_commit(cell, reduced, time.perf_counter() - cell_started)
+                    executed += 1
+                    if on_cell is not None:
+                        on_cell(cell, progress_after(executed))
+        finally:
+            # A run stopped early (an on_cell that raises) cancels the
+            # chunks of later cells no worker has started.
+            rows.close()
 
         seconds = time.perf_counter() - started
         rate = executed / seconds if seconds > 0 else 0.0
@@ -307,14 +314,48 @@ class CampaignRunner:
             )
         return progress
 
-    # -- execution paths --------------------------------------------------
+    # -- execution --------------------------------------------------------
 
     def _cell_template(self, cell: CampaignCell):
         return replace(cell.config(), trace_level=self._trace_level)
 
+    def _cell_rows(
+        self, to_run: Sequence[CampaignCell]
+    ) -> Generator[Sequence[ReducedTrial], None, None]:
+        """Each cell's reduced rows, in grid order.
+
+        On a pool every cell's chunks are submitted up front and drained in
+        grid order with the pool's crash retry
+        (:meth:`~repro.engine.pool.ExecutionPool.iter_reduced`); otherwise
+        each cell runs in-process when the loop reaches it.
+        """
+        pool = self._pool
+        if pool is not None and to_run and not payload_is_picklable(
+            self._cell_template(to_run[0])
+        ):
+            # An unpicklable grid (closure-built workload parts) cannot reach
+            # the workers.  Run it in-process — one warning, and still one
+            # atomic commit per cell as it finishes, so interrupt-resume keeps
+            # working — instead of letting the pool's submission execute every
+            # cell eagerly before the first commit.
+            warn_serial_fallback(stacklevel=3, telemetry=self._telemetry)
+            pool = None
+        if pool is not None:
+            return pool.iter_reduced(
+                [(self._cell_template(cell), cell.seeds) for cell in to_run], batch=self._batch
+            )
+        return (
+            run_reduced_trials(
+                self._cell_template(cell),
+                seeds=cell.seeds,
+                trace_level=None,
+                plan=self._plan.serial(),
+            )
+            for cell in to_run
+        )
+
     def _commit_cell(self, cell: CampaignCell, reduced: Sequence[ReducedTrial]) -> None:
-        records = [TrialRecord.from_reduced(trial) for trial in reduced]
-        self._store.record_cell(self._spec.name, cell.key, cell.describe_dict(), records)
+        self._store.record_cell(self._spec.name, cell.key, cell.describe_dict(), reduced)
         if self._telemetry.enabled and cell.faults is not None:
             # Reduced rows carry only the per-trial worst recovery, so the
             # event stream gets one FaultInjected per fault-injected trial
@@ -340,97 +381,3 @@ class CampaignRunner:
                     seconds=seconds,
                 )
             )
-
-    def _run_serial(
-        self,
-        to_run: Sequence[CampaignCell],
-        progress_after: Callable[[int], CampaignProgress],
-        on_cell: Optional[Callable[[CampaignCell, CampaignProgress], None]],
-        pool: Optional[ExecutionPool] = None,
-    ) -> int:
-        """One cell at a time, in grid order (also the single-cell pool path)."""
-        executed = 0
-        for cell in to_run:
-            cell_started = time.perf_counter()
-            with self._telemetry.span("campaign.cell", cell=cell.key):
-                with self._telemetry.span("campaign.execute"):
-                    reduced = run_reduced_trials(
-                        self._cell_template(cell),
-                        seeds=cell.seeds,
-                        trace_level=None,
-                        pool=pool,
-                        plan=self._plan.serial(),
-                    )
-                with self._telemetry.span("campaign.commit"):
-                    self._commit_cell(cell, reduced)
-            self._observe_commit(cell, reduced, time.perf_counter() - cell_started)
-            executed += 1
-            if on_cell is not None:
-                on_cell(cell, progress_after(executed))
-        return executed
-
-    def _run_batched(
-        self,
-        to_run: Sequence[CampaignCell],
-        progress_after: Callable[[int], CampaignProgress],
-        on_cell: Optional[Callable[[CampaignCell, CampaignProgress], None]],
-    ) -> int:
-        """Every cell's chunks on one pool; commit cells as they complete.
-
-        All pending cells are submitted up front — with in-worker reduction a
-        chunk's in-flight result is a handful of scalars, so the window costs
-        O(cells) tiny futures, not O(trials) simulation results.  Chunks
-        finish in whatever order the workers produce them, but cells *commit*
-        in grid order (a cell commits the moment it and every cell before it
-        are done): the store's atomic per-cell transactions, its documented
-        insertion order, and the prefix an interrupt leaves behind are all
-        exactly the serial path's, byte for byte.  A worker crash surfaces as
-        :class:`~repro.engine.pool.WorkerCrashError` after the pool has reset
-        itself, so re-running the campaign resumes cleanly on fresh workers.
-        """
-        assert self._pool is not None
-        chunk_owner: dict[Future, tuple[int, int]] = {}
-        outstanding: list[int] = []
-        chunk_results: list[dict[int, list[ReducedTrial]]] = []
-        submitted_at: list[float] = []
-        with self._telemetry.span("campaign.dispatch", cells=len(to_run)):
-            for cell_index, cell in enumerate(to_run):
-                submitted_at.append(time.perf_counter())
-                futures = self._pool.submit_seed_chunks(
-                    self._cell_template(cell), cell.seeds, reduce=True, batch=self._batch
-                )
-                outstanding.append(len(futures))
-                chunk_results.append({})
-                for position, future in enumerate(futures):
-                    chunk_owner[future] = (cell_index, position)
-
-        executed = 0
-        for future in as_completed(chunk_owner):
-            cell_index, position = chunk_owner[future]
-            try:
-                # ingest() merges the chunk's worker stats delta into the
-                # registry and hands back the plain reduced rows.
-                chunk = self._pool.ingest(future.result())
-            except BrokenProcessPool as error:
-                raise self._pool.recover(error) from error
-            chunk_results[cell_index][position] = chunk
-            outstanding[cell_index] -= 1
-            # Commit every ready cell at the head of the grid order.
-            while executed < len(to_run) and outstanding[executed] == 0:
-                by_position = chunk_results[executed]
-                reduced = [
-                    trial for pos in sorted(by_position) for trial in by_position[pos]
-                ]
-                cell = to_run[executed]
-                with self._telemetry.span("campaign.commit", cell=cell.key):
-                    self._commit_cell(cell, reduced)
-                # Pooled cell latency: pool submission to atomic commit.
-                self._observe_commit(
-                    cell, reduced, time.perf_counter() - submitted_at[executed]
-                )
-                chunk_results[executed] = {}
-                outstanding[executed] = -1  # committed
-                executed += 1
-                if on_cell is not None:
-                    on_cell(cell, progress_after(executed))
-        return executed

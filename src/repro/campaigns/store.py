@@ -21,13 +21,11 @@ from __future__ import annotations
 
 import json
 import sqlite3
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Iterator, Mapping, Optional, Sequence
 
 from repro.engine.pool import ReducedTrial
-from repro.engine.results import SimulationResult
 from repro.exceptions import ConfigurationError, ExperimentError
 
 #: Version of the on-disk layout.  Bump on any incompatible schema change.
@@ -75,57 +73,10 @@ CREATE TABLE IF NOT EXISTS bench_provenance (
 """
 
 
-@dataclass(frozen=True)
-class TrialRecord:
-    """One execution's headline outcome, as persisted per (cell, seed).
-
-    This is the subset of :class:`~repro.engine.results.SimulationResult` the
-    aggregation layer needs; it is deliberately scalar so the store stays
-    small even for six-figure campaigns.
-    """
-
-    seed: int
-    synchronized: bool
-    agreement: bool
-    safety: bool
-    leader_count: int
-    max_sync_latency: Optional[int]
-    rounds_simulated: int
-    stabilization_rounds: Optional[int] = None
-
-    @classmethod
-    def from_result(cls, seed: int, result: SimulationResult) -> "TrialRecord":
-        """Extract the persisted scalars from a simulation result."""
-        return cls(
-            seed=seed,
-            synchronized=result.synchronized,
-            agreement=result.agreement_holds,
-            safety=result.report.all_safety_holds,
-            leader_count=result.leader_count,
-            max_sync_latency=result.max_sync_latency,
-            rounds_simulated=result.metrics.rounds_simulated,
-            stabilization_rounds=result.stabilization_rounds,
-        )
-
-    @classmethod
-    def from_reduced(cls, reduced: ReducedTrial) -> "TrialRecord":
-        """Adopt an in-worker-reduced trial (field-for-field identical).
-
-        :class:`~repro.engine.pool.ReducedTrial` is the engine-layer mirror of
-        this record — workers on an execution pool reduce each trial to one
-        before it crosses the process boundary, so a pooled campaign persists
-        exactly the rows a serial one extracts via :meth:`from_result`.
-        """
-        return cls(
-            seed=reduced.seed,
-            synchronized=reduced.synchronized,
-            agreement=reduced.agreement,
-            safety=reduced.safety,
-            leader_count=reduced.leader_count,
-            max_sync_latency=reduced.max_sync_latency,
-            rounds_simulated=reduced.rounds_simulated,
-            stabilization_rounds=reduced.stabilization_rounds,
-        )
+#: One execution's headline outcome, as persisted per (cell, seed): the
+#: engine's per-trial row itself, under the name :mod:`repro.campaigns`
+#: exports.
+TrialRecord = ReducedTrial
 
 
 class ResultStore:
@@ -307,7 +258,7 @@ class ResultStore:
         campaign: str,
         key: str,
         cell: Mapping[str, Any],
-        records: Sequence[TrialRecord],
+        records: Sequence[ReducedTrial],
     ) -> bool:
         """Atomically record one completed cell, all its trials, and its
         attribution to ``campaign``.
@@ -336,7 +287,7 @@ class ResultStore:
             )
         return inserted
 
-    def _insert_trials(self, key: str, records: Sequence[TrialRecord]) -> None:
+    def _insert_trials(self, key: str, records: Sequence[ReducedTrial]) -> None:
         self._connection.executemany(
                 "INSERT INTO trials (cell_key, seed, synchronized, agreement, safety,"
                 " leader_count, max_sync_latency, rounds_simulated, stabilization_rounds)"
@@ -366,7 +317,7 @@ class ResultStore:
             raise ExperimentError(f"no cell {key!r} in store {self._path!r}")
         return json.loads(row[0])
 
-    def trial_records(self, key: str) -> tuple[TrialRecord, ...]:
+    def trial_records(self, key: str) -> tuple[ReducedTrial, ...]:
         """The stored trials of one cell, in seed order."""
         rows = self._connection.execute(
             "SELECT seed, synchronized, agreement, safety, leader_count,"
@@ -375,7 +326,7 @@ class ResultStore:
             (key,),
         ).fetchall()
         return tuple(
-            TrialRecord(
+            ReducedTrial(
                 seed=row[0],
                 synchronized=bool(row[1]),
                 agreement=bool(row[2]),
@@ -390,7 +341,7 @@ class ResultStore:
 
     def iter_cells(
         self, campaign: Optional[str] = None
-    ) -> Iterator[tuple[str, dict[str, Any], tuple[TrialRecord, ...]]]:
+    ) -> Iterator[tuple[str, dict[str, Any], tuple[ReducedTrial, ...]]]:
         """Yield ``(key, description, trials)`` for every completed cell.
 
         Cells come back in insertion order, which for a campaign run matches

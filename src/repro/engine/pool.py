@@ -10,7 +10,9 @@ of three paths that applies:
 * **pooled** (``pool=`` an :class:`ExecutionPool`) — the batch is dispatched
   in chunks onto a persistent worker pool the caller reuses across many
   batches.  Campaign runners and adversarial search hold one pool for their
-  whole session, so a sweep of small cells pays spin-up once, not per cell.
+  whole session, so a sweep of small cells pays spin-up once, not per cell;
+  a campaign submits all its pending cells at once through
+  :meth:`ExecutionPool.iter_reduced` and takes their rows back in grid order.
 * **temporary pool** (a parallel :class:`~repro.engine.plan.ExecutionPlan`
   and no ``pool=``) — the same dispatch on a pool opened for this one batch
   and shut down before the call returns: nothing persists, nothing leaks.
@@ -40,12 +42,14 @@ golden-equivalence suite pins this).
   :class:`ReducedTrial` row and the full :class:`SimulationResult` never
   crosses the process boundary, keeping parent memory flat.
 
-A crashed worker (a hard ``os._exit``, an OOM kill) breaks the underlying
-executor.  The pool discards it and re-dispatches the lost chunks on fresh
-workers up to ``crash_retries`` times before surfacing
+Every dispatch drains its futures through one generator, in chunk order.  A
+crashed worker (a hard ``os._exit``, an OOM kill) breaks the underlying
+executor.  The pool discards it and re-dispatches every outstanding chunk of
+the dispatch on fresh workers up to ``crash_retries`` times before surfacing
 :class:`WorkerCrashError`; either way the *next* call starts fresh workers, so
 a long campaign driver can catch, log, and resume without rebuilding its own
-state.  Configurations must be picklable to cross the process boundary (every
+state.  A drain closed early cancels the chunks no worker has started.
+Configurations must be picklable to cross the process boundary (every
 built-in protocol factory, activation schedule, and adversary is); the batch
 is probed before anything is submitted, and unpicklable work — typically a
 closure factory in a test — runs in-process with a warning, so a genuine
@@ -55,10 +59,11 @@ Telemetry sits at the orchestration boundaries of these paths, never inside
 them: a live :class:`~repro.telemetry.Telemetry` handle on a pool counts each
 chunk at dispatch (``chunk-dispatched`` events, the in-flight gauge,
 scalar/batch counters), campaign runners open spans around the phases that
-*surround* execution (``campaign.run`` > ``campaign.dispatch`` /
-``campaign.cell`` > ``campaign.execute`` / ``campaign.commit``), the search
-wraps each live candidate in ``search.evaluate``, and the bench harness wraps
-each timed scenario in ``bench.scenario``.  Workers send back only a plain
+*surround* execution (``campaign.run`` > ``campaign.cell`` >
+``campaign.execute`` / ``campaign.commit``; on a pool ``campaign.execute`` is
+the wait for the cell's rows), the search wraps each live candidate in
+``search.evaluate``, and the bench harness wraps each timed scenario in
+``bench.scenario``.  Workers send back only a plain
 :class:`~repro.telemetry.metrics.WorkerStatsDelta` per chunk, and no span or
 instrument call is ever made per simulated round — the round loops in
 :mod:`repro.engine.simulator` / :mod:`repro.engine.batch` are untouched
@@ -77,7 +82,7 @@ import weakref
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Generator, Optional, Sequence
 
 from repro.engine.results import SimulationResult
 from repro.exceptions import ConfigurationError, SimulationError
@@ -110,12 +115,13 @@ class WorkerCrashError(SimulationError):
 class ReducedTrial:
     """One execution reduced to the scalars the campaign store persists.
 
-    This mirrors :class:`repro.campaigns.store.TrialRecord` field for field
-    (that class lives above the engine layer and converts via
-    ``TrialRecord.from_reduced``).  Workers return these instead of full
+    The one per-trial row type: workers return these instead of full
     :class:`~repro.engine.results.SimulationResult` objects when the caller
-    asked for summaries only, so a million-trial campaign ships back a few
-    scalars per trial rather than metrics/report object graphs.
+    asked for summaries only (so a million-trial campaign ships back a few
+    scalars per trial rather than metrics/report object graphs), the campaign
+    store writes and reads them back (its ``TrialRecord`` is this class),
+    search scores them, and :class:`~repro.engine.runner.TrialStatistics`
+    computes every batch statistic from them.
     """
 
     seed: int
@@ -140,6 +146,17 @@ class ReducedTrial:
             rounds_simulated=result.metrics.rounds_simulated,
             stabilization_rounds=result.stabilization_rounds,
         )
+
+    @classmethod
+    def from_reduced(cls, reduced: "ReducedTrial") -> "ReducedTrial":
+        """Return ``reduced`` unchanged.
+
+        A leftover of the time the store had its own row type that reduced
+        rows were converted to: ``perfbench/workloads.py`` still calls
+        ``TrialRecord.from_reduced(row)``.  Remove this together with that
+        call.
+        """
+        return reduced
 
 
 def simulate_one(template: "SimulationConfig", seed: int) -> SimulationResult:
@@ -315,6 +332,10 @@ def _completed_future(value: ChunkResult) -> "Future[ChunkResult]":
     return future
 
 
+def _succeeded(future: "Future[ChunkResult]") -> bool:
+    return future.done() and not future.cancelled() and future.exception() is None
+
+
 @dataclass(slots=True)
 class _ChunkPayload:
     """What the pool needs to re-dispatch one chunk after a worker crash."""
@@ -337,13 +358,10 @@ class ExecutionPool:
         amortize the template pickle, small enough to keep every worker busy.
     crash_retries:
         How many times a chunk is re-dispatched on fresh workers after its
-        executor broke — at submission in any dispatch, or mid-batch in
-        :meth:`run_seeds` / :meth:`run_configs` — before the
+        executor broke — at submission, or mid-batch in :meth:`run_seeds`,
+        :meth:`iter_reduced` or :meth:`run_configs` — before the
         :class:`WorkerCrashError` propagates (deterministic seeds make the
-        re-run byte-identical).  ``0`` restores fail-fast.  Callers that
-        drain futures themselves (e.g. the campaign's as-completed loop)
-        keep the raise-after-:meth:`recover` contract for mid-batch crashes
-        and retry at their own layer if desired.
+        re-run byte-identical).  ``0`` restores fail-fast.
     telemetry:
         Optional :class:`~repro.telemetry.Telemetry` handle.  A live handle
         counts dispatched chunks/trials per execution path (scalar vs batch),
@@ -414,9 +432,8 @@ class ExecutionPool:
         self._worker_stats: dict[int, WorkerStatsDelta] = {}
         self._worker_first_seen: dict[int, float] = {}
         # Re-dispatch payloads keyed by in-flight future, so _gather can
-        # resubmit a chunk whose worker crashed.  Weak keys: callers that
-        # drain futures themselves (the campaign's as-completed loop) never
-        # pop entries, and must not pin their futures alive here.
+        # resubmit a chunk whose worker crashed.  Weak keys: a future that is
+        # cancelled or never drained takes its payload with it.
         self._chunk_payloads: "weakref.WeakKeyDictionary[Future[ChunkResult], _ChunkPayload]" = (
             weakref.WeakKeyDictionary()
         )
@@ -509,11 +526,7 @@ class ExecutionPool:
         submission order reproduces the serial batch exactly.  An unpicklable
         template degrades to serial in-process execution (with a warning)
         behind already-completed futures, so callers never special-case it.
-
-        Callers that consume futures out of order (e.g. as they complete)
-        must route every result through :meth:`ingest` (so worker deltas land
-        in the registry) and :class:`WorkerCrashError` / ``BrokenProcessPool``
-        results through :meth:`recover`, or simply use :meth:`run_seeds`.
+        :meth:`run_seeds` and :meth:`iter_reduced` drain these futures.
 
         With ``batch=True`` each chunk runs through the vectorized lockstep
         kernel in its worker (scalar fallback for non-batchable templates);
@@ -609,7 +622,33 @@ class ExecutionPool:
         are bit-identical to a serial run of the same template and seeds.
         """
         futures = self.submit_seed_chunks(template, seeds, reduce=reduce, batch=batch)
-        return self._gather(futures)
+        return [row for rows in self._gather(futures) for row in rows]
+
+    def iter_reduced(
+        self, batches: Sequence[tuple["SimulationConfig", Sequence[int]]], batch: bool = False
+    ) -> Generator[list[ReducedTrial], None, None]:
+        """Run several seed batches reduced; yield each batch's rows, in order.
+
+        Every batch's chunks are submitted up front, so workers never idle
+        between batches, and drained in submission order with the same crash
+        retry as :meth:`run_seeds`: a crash re-dispatches every outstanding
+        chunk of every batch as one group, so the executor restarts once per
+        crash, not once per batch.  Closing the iterator early (a campaign
+        stopped by its ``on_cell`` callback) cancels the chunks no worker has
+        picked up yet.
+        """
+        futures: list["Future[ChunkResult]"] = []
+        sizes = []
+        for template, seeds in batches:
+            submitted = self.submit_seed_chunks(template, seeds, reduce=True, batch=batch)
+            futures += submitted
+            sizes.append(len(submitted))
+        chunks = self._gather(futures)
+        try:
+            for size in sizes:
+                yield [row for _ in range(size) for row in next(chunks)]
+        finally:
+            chunks.close()
 
     def run_configs(self, configs: Sequence["SimulationConfig"]) -> list[SimulationResult]:
         """Run heterogeneous configurations, in input order.
@@ -629,17 +668,16 @@ class ExecutionPool:
         futures = self._submit([_ChunkPayload(_run_config_chunk, (chunk,)) for chunk in chunks])
         if self._telemetry.enabled:
             self._observe_dispatch(futures, chunks, reduce=False, batch=False)
-        return self._gather(futures)
+        return [row for rows in self._gather(futures) for row in rows]
 
     def ingest(self, outcome: ChunkResult) -> list:
         """Unwrap one chunk outcome: record its worker stats, return the rows.
 
-        Every completed chunk passes through here — :meth:`_gather` for the
-        pool's own consumers, and directly for callers that hold futures
-        (the campaign's as-completed loop) — so worker deltas reach the
-        registry no matter who drains the future.  With telemetry disabled
-        the delta still updates the pool's per-worker crash-attribution
-        bookkeeping (two dict writes per chunk), but nothing else.
+        Every completed chunk passes through here, from :meth:`_gather`, so
+        worker deltas reach the registry on every dispatch path.  With
+        telemetry disabled the delta still updates the pool's per-worker
+        crash-attribution bookkeeping (two dict writes per chunk), but
+        nothing else.
         """
         stats = outcome.stats
         # CLOCK_MONOTONIC is system-wide on the platforms the pool targets,
@@ -655,29 +693,36 @@ class ExecutionPool:
         """The most recent stats delta a worker pid reported (None if unseen)."""
         return self._worker_stats.get(pid)
 
-    def _gather(self, futures: Sequence["Future[ChunkResult]"]) -> list:
-        """Drain futures in chunk order, retrying crashed chunks within budget.
+    def _gather(self, futures: Sequence["Future[ChunkResult]"]) -> Generator[list, None, None]:
+        """Drain futures in chunk order, yielding each chunk's rows.
 
-        A worker crash breaks the whole executor, so every not-yet-consumed
-        future fails together; all of them are re-dispatched as one group on a
-        fresh executor (rows still land in chunk order — each retry future
-        replaces its predecessor in place).
+        The one drain every dispatch path uses.  A worker crash breaks the
+        whole executor, so every unfinished future fails together; all of
+        them are re-dispatched as one group on a fresh executor within
+        ``crash_retries`` (rows still land in chunk order — each retry future
+        replaces its predecessor in place), while chunks that finished before
+        the crash keep their rows.  Closing the generator early cancels the
+        futures no worker has started.
         """
         pending = list(futures)
-        results: list = []
         index = 0
-        while index < len(pending):
-            future = pending[index]
-            try:
-                outcome = future.result()
-            except BrokenProcessPool as error:
-                payloads = [self._chunk_payloads.pop(dead) for dead in pending[index:]]
-                pending[index:] = self._submit(payloads, error)
-                continue
-            self._chunk_payloads.pop(future, None)
-            results.extend(self.ingest(outcome))
-            index += 1
-        return results
+        try:
+            while index < len(pending):
+                future = pending[index]
+                try:
+                    outcome = future.result()
+                except BrokenProcessPool as error:
+                    lost = [i for i in range(index, len(pending)) if not _succeeded(pending[i])]
+                    payloads = [self._chunk_payloads.pop(pending[i]) for i in lost]
+                    for i, retry in zip(lost, self._submit(payloads, error)):
+                        pending[i] = retry
+                    continue
+                self._chunk_payloads.pop(future, None)
+                index += 1
+                yield self.ingest(outcome)
+        finally:
+            for future in pending[index:]:
+                future.cancel()
 
     def _submit(
         self, payloads: Sequence[_ChunkPayload], error: Optional[BrokenProcessPool] = None
@@ -749,8 +794,7 @@ class ExecutionPool:
     def recover(self, error: BaseException) -> WorkerCrashError:
         """Discard the broken executor and wrap ``error`` for re-raising.
 
-        Centralizes crash handling for callers that hold futures directly:
-        after this returns, the pool is reusable (the next dispatch forks
+        After this returns, the pool is reusable (the next dispatch forks
         fresh workers), and the returned :class:`WorkerCrashError` explains
         what happened to whoever re-raises it.  Each identified dead worker
         gets its own :class:`~repro.telemetry.events.WorkerCrashRecovered`

@@ -4,7 +4,10 @@ The paper's guarantees are probabilistic ("with high probability"), so
 meaningful measurements run the same configuration across many seeds and
 report distributional statistics.  :func:`run_trials` does exactly that and
 returns a :class:`TrialSummary` with the latency distribution, the liveness /
-agreement success rates, and the leader-count distribution.
+agreement success rates, and the leader-count distribution;
+:func:`run_reduced_trials` returns only the per-trial
+:class:`~repro.engine.pool.ReducedTrial` rows.  Every statistic is computed
+from those rows by :class:`TrialStatistics`, live or read back from a store.
 """
 
 from __future__ import annotations
@@ -30,8 +33,7 @@ def interpolated_percentile(
 
     Linearly interpolates between the order statistics (the convention of
     ``numpy.percentile``'s default mode); returns ``None`` for an empty
-    sample.  Shared by the live :class:`TrialSummary` and the campaign
-    store's aggregation layer so both report identical percentiles.
+    sample.  Used by :class:`TrialStatistics` and by search scores.
 
     Parameters
     ----------
@@ -58,60 +60,60 @@ def interpolated_percentile(
     return ordered[lower] * (1.0 - weight) + ordered[upper] * weight
 
 
-@dataclass(frozen=True)
-class TrialSummary:
+class TrialStatistics:
     """Summary statistics over a batch of same-configuration executions.
 
-    Attributes
-    ----------
-    results:
-        The individual :class:`SimulationResult` objects, in seed order.
-    seeds:
-        The seeds that were run.
+    The one implementation behind the live :class:`TrialSummary` and the
+    campaign store's :class:`~repro.campaigns.query.StoredSummary`.  Each
+    statistic reads only :attr:`rows`, the batch's
+    :class:`~repro.engine.pool.ReducedTrial` rows, so a summary read back
+    from a store reports bit-identical numbers to the live one.
     """
 
-    results: tuple[SimulationResult, ...]
-    seeds: tuple[int, ...]
+    @property
+    def rows(self) -> tuple[ReducedTrial, ...]:
+        """One row per execution, in seed order (provided by subclasses)."""
+        raise NotImplementedError
 
     @property
     def trials(self) -> int:
         """Number of executions in the batch."""
-        return len(self.results)
+        return len(self.rows)
 
     @property
     def liveness_rate(self) -> float:
         """Fraction of executions in which every node synchronized."""
-        if not self.results:
+        if not self.rows:
             return 0.0
-        return sum(1 for r in self.results if r.synchronized) / len(self.results)
+        return sum(1 for r in self.rows if r.synchronized) / len(self.rows)
 
     @property
     def agreement_rate(self) -> float:
         """Fraction of executions with no agreement violation."""
-        if not self.results:
+        if not self.rows:
             return 0.0
-        return sum(1 for r in self.results if r.agreement_holds) / len(self.results)
+        return sum(1 for r in self.rows if r.agreement) / len(self.rows)
 
     @property
     def safety_rate(self) -> float:
         """Fraction of executions with no safety violation of any kind."""
-        if not self.results:
+        if not self.rows:
             return 0.0
-        return sum(1 for r in self.results if r.report.all_safety_holds) / len(self.results)
+        return sum(1 for r in self.rows if r.safety) / len(self.rows)
 
     @property
     def unique_leader_rate(self) -> float:
         """Fraction of executions that elected at most one leader."""
-        if not self.results:
+        if not self.rows:
             return 0.0
-        return sum(1 for r in self.results if r.leader_count <= 1) / len(self.results)
+        return sum(1 for r in self.rows if r.leader_count <= 1) / len(self.rows)
 
     def latencies(self) -> list[int]:
         """Max activation-to-sync latencies of the executions that synchronized.
 
         In seed order (callers compare parallel vs. serial batches with it).
         """
-        return [r.max_sync_latency for r in self.results if r.max_sync_latency is not None]
+        return [r.max_sync_latency for r in self.rows if r.max_sync_latency is not None]
 
     @functools.cached_property
     def sorted_latencies(self) -> tuple[int, ...]:
@@ -140,6 +142,13 @@ class TrialSummary:
         latencies = self.sorted_latencies
         return latencies[-1] if latencies else None
 
+    @property
+    def mean_rounds(self) -> float | None:
+        """Mean number of simulated rounds per execution."""
+        if not self.rows:
+            return None
+        return statistics.fmean(r.rounds_simulated for r in self.rows)
+
     def percentile_latency(self, fraction: float) -> float | None:
         """An empirical latency percentile (``fraction`` in ``[0, 1]``).
 
@@ -152,12 +161,10 @@ class TrialSummary:
     def stabilization_rounds(self) -> list[int]:
         """Per-trial worst rounds-to-reconverge, fault-injected trials only.
 
-        In seed order; empty for fault-free batches (every result's
-        ``stabilization`` is ``None`` there).
+        In seed order; empty for fault-free batches (every row's
+        ``stabilization_rounds`` is ``None`` there).
         """
-        return [
-            r.stabilization_rounds for r in self.results if r.stabilization_rounds is not None
-        ]
+        return [r.stabilization_rounds for r in self.rows if r.stabilization_rounds is not None]
 
     @property
     def max_stabilization_rounds(self) -> int | None:
@@ -183,6 +190,29 @@ class TrialSummary:
         if stabilization is not None:
             line += f", stabilization {stabilization}"
         return line
+
+
+@dataclass(frozen=True)
+class TrialSummary(TrialStatistics):
+    """The statistics of a live batch, plus its full results.
+
+    Attributes
+    ----------
+    results:
+        The individual :class:`SimulationResult` objects, in seed order.
+    seeds:
+        The seeds that were run.
+    """
+
+    results: tuple[SimulationResult, ...]
+    seeds: tuple[int, ...]
+
+    @functools.cached_property
+    def rows(self) -> tuple[ReducedTrial, ...]:
+        """The results reduced to rows, once per summary."""
+        return tuple(
+            ReducedTrial.from_result(seed, result) for seed, result in zip(self.seeds, self.results)
+        )
 
 
 def _normalize_seeds(seeds: Sequence[int] | int) -> tuple[int, ...]:
@@ -304,9 +334,8 @@ def run_reduced_trials(
     """Run a multi-seed batch, keeping only the persisted summary scalars.
 
     The summary-only sibling of :func:`run_trials` for callers that never
-    touch full results — campaign cells persist
-    :class:`~repro.campaigns.store.TrialRecord` scalars and search scores are
-    computed from them, so shipping whole
+    touch full results — campaign cells persist these rows and search scores
+    are computed from them, so shipping whole
     :class:`~repro.engine.results.SimulationResult` objects (metrics maps,
     property reports, traces) back from workers is pure overhead.  With a
     ``pool``, the reduction happens *inside the workers* and only

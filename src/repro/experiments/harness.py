@@ -21,7 +21,7 @@ from repro.adversary.activation import ActivationSchedule
 from repro.adversary.base import InterferenceAdversary
 from repro.engine.observers import TraceLevel
 from repro.engine.plan import ExecutionPlan
-from repro.engine.runner import TrialSummary, run_trials
+from repro.engine.runner import TrialStatistics, run_trials
 from repro.engine.simulator import SimulationConfig
 from repro.exceptions import ExperimentError
 from repro.experiments.tables import render_table
@@ -75,13 +75,14 @@ class SweepResult:
         The configuration that was run.
     summary:
         The multi-seed trial summary: a live
-        :class:`~repro.engine.runner.TrialSummary`, or a statistically
-        identical :class:`~repro.campaigns.query.StoredSummary` when the
-        point was read back from a result store.
+        :class:`~repro.engine.runner.TrialSummary`, or a
+        :class:`~repro.campaigns.query.StoredSummary` when the point was
+        read back from a result store (both compute their statistics with
+        :class:`~repro.engine.runner.TrialStatistics`).
     """
 
     point: SweepPoint
-    summary: "TrialSummary | StoredSummary"
+    summary: TrialStatistics
 
     def row(self) -> dict[str, object]:
         """The table row for this point (metadata plus headline statistics)."""
@@ -192,7 +193,6 @@ class ExperimentHarness:
             return [self.run_point(point) for point in points]
 
         from repro.campaigns.query import summary_for_cell
-        from repro.campaigns.store import TrialRecord
 
         store.register_campaign(campaign)
         results = []
@@ -203,11 +203,7 @@ class ExperimentHarness:
                 results.append(SweepResult(point=point, summary=summary_for_cell(store, key)))
                 continue
             result = self.run_point(point)
-            records = [
-                TrialRecord.from_result(seed, trial)
-                for seed, trial in zip(result.summary.seeds, result.summary.results)
-            ]
-            store.record_cell(campaign, key, self._point_description(point), records)
+            store.record_cell(campaign, key, self._point_description(point), result.summary.rows)
             results.append(result)
         return results
 

@@ -206,14 +206,6 @@ class FaultPlan:
             rounds.append(self.byzantine_start_round)
         return max(rounds)
 
-    def max_target_node_id(self) -> int:
-        """The largest node id named by churn/corruption events (-1 if none)."""
-        ids = [-1]
-        ids.extend(event.node_id for event in self.churn)
-        for event in self.corruption:
-            ids.extend(event.node_ids)
-        return max(ids)
-
     # -- serialization ---------------------------------------------------
 
     def to_dict(self) -> dict[str, Any]:

@@ -9,8 +9,8 @@ configuration across all seeds through
 — parallel batches are bit-identical to serial ones), and reduces the
 per-trial outcomes to one scalar score that the optimizers *maximize*.
 
-Scores are computed from the same scalars the campaign store persists
-(:class:`~repro.campaigns.store.TrialRecord`), so a score recomputed from a
+Scores are computed from the same rows the campaign store persists
+(:class:`~repro.engine.pool.ReducedTrial`), so a score recomputed from a
 checkpoint is bit-identical to the score of the live evaluation — the
 property that makes search resume exact.
 """
@@ -22,9 +22,8 @@ from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
 from repro.campaigns.spec import resolve_workload
-from repro.campaigns.store import TrialRecord
 from repro.engine.plan import ExecutionPlan
-from repro.engine.pool import ExecutionPool
+from repro.engine.pool import ExecutionPool, ReducedTrial
 from repro.engine.runner import interpolated_percentile, run_reduced_trials
 from repro.engine.simulator import SimulationConfig
 from repro.exceptions import ConfigurationError
@@ -55,14 +54,14 @@ class Evaluation:
     genome:
         The evaluated strategy.
     records:
-        One persisted-form :class:`~repro.campaigns.store.TrialRecord` per
-        seed, in seed order.
+        One :class:`~repro.engine.pool.ReducedTrial` row per seed, in seed
+        order — the rows the store persists.
     score:
         The objective's scalar (recomputable from ``records``).
     """
 
     genome: StrategyGenome
-    records: tuple[TrialRecord, ...]
+    records: tuple[ReducedTrial, ...]
     score: float
 
 
@@ -239,15 +238,14 @@ class SearchObjective:
         identity.  Every path reduces each trial to the persisted scalars
         where it ran — in the workers on a pool — so a search over thousands
         of candidates ships back only
-        :class:`~repro.campaigns.store.TrialRecord`-shaped rows.
+        :class:`~repro.engine.pool.ReducedTrial` rows.
         """
-        reduced = run_reduced_trials(
+        records = run_reduced_trials(
             self.config_for(genome), seeds=self.seeds, pool=pool, plan=plan
         )
-        records = tuple(TrialRecord.from_reduced(trial) for trial in reduced)
         return Evaluation(genome=genome, records=records, score=self.score_records(records))
 
-    def effective_latencies(self, records: Sequence[TrialRecord]) -> list[int]:
+    def effective_latencies(self, records: Sequence[ReducedTrial]) -> list[int]:
         """Per-trial worst-case latency, charging ``max_rounds`` to failures.
 
         The one place the "an execution that never synchronized counts as
@@ -261,7 +259,7 @@ class SearchObjective:
             for record in records
         ]
 
-    def score_records(self, records: Sequence[TrialRecord]) -> float:
+    def score_records(self, records: Sequence[ReducedTrial]) -> float:
         """The objective scalar, computed from persisted trial scalars only."""
         if not records:
             raise ConfigurationError("cannot score an empty record batch")

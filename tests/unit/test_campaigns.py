@@ -8,11 +8,17 @@ read back from the store is bit-identical to what a live run would report.
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import os
 import sqlite3
+import tempfile
+import time
 
 import pytest
+from test_pool import CrashOnceAdversary
 
+from repro.adversary.base import AdversaryContext, InterferenceAdversary
 from repro.campaigns.query import (
     StoredSummary,
     aggregate,
@@ -24,7 +30,8 @@ from repro.campaigns.runner import CampaignRunner
 from repro.campaigns.spec import SPEC_SCHEMA_VERSION, CampaignSpec, cell_key, register_workload
 from repro.campaigns.store import ResultStore, TrialRecord
 from repro.engine.plan import ExecutionPlan
-from repro.engine.runner import run_trials
+from repro.engine.pool import ExecutionPool, WorkerCrashError
+from repro.engine.runner import run_reduced_trials, run_trials
 from repro.exceptions import ConfigurationError, ExperimentError
 from repro.experiments.harness import ExperimentHarness, SweepPoint
 from repro.experiments.workloads import quiet_start
@@ -505,8 +512,47 @@ class TestStoreDurability:
                 )
 
 
+@dataclasses.dataclass(frozen=True)
+class GatedCountingAdversary(InterferenceAdversary):
+    """Records each trial it runs as a file in ``directory``, then holds
+    every trial after the first until ``gate`` exists.
+
+    Holding the one worker at the second trial freezes the executor's queue
+    while the first cell commits, so the trials that run after that commit
+    are exactly the ones the executor had already started.
+    """
+
+    directory: str
+    gate: str
+
+    def choose_disruption(self, context: AdversaryContext) -> frozenset:
+        if context.global_round == 1:
+            handle, _path = tempfile.mkstemp(dir=self.directory)
+            os.close(handle)
+            deadline = time.monotonic() + 30
+            while (
+                len(os.listdir(self.directory)) > 1
+                and not os.path.exists(self.gate)
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.005)
+        return frozenset()
+
+
+def register_adversary_workload(name: str, adversary: InterferenceAdversary) -> None:
+    """Register ``quiet_start`` with its interference swapped for ``adversary``."""
+    register_workload(
+        name, lambda node_count: dataclasses.replace(quiet_start(node_count), adversary=adversary)
+    )
+
+
+class _StopRun(Exception):
+    pass
+
+
 class TestPooledRunner:
-    """The batched execution-pool path: bit-identity and pool lifecycle."""
+    """The execution-pool path: bit-identity, pool lifecycle, crash retry
+    and early stop."""
 
     def test_pooled_campaign_store_is_byte_identical_to_serial(self, tmp_path):
         spec = tiny_spec()
@@ -605,3 +651,77 @@ class TestPooledRunner:
                 assert list(pooled_store.iter_cells(spec.name)) == list(
                     serial_store.iter_cells(spec.name)
                 )
+
+    def test_pooled_campaign_survives_a_worker_crash(self, tmp_path):
+        sentinel = str(tmp_path / "crashed-once")
+        register_adversary_workload("campaign_test_crash_once", CrashOnceAdversary(sentinel))
+        spec = tiny_spec(
+            workloads=("campaign_test_crash_once",), participants=(8, 16, 32), node_counts=(2,)
+        )
+        with ExecutionPool(workers=2, chunk_size=1) as pool:
+            with ResultStore(tmp_path / "pooled.db") as pooled_store:
+                progress = CampaignRunner(spec, pooled_store, pool=pool).run()
+                # One crash, one restart for the whole grid, within the
+                # pool's default retry budget.
+                assert progress.complete and progress.executed == 3
+                assert pool.starts == 2
+                # The sentinel exists now, so a serial run takes the quiet
+                # branch the retried chunks took.
+                with ResultStore(tmp_path / "serial.db") as serial_store:
+                    CampaignRunner(spec, serial_store).run()
+                    assert list(pooled_store.iter_cells(spec.name)) == list(
+                        serial_store.iter_cells(spec.name)
+                    )
+
+    def test_crash_without_retry_budget_raises_and_rerun_resumes(self, tmp_path):
+        sentinel = str(tmp_path / "crashed-once")
+        register_adversary_workload("campaign_test_crash_once", CrashOnceAdversary(sentinel))
+        spec = tiny_spec(
+            workloads=("campaign_test_crash_once",), participants=(8, 16, 32), node_counts=(2,)
+        )
+        with ExecutionPool(workers=2, chunk_size=1, crash_retries=0) as pool:
+            with ResultStore(tmp_path / "pooled.db") as pooled_store:
+                runner = CampaignRunner(spec, pooled_store, pool=pool)
+                with pytest.raises(WorkerCrashError):
+                    runner.run()
+                assert runner.run().complete
+                with ResultStore(tmp_path / "serial.db") as serial_store:
+                    CampaignRunner(spec, serial_store).run()
+                    assert list(pooled_store.iter_cells(spec.name)) == list(
+                        serial_store.iter_cells(spec.name)
+                    )
+
+    def test_stopping_a_run_early_cancels_queued_chunks(self, tmp_path):
+        ran = tmp_path / "ran"
+        ran.mkdir()
+        gate = tmp_path / "gate"
+        register_adversary_workload(
+            "campaign_test_counting", GatedCountingAdversary(str(ran), str(gate))
+        )
+        # 20 one-trial cells, so one chunk is one cell is one trial.
+        spec = tiny_spec(
+            workloads=("campaign_test_counting",),
+            participants=(8, 16, 32, 64, 128),
+            budgets=(0, 1),
+            seeds=1,
+        )
+
+        def stop(cell, progress):
+            raise _StopRun
+
+        with ExecutionPool(workers=1, chunk_size=1) as pool:
+            with ResultStore(tmp_path / "store.db") as store:
+                try:
+                    with pytest.raises(_StopRun):
+                        CampaignRunner(spec, store, pool=pool).run(on_cell=stop)
+                finally:
+                    gate.touch()
+                committed = store.cell_count()
+            # A later batch queues behind every chunk the stopped run left
+            # on the pool, so once it returns those have all run.
+            run_reduced_trials(tiny_spec().cells()[0].config(), seeds=1, pool=pool)
+            trials_run = len(list(ran.iterdir()))
+        assert committed == 1
+        # The worker's chunk and the executor's small call queue may still
+        # run; every later cell's chunk must have been cancelled.
+        assert trials_run <= committed + pool.workers + 2

@@ -7,14 +7,16 @@ to the serial full-trace batch, not merely similar.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import pytest
 
 from repro.adversary.activation import StaggeredActivation
 from repro.adversary.jammers import RandomJammer
 from repro.engine.observers import TraceLevel
+from repro.campaigns.query import StoredSummary
 from repro.engine.plan import ExecutionPlan
+from repro.engine.pool import ReducedTrial
 from repro.engine.runner import TrialSummary, run_trials
 from repro.engine.simulator import SimulationConfig
 from repro.protocols.trapdoor.protocol import TrapdoorProtocol
@@ -150,16 +152,21 @@ class TestUnpicklableFallback:
         assert_summaries_identical(serial, fallback)
 
 
-@dataclass(frozen=True)
-class _StubResult:
-    """A stand-in exposing only what TrialSummary.latencies() reads."""
-
-    max_sync_latency: int | None
-
-
 def summary_with_latencies(*latencies):
-    results = tuple(_StubResult(latency) for latency in latencies)
-    return TrialSummary(results=results, seeds=tuple(range(len(results))))
+    """Statistics over rows that differ only in their latency (None = no sync)."""
+    records = tuple(
+        ReducedTrial(
+            seed=seed,
+            synchronized=latency is not None,
+            agreement=True,
+            safety=True,
+            leader_count=1,
+            max_sync_latency=latency,
+            rounds_simulated=100,
+        )
+        for seed, latency in enumerate(latencies)
+    )
+    return StoredSummary(records=records)
 
 
 class TestPercentileInterpolation:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import pytest
@@ -384,3 +384,18 @@ class TestBrokenResubmission:
                 run_trials(batch_config, seeds=3, config_for_seed=hook, pool=pool)
             assert pool.starts == 1
             assert not pool.running
+
+    def test_crash_in_a_multi_batch_drain_keeps_finished_chunks(self, monkeypatch, batch_config):
+        # The second batch is unpicklable, so it ran in-process behind
+        # finished futures; the crash re-dispatches only the first batch's
+        # chunks, and both batches still come back in order.
+        script_executors(monkeypatch, ["crash", "run"])
+        closure = replace(batch_config, protocol_factory=lambda context: TrapdoorProtocol(context))
+        with ExecutionPool(workers=2, chunk_size=1) as pool:
+            with pytest.warns(RuntimeWarning, match="not picklable"):
+                rows = list(pool.iter_reduced([(batch_config, (0, 1)), (closure, (2,))]))
+            assert pool.starts == 2
+        assert rows == [
+            list(run_reduced_trials(batch_config, seeds=(0, 1))),
+            list(run_reduced_trials(closure, seeds=(2,))),
+        ]
