@@ -74,12 +74,12 @@ class ModelParameters:
         """
         return max(1, min(self.frequencies, 2 * self.disruption_budget))
 
-    @property
+    @functools.cached_property
     def log_participants(self) -> int:
         """``⌈lg N⌉`` — the number of epochs used by the protocols."""
         return max(1, math.ceil(math.log2(self.participant_bound)))
 
-    @property
+    @functools.cached_property
     def log_frequencies(self) -> int:
         """``⌈lg F⌉`` — the number of Good Samaritan super-epochs."""
         return max(1, math.ceil(math.log2(self.frequencies)))

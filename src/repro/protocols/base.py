@@ -84,7 +84,11 @@ class SynchronizationProtocol(abc.ABC):
 
     @property
     def role(self) -> Role:
-        """The node's coarse role, for metrics and traces.  Default: contender."""
+        """The node's coarse role, for metrics and traces.  Default: contender.
+
+        Hot path: the simulator reads it once per node per round, so it
+        returns a stored :class:`Role` and allocates nothing.
+        """
         return Role.CONTENDER
 
     @property

@@ -26,7 +26,6 @@ where naive stopping rules fall over.
 
 from __future__ import annotations
 
-import enum
 import math
 
 from repro.exceptions import ConfigurationError
@@ -36,13 +35,6 @@ from repro.radio.actions import RadioAction, broadcast, listen
 from repro.radio.events import ReceptionOutcome
 from repro.radio.messages import ContenderMessage, LeaderMessage
 from repro.types import Role
-
-
-class _State(enum.Enum):
-    CONTENDER = "contender"
-    KNOCKED_OUT = "knocked_out"
-    LEADER = "leader"
-    SYNCHRONIZED = "synchronized"
 
 
 def default_victory_rounds(context: ProtocolContext, constant: float = 6.0) -> int:
@@ -85,7 +77,7 @@ class ContentionBaseline(SynchronizedOutputMixin, SynchronizationProtocol):
             )
         self.victory_rounds = victory_rounds or default_victory_rounds(context)
         self.leader_broadcast_probability = leader_broadcast_probability
-        self._state = _State.CONTENDER
+        self._state = Role.CONTENDER
 
     # -- what concrete baselines customize -------------------------------------
 
@@ -109,13 +101,7 @@ class ContentionBaseline(SynchronizedOutputMixin, SynchronizationProtocol):
 
     @property
     def role(self) -> Role:
-        mapping = {
-            _State.CONTENDER: Role.CONTENDER,
-            _State.KNOCKED_OUT: Role.KNOCKED_OUT,
-            _State.LEADER: Role.LEADER,
-            _State.SYNCHRONIZED: Role.SYNCHRONIZED,
-        }
-        return mapping[self._state]
+        return self._state
 
     @property
     def state_name(self) -> str:
@@ -132,12 +118,12 @@ class ContentionBaseline(SynchronizedOutputMixin, SynchronizationProtocol):
 
     def choose_action(self) -> RadioAction:
         rng = self.context.rng
-        if self._state is _State.CONTENDER and self.context.local_round > self.victory_rounds:
-            self._state = _State.LEADER
+        if self._state is Role.CONTENDER and self.context.local_round > self.victory_rounds:
+            self._state = Role.LEADER
             self.adopt_round_number(self.context.local_round)
-        if self._state is _State.CONTENDER:
+        if self._state is Role.CONTENDER:
             return self.contender_action()
-        if self._state is _State.LEADER:
+        if self._state is Role.LEADER:
             frequency = self.leader_frequency()
             if rng.random() < self.leader_broadcast_probability:
                 output = self.current_output()
@@ -153,10 +139,10 @@ class ContentionBaseline(SynchronizedOutputMixin, SynchronizationProtocol):
         if message is None:
             return
         if isinstance(message, LeaderMessage):
-            if self._state is not _State.LEADER:
-                self._state = _State.SYNCHRONIZED
+            if self._state is not Role.LEADER:
+                self._state = Role.SYNCHRONIZED
                 self.adopt_round_number(message.round_number)
             return
-        if isinstance(message, ContenderMessage) and self._state is _State.CONTENDER:
+        if isinstance(message, ContenderMessage) and self._state is Role.CONTENDER:
             if message.timestamp > self.my_timestamp():
-                self._state = _State.KNOCKED_OUT
+                self._state = Role.KNOCKED_OUT

@@ -110,6 +110,15 @@ class _State(enum.Enum):
     COMMITTED = "committed"
 
 
+#: The role each state reports; ``committed`` reports as synchronized.
+_ROLES = {
+    _State.CONTENDER: Role.CONTENDER,
+    _State.KNOCKED_OUT: Role.KNOCKED_OUT,
+    _State.LEADER: Role.LEADER,
+    _State.COMMITTED: Role.SYNCHRONIZED,
+}
+
+
 class FaultTolerantTrapdoorProtocol(SynchronizedOutputMixin, SynchronizationProtocol):
     """The Trapdoor Protocol with restart-on-silence and delayed commitment.
 
@@ -144,13 +153,7 @@ class FaultTolerantTrapdoorProtocol(SynchronizedOutputMixin, SynchronizationProt
 
     @property
     def role(self) -> Role:
-        mapping = {
-            _State.CONTENDER: Role.CONTENDER,
-            _State.KNOCKED_OUT: Role.KNOCKED_OUT,
-            _State.LEADER: Role.LEADER,
-            _State.COMMITTED: Role.SYNCHRONIZED,
-        }
-        return mapping[self._state]
+        return _ROLES[self._state]
 
     @property
     def restart_count(self) -> int:

@@ -30,8 +30,6 @@ Roles and transitions
 
 from __future__ import annotations
 
-import enum
-
 from repro.protocols.base import (
     BoundProtocolFactory,
     ProtocolContext,
@@ -46,14 +44,6 @@ from repro.radio.actions import RadioAction, broadcast, listen
 from repro.radio.events import ReceptionOutcome
 from repro.radio.messages import ContenderMessage, LeaderMessage, SamaritanMessage
 from repro.types import Frequency, Role
-
-
-class _State(enum.Enum):
-    CONTENDER = "contender"
-    SAMARITAN = "samaritan"
-    PASSIVE = "passive"
-    LEADER = "leader"
-    SYNCHRONIZED = "synchronized"
 
 
 class GoodSamaritanProtocol(SynchronizedOutputMixin, SynchronizationProtocol):
@@ -71,7 +61,7 @@ class GoodSamaritanProtocol(SynchronizedOutputMixin, SynchronizationProtocol):
         super().__init__(context)
         self.config = config or GoodSamaritanConfig()
         self.schedule = GoodSamaritanSchedule(context.params, self.config)
-        self._state = _State.CONTENDER
+        self._state = Role.CONTENDER
         self._ledger = SuccessLedger()
         self._this_round_special = False
         self._leader_via_fallback = False
@@ -89,23 +79,15 @@ class GoodSamaritanProtocol(SynchronizedOutputMixin, SynchronizationProtocol):
 
     @property
     def role(self) -> Role:
-        mapping = {
-            _State.CONTENDER: Role.CONTENDER,
-            _State.SAMARITAN: Role.SAMARITAN,
-            _State.PASSIVE: Role.PASSIVE,
-            _State.LEADER: Role.LEADER,
-            _State.SYNCHRONIZED: Role.SYNCHRONIZED,
-        }
-        return mapping[self._state]
+        return self._state
 
     def choose_action(self) -> RadioAction:
-        rng = self.context.rng
         local_round = self.context.local_round
         self._this_round_special = False
 
-        if self._state is _State.LEADER:
+        if self._state is Role.LEADER:
             return self._leader_action()
-        if self._state in (_State.PASSIVE, _State.SYNCHRONIZED):
+        if self._state in (Role.PASSIVE, Role.SYNCHRONIZED):
             return listen(self._monitoring_frequency())
 
         position = self.schedule.position_of_round(local_round)
@@ -120,9 +102,9 @@ class GoodSamaritanProtocol(SynchronizedOutputMixin, SynchronizationProtocol):
         if isinstance(message, LeaderMessage):
             self._adopt_from_leader(message)
             return
-        if self._state is _State.CONTENDER:
+        if self._state is Role.CONTENDER:
             self._contender_reception(message)
-        elif self._state is _State.SAMARITAN:
+        elif self._state is Role.SAMARITAN:
             self._samaritan_reception(message)
 
     # -- introspection (tests, metrics) ---------------------------------------
@@ -191,9 +173,9 @@ class GoodSamaritanProtocol(SynchronizedOutputMixin, SynchronizationProtocol):
             # ignored.  Fallback portion: timestamps decide (modified Trapdoor).
             if self.in_fallback:
                 if message.timestamp > self._my_timestamp():
-                    self._state = _State.PASSIVE
+                    self._state = Role.PASSIVE
             else:
-                self._state = _State.SAMARITAN
+                self._state = Role.SAMARITAN
                 self._downgrade_round = self.context.local_round
             return
         if isinstance(message, SamaritanMessage):
@@ -202,7 +184,7 @@ class GoodSamaritanProtocol(SynchronizedOutputMixin, SynchronizationProtocol):
     def _samaritan_reception(self, message) -> None:
         if isinstance(message, SamaritanMessage):
             # A samaritan hearing another samaritan is knocked out.
-            self._state = _State.PASSIVE
+            self._state = Role.PASSIVE
             return
         if isinstance(message, ContenderMessage):
             self._maybe_record_success(message)
@@ -237,7 +219,7 @@ class GoodSamaritanProtocol(SynchronizedOutputMixin, SynchronizationProtocol):
         fallback = self.schedule.fallback_position_of_round(local_round)
         assert fallback is not None  # in_fallback is implied by the caller
 
-        if self._state is _State.CONTENDER and fallback.completed:
+        if self._state is Role.CONTENDER and fallback.completed:
             self._become_leader(via_fallback=True)
             return self._leader_action()
 
@@ -245,16 +227,16 @@ class GoodSamaritanProtocol(SynchronizedOutputMixin, SynchronizationProtocol):
             # A special Good Samaritan round.
             self._this_round_special = True
             frequency = self._special_frequency()
-            if self._state is _State.CONTENDER and rng.random() < 0.5:
+            if self._state is Role.CONTENDER and rng.random() < 0.5:
                 return broadcast(frequency, self._identity_message(special=True))
-            if self._state is _State.SAMARITAN and rng.random() < 0.5:
+            if self._state is Role.SAMARITAN and rng.random() < 0.5:
                 return broadcast(frequency, self._identity_message(special=True))
             return listen(frequency)
 
         # A modified Trapdoor round: uniform frequency over the whole band,
         # broadcast with the fallback epoch's probability (contenders only).
         frequency = rng.randint(1, self.context.params.frequencies)
-        if self._state is _State.CONTENDER:
+        if self._state is Role.CONTENDER:
             probability = self.schedule.fallback_broadcast_probability(fallback.epoch)
             if rng.random() < probability:
                 return broadcast(frequency, self._identity_message(special=False))
@@ -279,14 +261,14 @@ class GoodSamaritanProtocol(SynchronizedOutputMixin, SynchronizationProtocol):
         return rng.randint(1, self.context.params.frequencies)
 
     def _become_leader(self, via_fallback: bool) -> None:
-        self._state = _State.LEADER
+        self._state = Role.LEADER
         self._leader_via_fallback = via_fallback
         self.adopt_round_number(self.context.local_round)
 
     def _adopt_from_leader(self, message: LeaderMessage) -> None:
-        if self._state is _State.LEADER:
+        if self._state is Role.LEADER:
             return
-        self._state = _State.SYNCHRONIZED
+        self._state = Role.SYNCHRONIZED
         self.adopt_round_number(message.round_number)
 
     # -- helpers --------------------------------------------------------------------
@@ -297,7 +279,7 @@ class GoodSamaritanProtocol(SynchronizedOutputMixin, SynchronizationProtocol):
     def _identity_message(self, special: bool):
         position = self.schedule.position_of_round(self.context.local_round)
         epoch = position.epoch if position is not None else 0
-        if self._state is _State.SAMARITAN:
+        if self._state is Role.SAMARITAN:
             return SamaritanMessage(
                 timestamp=self._my_timestamp(),
                 reports=self._ledger.report(),
@@ -312,7 +294,5 @@ class GoodSamaritanProtocol(SynchronizedOutputMixin, SynchronizationProtocol):
         uniformly from ``[1 .. 2^d]`` (clamped to the band).
         """
         rng = self.context.rng
-        log_f = self.context.params.log_frequencies
-        d = rng.randint(1, log_f)
-        width = min(2**d, self.context.params.frequencies)
-        return rng.randint(1, width)
+        d = rng.randint(1, self.schedule.super_epoch_count)
+        return rng.randint(1, self.schedule.prefix_width(d))

@@ -92,6 +92,14 @@ class GoodSamaritanSchedule:
             1, math.ceil(self._config.fallback_multiplier * self._epoch_lengths[-1])
         )
         self._fallback_total = self._fallback_epoch_length * self._log_n
+        # The protocol reads these every round: build them once.
+        self._prefix_widths = tuple(
+            min(2**k, params.frequencies) for k in range(1, self._log_f + 1)
+        )
+        self._broadcast_probabilities = tuple(
+            min(0.5, (2.0**e) / (2.0 * params.participant_bound))
+            for e in range(1, self._log_n + 1)
+        )
 
     def _epoch_length(self, super_epoch: int) -> int:
         log_n = self._log_n
@@ -165,7 +173,7 @@ class GoodSamaritanSchedule:
             raise ConfigurationError(
                 f"super-epoch must be in [1..{self._log_f}], got {super_epoch}"
             )
-        return min(2**super_epoch, self._params.frequencies)
+        return self._prefix_widths[super_epoch - 1]
 
     def broadcast_probability(self, epoch: int) -> float:
         """Broadcast probability of epoch ``e`` (``2^e / 2N`` capped at 1/2)."""
@@ -173,7 +181,7 @@ class GoodSamaritanSchedule:
             raise ConfigurationError(f"epoch must be >= 1, got {epoch}")
         if epoch > self._log_n:
             return 0.5
-        return min(0.5, (2.0**epoch) / (2.0 * self._params.participant_bound))
+        return self._broadcast_probabilities[epoch - 1]
 
     def success_threshold(self, super_epoch: int) -> int:
         """Successful rounds a contender needs in its critical epoch of super-epoch ``k``.
@@ -255,8 +263,7 @@ class GoodSamaritanSchedule:
         for f in range(1, prefix + 1):
             distribution[f] += 0.5 / prefix
         # Special half: d uniform in [1 .. lg F], then f uniform in [1 .. 2^d].
-        for d in range(1, log_f + 1):
-            width = min(2**d, frequencies)
+        for width in self._prefix_widths:
             for f in range(1, width + 1):
                 distribution[f] += 0.5 / (log_f * width)
         return distribution

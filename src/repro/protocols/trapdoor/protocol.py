@@ -16,8 +16,6 @@ numbering immediately.
 
 from __future__ import annotations
 
-import enum
-
 from repro.protocols.base import (
     BoundProtocolFactory,
     ProtocolContext,
@@ -31,13 +29,6 @@ from repro.radio.actions import RadioAction, broadcast, listen
 from repro.radio.events import ReceptionOutcome
 from repro.radio.messages import ContenderMessage, LeaderMessage
 from repro.types import Role
-
-
-class _State(enum.Enum):
-    CONTENDER = "contender"
-    KNOCKED_OUT = "knocked_out"
-    LEADER = "leader"
-    SYNCHRONIZED = "synchronized"
 
 
 class TrapdoorProtocol(SynchronizedOutputMixin, SynchronizationProtocol):
@@ -55,7 +46,7 @@ class TrapdoorProtocol(SynchronizedOutputMixin, SynchronizationProtocol):
         super().__init__(context)
         self.config = config or TrapdoorConfig()
         self.schedule = TrapdoorSchedule(context.params, self.config)
-        self._state = _State.CONTENDER
+        self._state = Role.CONTENDER
         self._band_width = self.schedule.effective_frequencies
         self._knocked_out_by: Timestamp | None = None
 
@@ -71,24 +62,18 @@ class TrapdoorProtocol(SynchronizedOutputMixin, SynchronizationProtocol):
 
     @property
     def role(self) -> Role:
-        if self._state is _State.LEADER:
-            return Role.LEADER
-        if self._state is _State.SYNCHRONIZED:
-            return Role.SYNCHRONIZED
-        if self._state is _State.KNOCKED_OUT:
-            return Role.KNOCKED_OUT
-        return Role.CONTENDER
+        return self._state
 
     def choose_action(self) -> RadioAction:
         rng = self.context.rng
         local_round = self.context.local_round
 
-        if self._state is _State.CONTENDER and self.schedule.completed(local_round):
+        if self._state is Role.CONTENDER and self.schedule.completed(local_round):
             self._become_leader()
 
         frequency = rng.randint(1, self._band_width)
 
-        if self._state is _State.CONTENDER:
+        if self._state is Role.CONTENDER:
             probability = self.schedule.broadcast_probability(local_round)
             if rng.random() < probability:
                 message = ContenderMessage(
@@ -98,12 +83,12 @@ class TrapdoorProtocol(SynchronizedOutputMixin, SynchronizationProtocol):
                 return broadcast(frequency, message)
             return listen(frequency)
 
-        if self._state is _State.LEADER:
+        if self._state is Role.LEADER:
             if rng.random() < self.config.leader_broadcast_probability:
                 return broadcast(frequency, self._leader_message())
             return listen(frequency)
 
-        if self._state is _State.SYNCHRONIZED and self.config.synchronized_nodes_assist:
+        if self._state is Role.SYNCHRONIZED and self.config.synchronized_nodes_assist:
             output = self.current_output()
             if output is not None and rng.random() < 0.5:
                 return broadcast(frequency, LeaderMessage(leader_uid=self.context.uid, round_number=output))
@@ -119,9 +104,9 @@ class TrapdoorProtocol(SynchronizedOutputMixin, SynchronizationProtocol):
         if isinstance(message, LeaderMessage):
             self._adopt_from_leader(message)
             return
-        if isinstance(message, ContenderMessage) and self._state is _State.CONTENDER:
+        if isinstance(message, ContenderMessage) and self._state is Role.CONTENDER:
             if message.timestamp > self._my_timestamp():
-                self._state = _State.KNOCKED_OUT
+                self._state = Role.KNOCKED_OUT
                 self._knocked_out_by = message.timestamp
 
     # -- introspection (used by tests and metrics) ---------------------------
@@ -146,7 +131,7 @@ class TrapdoorProtocol(SynchronizedOutputMixin, SynchronizationProtocol):
         return epoch.index if epoch is not None else self.schedule.epoch_count
 
     def _become_leader(self) -> None:
-        self._state = _State.LEADER
+        self._state = Role.LEADER
         # The leader numbers rounds by its own activation age.
         self.adopt_round_number(self.context.local_round)
 
@@ -156,11 +141,11 @@ class TrapdoorProtocol(SynchronizedOutputMixin, SynchronizationProtocol):
         return LeaderMessage(leader_uid=self.context.uid, round_number=output)
 
     def _adopt_from_leader(self, message: LeaderMessage) -> None:
-        if self._state is _State.LEADER:
+        if self._state is Role.LEADER:
             # A second leader hearing the first adopts nothing; uniqueness is
             # guaranteed w.h.p. by the analysis, and the checker will flag
             # disagreement if it ever happens with unlucky constants.
             return
-        if self._state is not _State.SYNCHRONIZED:
-            self._state = _State.SYNCHRONIZED
+        if self._state is not Role.SYNCHRONIZED:
+            self._state = Role.SYNCHRONIZED
         self.adopt_round_number(message.round_number)

@@ -207,8 +207,11 @@ class SingleHopRadioNetwork:
         set exceeds the budget or contains out-of-band frequencies.
         """
         disrupted_set = frozenset(disrupted)
-        for frequency in disrupted_set:
-            self._band.validate(frequency)
+        # Plain ints inside the band need no per-frequency check.  The int
+        # test is needed: 2.0 == 2, so a float passes the subset test.
+        if not (disrupted_set <= self._band_set and all(type(f) is int for f in disrupted_set)):
+            for frequency in disrupted_set:
+                self._band.validate(frequency)
         if len(disrupted_set) > budget:
             raise ConfigurationError(
                 f"adversary disrupted {len(disrupted_set)} frequencies, budget is {budget}"

@@ -2,12 +2,25 @@
 
 from __future__ import annotations
 
+import math
+import random
+
 import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.params import ModelParameters
+from repro.protocols.base import ProtocolContext
 from repro.protocols.good_samaritan.config import GoodSamaritanConfig
+from repro.protocols.good_samaritan.protocol import GoodSamaritanProtocol
 from repro.protocols.good_samaritan.schedule import GoodSamaritanSchedule
+
+#: (F, t, N) points for the per-round lookup tables: F = 2, a non-power-of-two
+#: F, and N from 2 up to 1024.
+TABLE_GRID = [
+    (frequencies, budget, participants)
+    for frequencies, budget in ((2, 1), (8, 3), (12, 5), (16, 0))
+    for participants in (2, 64, 100, 1024)
+]
 
 
 class TestConfig:
@@ -172,3 +185,40 @@ class TestFigure2Artifacts:
         schedule = GoodSamaritanSchedule(params)
         distribution = schedule.special_frequency_distribution(1)
         assert distribution[1] > distribution[params.frequencies]
+
+
+@pytest.mark.parametrize("frequencies, budget, participants", TABLE_GRID)
+class TestLookupTables:
+    """The per-round lookups equal the closed forms they replace."""
+
+    def test_prefix_width_per_super_epoch(self, frequencies, budget, participants):
+        schedule = GoodSamaritanSchedule(ModelParameters(frequencies, budget, participants))
+        for k in range(1, schedule.super_epoch_count + 1):
+            assert schedule.prefix_width(k) == min(2**k, frequencies)
+        with pytest.raises(ConfigurationError):
+            schedule.prefix_width(0)
+        with pytest.raises(ConfigurationError):
+            schedule.prefix_width(schedule.super_epoch_count + 1)
+
+    def test_broadcast_probability_per_epoch(self, frequencies, budget, participants):
+        params = ModelParameters(frequencies, budget, participants)
+        schedule = GoodSamaritanSchedule(params)
+        log_n = params.log_participants
+        for epoch in range(1, log_n + 4):
+            expected = 0.5 if epoch > log_n else min(0.5, 2**epoch / (2 * participants))
+            assert schedule.broadcast_probability(epoch) == expected
+        with pytest.raises(ConfigurationError):
+            schedule.broadcast_probability(0)
+
+    def test_special_frequency_draws_match_the_two_step_formula(
+        self, frequencies, budget, participants
+    ):
+        params = ModelParameters(frequencies, budget, participants)
+        context = ProtocolContext(params=params, rng=random.Random(2009), uid=1, local_round=1)
+        protocol = GoodSamaritanProtocol(context)
+        reference = random.Random(2009)
+        log_f = max(1, math.ceil(math.log2(frequencies)))
+        for _ in range(10_000):
+            d = reference.randint(1, log_f)
+            expected = reference.randint(1, min(2**d, frequencies))
+            assert protocol._special_frequency() == expected

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.exceptions import ConfigurationError, SimulationError
@@ -113,3 +115,32 @@ class TestBudgetValidation:
     def test_budget_rejects_out_of_band(self, network):
         with pytest.raises(ConfigurationError):
             network.validate_disruption_budget({99}, 3)
+
+    @pytest.mark.parametrize(
+        "make, expected",
+        [
+            (lambda: [1, 2], {1, 2}),
+            (lambda: [True], {1}),
+            (lambda: (f for f in (3, 8)), {3, 8}),
+            (lambda: frozenset(), set()),
+        ],
+        ids=["list", "bool", "generator", "empty-frozenset"],
+    )
+    def test_band_of_eight_accepts(self, make, expected):
+        network = SingleHopRadioNetwork(FrequencyBand(8))
+        assert network.validate_disruption_budget(make(), 3) == frozenset(expected)
+
+    # 2.0 == 2 and hash(2.0) == hash(2): a bare subset test against the band
+    # would let the float through.
+    @pytest.mark.parametrize("frequency", [0, 9, 2.0, "1"], ids=repr)
+    def test_band_of_eight_rejects(self, frequency):
+        network = SingleHopRadioNetwork(FrequencyBand(8))
+        message = f"frequency {frequency!r} outside band [1..8]"
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            network.validate_disruption_budget([frequency], 3)
+
+    def test_band_of_eight_rejects_over_budget(self):
+        network = SingleHopRadioNetwork(FrequencyBand(8))
+        message = "adversary disrupted 4 frequencies, budget is 3"
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            network.validate_disruption_budget([1, 2, 3, 4], 3)

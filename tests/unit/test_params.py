@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
+import math
+import pickle
+
 import pytest
 
 from repro.exceptions import ConfigurationError
@@ -81,3 +85,36 @@ class TestDerivedQuantities:
         assert hash(params) == hash(ModelParameters(8, 3, 64))
         with pytest.raises(AttributeError):
             params.frequencies = 9  # type: ignore[misc]
+
+
+class TestCachedLogarithms:
+    def test_logs_are_ceiling_log2_over_a_range(self):
+        for x in range(2, 1026):
+            params = ModelParameters(frequencies=x, disruption_budget=1, participant_bound=x)
+            expected = max(1, math.ceil(math.log2(x)))
+            assert params.log_participants == expected, x
+            assert params.log_frequencies == expected, x
+
+    def test_read_instance_behaves_like_a_fresh_one(self):
+        read = ModelParameters(frequencies=12, disruption_budget=3, participant_bound=100)
+        assert (read.log_participants, read.log_frequencies) == (7, 4)
+        fresh = ModelParameters(frequencies=12, disruption_budget=3, participant_bound=100)
+
+        assert read == fresh and hash(read) == hash(fresh)
+        assert len({read, fresh}) == 1
+
+        clone = pickle.loads(pickle.dumps(read))
+        assert clone == fresh and hash(clone) == hash(fresh)
+        assert (clone.log_participants, clone.log_frequencies) == (7, 4)
+
+        replaced = dataclasses.replace(read, frequencies=40, participant_bound=1000)
+        assert replaced == dataclasses.replace(fresh, frequencies=40, participant_bound=1000)
+        assert (replaced.log_participants, replaced.log_frequencies) == (10, 6)
+
+        rebudgeted = read.with_budget(1)
+        assert rebudgeted == fresh.with_budget(1)
+        assert hash(rebudgeted) == hash(fresh.with_budget(1))
+        assert (rebudgeted.log_participants, rebudgeted.log_frequencies) == (7, 4)
+
+        with pytest.raises(AttributeError):
+            read.participant_bound = 5  # type: ignore[misc]

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.protocols.base import SynchronizationProtocol, SynchronizedOutputMixin
 from repro.protocols.numbering import RoundNumbering
+from repro.protocols.registry import PROTOCOL_FACTORIES, protocol_factory
 from repro.radio.actions import RadioAction, listen
 from repro.radio.events import ReceptionOutcome
+from repro.radio.messages import LeaderMessage
 from repro.types import Role
 
 
@@ -18,6 +22,30 @@ class MixinProtocol(SynchronizedOutputMixin, SynchronizationProtocol):
 
     def on_reception(self, outcome: ReceptionOutcome) -> None:
         pass
+
+
+class ConstantRole:
+    @property
+    def role(self) -> Role:
+        return Role.CONTENDER
+
+
+def role_read_peak(protocol) -> int:
+    """Peak traced bytes while reading ``protocol.role`` 1000 times."""
+    tracemalloc.start()
+    try:
+        for _ in range(1000):
+            protocol.role
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def activated(name: str, context):
+    protocol = protocol_factory(name)(context)
+    protocol.on_activate()
+    protocol.choose_action()
+    return protocol
 
 
 class TestSynchronizedOutputMixin:
@@ -71,3 +99,33 @@ class TestRoundNumbering:
         numbering = RoundNumbering(local_round=3, global_number=30)
         deltas = [numbering.number_for(r + 1) - numbering.number_for(r) for r in range(3, 10)]
         assert deltas == [1] * 7
+
+
+class TestRoleRead:
+    """The simulator reads ``role`` once per node per round."""
+
+    @pytest.mark.parametrize("name", sorted(PROTOCOL_FACTORIES))
+    def test_role_read_allocates_no_more_than_a_constant(self, name, make_context):
+        protocol = activated(name, make_context())
+        # tracemalloc sees every thread: the least of three reads ignores a
+        # stray allocation elsewhere in the process.
+        peak = min(role_read_peak(protocol) for _ in range(3))
+        assert peak <= role_read_peak(ConstantRole())
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "trapdoor",
+            "good-samaritan",
+            "uniform-wakeup",
+            "decay-wakeup",
+            "single-channel",
+            "round-robin",
+        ],
+    )
+    def test_state_name_is_role_value(self, name, make_context):
+        protocol = activated(name, make_context())
+        assert protocol.state_name == protocol.role.value == "contender"
+        leader = LeaderMessage(leader_uid=99, round_number=40)
+        protocol.on_reception(ReceptionOutcome(frequency=1, broadcast=False, message=leader))
+        assert protocol.state_name == protocol.role.value == "synchronized"
