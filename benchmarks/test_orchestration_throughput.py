@@ -11,9 +11,9 @@ session, in-worker reduction) removes that tax.
 
 Both paths must produce byte-identical store rows — asserted here — so the
 speedup is free.  Measured on the baseline machine: ~3.7x on the campaign
-grid and ~3x on the search generation (the pinned bench scenarios
-``campaign_many_small_cells`` / ``search_generation`` track the pooled path's
-absolute throughput across revisions; this test pins the *relative* win).
+grid and ~3x on the search generation (the ``service_mixed`` perfbench
+workload tracks pooled campaign and search jobs across revisions; this test
+pins the *relative* win).
 Wall-clock ratios on shared CI runners jitter, so the hard gate is
 deliberately loose and the emitted table records the real ratio.
 """

@@ -1,7 +1,8 @@
 """The telemetry overhead gate: disabled instrumentation costs ≤2%.
 
-The pinned bench scenarios (``trapdoor_n64_batch``,
-``campaign_many_small_cells`` — see ``repro.bench.scenarios``) must not get
+Two pinned scenarios — a 128-seed batch-kernel run (``trapdoor_n64_batch``)
+and a grid of small campaign cells on a 2-worker pool
+(``campaign_many_small_cells``), both defined below — must not get
 measurably slower because the telemetry subsystem exists.  "Measurably" is
 pinned three complementary ways, none of which depends on comparing two noisy
 wall-clock runs of the full scenario:
@@ -30,11 +31,17 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.bench.scenarios import resolve_scenarios
+from repro.adversary.activation import StaggeredActivation
+from repro.adversary.jammers import RandomJammer
 from repro.campaigns.runner import CampaignRunner
 from repro.campaigns.spec import CampaignSpec
 from repro.campaigns.store import ResultStore
+from repro.engine.batch import batchable, run_reduced_batch
+from repro.engine.observers import TraceLevel
 from repro.engine.plan import ExecutionPlan
+from repro.engine.simulator import SimulationConfig
+from repro.params import ModelParameters
+from repro.protocols.registry import protocol_factory
 from repro.telemetry import TELEMETRY_OFF, Telemetry
 from repro.telemetry.metrics import NULL_COUNTER, NULL_GAUGE, NULL_HISTOGRAM
 from repro.telemetry.spans import NULL_SPAN
@@ -45,7 +52,7 @@ OVERHEAD_BUDGET = 0.02
 #: Safety factor on the measured no-op cost (shared-machine noise insurance).
 SAFETY_FACTOR = 5.0
 
-#: The same grid as the ``campaign_many_small_cells`` bench scenario.
+#: The ``campaign_many_small_cells`` grid: 16 tiny trapdoor cells of 2 seeds.
 CAMPAIGN_SPEC_FIELDS = dict(
     protocols=("trapdoor",),
     workloads=("quiet_start",),
@@ -154,11 +161,21 @@ def test_batch_scenario_performs_zero_instrument_operations():
     layer, so its telemetry-off overhead is exactly zero — the strongest
     possible form of the ≤2% requirement for this scenario.
     """
-    [scenario] = resolve_scenarios("trapdoor_n64_batch")
+    config = SimulationConfig(
+        params=ModelParameters(frequencies=8, disruption_budget=3, participant_bound=64),
+        protocol_factory=protocol_factory("trapdoor"),
+        activation=StaggeredActivation(count=8, spacing=3),
+        adversary=RandomJammer(),
+        max_rounds=4_000,
+        seed=0,
+        stop_when_synchronized=False,
+        trace_level=TraceLevel.NONE,
+    )
+    assert batchable(config), "the pinned batch scenario must stay batchable"
     telemetry = Telemetry()
     # The scenario builds its own engine objects; nothing threads the handle
     # down because nothing in the called stack accepts one.
-    scenario.run()
+    run_reduced_batch(config, tuple(range(128)))
     snapshot = telemetry.snapshot()
     assert snapshot == {"counters": {}, "gauges": {}, "histograms": {}}
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import sqlite3
-from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Iterator, Mapping, Optional, Sequence
 
@@ -29,8 +28,8 @@ from repro.engine.pool import ReducedTrial
 from repro.exceptions import ConfigurationError, ExperimentError
 
 #: Version of the on-disk layout.  Bump on any incompatible schema change.
-#: (The additive ``bench_provenance`` table did not bump it: the table is
-#: created on open when missing, and older builds simply ignore it.)
+#: (Stores written by older builds may hold one more table, of benchmark
+#: rows; it is left in place, unread, so they still open as version 1.)
 STORE_SCHEMA_VERSION = 1
 
 _SCHEMA = """
@@ -62,13 +61,6 @@ CREATE TABLE IF NOT EXISTS trials (
     rounds_simulated INTEGER NOT NULL,
     stabilization_rounds INTEGER,
     PRIMARY KEY (cell_key, seed)
-);
-CREATE TABLE IF NOT EXISTS bench_provenance (
-    id           INTEGER PRIMARY KEY AUTOINCREMENT,
-    rev          TEXT NOT NULL,
-    scenario     TEXT NOT NULL,
-    recorded_utc TEXT NOT NULL,
-    payload_json TEXT NOT NULL
 );
 """
 
@@ -110,7 +102,7 @@ class ResultStore:
             self._connection.execute("PRAGMA synchronous=NORMAL")
         with self._connection:
             self._connection.executescript(_SCHEMA)
-            # Additive migration (no schema-version bump, like bench_provenance):
+            # Additive migration (no schema-version bump):
             # databases written before fault injection lack the
             # stabilization_rounds column; their rows read back as NULL, which
             # is exactly what fault-free trials store anyway.
@@ -364,44 +356,3 @@ class ResultStore:
     def cell_count(self, campaign: Optional[str] = None) -> int:
         """Number of completed cells (optionally restricted to a campaign)."""
         return len(self.completed_keys(campaign))
-
-    # -- bench provenance ------------------------------------------------
-
-    def record_bench_provenance(
-        self,
-        rev: str,
-        scenario: str,
-        payload: Mapping[str, Any],
-        recorded_utc: Optional[str] = None,
-    ) -> None:
-        """Append one benchmark-provenance row.
-
-        A provenance row ties results in this store (or alongside it) to the
-        ``repro bench`` run that produced or accompanied them: the repository
-        revision, the scenario name, and the scenario's measurement payload.
-        Rows are append-only, like trials.
-        """
-        if recorded_utc is None:
-            recorded_utc = datetime.now(timezone.utc).isoformat()
-        with self._connection:
-            self._connection.execute(
-                "INSERT INTO bench_provenance (rev, scenario, recorded_utc, payload_json)"
-                " VALUES (?, ?, ?, ?)",
-                (rev, scenario, recorded_utc, json.dumps(dict(payload), sort_keys=True)),
-            )
-
-    def bench_provenance(self) -> list[dict[str, Any]]:
-        """Every recorded bench-provenance row, oldest first."""
-        rows = self._connection.execute(
-            "SELECT rev, scenario, recorded_utc, payload_json FROM bench_provenance"
-            " ORDER BY id"
-        ).fetchall()
-        return [
-            {
-                "rev": row[0],
-                "scenario": row[1],
-                "recorded_utc": row[2],
-                "payload": json.loads(row[3]),
-            }
-            for row in rows
-        ]

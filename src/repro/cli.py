@@ -16,11 +16,6 @@ paper artefact inspected, without writing Python:
   strategies for a pinned configuration with a seeded optimizer, checkpointing
   every evaluation into the result store (kill and re-run to resume exactly),
   and export the best-found strategy as JSON;
-* ``python -m repro bench run|compare`` — time the pinned performance
-  scenarios (warmup/repeat/median, with machine calibration), write a
-  schema-versioned ``BENCH_<rev>.json``, and gate against the committed
-  ``benchmarks/baseline.json`` (nonzero exit on regression — the CI
-  ``perf-gate`` job);
 * ``python -m repro monitor watch`` — poll a live run's ``--status-file``
   snapshot or ``--monitor-port`` URL and print one progress line per poll
   until the run completes;
@@ -37,7 +32,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import subprocess
 import sys
 import time
 from dataclasses import replace
@@ -53,15 +47,6 @@ from repro.analysis.bounds import (
     theorem5_lower_bound,
     trapdoor_upper_bound,
 )
-from repro.bench.harness import run_bench
-from repro.bench.report import (
-    bench_run_to_dict,
-    compare_bench,
-    comparison_to_dict,
-    load_bench_json,
-    write_bench_json,
-)
-from repro.bench.scenarios import BENCH_SCENARIOS, resolve_scenarios
 from repro.campaigns.query import aggregate, export_campaign
 from repro.campaigns.runner import CampaignRunner
 from repro.campaigns.spec import CAMPAIGN_WORKLOADS, CampaignSpec, workload_with_adversary
@@ -124,22 +109,15 @@ def _int_list(text: str) -> tuple[int, ...]:
     return values
 
 
-def observability_options(include_monitor: bool = True) -> argparse.ArgumentParser:
+def observability_options() -> argparse.ArgumentParser:
     """The shared observability option group for executing subcommands.
 
-    One definition covers ``trials``, ``campaign run``, ``search run``,
-    ``serve``, and (telemetry flags only) ``bench run``, so every executing
-    command spells the flags identically and help text cannot drift.
-    Inspection subcommands (status/export/compare) execute nothing, so they
-    take none of these.
-
-    Parameters
-    ----------
-    include_monitor:
-        Also include the live-monitor flags (``--monitor-port``,
-        ``--status-file``, ``--monitor-interval``).  Either monitor flag
-        turns the monitor on; both compose.  ``repro monitor watch``
-        consumes what these produce.
+    One definition covers ``trials``, ``campaign run``, ``search run`` and
+    ``serve``, so every executing command spells the flags identically and
+    help text cannot drift.  Inspection subcommands (status/export) execute
+    nothing, so they take none of these.  Either live-monitor flag
+    (``--monitor-port``, ``--status-file``) turns the monitor on; both
+    compose, and ``repro monitor watch`` consumes what they produce.
     """
     parent = argparse.ArgumentParser(add_help=False)
     group = parent.add_argument_group("observability")
@@ -157,21 +135,20 @@ def observability_options(include_monitor: bool = True) -> argparse.ArgumentPars
         help="rotate the --telemetry JSONL once it would exceed this size "
              "(one .1 predecessor is kept; default: never rotate)",
     )
-    if include_monitor:
-        group.add_argument(
-            "--monitor-port", type=int, default=None, metavar="PORT",
-            help="serve live /status, /metrics, and /events on this local port "
-                 "while the run executes (0 = pick an ephemeral port)",
-        )
-        group.add_argument(
-            "--status-file", type=str, default=None, metavar="PATH",
-            help="atomically rewrite a JSON status snapshot here on every "
-                 "monitor tick (readable mid-run; marked final on completion)",
-        )
-        group.add_argument(
-            "--monitor-interval", type=float, default=1.0, metavar="SECONDS",
-            help="seconds between monitor snapshots (default: 1.0)",
-        )
+    group.add_argument(
+        "--monitor-port", type=int, default=None, metavar="PORT",
+        help="serve live /status, /metrics, and /events on this local port "
+             "while the run executes (0 = pick an ephemeral port)",
+    )
+    group.add_argument(
+        "--status-file", type=str, default=None, metavar="PATH",
+        help="atomically rewrite a JSON status snapshot here on every "
+             "monitor tick (readable mid-run; marked final on completion)",
+    )
+    group.add_argument(
+        "--monitor-interval", type=float, default=1.0, metavar="SECONDS",
+        help="seconds between monitor snapshots (default: 1.0)",
+    )
     return parent
 
 
@@ -189,7 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     observability = observability_options()
-    telemetry_options = observability_options(include_monitor=False)
 
     scenario = argparse.ArgumentParser(add_help=False)
     scenario.add_argument("--protocol", choices=sorted(PROTOCOLS), default="trapdoor")
@@ -370,52 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     srch_export.add_argument("--output", required=True, help="JSON file to write")
     srch_export.add_argument("--top", type=int, default=10,
                              help="how many top strategies to include")
-
-    bench = sub.add_parser(
-        "bench", help="run pinned performance scenarios and gate on a committed baseline"
-    )
-    bench_sub = bench.add_subparsers(dest="bench_command", required=True)
-
-    bench_run = bench_sub.add_parser(
-        "run",
-        parents=[telemetry_options],
-        help="time the benchmark scenarios and write BENCH_<rev>.json",
-    )
-    bench_run.add_argument(
-        "--scenarios", default="all",
-        help="'all', 'ci' (the pinned perf-gate subset), or a comma-separated "
-             f"list of: {', '.join(BENCH_SCENARIOS)}",
-    )
-    bench_run.add_argument("--repeats", type=int, default=3,
-                           help="timed repeats per scenario (the median is reported)")
-    bench_run.add_argument("--warmup", type=int, default=1,
-                           help="throwaway runs per scenario before timing")
-    bench_run.add_argument("--rev", default=None,
-                           help="revision label for the output (default: git short SHA, "
-                                "or 'local' outside a checkout)")
-    bench_run.add_argument("--output", default=None,
-                           help="output path (default: BENCH_<rev>.json)")
-    bench_run.add_argument("--json", action="store_true",
-                           help="also print the payload as JSON on stdout")
-    bench_run.add_argument("--store", default=None,
-                           help="optional campaign result store to record bench "
-                                "provenance rows into")
-
-    bench_cmp = bench_sub.add_parser(
-        "compare", help="compare a bench run against a committed baseline (exit 1 on regression)"
-    )
-    bench_cmp.add_argument("--baseline", required=True, help="baseline JSON (the committed one)")
-    bench_cmp.add_argument("--current", default=None,
-                           help="bench JSON to check (default: BENCH_<rev>.json for the "
-                                "current git revision)")
-    bench_cmp.add_argument("--tolerance", type=float, default=0.25,
-                           help="allowed fractional slowdown before the gate fails")
-    bench_cmp.add_argument("--metric", choices=["normalized_throughput", "throughput"],
-                           default="normalized_throughput",
-                           help="comparison metric (normalized is machine-independent)")
-    bench_cmp.add_argument("--json", action="store_true",
-                           help="print the machine-readable comparison on stdout "
-                                "(the human-readable table moves to stderr)")
 
     monitor = sub.add_parser(
         "monitor", help="watch a live run's status snapshot (file or URL)"
@@ -608,19 +538,13 @@ def _telemetry_from_args(args: argparse.Namespace) -> Optional[Telemetry]:
     ``--telemetry``, ``--metrics-out``, ``--monitor-port``, and
     ``--status-file`` all need a live registry; with none of them the return
     is ``None``, so call sites pass it straight through to the ``telemetry=``
-    parameters (which treat ``None`` as "off").  The monitor flags are read
-    with ``getattr`` because ``bench run`` shares the telemetry options but
-    not the monitor ones.
+    parameters (which treat ``None`` as "off").
     """
-    wants_monitor = (
-        getattr(args, "monitor_port", None) is not None
-        or getattr(args, "status_file", None) is not None
-    )
+    wants_monitor = args.monitor_port is not None or args.status_file is not None
     if args.telemetry is None and args.metrics_out is None and not wants_monitor:
         return None
     if args.telemetry is not None:
-        rotate = getattr(args, "telemetry_rotate_bytes", None)
-        return Telemetry(sink=JsonlSink(args.telemetry, max_bytes=rotate))
+        return Telemetry(sink=JsonlSink(args.telemetry, max_bytes=args.telemetry_rotate_bytes))
     return Telemetry()
 
 
@@ -661,26 +585,20 @@ def _monitor_from_args(
     return monitor
 
 
-def _finish_telemetry(
-    telemetry: Optional[Telemetry], args: argparse.Namespace, report=None
-) -> None:
+def _finish_telemetry(telemetry: Optional[Telemetry], args: argparse.Namespace) -> None:
     """Flush/close the event sink and write the ``--metrics-out`` snapshot."""
     if telemetry is None:
         return
-    if report is None:
-        # Resolved at call time, not definition time, so stdout redirection
-        # (including pytest's capture) is respected.
-        report = sys.stdout
     telemetry.close()
     if args.telemetry:
-        print(f"wrote telemetry events to {args.telemetry}", file=report)
+        print(f"wrote telemetry events to {args.telemetry}")
     if args.metrics_out:
         target = Path(args.metrics_out)
         if target.suffix == ".prom":
             write_prometheus_text(telemetry.registry, target)
         else:
             write_metrics_json(telemetry.registry, target)
-        print(f"wrote metrics snapshot to {target}", file=report)
+        print(f"wrote metrics snapshot to {target}")
 
 
 def _plan_from_args(args: argparse.Namespace) -> ExecutionPlan:
@@ -1016,112 +934,6 @@ def _search_export(args: argparse.Namespace, store: ResultStore) -> int:
     return 0
 
 
-def _git_rev() -> str:
-    """The short git revision of the working tree, or ``'local'`` without one."""
-    try:
-        completed = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            capture_output=True,
-            text=True,
-            timeout=10,
-            check=False,
-        )
-    except (OSError, subprocess.SubprocessError):
-        return "local"
-    rev = completed.stdout.strip()
-    return rev if completed.returncode == 0 and rev else "local"
-
-
-def _command_bench(args: argparse.Namespace) -> int:
-    handlers = {
-        "run": _bench_run,
-        "compare": _bench_compare,
-    }
-    return handlers[args.bench_command](args)
-
-
-def _bench_run(args: argparse.Namespace) -> int:
-    scenarios = resolve_scenarios(args.scenarios)
-    rev = args.rev if args.rev else _git_rev()
-    # With --json, stdout carries the payload alone (pipe-friendly, like the
-    # other --json subcommands); the human-readable report moves to stderr.
-    report = sys.stderr if args.json else sys.stdout
-    print(f"bench     : {len(scenarios)} scenario(s), {args.repeats} repeat(s), "
-          f"{args.warmup} warmup, rev {rev}", file=report)
-    telemetry = _telemetry_from_args(args)
-    run = run_bench(
-        scenarios, rev=rev, repeats=args.repeats, warmup=args.warmup, telemetry=telemetry
-    )
-    payload = bench_run_to_dict(run)
-    rows = [
-        {
-            "scenario": name,
-            "unit": entry["unit"],
-            "work": entry["units"],
-            "median_s": entry["median_seconds"],
-            "throughput": entry["throughput"],
-            "normalized": entry["normalized_throughput"],
-        }
-        for name, entry in payload["scenarios"].items()
-    ]
-    print(file=report)
-    print(render_table(rows, title=f"Bench {rev} — median of {args.repeats} repeat(s)",
-                       float_digits=4), file=report)
-    output = args.output if args.output else f"BENCH_{rev}.json"
-    path = write_bench_json(run, output)
-    print(f"\nwrote bench JSON to {path}", file=report)
-    if args.store:
-        with ResultStore(args.store) as store:
-            for name, entry in payload["scenarios"].items():
-                store.record_bench_provenance(rev=rev, scenario=name, payload=entry)
-        print(f"recorded {len(payload['scenarios'])} provenance row(s) in {args.store}",
-              file=report)
-    _finish_telemetry(telemetry, args, report=report)
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    return 0
-
-
-def _bench_compare(args: argparse.Namespace) -> int:
-    current_path = args.current if args.current else f"BENCH_{_git_rev()}.json"
-    if not Path(current_path).exists():
-        print(f"no current bench file at {current_path}; run `repro bench run` first "
-              "or pass --current", file=sys.stderr)
-        return 2
-    current = load_bench_json(current_path)
-    baseline = load_bench_json(args.baseline)
-    comparison = compare_bench(
-        current, baseline, tolerance=args.tolerance, metric=args.metric
-    )
-    # With --json, stdout carries the machine-readable verdict alone (CI
-    # redirects it into the uploaded gate artifact); the table moves to stderr.
-    report = sys.stderr if args.json else sys.stdout
-    rows = [
-        {
-            "scenario": entry.scenario,
-            "baseline": entry.baseline,
-            "current": entry.current,
-            "ratio": entry.ratio,
-            "verdict": entry.note,
-        }
-        for entry in comparison.entries
-    ]
-    print(render_table(
-        rows,
-        title=(f"Bench compare — {args.metric}, tolerance {args.tolerance:.0%} "
-               f"({current_path} vs {args.baseline})"),
-        float_digits=4,
-    ), file=report)
-    if args.json:
-        print(json.dumps(comparison_to_dict(comparison), indent=2, sort_keys=True))
-    if comparison.ok:
-        print("\nperf gate : OK (no scenario regressed beyond the tolerance)", file=report)
-        return 0
-    names = ", ".join(entry.scenario for entry in comparison.regressions)
-    print(f"\nperf gate : FAILED — regressed scenario(s): {names}", file=sys.stderr)
-    return 1
-
-
 def _command_monitor(args: argparse.Namespace) -> int:
     handlers = {
         "watch": _monitor_watch,
@@ -1356,7 +1168,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "trials": _command_trials,
         "campaign": _command_campaign,
         "search": _command_search,
-        "bench": _command_bench,
         "monitor": _command_monitor,
         "serve": _command_serve,
         "client": _command_client,

@@ -61,9 +61,8 @@ chunk at dispatch (``chunk-dispatched`` events, the in-flight gauge,
 scalar/batch counters), campaign runners open spans around the phases that
 *surround* execution (``campaign.run`` > ``campaign.cell`` >
 ``campaign.execute`` / ``campaign.commit``; on a pool ``campaign.execute`` is
-the wait for the cell's rows), the search wraps each live candidate in
-``search.evaluate``, and the bench harness wraps each timed scenario in
-``bench.scenario``.  Workers send back only a plain
+the wait for the cell's rows), and the search wraps each live candidate in
+``search.evaluate``.  Workers send back only a plain
 :class:`~repro.telemetry.metrics.WorkerStatsDelta` per chunk, and no span or
 instrument call is ever made per simulated round — the round loops in
 :mod:`repro.engine.simulator` / :mod:`repro.engine.batch` are untouched

@@ -315,8 +315,8 @@ def execution_digest(result: SimulationResult) -> str:
     """A stable SHA-256 hex digest of :func:`execution_digest_dict`.
 
     Stable across processes and Python versions (canonical JSON, sorted keys),
-    so recorded digests can serve as golden values for engine-equivalence
-    tests and for the bench subsystem's work-determinism checks.
+    so recorded digests can serve as golden values for the engine-equivalence
+    tests.
     """
     canonical = json.dumps(
         execution_digest_dict(result), sort_keys=True, separators=(",", ":")

@@ -6,7 +6,7 @@ registry (:mod:`repro.telemetry.metrics`), and nestable timing spans
 (:mod:`repro.telemetry.spans`) — behind a single object that the CLI threads
 down through :class:`~repro.engine.pool.ExecutionPool`,
 :class:`~repro.campaigns.runner.CampaignRunner`,
-:class:`~repro.search.runner.StrategySearch`, and the bench harness.
+:class:`~repro.search.runner.StrategySearch`, and the job service.
 
 Two invariants the rest of the stack leans on:
 
@@ -28,7 +28,8 @@ Two invariants the rest of the stack leans on:
   allocation, no locking, no I/O per call.  Instrumentation sits at
   orchestration boundaries (per chunk, per cell, per evaluation — never per
   simulated round), and ``benchmarks/test_telemetry_overhead.py`` gates the
-  combined per-call × call-count budget at ≤2% of the pinned bench scenarios.
+  combined per-call × call-count budget at ≤2% of a small pooled campaign's
+  runtime.
 """
 
 from __future__ import annotations

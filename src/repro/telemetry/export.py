@@ -4,7 +4,7 @@ Two renderings of one :class:`~repro.telemetry.metrics.MetricsRegistry`:
 
 * :func:`registry_snapshot` — a plain JSON-serializable dict (counters,
   gauges, histograms keyed by name) that ``--metrics-out`` writes and the
-  bench harness embeds into ``BENCH_<rev>.json``;
+  live monitor serves;
 * :func:`render_prometheus` — the Prometheus text exposition format
   (version 0.0.4), ready to serve from a ``/metrics`` endpoint or push
   through a file-based textfile collector.  Dotted internal names map to

@@ -184,6 +184,48 @@ class TestStore:
         with pytest.raises(ConfigurationError, match="schema version 999"):
             ResultStore(path)
 
+    def test_store_with_the_legacy_benchmark_table_still_opens(self, tmp_path):
+        """Stores written by builds that kept benchmark rows open unchanged.
+
+        Those builds added one more table on open; the rows stay where they
+        are (no migration) and nothing reads them.
+        """
+        path = tmp_path / "store.db"
+        first = TrialRecord(seed=0, synchronized=True, agreement=True, safety=True,
+                            leader_count=1, max_sync_latency=10, rounds_simulated=10)
+        with ResultStore(path) as store:
+            store.record_cell("c", "k1", {"x": 1}, [first])
+            cells = list(store.iter_cells())
+        connection = sqlite3.connect(path)
+        with connection:
+            connection.execute(
+                "CREATE TABLE IF NOT EXISTS bench_provenance ("
+                " id INTEGER PRIMARY KEY AUTOINCREMENT, rev TEXT NOT NULL,"
+                " scenario TEXT NOT NULL, recorded_utc TEXT NOT NULL,"
+                " payload_json TEXT NOT NULL)"
+            )
+            connection.execute(
+                "INSERT INTO bench_provenance (rev, scenario, recorded_utc, payload_json)"
+                " VALUES ('abc123', 't', '2024-01-01T00:00:00+00:00', '{\"units\": 2}')"
+            )
+        connection.close()
+
+        second = dataclasses.replace(first, seed=1, max_sync_latency=12)
+        with ResultStore(path) as reopened:
+            assert list(reopened.iter_cells()) == cells
+            assert reopened.record_cell("c", "k2", {"x": 2}, [second])
+        with ResultStore(path) as reopened:
+            assert [key for key, _, _ in reopened.iter_cells()] == ["k1", "k2"]
+            assert reopened.trial_records("k2") == (second,)
+        connection = sqlite3.connect(path)
+        try:
+            legacy = connection.execute(
+                "SELECT rev, scenario, payload_json FROM bench_provenance"
+            ).fetchall()
+        finally:
+            connection.close()
+        assert legacy == [("abc123", "t", '{"units": 2}')]
+
     def test_campaign_reregistration_with_different_spec_raises(self, tmp_path):
         store = ResultStore(tmp_path / "store.db")
         store.register_campaign("c", tiny_spec().to_json())

@@ -694,26 +694,3 @@ class TestCli:
         ])
         snapshot = json.loads(metrics.read_text(encoding="utf-8"))
         assert snapshot["counters"]["search.evaluations_executed"] > 0
-
-
-class TestBenchInstrumentation:
-    def test_bench_run_embeds_snapshot_only_when_live(self):
-        from repro.bench.harness import run_bench
-        from repro.bench.report import bench_run_to_dict
-        from repro.bench.scenarios import resolve_scenarios
-
-        scenarios = resolve_scenarios("trapdoor_n64_trace_free")
-        plain = run_bench(scenarios, rev="test", repeats=1, warmup=0)
-        assert plain.telemetry_snapshot is None
-        assert "telemetry" not in bench_run_to_dict(plain)
-
-        telemetry = Telemetry()
-        instrumented = run_bench(
-            scenarios, rev="test", repeats=1, warmup=0, telemetry=telemetry
-        )
-        assert instrumented.telemetry_snapshot is not None
-        payload = bench_run_to_dict(instrumented)
-        assert payload["telemetry"]["histograms"]["span.bench.scenario.seconds"]["count"] == 1
-        assert payload["telemetry"]["histograms"]["bench.median_seconds"]["count"] == 1
-        # Timings themselves are unaffected by where the snapshot rides.
-        assert set(payload["scenarios"]) == {"trapdoor_n64_trace_free"}
