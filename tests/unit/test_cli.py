@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.cli import JAMMERS, PROTOCOLS, build_parser, main
+from repro.cli import JAMMERS, PROTOCOLS, _telemetry_from_args, build_parser, main
 
 
 class TestParser:
@@ -26,6 +26,70 @@ class TestParser:
         args = build_parser().parse_args(["simulate", "--protocol", "uniform-wakeup", "--jammer", "sweep"])
         assert args.protocol == "uniform-wakeup"
         assert args.jammer == "sweep"
+
+    def test_bench_is_not_a_command(self, capsys):
+        with pytest.raises(SystemExit) as stop:
+            main(["bench", "run"])
+        assert stop.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+
+#: Every subcommand that executes trials, with its required options.
+EXECUTING_COMMANDS = {
+    "trials": ["trials"],
+    "campaign-run": ["campaign", "run", "--store", "s.db"],
+    "search-run": ["search", "run", "--store", "s.db"],
+    "serve": ["serve", "--run-dir", "run"],
+}
+
+OBSERVABILITY_FLAGS = [
+    "--telemetry", "events.jsonl", "--metrics-out", "metrics.prom",
+    "--telemetry-rotate-bytes", "4096", "--monitor-port", "0",
+    "--status-file", "status.json", "--monitor-interval", "0.5",
+]
+
+
+class TestObservabilityOptions:
+    @pytest.mark.parametrize(
+        "command", list(EXECUTING_COMMANDS.values()), ids=list(EXECUTING_COMMANDS)
+    )
+    def test_every_executing_command_takes_every_flag(self, command):
+        args = build_parser().parse_args(command + OBSERVABILITY_FLAGS)
+        assert (args.telemetry, args.metrics_out, args.telemetry_rotate_bytes) == (
+            "events.jsonl", "metrics.prom", 4096,
+        )
+        assert (args.monitor_port, args.status_file, args.monitor_interval) == (
+            0, "status.json", 0.5,
+        )
+
+    def test_inspection_commands_take_none(self, capsys):
+        for command in (
+            ["campaign", "status", "--store", "s.db"],
+            ["campaign", "export", "--store", "s.db", "--output", "out.json"],
+            ["search", "status", "--store", "s.db"],
+            ["search", "export", "--store", "s.db", "--output", "out.json"],
+        ):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(command + ["--metrics-out", "metrics.json"])
+            assert "unrecognized arguments: --metrics-out" in capsys.readouterr().err
+
+    def test_no_flag_means_no_telemetry(self):
+        for command in EXECUTING_COMMANDS.values():
+            assert _telemetry_from_args(build_parser().parse_args(command)) is None
+
+    def test_any_flag_makes_a_live_handle(self, tmp_path):
+        for flags in (
+            ["--metrics-out", "metrics.json"],
+            ["--monitor-port", "0"],
+            ["--status-file", "status.json"],
+        ):
+            telemetry = _telemetry_from_args(build_parser().parse_args(["trials", *flags]))
+            assert telemetry is not None and telemetry.sink is None
+        events = tmp_path / "events.jsonl"
+        args = build_parser().parse_args(["trials", "--telemetry", str(events)])
+        with _telemetry_from_args(args) as telemetry:
+            assert telemetry.sink.path == events
+        assert telemetry.sink.closed
 
 
 class TestSimulateCommand:

@@ -1,12 +1,17 @@
 """The benchmark gate's verdicts (``benchmarks/perf_gate.py``) on synthetic reports.
 
-The gate script is loaded by path and fed hand-made perfbench reports; no
-perfbench run happens here.
+The gate script is loaded by path and fed hand-made perfbench reports, fake
+``perfbench/run.py`` scripts and throwaway git repositories; the real
+perfbench never runs here.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import json
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -127,3 +132,229 @@ def test_one_verdict_per_workload_and_metric():
     ]
     assert {v["verdict"] for v in verdicts} == {"ok"}
     assert all(gate.describe(v).endswith("ok") for v in verdicts)
+
+
+class TestSpread:
+    def test_no_values_have_no_median(self):
+        assert gate.spread([]) == (None, None)
+
+    def test_one_value_or_a_zero_median_has_zero_spread(self):
+        assert gate.spread([5.0]) == (5.0, 0.0)
+        assert gate.spread([0.0, 0.0, 1.0]) == (0.0, 0.0)
+
+    def test_iqr_uses_inclusive_quartiles(self):
+        median, ratio = gate.spread([5.0, 1.0, 4.0, 2.0, 3.0])
+        assert median == 3.0
+        assert ratio == pytest.approx((4.0 - 2.0) / 3.0)
+
+
+def fake_perfbench(root: Path, body: str) -> Path:
+    """A checkout whose ``perfbench/run.py`` is ``body`` (sees the real argv)."""
+    script = root / "perfbench" / "run.py"
+    script.parent.mkdir(parents=True)
+    script.write_text("import json, sys\n" + textwrap.dedent(body))
+    return root
+
+
+class TestRunPerfbench:
+    def test_the_report_is_the_last_stdout_line(self, tmp_path):
+        root = fake_perfbench(tmp_path, """
+            print("warming up")
+            print(json.dumps({"argv": sys.argv[1:], "failed": 0, "metrics": {}}))
+        """)
+        assert gate.run_perfbench(root, "scalar_sweep") == {
+            "argv": ["--workload", "scalar_sweep"], "failed": 0, "metrics": {},
+        }
+
+    def test_a_nonzero_exit_without_failed_operations_has_no_report(self, tmp_path):
+        root = fake_perfbench(tmp_path, """
+            print(json.dumps({"failed": 0, "metrics": {}}))
+            sys.exit(3)
+        """)
+        assert gate.run_perfbench(root, "w") is None
+
+    def test_a_nonzero_exit_with_failed_operations_keeps_its_report(self, tmp_path, capsys):
+        root = fake_perfbench(tmp_path, """
+            print("digest mismatch", file=sys.stderr)
+            print(json.dumps({"failed": 2, "metrics": {}}))
+            sys.exit(1)
+        """)
+        assert gate.run_perfbench(root, "w") == {"failed": 2, "metrics": {}}
+        assert "digest mismatch" in capsys.readouterr().err
+
+    def test_a_crash_before_the_report_has_no_report(self, tmp_path, capsys):
+        root = fake_perfbench(tmp_path, 'raise SystemExit("setup blew up")\n')
+        assert gate.run_perfbench(root, "w") is None
+        assert "setup blew up" in capsys.readouterr().err
+
+    def test_a_last_line_that_is_not_json_is_no_report(self, tmp_path):
+        root = fake_perfbench(tmp_path, 'print("done")\n')
+        assert gate.run_perfbench(root, "w") is None
+
+
+def git_commit(repo: Path, text: str) -> None:
+    (repo / "BENCHMARK.json").write_text(text)
+    subprocess.run(["git", "add", "-A"], cwd=repo, check=True)
+    subprocess.run(
+        ["git", "-c", "user.name=gate", "-c", "user.email=gate@example.com",
+         "-c", "commit.gpgsign=false", "commit", "-q", "-m", text],
+        cwd=repo, check=True,
+    )
+
+
+class TestExtract:
+    @pytest.fixture
+    def repo(self, tmp_path, monkeypatch):
+        repo = tmp_path / "repo"
+        repo.mkdir()
+        subprocess.run(["git", "init", "-q"], cwd=repo, check=True)
+        git_commit(repo, "v1")
+        git_commit(repo, "v2")
+        (repo / "BENCHMARK.json").write_text("uncommitted")
+        monkeypatch.setattr(gate, "ROOT", repo)
+        return repo
+
+    def test_writes_the_committed_tree_of_the_revision(self, repo, tmp_path):
+        for rev, expected in (("HEAD~1", "v1"), ("HEAD", "v2")):
+            into = tmp_path / rev
+            into.mkdir()
+            gate.extract(rev, into)
+            assert (into / "BENCHMARK.json").read_text() == expected
+
+    def test_an_unknown_revision_raises(self, repo, tmp_path):
+        with pytest.raises(RuntimeError, match="could not extract"):
+            gate.extract("no-such-revision", tmp_path)
+
+
+def bench(workloads: list, metrics: list) -> dict:
+    """A ``BENCHMARK.json`` with the fields the gate reads."""
+    return {"workloads": [{"name": w} for w in workloads], "end_to_end": metrics}
+
+
+def gate_args(monkeypatch, *argv: str) -> None:
+    monkeypatch.setattr(sys, "argv", ["perf_gate.py", *argv])
+
+
+class TestMain:
+    """``main`` on hand-made checkouts: no git command and no perfbench run."""
+
+    @pytest.fixture
+    def run_gate(self, tmp_path, monkeypatch):
+        head = tmp_path / "head"
+        head.mkdir()
+        output = tmp_path / "gate.json"
+        calls = []
+
+        def fake_git(*args):
+            if args[0] == "status":
+                return ""
+            return "b" * 40 if "--verify" in args else "h" * 40
+
+        def run(base_bench, head_bench, value):
+            """``value(side, workload, index)`` is one run's metric value.
+
+            ``None`` is a run without a report and a negative value a run that
+            reports failed operations.  Returns the exit code, the written
+            summary and the ``(side, workload)`` order of the runs.
+            """
+            (head / "BENCHMARK.json").write_text(json.dumps(head_bench))
+
+            def fake_extract(rev, into):
+                assert rev == "b" * 40
+                (into / "BENCHMARK.json").write_text(json.dumps(base_bench))
+
+            def fake_run(root, workload):
+                side = "head" if root == head else "base"
+                index = calls.count((side, workload))
+                calls.append((side, workload))
+                x = value(side, workload, index)
+                if x is None:
+                    return None
+                metrics = {m["name"]: {"value": x} for m in head_bench["end_to_end"]}
+                return {"failed": 1 if x < 0 else 0, "metrics": metrics}
+
+            monkeypatch.setattr(gate, "ROOT", head)
+            monkeypatch.setattr(gate, "git", fake_git)
+            monkeypatch.setattr(gate, "extract", fake_extract)
+            monkeypatch.setattr(gate, "run_perfbench", fake_run)
+            gate_args(monkeypatch, "--base", "main", "--output", str(output))
+            code = gate.main()
+            return code, json.loads(output.read_text()), calls
+
+        return run
+
+    def test_identical_sides_pass_and_write_the_summary(self, run_gate, capsys):
+        both = bench(["a", "b"], [RATE, LATENCY])
+        code, summary, _ = run_gate(both, both, lambda side, workload, index: 100.0)
+        assert code == 0
+        assert summary["base"] == "b" * 40 and summary["head"] == "h" * 40
+        assert summary["pairs"] == gate.PAIRS
+        assert summary["passed"] is True
+        assert summary["failed_runs"] == {"base": 0, "head": 0}
+        assert [v["verdict"] for v in summary["verdicts"]] == ["ok"] * 4
+        lines = capsys.readouterr().out.splitlines()
+        assert len([line for line in lines if "is better" in line]) == 4
+        assert lines[-1].startswith("perf gate passed")
+
+    def test_a_regression_fails_with_exit_code_one(self, run_gate, capsys):
+        both = bench(["a"], [RATE])
+        code, summary, _ = run_gate(
+            both, both, lambda side, workload, index: 70.0 if side == "head" else 100.0
+        )
+        assert code == 1
+        assert summary["passed"] is False
+        [only] = summary["verdicts"]
+        assert only["verdict"] == "worse" and only["change"] == pytest.approx(-0.3)
+        assert capsys.readouterr().out.splitlines()[-1].startswith("perf gate FAILED")
+
+    def test_only_workloads_and_metrics_both_sides_list_are_run_and_gated(self, run_gate):
+        base = bench(["a", "gone"], [RATE])
+        head = bench(["a", "new"], [RATE, LATENCY])
+        _, summary, calls = run_gate(base, head, lambda side, workload, index: 100.0)
+        assert {workload for _, workload in calls} == {"a"}
+        assert [(v["workload"], v["metric"]) for v in summary["verdicts"]] == [
+            ("a", "rounds_per_s"),
+        ]
+
+    def test_the_side_that_runs_first_alternates_from_pair_to_pair(self, run_gate):
+        both = bench(["a", "b"], [RATE])
+        _, _, calls = run_gate(both, both, lambda side, workload, index: 100.0)
+        assert calls[:4] == [("base", "a"), ("head", "a"), ("base", "b"), ("head", "b")]
+        assert calls[4:8] == [("head", "a"), ("base", "a"), ("head", "b"), ("base", "b")]
+        assert len(calls) == 2 * 2 * gate.PAIRS
+        assert all(calls.count(call) == gate.PAIRS for call in calls)
+
+    def test_a_failed_base_run_is_counted_and_does_not_fail_the_gate(self, run_gate):
+        both = bench(["a"], [RATE])
+        code, summary, _ = run_gate(
+            both, both, lambda side, _, index: None if (side, index) == ("base", 0) else 100.0
+        )
+        assert code == 0
+        assert summary["passed"] is True
+        assert summary["failed_runs"] == {"base": 1, "head": 0}
+        assert [v["verdict"] for v in summary["verdicts"]] == ["base-failed"]
+
+    def test_a_head_run_with_failed_operations_fails_the_gate(self, run_gate):
+        both = bench(["a"], [RATE])
+        code, summary, _ = run_gate(
+            both, both, lambda side, _, index: -1.0 if (side, index) == ("head", 2) else 100.0
+        )
+        assert code == 1
+        assert summary["failed_runs"] == {"base": 0, "head": 1}
+        assert [v["verdict"] for v in summary["verdicts"]] == ["head-failed"]
+
+    @pytest.mark.parametrize(
+        "extra", [["--seconds", "5"], ["--pairs", "5"]], ids=["seconds", "pairs"]
+    )
+    def test_only_base_and_output_are_options(self, monkeypatch, extra):
+        gate_args(monkeypatch, "--base", "main", "--output", "gate.json", *extra)
+        with pytest.raises(SystemExit) as stop:
+            gate.main()
+        assert stop.value.code == 2
+
+    def test_base_and_output_are_required(self, monkeypatch):
+        for argv in (["--base", "main"], ["--output", "gate.json"]):
+            gate_args(monkeypatch, *argv)
+            with pytest.raises(SystemExit) as stop:
+                gate.main()
+            assert stop.value.code == 2
