@@ -4,8 +4,9 @@ Dolev, Gilbert, Guerraoui, Kuhn, Newport (PODC 2009) study how devices that
 wake up at different times on a jammed, multi-frequency radio band can agree
 on a global round numbering.  This package implements the paper's model, its
 two protocols (Trapdoor and Good Samaritan), the baselines they are measured
-against, the analytical machinery of the lower bounds, and an experiment
-harness that regenerates every figure and theorem-shaped result.
+against, the analytical machinery of the lower bounds, and resumable
+campaigns and adversary searches over a persistent result store; the
+benchmarks regenerate every figure and theorem-shaped result.
 
 Quick start::
 

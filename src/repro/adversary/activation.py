@@ -48,10 +48,10 @@ class ActivationSchedule(abc.ABC):
     def identity(self) -> str:
         """A stable string pinning down the schedule's behaviour.
 
-        Used to content-hash sweep points into campaign-store keys.  Every
-        built-in schedule is a dataclass, so the repr covers all its fields;
-        a non-dataclass subclass must override this if ``describe()`` does
-        not determine when each node wakes up.
+        Identical across processes, and different whenever the schedule
+        behaves differently.  Every built-in schedule is a dataclass, so the
+        repr covers all its fields; a non-dataclass subclass must override
+        this if ``describe()`` does not determine when each node wakes up.
         """
         if dataclasses.is_dataclass(self):
             return f"{type(self).__qualname__}: {self!r}"

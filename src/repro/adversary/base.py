@@ -78,9 +78,9 @@ class InterferenceAdversary(abc.ABC):
     def identity(self) -> str:
         """A stable string pinning down the adversary's behaviour.
 
-        Used to content-hash sweep points into campaign-store keys, so it
-        must be identical across processes and must change whenever the
-        adversary's behaviour changes.  Dataclass adversaries are fully
+        It must be identical across processes and must change whenever the
+        adversary's behaviour changes, so it can stand in for the adversary
+        wherever a stable key is needed.  Dataclass adversaries are fully
         captured by their repr; non-dataclass adversaries whose
         ``describe()`` does not determine their behaviour must override this
         (see :class:`~repro.adversary.oblivious.ObliviousSchedule`).

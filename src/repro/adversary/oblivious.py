@@ -54,8 +54,8 @@ class ObliviousSchedule(InterferenceAdversary):
         """Content digest of the pre-committed schedule.
 
         Two schedules of the same length but different disruption sets must
-        hash to different campaign-store keys, so the identity covers the
-        actual per-round sets, not just the length.
+        have different identities, so the identity covers the actual
+        per-round sets, not just the length.
         """
         digest = hashlib.sha256()
         for entry in self._schedule:

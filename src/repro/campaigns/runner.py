@@ -8,16 +8,17 @@ resumes exactly where it stopped, and — because every execution derives all
 randomness from its own seed — the resumed results are bit-identical to an
 uninterrupted run.
 
-One loop executes every run, cell by cell in grid order.  Serially each cell
-runs in-process when the loop reaches it.  With a parallel plan (or an
-explicit ``pool=``) *every pending cell's* trials are submitted up front to
+:func:`run_missing` is that diff-and-execute step, and the strategy search
+runs each generation through it too.  Serially each missing item runs
+in-process when its rows are requested.  With a parallel plan (or an
+explicit ``pool=``) *every missing item's* trials are submitted up front to
 one persistent :class:`~repro.engine.pool.ExecutionPool`: work is dispatched
 in chunks (template-and-delta pickling), workers reduce each trial to the
 scalars the store persists before anything crosses the process boundary, and
-the loop commits each cell — atomically, exactly as in the serial path — as
-soon as its rows are in.  The rows come through the pool's own retrying
-drain, so a worker crash re-dispatches the outstanding chunks within the
-pool's ``crash_retries`` instead of failing the run, and a run stopped early
+the caller commits each item — atomically, exactly as in the serial path — as
+soon as its rows are in.  The rows come through the pool's own retrying drain, so a
+worker crash re-dispatches the outstanding chunks within the pool's
+``crash_retries`` instead of failing the run, and a run stopped early
 cancels the chunks no worker has started.  One pool serves the whole run, and
 survives across ``run`` invocations, so a grid of ten thousand small cells
 pays pool spin-up once instead of ten thousand times.  None of this changes
@@ -42,6 +43,8 @@ from repro.engine.pool import (
     warn_serial_fallback,
 )
 from repro.engine.runner import run_reduced_trials
+from repro.engine.simulator import SimulationConfig
+from repro.exceptions import ConfigurationError
 from repro.telemetry import Telemetry, as_telemetry
 from repro.telemetry.events import (
     CampaignCompleted,
@@ -51,6 +54,67 @@ from repro.telemetry.events import (
 )
 
 logger = logging.getLogger("repro.campaigns.runner")
+
+
+def check_run_cap(cap: Optional[int], name: str) -> None:
+    """Refuse a per-invocation work cap below 1 (``None`` means no cap).
+
+    Shared by both runners' ``run`` (before they write anything) and the CLI.
+    """
+    if cap is not None and cap < 1:
+        raise ConfigurationError(f"{name} must be at least 1, got {cap}")
+
+
+def run_missing(
+    store: ResultStore,
+    campaign: str,
+    keys: Sequence[str],
+    job: Callable[[int], tuple[SimulationConfig, Sequence[int]]],
+    *,
+    limit: Optional[int],
+    pool: Optional[ExecutionPool],
+    plan: ExecutionPlan,
+    telemetry: Telemetry,
+) -> tuple[set[str], list[int], Generator[Sequence[ReducedTrial], None, None]]:
+    """One batch of the store-backed cycle: look up, claim, start what is missing.
+
+    Claims for ``campaign``, in one call, every key the store already holds
+    (one indexed lookup per distinct key), so reused work shows in its
+    status and exports.  Runs the first occurrence of each missing key, at
+    most ``limit`` of them, as ``job(index)``'s ``(template, seeds)`` at
+    :attr:`TraceLevel.NONE`.  Returns the stored keys, the input indices
+    that run, and a generator of their rows in that order.  The caller
+    records each item as its rows arrive and closes the generator when
+    done; closing it early cancels the chunks no worker has started.
+    """
+    stored = [key for key in dict.fromkeys(keys) if store.has_cell(key)]
+    if stored:
+        store.add_cells_to_campaign(campaign, stored)
+    held = set(stored)
+    first: dict[str, int] = {}
+    for index, key in enumerate(keys):
+        if key not in held:
+            first.setdefault(key, index)
+    to_run = list(first.values())[:limit]
+    jobs = [
+        (replace(template, trace_level=TraceLevel.NONE), seeds)
+        for template, seeds in map(job, to_run)
+    ]
+    if pool is not None and jobs and not payload_is_picklable(jobs[0][0]):
+        # Closure-built workload parts cannot reach the workers.  Run them
+        # in-process, so each item still commits before the next runs,
+        # instead of letting the pool's submission run them all up front.
+        warn_serial_fallback(stacklevel=3, telemetry=telemetry)
+        pool = None
+    rows: Generator[Sequence[ReducedTrial], None, None]
+    if pool is not None:
+        rows = pool.iter_reduced(jobs, batch=plan.batch)
+    else:
+        rows = (
+            run_reduced_trials(template, seeds=seeds, trace_level=None, plan=plan.serial())
+            for template, seeds in jobs
+        )
+    return held, to_run, rows
 
 
 @dataclass(frozen=True)
@@ -99,11 +163,6 @@ class CampaignRunner:
         The declarative grid to complete.
     store:
         The persistent store holding completed cells.
-    trace_level:
-        Per-trial trace retention.  Campaign cells persist only summary
-        scalars, so the default is :attr:`TraceLevel.NONE` — memory stays
-        flat no matter how large the grid is (workers reduce trials to those
-        scalars before returning them).
     pool:
         Optional externally owned :class:`~repro.engine.pool.ExecutionPool`
         to share with other subsystems (e.g. one pool across several
@@ -136,7 +195,6 @@ class CampaignRunner:
         spec: CampaignSpec,
         store: ResultStore,
         *,
-        trace_level: TraceLevel = TraceLevel.NONE,
         pool: Optional[ExecutionPool] = None,
         telemetry: Optional[Telemetry] = None,
         plan: Optional[ExecutionPlan] = None,
@@ -144,7 +202,6 @@ class CampaignRunner:
         self._spec = spec
         self._store = store
         self._plan = plan or ExecutionPlan()
-        self._trace_level = trace_level
         self._batch = self._plan.batch
         self._telemetry = as_telemetry(telemetry)
         self._owns_pool = pool is None and self._plan.parallel
@@ -196,11 +253,6 @@ class CampaignRunner:
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
-    def pending_cells(self) -> list[CampaignCell]:
-        """The spec's cells whose keys the store does not hold yet, in grid order."""
-        completed = self._store.completed_keys()
-        return [cell for cell in self._spec.cells() if cell.key not in completed]
-
     def status(self) -> CampaignProgress:
         """Current completion state without executing anything."""
         cells = self._spec.cells()
@@ -223,8 +275,9 @@ class CampaignRunner:
         Parameters
         ----------
         max_cells:
-            Optional cap on how many cells to execute in this invocation —
-            the campaign can be completed incrementally across invocations.
+            Optional cap, at least 1, on how many cells to execute in this
+            invocation — the campaign can be completed incrementally across
+            invocations.  Cells the store already holds are free.
         on_cell:
             Optional callback invoked after each cell commits, with the cell
             and the progress so far (used by the CLI for live status lines).
@@ -238,31 +291,30 @@ class CampaignRunner:
         CampaignProgress
             What happened: reused vs executed vs still remaining.
         """
+        check_run_cap(max_cells, "max_cells")
         self._spec.validate_workloads()
         self._store.register_campaign(self._spec.name, self._spec.to_json())
         cells = self._spec.cells()
-        pending = self.pending_cells()
-        pending_keys = {cell.key for cell in pending}
-        # Cells another campaign already completed are reused, but this
-        # campaign must *claim* them so its own status/aggregates see them.
-        self._store.add_cells_to_campaign(
-            self._spec.name, [cell.key for cell in cells if cell.key not in pending_keys]
+        stored, to_run, rows = run_missing(
+            self._store, self._spec.name, [cell.key for cell in cells],
+            lambda index: (cells[index].config(), cells[index].seeds),
+            limit=max_cells, pool=self._pool, plan=self._plan, telemetry=self._telemetry,
         )
-        to_run = pending if max_cells is None else pending[:max_cells]
-        reused = len(cells) - len(pending)
+        pending = sum(1 for cell in cells if cell.key not in stored)
+        reused = len(cells) - pending
         self._metric_total.set(len(cells))
         self._metric_reused.inc(reused)
         started = time.perf_counter()
         if self._telemetry.enabled:
             logger.info(
                 "campaign %s: %d cells total, %d pending, %d reused",
-                self._spec.name, len(cells), len(pending), reused,
+                self._spec.name, len(cells), pending, reused,
             )
             self._telemetry.emit(
                 CampaignStarted(
                     campaign=self._spec.name,
                     total_cells=len(cells),
-                    pending_cells=len(pending),
+                    pending_cells=pending,
                     reused_cells=reused,
                     workers=self._pool.workers if self._pool is not None else 1,
                     batch=self._batch,
@@ -272,16 +324,16 @@ class CampaignRunner:
         def progress_after(executed: int) -> CampaignProgress:
             return CampaignProgress(
                 total=len(cells),
-                already_complete=len(cells) - len(pending),
+                already_complete=reused,
                 executed=executed,
-                remaining=len(pending) - executed,
+                remaining=pending - executed,
             )
 
         executed = 0
-        rows = self._cell_rows(to_run)
         try:
             with self._telemetry.span("campaign.run", campaign=self._spec.name):
-                for cell in to_run:
+                for index in to_run:
+                    cell = cells[index]
                     cell_started = time.perf_counter()
                     with self._telemetry.span("campaign.cell", cell=cell.key):
                         with self._telemetry.span("campaign.execute"):
@@ -314,45 +366,7 @@ class CampaignRunner:
             )
         return progress
 
-    # -- execution --------------------------------------------------------
-
-    def _cell_template(self, cell: CampaignCell):
-        return replace(cell.config(), trace_level=self._trace_level)
-
-    def _cell_rows(
-        self, to_run: Sequence[CampaignCell]
-    ) -> Generator[Sequence[ReducedTrial], None, None]:
-        """Each cell's reduced rows, in grid order.
-
-        On a pool every cell's chunks are submitted up front and drained in
-        grid order with the pool's crash retry
-        (:meth:`~repro.engine.pool.ExecutionPool.iter_reduced`); otherwise
-        each cell runs in-process when the loop reaches it.
-        """
-        pool = self._pool
-        if pool is not None and to_run and not payload_is_picklable(
-            self._cell_template(to_run[0])
-        ):
-            # An unpicklable grid (closure-built workload parts) cannot reach
-            # the workers.  Run it in-process — one warning, and still one
-            # atomic commit per cell as it finishes, so interrupt-resume keeps
-            # working — instead of letting the pool's submission execute every
-            # cell eagerly before the first commit.
-            warn_serial_fallback(stacklevel=3, telemetry=self._telemetry)
-            pool = None
-        if pool is not None:
-            return pool.iter_reduced(
-                [(self._cell_template(cell), cell.seeds) for cell in to_run], batch=self._batch
-            )
-        return (
-            run_reduced_trials(
-                self._cell_template(cell),
-                seeds=cell.seeds,
-                trace_level=None,
-                plan=self._plan.serial(),
-            )
-            for cell in to_run
-        )
+    # -- recording --------------------------------------------------------
 
     def _commit_cell(self, cell: CampaignCell, reduced: Sequence[ReducedTrial]) -> None:
         self._store.record_cell(self._spec.name, cell.key, cell.describe_dict(), reduced)

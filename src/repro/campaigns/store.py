@@ -201,7 +201,11 @@ class ResultStore:
         return [row[0] for row in rows]
 
     def spec_json_for(self, name: str) -> Optional[str]:
-        """The stored spec JSON for a campaign (None for store-backed sweeps)."""
+        """The stored spec JSON for a campaign.
+
+        ``None`` for a campaign registered without a spec — older builds
+        recorded imperative sweeps that way, and their stores still read.
+        """
         row = self._connection.execute(
             "SELECT spec_json FROM campaigns WHERE name = ?", (name,)
         ).fetchone()

@@ -48,7 +48,7 @@ from repro.analysis.bounds import (
     trapdoor_upper_bound,
 )
 from repro.campaigns.query import aggregate, export_campaign
-from repro.campaigns.runner import CampaignRunner
+from repro.campaigns.runner import CampaignRunner, check_run_cap
 from repro.campaigns.spec import CAMPAIGN_WORKLOADS, CampaignSpec, workload_with_adversary
 from repro.campaigns.store import ResultStore
 from repro.engine.observers import TraceLevel
@@ -107,6 +107,18 @@ def _int_list(text: str) -> tuple[int, ...]:
     if not values:
         raise argparse.ArgumentTypeError(f"expected a comma-separated list, got {text!r}")
     return values
+
+
+def _run_cap(text: str) -> int:
+    """Parse a per-invocation work cap (argparse ``type=``): an integer ≥ 1."""
+    try:
+        cap = int(text)
+        check_run_cap(cap, "the cap")
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    except ConfigurationError as error:
+        raise argparse.ArgumentTypeError(str(error))
+    return cap
 
 
 def observability_options() -> argparse.ArgumentParser:
@@ -263,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     camp_run.add_argument("--batch", action="store_true",
                           help="run each cell's seeds on the vectorized lockstep kernel "
                                "(batchable cells only; scalar fallback otherwise)")
-    camp_run.add_argument("--max-cells", type=int, default=None,
+    camp_run.add_argument("--max-cells", type=_run_cap, default=None,
                           help="cap on cells executed this invocation (resume later)")
     camp_run.add_argument("--quiet", action="store_true",
                           help="suppress the per-cell progress lines (summary still prints)")
@@ -328,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     srch_run.add_argument("--batch", action="store_true",
                           help="evaluate candidates on the vectorized lockstep kernel "
                                "(batchable candidates only; scalar fallback otherwise)")
-    srch_run.add_argument("--max-evaluations", type=int, default=None,
+    srch_run.add_argument("--max-evaluations", type=_run_cap, default=None,
                           help="cap on live evaluations this invocation (resume later)")
 
     srch_status = search_sub.add_parser("status", help="report a stored search's progress")
@@ -788,8 +800,9 @@ def _campaign_status(args: argparse.Namespace, store: ResultStore) -> int:
         completed = store.cell_count(name)
         total = None
         if spec_json is not None and not is_search_spec_json(spec_json):
-            # Store-backed harness sweeps and adversary searches have no
-            # declarative grid to diff against; report what has been recorded.
+            # Adversary searches, and campaigns older builds registered
+            # without a spec (imperative sweeps), have no declarative grid
+            # to diff against; report what has been recorded.
             total = len(CampaignSpec.from_json(spec_json).cells())
         entries.append({"campaign": name, "completed": completed, "total": total})
     if args.json:

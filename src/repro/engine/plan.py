@@ -1,14 +1,15 @@
 """The one public spelling of how a batch executes: :class:`ExecutionPlan`.
 
-Execution knobs accreted across five call sites as the orchestration stack
-grew — worker count, pool chunk size, the batch kernel, and the telemetry
-output options.  They live in one frozen, JSON-round-trippable plan object:
+Execution knobs accreted across several call sites as the orchestration
+stack grew — worker count, pool chunk size, the batch kernel, and the
+telemetry output options.  They live in one frozen, JSON-round-trippable plan
+object:
 
 * :func:`~repro.engine.runner.run_trials`,
   :func:`~repro.engine.runner.run_reduced_trials`,
   :class:`~repro.campaigns.runner.CampaignRunner`,
   :class:`~repro.search.runner.StrategySearch`, and
-  :class:`~repro.experiments.harness.ExperimentHarness` all take it as
+  :meth:`~repro.search.objective.SearchObjective.evaluate` all take it as
   ``plan=``, their only execution spelling;
 * a service :class:`~repro.service.protocol.JobRequest` embeds the plan's
   JSON form verbatim, so the wire schema and the Python API are one surface.

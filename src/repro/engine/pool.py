@@ -10,9 +10,12 @@ of three paths that applies:
 * **pooled** (``pool=`` an :class:`ExecutionPool`) — the batch is dispatched
   in chunks onto a persistent worker pool the caller reuses across many
   batches.  Campaign runners and adversarial search hold one pool for their
-  whole session, so a sweep of small cells pays spin-up once, not per cell;
-  a campaign submits all its pending cells at once through
-  :meth:`ExecutionPool.iter_reduced` and takes their rows back in grid order.
+  whole session, so a sweep of small cells pays spin-up once, not per cell.
+  Both go through one store-backed cycle
+  (:func:`~repro.campaigns.runner.run_missing`): a campaign submits all its
+  missing cells, and a search each generation's missing candidates, at once
+  through :meth:`ExecutionPool.iter_reduced`, and takes the rows back in
+  order.
 * **temporary pool** (a parallel :class:`~repro.engine.plan.ExecutionPlan`
   and no ``pool=``) — the same dispatch on a pool opened for this one batch
   and shut down before the call returns: nothing persists, nothing leaks.
@@ -61,8 +64,8 @@ chunk at dispatch (``chunk-dispatched`` events, the in-flight gauge,
 scalar/batch counters), campaign runners open spans around the phases that
 *surround* execution (``campaign.run`` > ``campaign.cell`` >
 ``campaign.execute`` / ``campaign.commit``; on a pool ``campaign.execute`` is
-the wait for the cell's rows), and the search wraps each live candidate in
-``search.evaluate``.  Workers send back only a plain
+the wait for the cell's rows), and the search wraps the wait for each live
+candidate's rows in ``search.evaluate``.  Workers send back only a plain
 :class:`~repro.telemetry.metrics.WorkerStatsDelta` per chunk, and no span or
 instrument call is ever made per simulated round — the round loops in
 :mod:`repro.engine.simulator` / :mod:`repro.engine.batch` are untouched
@@ -632,9 +635,9 @@ class ExecutionPool:
         between batches, and drained in submission order with the same crash
         retry as :meth:`run_seeds`: a crash re-dispatches every outstanding
         chunk of every batch as one group, so the executor restarts once per
-        crash, not once per batch.  Closing the iterator early (a campaign
-        stopped by its ``on_cell`` callback) cancels the chunks no worker has
-        picked up yet.
+        crash, not once per batch.  Closing the iterator early (a campaign or
+        search stopped by its ``on_cell`` or ``on_candidate`` callback)
+        cancels the chunks no worker has picked up yet.
         """
         futures: list["Future[ChunkResult]"] = []
         sizes = []

@@ -38,4 +38,4 @@ class ProtocolViolationError(ReproError):
 
 
 class ExperimentError(ReproError):
-    """An experiment definition or harness invocation was invalid."""
+    """An experiment, campaign, search or store request was invalid."""

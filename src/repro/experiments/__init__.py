@@ -1,9 +1,7 @@
-"""Experiment harness, workloads, and the paper-artefact registry."""
+"""Workloads, tables, figures, and the paper-artefact registry."""
 
 from repro.experiments.figures import render_bars, render_multi_series
-from repro.experiments.harness import ExperimentHarness, SweepPoint, SweepResult
 from repro.experiments.registry import EXPERIMENTS, ExperimentSpec, experiment_ids, get_experiment
-from repro.experiments.report import ExperimentReport, ReportSection, render_section
 from repro.experiments.tables import render_comparison, render_table
 from repro.experiments.workloads import (
     SIMPLE_WORKLOADS,
@@ -22,16 +20,10 @@ from repro.experiments.workloads import (
 __all__ = [
     "render_bars",
     "render_multi_series",
-    "ExperimentHarness",
-    "SweepPoint",
-    "SweepResult",
     "EXPERIMENTS",
     "ExperimentSpec",
     "experiment_ids",
     "get_experiment",
-    "ExperimentReport",
-    "ReportSection",
-    "render_section",
     "render_comparison",
     "render_table",
     "SIMPLE_WORKLOADS",

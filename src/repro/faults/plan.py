@@ -3,7 +3,8 @@
 A :class:`FaultPlan` names every fault the engine will inject into one
 execution, in the same declarative/JSON-round-trippable style as campaign
 specs and search genomes: schema-versioned, strictly validated, and
-content-hashed so fault-injected sweep points get stable store keys.
+content-hashed so fault-injected campaign cells and search candidates get
+stable store keys.
 
 Three fault families are supported:
 

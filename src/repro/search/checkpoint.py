@@ -229,10 +229,6 @@ class SearchCheckpoint:
         description["label"] = genome.describe()
         self._store.record_cell(self._spec.name, key, description, list(records))
 
-    def claim(self, key: str) -> None:
-        """Attribute an evaluation recorded by another search to this one."""
-        self._store.add_cells_to_campaign(self._spec.name, [key])
-
     # -- read-back --------------------------------------------------------
 
     def evaluation_count(self) -> int:

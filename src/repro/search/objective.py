@@ -3,11 +3,11 @@
 A :class:`SearchObjective` pins down everything about an evaluation *except*
 the adversary: the protocol under test, the named workload providing the
 activation pattern, the model parameters, the seed list, and the round cap.
-Evaluating a genome decodes it, overrides the workload's adversary, runs the
-configuration across all seeds through
-:func:`~repro.engine.runner.run_reduced_trials` (optionally on a worker pool
-— parallel batches are bit-identical to serial ones), and reduces the
-per-trial outcomes to one scalar score that the optimizers *maximize*.
+Evaluating a genome decodes it (:meth:`SearchObjective.config_for`),
+overrides the workload's adversary, runs the configuration across all seeds
+(optionally on a worker pool — parallel batches are bit-identical to serial
+ones), and reduces the per-trial outcomes to one scalar score that the
+optimizers *maximize*.
 
 Scores are computed from the same rows the campaign store persists
 (:class:`~repro.engine.pool.ReducedTrial`), so a score recomputed from a
@@ -227,18 +227,19 @@ class SearchObjective:
         pool: ExecutionPool | None = None,
         plan: ExecutionPlan | None = None,
     ) -> Evaluation:
-        """Run a genome across every seed and score the outcome.
+        """Run one genome across every seed and score the outcome.
 
-        Neither ``plan`` (how the seed batch executes — worker count, pool
-        chunking, the vectorized lockstep kernel with scalar fallback) nor
-        ``pool`` (a persistent :class:`~repro.engine.pool.ExecutionPool` the
-        caller reuses across candidates — what
-        :class:`~repro.search.runner.StrategySearch` holds for a whole
-        search) ever changes results, so neither is part of any candidate
-        identity.  Every path reduces each trial to the persisted scalars
-        where it ran — in the workers on a pool — so a search over thousands
-        of candidates ships back only
-        :class:`~repro.engine.pool.ReducedTrial` rows.
+        The one-off entry point, through
+        :func:`~repro.engine.runner.run_reduced_trials`.
+        :class:`~repro.search.runner.StrategySearch` does not call it: it
+        runs each generation's missing candidates as one group, through
+        :meth:`config_for` and the campaign runner's store-backed cycle, and
+        gets the same rows.  Neither ``plan`` (how the seed batch executes —
+        worker count, pool chunking, the vectorized lockstep kernel with
+        scalar fallback) nor ``pool`` (a persistent
+        :class:`~repro.engine.pool.ExecutionPool` the caller reuses across
+        calls) ever changes results, so neither is part of any candidate
+        identity.
         """
         records = run_reduced_trials(
             self.config_for(genome), seeds=self.seeds, pool=pool, plan=plan

@@ -2,12 +2,13 @@
 
 :class:`StrategySearch` runs the ask–evaluate–tell loop: each generation's
 candidates are looked up in the checkpoint store first (content-hashed
-dedup), only the missing ones are evaluated live (multi-seed, optionally on a
-worker pool), and every fresh evaluation is committed atomically before the
-next one starts.  Kill the process anywhere and re-run the same spec on the
-same store: cached generations replay instantly, proposals re-derive from the
-master seed, and the resumed search is bit-identical to an uninterrupted one
-— same candidates, same scores, same best strategy.
+dedup), only the missing ones are evaluated live, as one group through the
+campaign runner's :func:`~repro.campaigns.runner.run_missing`, and every
+fresh evaluation is committed atomically, in candidate order.  Kill the
+process anywhere and re-run the same spec on the same store: cached
+generations replay instantly, proposals re-derive from the master seed, and
+the resumed search is bit-identical to an uninterrupted one — same
+candidates, same scores, same best strategy.
 
 :func:`search_status` and :func:`export_search` reconstruct a search's state
 purely from the store (no live evaluation), which is what the CLI's
@@ -21,11 +22,12 @@ import logging
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Sequence
 
+from repro.campaigns.runner import check_run_cap, run_missing
 from repro.campaigns.store import ResultStore
 from repro.engine.plan import ExecutionPlan
-from repro.engine.pool import ExecutionPool
+from repro.engine.pool import ExecutionPool, ReducedTrial
 from repro.exceptions import ExperimentError
 from repro.search.checkpoint import SearchCheckpoint, SearchSpec
 from repro.search.optimizers import CandidateOutcome, make_optimizer
@@ -101,16 +103,16 @@ class StrategySearch:
         seed batch.  A parallel plan makes the search hold one persistent
         :class:`~repro.engine.pool.ExecutionPool` across *all* candidates
         and generations (instead of paying pool spin-up per candidate) with
-        the plan's chunk size; ``plan.batch`` evaluates candidates on the
-        vectorized lockstep kernel where their configurations are batchable
-        (scalar fallback otherwise).  No plan ever changes scores or stored
-        records.
+        the plan's chunk size, submitting a generation's missing candidates
+        at once; ``plan.batch`` evaluates candidates on the vectorized
+        lockstep kernel where their configurations are batchable (scalar
+        fallback otherwise).  No plan ever changes scores or stored records.
     telemetry:
         Optional :class:`~repro.telemetry.Telemetry` handle.  The search
         emits lifecycle events (search/generation start and completion),
         counts executed vs. reused evaluations, tracks the best score as a
-        gauge, and times each live evaluation — all without affecting
-        checkpoints or scores.
+        gauge, and times the wait for each live evaluation's rows — all
+        without affecting checkpoints or scores.
 
     Use as a context manager (or call :meth:`close`) to reclaim the search's
     own workers deterministically.
@@ -184,14 +186,18 @@ class StrategySearch:
         Parameters
         ----------
         max_evaluations:
-            Optional cap on *live* evaluations this invocation (cache hits are
-            free) — the search budget can be spent incrementally across
-            invocations, and an interrupt between two candidates is
-            indistinguishable from hitting the cap.
+            Optional cap, at least 1, on *live* evaluations this invocation
+            (cache hits are free) — the search budget can be spent
+            incrementally across invocations, and an interrupt between two
+            candidates is indistinguishable from hitting the cap.  Nothing
+            past the first candidate the budget cannot pay for is submitted.
         on_candidate:
             Optional callback invoked after each candidate is scored (used by
-            the CLI for live status lines).
+            the CLI for live status lines).  One that raises stops the run
+            and cancels the queued chunks of the generation's later
+            candidates.
         """
+        check_run_cap(max_evaluations, "max_evaluations")
         spec = self._spec
         objective = spec.objective
         self._checkpoint.register()
@@ -228,61 +234,71 @@ class StrategySearch:
         for generation in range(spec.generations + 1):
             generation_started = time.perf_counter()
             generation_executed = 0
+            genomes = optimizer.ask(generation)
+            keys = [self._checkpoint.key_for(genome) for genome in genomes]
+            stored, to_run, rows = run_missing(
+                self._checkpoint.store, spec.name, keys,
+                lambda index: (objective.config_for(genomes[index]), objective.seeds),
+                limit=None if max_evaluations is None else max_evaluations - executed,
+                pool=self._pool, plan=self._plan, telemetry=telemetry,
+            )
+            recorded: set[str] = set()
             outcomes: list[CandidateOutcome] = []
-            for index, genome in enumerate(optimizer.ask(generation)):
-                key = self._checkpoint.key_for(genome)
-                records = self._checkpoint.stored_records(key)
-                if records is None:
-                    if max_evaluations is not None and executed >= max_evaluations:
-                        stopped = True
+            try:
+                for index, (genome, key) in enumerate(zip(genomes, keys)):
+                    records: Sequence[ReducedTrial]
+                    if key in stored or key in recorded:
+                        # Includes a genome proposed twice in one generation:
+                        # its second occurrence reads the first one's record.
+                        records = self._checkpoint.store.trial_records(key)
+                        reused += 1
+                        self._metric_reused.inc()
+                        was_reused = True
+                    elif len(recorded) < len(to_run):
+                        with telemetry.span(
+                            "search.evaluate", generation=generation, index=index
+                        ):
+                            records = next(rows)
+                        self._checkpoint.record(genome, generation, key, records)
+                        recorded.add(key)
+                        executed += 1
+                        generation_executed += 1
+                        self._metric_executed.inc()
+                        was_reused = False
+                    else:
+                        stopped = True  # the budget cannot pay for this candidate
                         break
-                    with telemetry.span(
-                        "search.evaluate", generation=generation, index=index
-                    ):
-                        evaluation = objective.evaluate(
-                            genome, pool=self._pool, plan=self._plan.serial()
-                        )
-                    records = evaluation.records
-                    self._checkpoint.record(genome, generation, key, records)
-                    executed += 1
-                    generation_executed += 1
-                    self._metric_executed.inc()
-                    was_reused = False
-                else:
-                    # Sharing a store across searches can serve a cache hit the
-                    # campaign attribution does not cover yet — claim it so
-                    # status/export read-backs see every candidate.
-                    self._checkpoint.claim(key)
-                    reused += 1
-                    self._metric_reused.inc()
-                    was_reused = True
-                outcome = CandidateOutcome(
-                    genome=genome,
-                    key=key,
-                    score=objective.score_records(records),
-                    generation=generation,
-                    index=index,
-                    reused=was_reused,
-                )
-                outcomes.append(outcome)
-                if best is None or outcome.score > best.score:
-                    best = outcome
-                    self._metric_best.set(outcome.score)
-                    if telemetry.enabled:
-                        # Lets a live monitor report *which* strategy leads,
-                        # not just the best-score gauge's value.
-                        telemetry.emit(
-                            BestCandidateImproved(
-                                search=spec.name,
-                                generation=generation,
-                                index=index,
-                                score=outcome.score,
-                                strategy=genome.describe(),
-                                key=key,
+                    outcome = CandidateOutcome(
+                        genome=genome,
+                        key=key,
+                        score=objective.score_records(records),
+                        generation=generation,
+                        index=index,
+                        reused=was_reused,
+                    )
+                    outcomes.append(outcome)
+                    if best is None or outcome.score > best.score:
+                        best = outcome
+                        self._metric_best.set(outcome.score)
+                        if telemetry.enabled:
+                            # Lets a live monitor report *which* strategy leads,
+                            # not just the best-score gauge's value.
+                            telemetry.emit(
+                                BestCandidateImproved(
+                                    search=spec.name,
+                                    generation=generation,
+                                    index=index,
+                                    score=outcome.score,
+                                    strategy=genome.describe(),
+                                    key=key,
+                                )
                             )
-                        )
-                if on_candidate is not None:
-                    on_candidate(outcome)
+                    if on_candidate is not None:
+                        on_candidate(outcome)
+            finally:
+                # A run stopped early (an on_candidate that raises) cancels
+                # the chunks of later candidates no worker has started.
+                rows.close()
             if stopped:
                 break
             optimizer.tell(generation, outcomes)

@@ -1,4 +1,4 @@
-"""Unit tests for the campaign subsystem: spec, store, runner, query, harness.
+"""Unit tests for the campaign subsystem: spec, store, runner, query.
 
 The contract under test: a campaign is a *durable* sweep.  Cells are
 identified by stable content hashes, completed cells are never recomputed,
@@ -20,23 +20,21 @@ from test_pool import CrashOnceAdversary
 
 from repro.adversary.base import AdversaryContext, InterferenceAdversary
 from repro.campaigns.query import (
-    StoredSummary,
     aggregate,
     cell_rows,
     export_campaign,
     summary_for_cell,
 )
-from repro.campaigns.runner import CampaignRunner
+from repro.campaigns.runner import CampaignRunner, run_missing
 from repro.campaigns.spec import SPEC_SCHEMA_VERSION, CampaignSpec, cell_key, register_workload
 from repro.campaigns.store import ResultStore, TrialRecord
+from repro.engine.observers import TraceLevel
 from repro.engine.plan import ExecutionPlan
 from repro.engine.pool import ExecutionPool, WorkerCrashError
 from repro.engine.runner import run_reduced_trials, run_trials
 from repro.exceptions import ConfigurationError, ExperimentError
-from repro.experiments.harness import ExperimentHarness, SweepPoint
+from repro.telemetry import TELEMETRY_OFF
 from repro.experiments.workloads import quiet_start
-from repro.params import ModelParameters
-from repro.protocols.trapdoor.protocol import TrapdoorProtocol
 
 
 def tiny_spec(name: str = "tiny", **overrides) -> CampaignSpec:
@@ -226,6 +224,47 @@ class TestStore:
             connection.close()
         assert legacy == [("abc123", "t", '{"units": 2}')]
 
+    def test_store_with_a_sweep_registered_without_a_spec_still_reads(self, tmp_path, capsys):
+        """Older builds recorded imperative sweeps as a campaign with no spec
+        and free-form cell descriptions; such stores keep reading."""
+        from repro.cli import main
+
+        path = tmp_path / "store.db"
+        record = TrialRecord(seed=0, synchronized=True, agreement=True, safety=True,
+                             leader_count=1, max_sync_latency=12, rounds_simulated=13)
+        with ResultStore(path) as store:
+            store.register_campaign("harness-sweep")
+            store.record_cell("harness-sweep", "sweep-key", {
+                "kind": "harness-point",
+                "label": "N=8",
+                "protocol": "repro.protocols.trapdoor.protocol.TrapdoorProtocol",
+                "activation": "SimultaneousActivation: SimultaneousActivation(count=2)",
+                "frequencies": 4,
+                "budget": 1,
+                "participants": 8,
+                "node_count": 2,
+                "seeds": [0],
+            }, [record])
+
+        assert main(["campaign", "status", "--store", str(path), "--json"]) == 0
+        entries = json.loads(capsys.readouterr().out)["campaigns"]
+        assert entries == [{"campaign": "harness-sweep", "completed": 1, "total": None}]
+
+        with ResultStore(path) as store:
+            rows = aggregate(store, "harness-sweep")
+            assert [(row["protocol"], row["workload"], row["trials"]) for row in rows] == [
+                ("repro.protocols.trapdoor.protocol.TrapdoorProtocol", None, 1)
+            ]
+            document = json.loads(
+                export_campaign(store, "harness-sweep", tmp_path / "export.json").read_text()
+            )
+            assert document["spec"] is None
+            assert [cell["cell"] for cell in document["cells"]] == ["sweep-key"]
+            # A new campaign still records into the same store.
+            assert CampaignRunner(tiny_spec(), store).run().complete
+            assert store.cell_count() == 5
+            assert store.trial_records("sweep-key") == (record,)
+
     def test_campaign_reregistration_with_different_spec_raises(self, tmp_path):
         store = ResultStore(tmp_path / "store.db")
         store.register_campaign("c", tiny_spec().to_json())
@@ -301,6 +340,14 @@ class TestRunnerResume:
         assert progress.complete
         assert (progress.executed, progress.already_complete) == (0, 4)
 
+    @pytest.mark.parametrize("cap", [-1, 0])
+    def test_cap_below_one_is_refused_before_anything_runs(self, tmp_path, cap):
+        with ResultStore(tmp_path / "store.db") as store:
+            with pytest.raises(ConfigurationError, match="max_cells must be at least 1"):
+                CampaignRunner(tiny_spec(), store).run(max_cells=cap)
+            assert store.campaign_names() == []
+            assert store.cell_count() == 0
+
     def test_status_reports_completion_without_executing(self, tmp_path):
         spec = tiny_spec()
         store = ResultStore(tmp_path / "store.db")
@@ -348,6 +395,43 @@ class TestRunnerResume:
         with pytest.raises(ConfigurationError, match="quiet_stat"):
             CampaignRunner(spec, store).run()
         assert store.cell_count() == 0
+
+
+class TestRunMissing:
+    """The store-backed cycle both runners share, called directly."""
+
+    def test_claims_stored_keys_and_runs_first_occurrences_trace_free(
+        self, tmp_path, monkeypatch
+    ):
+        cells = tiny_spec().cells()
+        templates = []
+        import repro.campaigns.runner as runner_module
+        real_run_reduced_trials = runner_module.run_reduced_trials
+
+        def recording_run_reduced_trials(config, **kwargs):
+            templates.append(config)
+            return real_run_reduced_trials(config, **kwargs)
+
+        monkeypatch.setattr(runner_module, "run_reduced_trials", recording_run_reduced_trials)
+        with ResultStore(tmp_path / "store.db") as store:
+            stored_rows = run_reduced_trials(cells[0].config(), seeds=cells[0].seeds)
+            store.record_cell("other", cells[0].key, cells[0].describe_dict(), stored_rows)
+            # Input: a stored key, a missing key twice, then another missing key.
+            batch = [cells[0], cells[1], cells[1], cells[2]]
+            stored, to_run, rows = run_missing(
+                store, "mine", [cell.key for cell in batch],
+                lambda index: (batch[index].config(), batch[index].seeds),
+                limit=None, pool=None, plan=ExecutionPlan(), telemetry=TELEMETRY_OFF,
+            )
+            assert stored == {cells[0].key}
+            assert store.completed_keys("mine") == {cells[0].key}
+            assert to_run == [1, 3]
+            assert templates == []  # serial rows run only when requested
+            assert list(rows) == [
+                run_reduced_trials(cell.config(), seeds=cell.seeds) for cell in cells[1:3]
+            ]
+        # Cell configs trace in full by default; the cycle runs them trace-free.
+        assert [template.trace_level for template in templates] == [TraceLevel.NONE] * 2
 
 
 class TestQuery:
@@ -412,71 +496,6 @@ class TestQuery:
         assert document["spec"]["participants"] == [8, 16]
         assert len(document["cells"]) == 4
         assert document["aggregates"][0]["trials"] == 8
-
-
-class TestHarnessStorePath:
-    @staticmethod
-    def points():
-        params = ModelParameters(frequencies=4, disruption_budget=1, participant_bound=8)
-        workload = quiet_start(2)
-        return [
-            SweepPoint(
-                label=f"N={n}",
-                params=ModelParameters(4, 1, n),
-                protocol_factory=TrapdoorProtocol.factory(),
-                activation=workload.activation,
-                adversary=workload.adversary,
-                max_rounds=5_000,
-                metadata={"N": n},
-            )
-            for n in (8, 16)
-        ], params
-
-    def test_store_backed_sweep_records_then_reads_back(self, tmp_path, monkeypatch):
-        points, _ = self.points()
-        store = ResultStore(tmp_path / "sweep.db")
-        harness = ExperimentHarness(seeds=2)
-        live = harness.run_sweep(points, store=store, campaign="sweep")
-        assert store.cell_count("sweep") == 2
-
-        # Second run: nothing executes, summaries come from the store and
-        # carry identical statistics (so .row() feeds the same tables).
-        def forbid(point):  # pragma: no cover - only on regression
-            raise AssertionError("a stored point must not re-execute")
-
-        monkeypatch.setattr(harness, "run_point", forbid)
-        stored = harness.run_sweep(points, store=store, campaign="sweep")
-        assert all(isinstance(result.summary, StoredSummary) for result in stored)
-        assert [result.row() for result in stored] == [result.row() for result in live]
-        assert harness.latencies(stored) == harness.latencies(live)
-
-    def test_point_keys_distinguish_configurations(self):
-        points, _ = self.points()
-        harness = ExperimentHarness(seeds=2)
-        assert harness.point_key(points[0]) != harness.point_key(points[1])
-        assert harness.point_key(points[0]) == ExperimentHarness(seeds=2).point_key(points[0])
-        assert harness.point_key(points[0]) != ExperimentHarness(seeds=3).point_key(points[0])
-
-    def test_closure_factory_rejected_for_store_path(self, tmp_path):
-        points, _ = self.points()
-        bad = SweepPoint(
-            label="closure",
-            params=points[0].params,
-            protocol_factory=lambda context: TrapdoorProtocol(context),
-            activation=points[0].activation,
-            adversary=points[0].adversary,
-        )
-        harness = ExperimentHarness(seeds=2)
-        with pytest.raises(ExperimentError, match="no stable identity"):
-            harness.run_sweep([bad], store=ResultStore(tmp_path / "s.db"))
-        # Without a store the closure factory keeps working as before.
-        assert harness.run_sweep([bad])[0].summary.trials == 2
-
-    def test_config_hook_rejected_for_store_path(self, tmp_path):
-        points, _ = self.points()
-        harness = ExperimentHarness(seeds=2, config_hook=lambda config, seed: config)
-        with pytest.raises(ExperimentError, match="config_hook"):
-            harness.run_sweep(points, store=ResultStore(tmp_path / "s.db"))
 
 
 class TestStoreDurability:

@@ -313,6 +313,16 @@ class TestCampaignCommands:
         assert "1 cells already complete" in second
         assert "2/2 cells complete (1 executed now, 1 reused, 0 remaining)" in second
 
+    @pytest.mark.parametrize("cap", ["-1", "0"])
+    def test_max_cells_below_one_is_a_usage_error(self, tmp_path, capsys, cap):
+        store = tmp_path / "campaign.db"
+        with pytest.raises(SystemExit) as stop:
+            main(["campaign", "run", "--store", str(store), "--name", "demo", *self.GRID,
+                  "--max-cells", cap])
+        assert stop.value.code == 2
+        assert "--max-cells: the cap must be at least 1" in capsys.readouterr().err
+        assert not store.exists()
+
     def test_status_on_empty_store_fails(self, tmp_path, capsys):
         assert main(["campaign", "status", "--store", str(tmp_path / "empty.db")]) == 1
         assert "no campaigns" in capsys.readouterr().out

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.cli import main
 
 TINY_SEARCH = [
@@ -68,6 +70,14 @@ class TestSearchRun:
         output = capsys.readouterr().out
         assert exit_code == 0
         assert "0 executed now" in output
+
+    @pytest.mark.parametrize("cap", ["-1", "0"])
+    def test_max_evaluations_below_one_is_a_usage_error(self, tmp_path, capsys, cap):
+        with pytest.raises(SystemExit) as stop:
+            main(TINY_SEARCH + _store_args(tmp_path) + ["--max-evaluations", cap])
+        assert stop.value.code == 2
+        assert "--max-evaluations: the cap must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "search.db").exists()
 
     def test_search_status_json_is_machine_readable(self, tmp_path, capsys):
         main(TINY_SEARCH + _store_args(tmp_path))

@@ -8,8 +8,8 @@ Pins the three contracts of the API:
   schema.
 - Every public entry point (:func:`run_trials`, :func:`run_reduced_trials`,
   :class:`CampaignRunner`, :class:`StrategySearch`,
-  :class:`ExperimentHarness`, :meth:`SearchObjective.evaluate`) spells
-  execution as ``plan=`` only; the pre-plan keywords raise ``TypeError``.
+  :meth:`SearchObjective.evaluate`) spells execution as ``plan=`` only; the
+  pre-plan keywords raise ``TypeError``.
 - Results are identical whichever plan dispatches them.
 """
 
@@ -28,7 +28,6 @@ from repro.engine.plan import PLAN_SCHEMA, ExecutionPlan
 from repro.engine.runner import run_reduced_trials, run_trials
 from repro.engine.simulator import SimulationConfig
 from repro.exceptions import ConfigurationError
-from repro.experiments.harness import ExperimentHarness
 from repro.params import ModelParameters
 from repro.protocols.registry import protocol_factory
 from repro.search.checkpoint import SearchSpec
@@ -162,10 +161,6 @@ def _strategy_search(tmp_path, **kwargs):
         StrategySearch(_search_spec("removed"), store, **kwargs)
 
 
-def _experiment_harness(tmp_path, **kwargs):
-    ExperimentHarness(seeds=1, **kwargs)
-
-
 def _search_objective_evaluate(tmp_path, **kwargs):
     _search_spec("removed").objective.evaluate(ParametricGenome(name="sweep"), **kwargs)
 
@@ -182,7 +177,6 @@ def _search_objective_evaluate(tmp_path, **kwargs):
         (_strategy_search, "workers"),
         (_strategy_search, "pool_chunk"),
         (_strategy_search, "batch"),
-        (_experiment_harness, "workers"),
         (_search_objective_evaluate, "workers"),
         (_search_objective_evaluate, "batch"),
     ],

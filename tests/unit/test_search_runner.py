@@ -8,16 +8,28 @@ same scores, same best strategy.
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import os
+import tempfile
+import time
+from pathlib import Path
 
 import pytest
 
+from repro.adversary.activation import SimultaneousActivation
+from repro.campaigns.spec import register_workload
 from repro.campaigns.store import ResultStore
 from repro.engine.plan import ExecutionPlan
+from repro.engine.pool import ExecutionPool
+from repro.engine.runner import run_reduced_trials
 from repro.exceptions import ConfigurationError, ExperimentError
+from repro.experiments.workloads import quiet_start
 from repro.search.checkpoint import SearchCheckpoint, SearchSpec, is_search_spec_json
 from repro.search.objective import SearchObjective
 from repro.search.runner import StrategySearch, export_search, search_status
+from repro.search.space import ParametricGenome, StrategySpace
+from repro.telemetry import Telemetry
 
 TINY_OBJECTIVE = SearchObjective(
     protocol="trapdoor",
@@ -153,6 +165,14 @@ class TestRun:
                 assert records is not None
                 assert result.best.score >= spec.objective.score_records(records)
 
+    @pytest.mark.parametrize("cap", [-1, 0])
+    def test_cap_below_one_is_refused_before_anything_runs(self, cap):
+        with ResultStore(":memory:") as store:
+            with pytest.raises(ConfigurationError, match="max_evaluations must be at least 1"):
+                StrategySearch(tiny_spec(), store).run(max_evaluations=cap)
+            assert store.campaign_names() == []
+            assert store.cell_count() == 0
+
     def test_on_candidate_sees_every_candidate_in_order(self):
         seen = []
         with ResultStore(":memory:") as store:
@@ -257,3 +277,207 @@ class TestPooledSearch:
                 assert replay.executed == 0
                 assert search.pool is not None
                 assert search.pool.starts == 0  # lazy: no live work, no fork
+
+
+@dataclasses.dataclass
+class GatedCountingActivation(SimultaneousActivation):
+    """Simultaneous activation that records each trial it starts as a file
+    in ``directory``, then holds every trial after the first until ``gate``
+    exists.
+
+    A search's adversary comes from its genome, so the activation is what
+    counts.  Holding the one worker at the second trial freezes the
+    executor's queue while the first candidate commits.
+    """
+
+    directory: str = ""
+    gate: str = ""
+
+    def activations_for_round(self, global_round, rng):
+        if global_round == 1:
+            handle, _path = tempfile.mkstemp(dir=self.directory)
+            os.close(handle)
+            deadline = time.monotonic() + 30
+            while (
+                len(os.listdir(self.directory)) > 1
+                and not os.path.exists(self.gate)
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.005)
+        return super().activations_for_round(global_round, rng)
+
+
+@dataclasses.dataclass
+class CrashOnceActivation(SimultaneousActivation):
+    """Kills the first worker to run it, then activates like its parent.
+
+    The sentinel file is created before ``os._exit``, so every later trial —
+    the pool's retry, or a serial comparison run — runs normally.
+    """
+
+    sentinel: str = ""
+
+    def activations_for_round(self, global_round, rng):
+        if not os.path.exists(self.sentinel):
+            Path(self.sentinel).touch()
+            os._exit(1)
+        return super().activations_for_round(global_round, rng)
+
+
+def activation_spec(workload, activation_for, **objective_fields):
+    """``tiny_spec`` scored on ``quiet_start`` with its activation swapped."""
+    register_workload(
+        workload,
+        lambda node_count: dataclasses.replace(
+            quiet_start(node_count), activation=activation_for(node_count)
+        ),
+    )
+    objective = dataclasses.replace(TINY_OBJECTIVE, workload=workload, **objective_fields)
+    return tiny_spec(objective=objective)
+
+
+class _StopRun(Exception):
+    pass
+
+
+class TestGroupedSearch:
+    """Each generation's missing candidates run as one group: the cap
+    counts before submission, duplicates run once, an early stop cancels
+    the queued chunks, and a worker crash is retried."""
+
+    def test_cap_counts_before_submission(self, tmp_path):
+        spec = tiny_spec()
+        with ResultStore(tmp_path / "uninterrupted.db") as reference:
+            StrategySearch(spec, reference).run()
+            expected = list(reference.iter_cells(spec.name))
+        telemetry = Telemetry()
+        with ResultStore(tmp_path / "capped.db") as store:
+            with StrategySearch(
+                spec, store, plan=ExecutionPlan(workers=2), telemetry=telemetry
+            ) as search:
+                partial = search.run(max_evaluations=3)
+            # The warm start proposes 8 candidates; only the 3 the budget
+            # pays for were ever submitted.
+            dispatched = telemetry.snapshot()["counters"]["pool.trials_dispatched"]
+            assert dispatched == 3 * len(spec.objective.seeds)
+            assert (partial.executed, partial.complete) == (3, False)
+            with StrategySearch(spec, store, plan=ExecutionPlan(workers=2)) as search:
+                assert search.run().complete
+            assert list(store.iter_cells(spec.name)) == expected
+
+    def test_a_genome_proposed_twice_in_one_generation_runs_once(self, monkeypatch):
+        genome = ParametricGenome(name="sweep")
+        monkeypatch.setattr(StrategySpace, "warm_start", lambda self: [genome, genome])
+        spec = tiny_spec(generations=0)
+        telemetry = Telemetry()
+        with ResultStore(":memory:") as store:
+            with ExecutionPool(workers=2, telemetry=telemetry) as pool:
+                result = StrategySearch(spec, store, pool=pool).run()
+            assert (result.executed, result.reused) == (1, 1)
+            assert store.cell_count() == 1
+        # One seed batch, not two.
+        dispatched = telemetry.snapshot()["counters"]["pool.trials_dispatched"]
+        assert dispatched == len(spec.objective.seeds)
+
+    def test_stopping_a_run_early_cancels_queued_chunks(self, tmp_path):
+        ran = tmp_path / "ran"
+        ran.mkdir()
+        gate = tmp_path / "gate"
+        # One seed per candidate, so one chunk is one candidate is one trial.
+        spec = activation_spec(
+            "search_test_counting",
+            lambda node_count: GatedCountingActivation(
+                count=node_count, directory=str(ran), gate=str(gate)
+            ),
+            seeds=(0,),
+        )
+
+        def stop(outcome):
+            raise _StopRun
+
+        with ExecutionPool(workers=1, chunk_size=1) as pool:
+            with ResultStore(":memory:") as store:
+                try:
+                    # Keeping the exception keeps the stopped run's frame and
+                    # its drain alive, so only the run itself can have
+                    # cancelled the queued chunks.
+                    with pytest.raises(_StopRun) as stopped:
+                        StrategySearch(spec, store, pool=pool).run(on_candidate=stop)
+                finally:
+                    gate.touch()
+                committed = store.cell_count()
+            # A later batch queues behind every chunk the stopped run left
+            # on the pool, so once it returns those have all run.
+            run_reduced_trials(
+                TINY_OBJECTIVE.config_for(ParametricGenome(name="sweep")), seeds=1, pool=pool
+            )
+            trials_run = len(list(ran.iterdir()))
+        assert stopped.type is _StopRun
+        assert committed == 1
+        # The worker's chunk and the executor's small call queue may still
+        # run; the warm start's other candidates must have been cancelled.
+        assert trials_run <= committed + pool.workers + 2
+
+    def test_a_serial_run_stopped_early_runs_no_later_candidate(self, monkeypatch):
+        import repro.campaigns.runner as runner_module
+
+        batches = []
+        real_run_reduced_trials = runner_module.run_reduced_trials
+
+        def counting_run_reduced_trials(config, **kwargs):
+            batches.append(config)
+            return real_run_reduced_trials(config, **kwargs)
+
+        monkeypatch.setattr(runner_module, "run_reduced_trials", counting_run_reduced_trials)
+
+        def stop(outcome):
+            raise _StopRun
+
+        with ResultStore(":memory:") as store:
+            with pytest.raises(_StopRun):
+                StrategySearch(tiny_spec(), store).run(on_candidate=stop)
+            assert store.cell_count() == 1
+        assert len(batches) == 1
+
+    def test_a_capped_search_claims_its_generations_stored_candidates(self):
+        """A shared store's candidates are claimed a generation at a time,
+        including stored ones past the point where the budget stops the run."""
+        first = tiny_spec(name="first", generations=0)
+        second = tiny_spec(name="second", generations=0)
+        genomes = StrategySpace(params=TINY_OBJECTIVE.params).warm_start()
+        with ResultStore(":memory:") as store:
+            checkpoint = SearchCheckpoint(store, first)
+            checkpoint.register()
+            # "first" evaluated the warm start's candidates 1 and 3 only.
+            for index in (1, 3):
+                records = run_reduced_trials(
+                    TINY_OBJECTIVE.config_for(genomes[index]), seeds=TINY_OBJECTIVE.seeds
+                )
+                checkpoint.record(genomes[index], 0, checkpoint.key_for(genomes[index]), records)
+            result = StrategySearch(second, store).run(max_evaluations=1)
+            # Candidate 0 runs, candidate 1 is reused, candidate 2 is past the
+            # budget — and candidate 3, stored, was claimed up front anyway.
+            assert (result.executed, result.reused, result.complete) == (1, 1, False)
+            assert store.completed_keys("second") == {
+                checkpoint.key_for(genomes[index]) for index in (0, 1, 3)
+            }
+
+    def test_pooled_search_survives_a_worker_crash(self, tmp_path):
+        sentinel = str(tmp_path / "crashed-once")
+        spec = activation_spec(
+            "search_test_crash_once",
+            lambda node_count: CrashOnceActivation(count=node_count, sentinel=sentinel),
+        )
+        with ExecutionPool(workers=2, chunk_size=1) as pool:
+            with ResultStore(tmp_path / "pooled.db") as pooled_store:
+                result = StrategySearch(spec, pooled_store, pool=pool).run()
+                # One crash, one restart, within the default retry budget.
+                assert result.complete
+                assert pool.starts == 2
+                # The sentinel exists now, so a serial run takes the branch
+                # the retried chunks took.
+                with ResultStore(tmp_path / "serial.db") as serial_store:
+                    StrategySearch(spec, serial_store).run()
+                    assert list(pooled_store.iter_cells(spec.name)) == list(
+                        serial_store.iter_cells(spec.name)
+                    )
