@@ -38,8 +38,10 @@ class AdversaryContext:
     budget:
         The maximum number of frequencies that may be disrupted (``t``).
     history:
-        Spectrum activity through the end of the previous round.  Adaptive
-        adversaries may inspect it; oblivious adversaries must ignore it.
+        Spectrum activity through the end of the previous round: that
+        round's record and per-frequency broadcast and delivery counts over
+        the whole execution.  Adaptive adversaries may inspect it; oblivious
+        adversaries must ignore it.
     rng:
         A dedicated random stream for the adversary.
     active_node_count:

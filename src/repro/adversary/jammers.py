@@ -144,11 +144,12 @@ class BurstyJammer(InterferenceAdversary):
 
 
 class ReactiveJammer(InterferenceAdversary):
-    """Adaptive jammer targeting the busiest recently observed frequencies.
+    """Adaptive jammer targeting the busiest frequencies of the run so far.
 
-    The jammer ranks frequencies by the number of broadcasts observed so far
-    and disrupts the top ``t``.  This is a natural adaptive strategy against
-    protocols that concentrate traffic on a few channels.
+    The jammer ranks frequencies by the number of broadcasts observed since
+    the start of the execution and disrupts the top ``t``.  This is a
+    natural adaptive strategy against protocols that concentrate traffic on
+    a few channels.
     """
 
     oblivious = False

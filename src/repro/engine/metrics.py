@@ -111,24 +111,23 @@ class MetricsObserver(BaseRoundObserver):
         # operations rather than repeated attribute traversals.
         metrics = self._metrics
         metrics.rounds_simulated += 1
+        activity = record.activity
+        disrupted = activity.disrupted
         broadcasts = 0
-        deliveries = 0
         collisions = 0
         prevented = 0
-        for activity in record.activity.per_frequency.values():
-            broadcaster_count = len(activity.broadcasters)
+        for frequency, senders in activity.broadcasters.items():
+            broadcaster_count = len(senders)
             broadcasts += broadcaster_count
-            if activity.delivered:
-                deliveries += 1
             if broadcaster_count >= 2:
                 collisions += 1
-            if activity.disrupted and broadcaster_count == 1:
+            elif broadcaster_count == 1 and frequency in disrupted:
                 prevented += 1
         metrics.broadcasts += broadcasts
-        metrics.deliveries += deliveries
+        metrics.deliveries += len(activity.delivered)
         metrics.collisions += collisions
         metrics.disrupted_deliveries_prevented += prevented
-        metrics.disrupted_frequency_rounds += len(record.activity.disrupted)
+        metrics.disrupted_frequency_rounds += len(disrupted)
         role_rounds = metrics.role_rounds
         leader_nodes = self._leader_nodes
         leader_role = Role.LEADER

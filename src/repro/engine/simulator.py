@@ -23,7 +23,9 @@ on, and a stabilization-tracker observer measures recovery.
 Properties and metrics are computed *incrementally* as the execution streams
 by, so a run with :attr:`~repro.engine.observers.TraceLevel.NONE` buffers no
 per-round history at all and still produces the same report and metrics as a
-full-trace run.
+full-trace run.  Its memory does not grow with the run length: the spectrum
+log keeps only the previous round's record and per-frequency counters, and
+the checker and metrics keep per-node and aggregate state.
 
 The loop ends when every node that will ever be activated has synchronized
 — under a fault plan: every fault has fired and the present honest nodes
@@ -90,14 +92,12 @@ class SimulationConfig:
     trace_level:
         How much per-round history to retain (default:
         :attr:`~repro.engine.observers.TraceLevel.FULL`, the seed behaviour).
-        With ``NONE``, :attr:`SimulationResult.trace` is ``None``; the
-        property report and the metrics are unaffected.
+        It is the only per-round history the simulator keeps.  With
+        ``NONE``, :attr:`SimulationResult.trace` is ``None``; the property
+        report, the metrics and the execution itself are unaffected.
     trace_sample_interval:
         With :attr:`~repro.engine.observers.TraceLevel.SAMPLED`, keep one
         round record in every ``trace_sample_interval``.
-    spectrum_window:
-        Optional bound on the spectrum log's retained history (the aggregate
-        occupancy counters adversaries use still cover the full execution).
     faults:
         Optional :class:`~repro.faults.plan.FaultPlan` injected into the
         round loop (churn, Byzantine nodes, transient corruption).  An empty
@@ -117,7 +117,6 @@ class SimulationConfig:
     enforce_budget: bool = True
     trace_level: TraceLevel = TraceLevel.FULL
     trace_sample_interval: int = 100
-    spectrum_window: Optional[int] = None
     faults: Optional[FaultPlan] = None
 
     def __post_init__(self) -> None:
@@ -132,10 +131,6 @@ class SimulationConfig:
         if self.trace_sample_interval < 1:
             raise ConfigurationError(
                 f"trace_sample_interval must be positive, got {self.trace_sample_interval}"
-            )
-        if self.spectrum_window is not None and self.spectrum_window < 1:
-            raise ConfigurationError(
-                f"spectrum_window must be positive, got {self.spectrum_window}"
             )
         if self.activation.node_count > self.params.participant_bound:
             raise ConfigurationError(
@@ -171,7 +166,7 @@ class Simulator:
         factory = config.protocol_factory
         fresh = getattr(factory, "fresh", None)
         self._protocol_factory: ProtocolFactory = fresh() if callable(fresh) else factory
-        self._spectrum = SpectrumLog(window=config.spectrum_window)
+        self._spectrum = SpectrumLog()
         self._extra_observers = tuple(observers)
         # Nodes never deactivate, so this insertion-ordered mapping *is* the
         # active set: `_activate` appends and the round loop iterates it

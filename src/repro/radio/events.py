@@ -2,14 +2,14 @@
 
 These records form the vocabulary shared by the network resolver
 (:mod:`repro.radio.network`), the execution trace
-(:mod:`repro.engine.trace`), the metrics collector, and the adversaries
-(which may observe the history of past rounds).
+(:mod:`repro.engine.trace`), the metrics collector, and the adaptive
+adversaries (which see the previous round's record through the spectrum log).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
 from repro.radio.messages import Message
 from repro.types import Frequency, NodeId
@@ -54,6 +54,8 @@ class ReceptionOutcome:
 class FrequencyActivity:
     """Aggregate activity on one frequency during one round.
 
+    Built on read by :attr:`RoundActivity.per_frequency`.
+
     Attributes
     ----------
     frequency:
@@ -86,32 +88,60 @@ class FrequencyActivity:
 class RoundActivity:
     """Everything that happened on the spectrum in one global round.
 
+    The record holds what the resolver already has: who broadcast and who
+    listened on each tuned frequency, in the order the nodes acted, the
+    disruption set, and the frequencies a message was delivered on.
+    :attr:`per_frequency` derives the sorted per-frequency view from them.
+
     Attributes
     ----------
     global_round:
         The 1-based global round index.
-    per_frequency:
-        Mapping from frequency to its :class:`FrequencyActivity`.  Frequencies
-        with no tuned nodes may be absent.
+    broadcasters:
+        Mapping from frequency to the ids of the nodes that broadcast on it.
+        Only frequencies with a broadcaster appear.
+    listeners:
+        Mapping from frequency to the ids of the nodes that listened on it.
+        Only frequencies with a listener appear.
     disrupted:
         The set of frequencies disrupted by the adversary this round.
+    delivered:
+        The frequencies on which a message was delivered, as decided by
+        :meth:`~repro.radio.network.SingleHopRadioNetwork.resolve_round`.
     activations:
         Node ids activated at the beginning of this round.
     """
 
     global_round: int
-    per_frequency: Mapping[Frequency, FrequencyActivity] = field(default_factory=dict)
+    broadcasters: Mapping[Frequency, Sequence[NodeId]] = field(default_factory=dict)
+    listeners: Mapping[Frequency, Sequence[NodeId]] = field(default_factory=dict)
     disrupted: frozenset[Frequency] = frozenset()
+    delivered: frozenset[Frequency] = frozenset()
     activations: tuple[NodeId, ...] = ()
 
+    @property
+    def per_frequency(self) -> Mapping[Frequency, FrequencyActivity]:
+        """One :class:`FrequencyActivity` per tuned frequency, built on read.
+
+        Keys are exactly the tuned frequencies in ascending order; node ids
+        are sorted within each record.
+        """
+        broadcasters, listeners = self.broadcasters, self.listeners
+        return {
+            frequency: FrequencyActivity(
+                frequency=frequency,
+                broadcasters=tuple(sorted(broadcasters.get(frequency, ()))),
+                listeners=tuple(sorted(listeners.get(frequency, ()))),
+                disrupted=frequency in self.disrupted,
+                delivered=frequency in self.delivered,
+            )
+            for frequency in sorted(broadcasters.keys() | listeners.keys())
+        }
+
     def successful_frequencies(self) -> tuple[Frequency, ...]:
-        """Frequencies on which a message was delivered this round."""
-        return tuple(
-            frequency
-            for frequency, activity in sorted(self.per_frequency.items())
-            if activity.delivered
-        )
+        """Frequencies on which a message was delivered this round, ascending."""
+        return tuple(sorted(self.delivered))
 
     def broadcaster_count(self) -> int:
         """Total number of broadcasting nodes this round."""
-        return sum(len(activity.broadcasters) for activity in self.per_frequency.values())
+        return sum(len(senders) for senders in self.broadcasters.values())

@@ -10,8 +10,12 @@ This module implements the communication rule of the paper's model (§2):
 
 The network itself is stateless; :class:`SingleHopRadioNetwork.resolve_round`
 is a pure function from the round's actions and the adversary's disruption set
-to per-node outcomes plus an aggregate :class:`~repro.radio.events.RoundActivity`
-record.
+to per-node outcomes plus the round's
+:class:`~repro.radio.events.RoundActivity` record.  The record keeps what the
+resolver already has — the broadcaster and listener buckets per frequency,
+the disruption set, and the frequencies it delivered on — so the delivery
+rule above is decided here and nowhere else: every reader of the record
+(spectrum log, metrics, trace export) reads its ``delivered`` frequencies.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from typing import Iterable, Mapping
 
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.radio.actions import RadioAction
-from repro.radio.events import FrequencyActivity, ReceptionOutcome, RoundActivity
+from repro.radio.events import ReceptionOutcome, RoundActivity
 from repro.radio.frequencies import FrequencyBand
 from repro.types import Frequency, Intent, NodeId
 
@@ -128,77 +132,53 @@ class SingleHopRadioNetwork:
                 bucket.append(node_id)
 
         outcomes: dict[NodeId, ReceptionOutcome] = {}
-        per_frequency: dict[Frequency, FrequencyActivity] = {}
-        outcome_cache = self._outcome_cache
-
-        used_frequencies = broadcasters.keys() | listeners.keys()
-        for frequency in sorted(used_frequencies):
-            freq_bucket = broadcasters.get(frequency)
-            listen_bucket = listeners.get(frequency)
-            freq_broadcasters = tuple(sorted(freq_bucket)) if freq_bucket else ()
-            freq_listeners = tuple(sorted(listen_bucket)) if listen_bucket else ()
+        delivered: list[Frequency] = []
+        shared = self._shared_outcome
+        for frequency, senders in broadcasters.items():
             is_disrupted = frequency in disrupted_set
-            broadcaster_count = len(freq_broadcasters)
-            collision = broadcaster_count >= 2
-            delivered = broadcaster_count == 1 and not is_disrupted
-
-            message = None
-            if delivered:
-                message = actions[freq_broadcasters[0]].message
-
-            per_frequency[frequency] = FrequencyActivity(
-                frequency=frequency,
-                broadcasters=freq_broadcasters,
-                listeners=freq_listeners,
-                disrupted=is_disrupted,
-                delivered=delivered,
-            )
-
-            if freq_broadcasters:
-                key = (frequency, True, collision, is_disrupted)
-                outcome = outcome_cache.get(key)
-                if outcome is None:
-                    outcome = ReceptionOutcome(
-                        frequency=frequency,
-                        broadcast=True,
-                        message=None,
-                        collision=collision,
-                        disrupted=is_disrupted,
-                    )
-                    outcome_cache[key] = outcome
-                for node_id in freq_broadcasters:
-                    outcomes[node_id] = outcome
-            if freq_listeners:
-                if message is None:
-                    key = (frequency, False, collision, is_disrupted)
-                    outcome = outcome_cache.get(key)
-                    if outcome is None:
-                        outcome = ReceptionOutcome(
-                            frequency=frequency,
-                            broadcast=False,
-                            message=None,
-                            collision=collision,
-                            disrupted=is_disrupted,
-                        )
-                        outcome_cache[key] = outcome
+            collision = len(senders) >= 2
+            outcome = shared(frequency, True, collision, is_disrupted)
+            for node_id in senders:
+                outcomes[node_id] = outcome
+            delivers = not collision and not is_disrupted
+            if delivers:
+                delivered.append(frequency)
+            receivers = listeners.get(frequency)
+            if receivers:
+                if delivers:
+                    message = actions[senders[0]].message
+                    outcome = ReceptionOutcome(frequency, broadcast=False, message=message)
                 else:
-                    outcome = ReceptionOutcome(
-                        frequency=frequency,
-                        broadcast=False,
-                        message=message,
-                        collision=collision,
-                        disrupted=is_disrupted,
-                    )
-                for node_id in freq_listeners:
+                    outcome = shared(frequency, False, collision, is_disrupted)
+                for node_id in receivers:
+                    outcomes[node_id] = outcome
+        for frequency, receivers in listeners.items():
+            if frequency not in broadcasters:
+                outcome = shared(frequency, False, False, frequency in disrupted_set)
+                for node_id in receivers:
                     outcomes[node_id] = outcome
 
         activity = RoundActivity(
             global_round=global_round,
-            per_frequency=per_frequency,
+            broadcasters=broadcasters,
+            listeners=listeners,
             disrupted=disrupted_set,
+            delivered=frozenset(delivered),
             activations=tuple(sorted(activations)),
         )
         return NetworkResolution(outcomes=outcomes, activity=activity)
+
+    def _shared_outcome(
+        self, frequency: Frequency, broadcast: bool, collision: bool, disrupted: bool
+    ) -> ReceptionOutcome:
+        """The interned message-free outcome for these four fields."""
+        key = (frequency, broadcast, collision, disrupted)
+        outcome = self._outcome_cache.get(key)
+        if outcome is None:
+            outcome = self._outcome_cache[key] = ReceptionOutcome(
+                frequency=frequency, broadcast=broadcast, collision=collision, disrupted=disrupted
+            )
+        return outcome
 
     def validate_disruption_budget(self, disrupted: Iterable[Frequency], budget: int) -> frozenset[Frequency]:
         """Check that a disruption set respects the adversary budget ``t``.

@@ -1,72 +1,48 @@
-"""Spectrum occupancy history.
+"""Spectrum occupancy statistics.
 
-The :class:`SpectrumLog` keeps a bounded window of past
-:class:`~repro.radio.events.RoundActivity` records.  It is the information an
-*adaptive* adversary is allowed to see (everything up to the end of the
-previous round), and it also backs a couple of occupancy statistics used by
-metrics and by the reactive jammers.
+The :class:`SpectrumLog` is what an *adaptive* adversary is allowed to see of
+the execution through the end of the previous round: that round's
+:class:`~repro.radio.events.RoundActivity` record and per-frequency broadcast
+and delivery counters over the whole execution.  It keeps no other history,
+so its memory does not grow with the run length.
 
 The log doubles as a streaming round observer (it implements the
 :class:`~repro.engine.observers.RoundObserver` interface structurally, with
 no dependency on the engine layer): the simulator feeds it one resolved round
-at a time via :meth:`on_round`.  A bounded ``window`` keeps memory constant
-on long executions while the aggregate counters still cover everything.
+at a time via :meth:`on_round`.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
-from typing import Deque, Iterable, Iterator, Optional
+from collections import Counter
+from typing import Iterable, Optional
 
 from repro.radio.events import RoundActivity
 from repro.types import Frequency
 
 
 class SpectrumLog:
-    """A (optionally bounded) log of per-round spectrum activity.
+    """The latest round's spectrum activity plus whole-execution counters."""
 
-    Parameters
-    ----------
-    window:
-        If given, only the most recent ``window`` rounds are retained.  The
-        aggregate counters still cover the full execution.
-    """
-
-    def __init__(self, window: Optional[int] = None) -> None:
-        self._window = window
-        self._records: Deque[RoundActivity] = deque(maxlen=window)
+    def __init__(self) -> None:
+        self._latest: Optional[RoundActivity] = None
         self._broadcast_counts: Counter[Frequency] = Counter()
         self._delivery_counts: Counter[Frequency] = Counter()
-        self._disruption_counts: Counter[Frequency] = Counter()
-        self._total_rounds = 0
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def __iter__(self) -> Iterator[RoundActivity]:
-        return iter(self._records)
-
-    @property
-    def total_rounds(self) -> int:
-        """Number of rounds recorded over the whole execution (not the window)."""
-        return self._total_rounds
 
     @property
     def latest(self) -> Optional[RoundActivity]:
         """The most recently recorded round, or ``None`` if empty."""
-        return self._records[-1] if self._records else None
+        return self._latest
 
     def record(self, activity: RoundActivity) -> None:
-        """Append one round's activity to the log."""
-        self._records.append(activity)
-        self._total_rounds += 1
-        for frequency, freq_activity in activity.per_frequency.items():
-            if freq_activity.broadcasters:
-                self._broadcast_counts[frequency] += len(freq_activity.broadcasters)
-            if freq_activity.delivered:
-                self._delivery_counts[frequency] += 1
-        for frequency in activity.disrupted:
-            self._disruption_counts[frequency] += 1
+        """Count one round's broadcasts and deliveries and keep it as latest."""
+        self._latest = activity
+        broadcast_counts = self._broadcast_counts
+        for frequency, senders in activity.broadcasters.items():
+            broadcast_counts[frequency] += len(senders)
+        delivery_counts = self._delivery_counts
+        for frequency in activity.delivered:
+            delivery_counts[frequency] += 1
 
     # -- RoundObserver interface (structural, no engine import) -----------
 
@@ -93,10 +69,6 @@ class SpectrumLog:
         """Total number of successful deliveries observed on ``frequency``."""
         return self._delivery_counts[frequency]
 
-    def disruption_count(self, frequency: Frequency) -> int:
-        """Total number of rounds ``frequency`` was disrupted."""
-        return self._disruption_counts[frequency]
-
     def busiest_frequencies(self, count: int, universe: Iterable[Frequency]) -> tuple[Frequency, ...]:
         """The ``count`` frequencies with the most observed broadcasts.
 
@@ -108,7 +80,3 @@ class SpectrumLog:
             key=lambda frequency: (-self._broadcast_counts[frequency], frequency),
         )
         return tuple(ranked[:count])
-
-    def recent_window(self) -> tuple[RoundActivity, ...]:
-        """The retained window of round records (oldest first)."""
-        return tuple(self._records)

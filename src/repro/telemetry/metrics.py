@@ -226,11 +226,10 @@ class Histogram:
                 f"histogram {self.name!r} has {len(self._counts)} bucket slots "
                 f"(including +Inf); cannot merge {len(counts)} counts"
             )
-        if count < 0 or any(increment < 0 for increment in counts):
+        if count < 0 or min(counts) < 0:
             raise ConfigurationError(f"histogram {self.name!r} merge counts must be non-negative")
         with self._lock:
-            for index, increment in enumerate(counts):
-                self._counts[index] += increment
+            self._counts = [mine + theirs for mine, theirs in zip(self._counts, counts)]
             self._sum += total
             self._count += count
 
@@ -329,6 +328,10 @@ AnyHistogram = Union[Histogram, NullHistogram]
 
 _Instrument = Union[Counter, Gauge, Histogram]
 
+#: What :meth:`MetricsRegistry.merge_delta` updates: the five ``worker.*``
+#: counters, then the chunk-seconds histogram.
+_WorkerInstruments = tuple[Counter, Counter, Counter, Counter, Counter, Histogram]
+
 
 class MetricsRegistry:
     """A named, get-or-create collection of live instruments.
@@ -342,6 +345,10 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._instruments: dict[str, _Instrument] = {}
         self._lock = threading.Lock()
+        #: The ``worker.*`` instruments :meth:`merge_delta` updates, looked up
+        #: on the first merge.  Instruments are never dropped or replaced, so
+        #: the handles stay current.
+        self._worker_instruments: Optional[_WorkerInstruments] = None
 
     def counter(self, name: str, help: str = "") -> Counter:
         """Get or create the counter called ``name``."""
@@ -401,27 +408,41 @@ class MetricsRegistry:
         registered as a different kind, or the histogram registered with other
         buckets, raises instead of silently corrupting the totals — and
         :meth:`Histogram.merge_counts` re-validates the delta's bucket layout.
+        The lookups and their checks run on the first merge only; later merges
+        reuse the same instruments.
         """
-        self.counter(
-            "worker.chunks_completed", help="chunks finished inside worker processes"
-        ).inc(delta.chunks)
-        self.counter(
-            "worker.trials_executed", help="trials executed inside worker processes"
-        ).inc(delta.trials)
-        self.counter(
-            "worker.rounds_simulated", help="simulated rounds summed across worker trials"
-        ).inc(delta.rounds)
-        self.counter(
-            "worker.scalar_trials", help="worker trials run on the scalar per-seed loop"
-        ).inc(delta.scalar_trials)
-        self.counter(
-            "worker.batch_trials", help="worker trials run on the vectorized lockstep kernel"
-        ).inc(delta.batch_trials)
-        self.histogram(
-            "worker.chunk_simulate_seconds",
-            help="in-worker wall time per executed chunk",
-            buckets=WORKER_SECONDS_BUCKETS,
-        ).merge_counts(
+        instruments = self._worker_instruments
+        if instruments is None:
+            instruments = self._worker_instruments = (
+                self.counter(
+                    "worker.chunks_completed", help="chunks finished inside worker processes"
+                ),
+                self.counter(
+                    "worker.trials_executed", help="trials executed inside worker processes"
+                ),
+                self.counter(
+                    "worker.rounds_simulated", help="simulated rounds summed across worker trials"
+                ),
+                self.counter(
+                    "worker.scalar_trials", help="worker trials run on the scalar per-seed loop"
+                ),
+                self.counter(
+                    "worker.batch_trials",
+                    help="worker trials run on the vectorized lockstep kernel",
+                ),
+                self.histogram(
+                    "worker.chunk_simulate_seconds",
+                    help="in-worker wall time per executed chunk",
+                    buckets=WORKER_SECONDS_BUCKETS,
+                ),
+            )
+        chunks, trials, rounds, scalar_trials, batch_trials, seconds = instruments
+        chunks.inc(delta.chunks)
+        trials.inc(delta.trials)
+        rounds.inc(delta.rounds)
+        scalar_trials.inc(delta.scalar_trials)
+        batch_trials.inc(delta.batch_trials)
+        seconds.merge_counts(
             delta.simulate_seconds_buckets,
             delta.simulate_seconds_sum,
             delta.simulate_seconds_count,

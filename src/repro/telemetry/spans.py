@@ -74,7 +74,7 @@ class NullSpan:
     def __enter__(self) -> "NullSpan":
         return self
 
-    def __exit__(self, *exc_info: object) -> None:
+    def __exit__(self, exc_type: object, exc_value: object, traceback: object) -> None:
         return None
 
 

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.engine.metrics import MetricsObserver
+from repro.engine.trace import RoundRecord
 from repro.radio.actions import broadcast, listen
 from repro.radio.frequencies import FrequencyBand
 from repro.radio.messages import DataMessage
@@ -74,11 +75,47 @@ class TestNetworkInvariants:
         assert activity.disrupted == frozenset(disrupted)
         total_broadcasters = sum(1 for action in actions.values() if action.is_broadcast)
         assert activity.broadcaster_count() == total_broadcasters
-        for frequency, freq_activity in activity.per_frequency.items():
+
+        # The view: one record per tuned frequency, ascending, with the
+        # sorted ids of the nodes that broadcast or listened there.
+        per_frequency = activity.per_frequency
+        assert list(per_frequency) == sorted({action.frequency for action in actions.values()})
+        for frequency, freq_activity in per_frequency.items():
+            acting = sorted(node for node in actions if actions[node].frequency == frequency)
+            assert freq_activity.frequency == frequency
+            assert freq_activity.broadcasters == tuple(
+                node for node in acting if actions[node].is_broadcast
+            )
+            assert freq_activity.listeners == tuple(
+                node for node in acting if actions[node].is_listen
+            )
+            assert freq_activity.disrupted == (frequency in disrupted)
             assert freq_activity.delivered == (
                 len(freq_activity.broadcasters) == 1 and frequency not in disrupted
             )
-            assert set(freq_activity.broadcasters).isdisjoint(freq_activity.listeners)
+        assert activity.successful_frequencies() == tuple(
+            frequency
+            for frequency, freq_activity in per_frequency.items()
+            if len(freq_activity.broadcasters) == 1 and frequency not in disrupted
+        )
+
+        # Metrics fed the round count what the view implies.
+        observer = MetricsObserver()
+        observer.on_round(RoundRecord(1, {}, {}, activity))
+        metrics = observer.result()
+        views = per_frequency.values()
+        assert metrics.broadcasts == sum(len(view.broadcasters) for view in views)
+        assert metrics.deliveries == sum(view.delivered for view in views)
+        assert metrics.collisions == sum(view.collided for view in views)
+        assert metrics.disrupted_deliveries_prevented == sum(
+            len(view.broadcasters) == 1 and view.disrupted for view in views
+        )
+        assert metrics.disrupted_frequency_rounds == len(activity.disrupted)
+
+        # The order the nodes acted in changes neither outcomes nor the view.
+        reverse = network.resolve_round(1, dict(reversed(list(actions.items()))), disrupted)
+        assert reverse.outcomes == resolution.outcomes
+        assert reverse.activity.per_frequency == per_frequency
 
     @given(round_instances(), st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=60, deadline=None)

@@ -773,7 +773,10 @@ class TestPooledRunner:
         with ExecutionPool(workers=1, chunk_size=1) as pool:
             with ResultStore(tmp_path / "store.db") as store:
                 try:
-                    with pytest.raises(_StopRun):
+                    # Keeping the exception keeps the stopped run's frame and
+                    # its drain alive, so only the run itself can have
+                    # cancelled the queued chunks.
+                    with pytest.raises(_StopRun) as stopped:
                         CampaignRunner(spec, store, pool=pool).run(on_cell=stop)
                 finally:
                     gate.touch()
@@ -782,6 +785,7 @@ class TestPooledRunner:
             # on the pool, so once it returns those have all run.
             run_reduced_trials(tiny_spec().cells()[0].config(), seeds=1, pool=pool)
             trials_run = len(list(ran.iterdir()))
+        assert stopped.type is _StopRun
         assert committed == 1
         # The worker's chunk and the executor's small call queue may still
         # run; every later cell's chunk must have been cancelled.

@@ -19,7 +19,7 @@ from repro.adversary.jammers import (
 )
 from repro.adversary.oblivious import ObliviousSchedule
 from repro.exceptions import ConfigurationError
-from repro.radio.events import FrequencyActivity, RoundActivity
+from repro.radio.events import RoundActivity
 from repro.radio.frequencies import FrequencyBand
 from repro.radio.spectrum_log import SpectrumLog
 
@@ -115,11 +115,8 @@ class TestHistoryAwareJammers:
         log = SpectrumLog()
         activity = RoundActivity(
             global_round=1,
-            per_frequency={
-                channel: FrequencyActivity(
-                    frequency=channel, broadcasters=tuple(range(broadcasts)), delivered=True
-                )
-            },
+            broadcasters={channel: list(range(broadcasts))},
+            delivered=frozenset({channel}),
         )
         log.record(activity)
         return log

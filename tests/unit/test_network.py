@@ -8,6 +8,7 @@ import pytest
 
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.radio.actions import broadcast, listen
+from repro.radio.events import FrequencyActivity, RoundActivity
 from repro.radio.frequencies import FrequencyBand
 from repro.radio.messages import LeaderMessage
 from repro.radio.network import SingleHopRadioNetwork
@@ -94,6 +95,31 @@ class TestActivityRecord:
         assert not activity.per_frequency[3].delivered
         assert activity.successful_frequencies() == (1,)
         assert activity.broadcaster_count() == 3
+
+    def test_per_frequency_view_sorts_frequencies_and_node_ids(self):
+        activity = RoundActivity(
+            global_round=3,
+            broadcasters={5: [3, 1], 2: [4]},
+            listeners={5: [2, 0], 7: [6]},
+            disrupted=frozenset({7}),
+            delivered=frozenset({2}),
+        )
+        view = activity.per_frequency
+        assert list(view) == [2, 5, 7]
+        assert view[2] == FrequencyActivity(frequency=2, broadcasters=(4,), delivered=True)
+        assert view[5] == FrequencyActivity(frequency=5, broadcasters=(1, 3), listeners=(0, 2))
+        assert view[7] == FrequencyActivity(frequency=7, listeners=(6,), disrupted=True)
+        assert activity.successful_frequencies() == (2,)
+        assert activity.broadcaster_count() == 3
+
+    def test_per_frequency_is_a_read_only_view(self, network):
+        activity = network.resolve_round(
+            1, {0: broadcast(1, MESSAGE), 1: listen(1), 2: listen(3)}, disrupted=()
+        ).activity
+        activity.per_frequency.clear()
+        assert list(activity.per_frequency) == [1, 3]
+        with pytest.raises(TypeError):
+            RoundActivity(global_round=1, per_frequency={})
 
     def test_out_of_band_disruption_rejected(self, network):
         with pytest.raises(ConfigurationError):

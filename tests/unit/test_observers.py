@@ -8,17 +8,20 @@ and a post-hoc pass over the recorded trace.
 
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import replace
 
 import pytest
 
 from repro.adversary.activation import StaggeredActivation
-from repro.adversary.jammers import RandomJammer
+from repro.adversary.jammers import RandomJammer, ReactiveJammer
+from repro.adversary.policy import PolicyJammer
 from repro.engine.checker import PropertyChecker, StreamingPropertyChecker
 from repro.engine.metrics import MetricsObserver, collect_metrics
 from repro.engine.observers import BaseRoundObserver, TraceLevel, TraceRecorder, replay_trace
 from repro.engine.simulator import SimulationConfig, Simulator, simulate
 from repro.exceptions import ConfigurationError
+from repro.params import ModelParameters
 from repro.protocols.trapdoor.protocol import TrapdoorProtocol
 from repro.radio.spectrum_log import SpectrumLog
 
@@ -69,7 +72,10 @@ class TestObserverProtocol:
     def test_spectrum_log_implements_the_observer_interface(self, base_config):
         log = SpectrumLog()
         result = Simulator(base_config, observers=[log]).run()
-        assert log.total_rounds == result.rounds_simulated
+        assert log.latest is result.trace.records[-1].activity
+        band = base_config.params.band.all_frequencies()
+        assert sum(log.broadcast_count(f) for f in band) == result.metrics.broadcasts
+        assert sum(log.delivery_count(f) for f in band) == result.metrics.deliveries
 
     def test_replay_matches_live_observation(self, base_config):
         live = RecordingObserver()
@@ -90,6 +96,52 @@ class TestTraceLevels:
     def test_none_retains_no_trace(self, base_config):
         result = simulate(replace(base_config, trace_level=TraceLevel.NONE))
         assert result.trace is None
+
+    @pytest.mark.parametrize(
+        "adversary",
+        [
+            ReactiveJammer(),
+            PolicyJammer(
+                table=("idle", "busiest", "random", "sweep", "quietest", "busiest"),
+                phase_period=2,
+            ),
+        ],
+        ids=["reactive", "policy"],
+    )
+    def test_adaptive_adversary_runs_match_at_every_trace_level(self, base_config, adversary):
+        # The reactive jammer reads the log's broadcast counters, the policy
+        # jammer its latest round; the log gets the same records at any level.
+        config = replace(base_config, adversary=adversary)
+        full = simulate(config)
+        for trace_free in (
+            simulate(replace(config, trace_level=TraceLevel.SAMPLED, trace_sample_interval=10)),
+            simulate(replace(config, trace_level=TraceLevel.NONE)),
+        ):
+            assert trace_free.metrics == full.metrics
+            assert trace_free.report == full.report
+
+    def test_none_memory_does_not_grow_with_run_length(self):
+        def peak_bytes(max_rounds: int) -> int:
+            config = SimulationConfig(
+                params=ModelParameters(4, 1, 8),
+                protocol_factory=TrapdoorProtocol.factory(),
+                activation=StaggeredActivation(count=2, spacing=2),
+                adversary=RandomJammer(),
+                max_rounds=max_rounds,
+                seed=1,
+                stop_when_synchronized=False,
+                trace_level=TraceLevel.NONE,
+            )
+            tracemalloc.start()
+            try:
+                assert simulate(config).rounds_simulated == max_rounds
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        short, long = peak_bytes(500), peak_bytes(5_000)
+        # Ten times the rounds, the same peak: no per-round history is kept.
+        assert long - short < 64 * 1024, (short, long)
 
     def test_sampled_keeps_a_subset_including_first_and_last_round(self, base_config):
         interval = 10
@@ -115,10 +167,6 @@ class TestTraceLevels:
     def test_rejects_non_positive_sample_interval(self, base_config):
         with pytest.raises(ConfigurationError):
             replace(base_config, trace_sample_interval=0)
-
-    def test_rejects_non_positive_spectrum_window(self, base_config):
-        with pytest.raises(ConfigurationError):
-            replace(base_config, spectrum_window=0)
 
     def test_recorder_rejects_bad_interval(self):
         with pytest.raises(ConfigurationError):
@@ -205,25 +253,6 @@ class TestIncompleteTraceGuards:
         full = simulate(base_config)
         trace_free = simulate(replace(base_config, trace_level=TraceLevel.NONE))
         assert trace_free.metrics.activation_rounds == full.trace.activation_rounds
-
-
-class TestSpectrumWindow:
-    def test_bounded_window_keeps_aggregate_counters(self, params):
-        config = SimulationConfig(
-            params=params,
-            protocol_factory=TrapdoorProtocol.factory(),
-            activation=StaggeredActivation(count=4, spacing=2),
-            adversary=RandomJammer(),
-            max_rounds=10_000,
-            seed=3,
-            spectrum_window=16,
-        )
-        unbounded = simulate(replace(config, spectrum_window=None))
-        bounded = simulate(config)
-        # The adversaries in these runs only consume aggregate statistics, so
-        # a bounded history window must not change the execution at all.
-        assert bounded.metrics == unbounded.metrics
-        assert bounded.report.synchronization_round == unbounded.report.synchronization_round
 
 
 def test_replay_trace_refuses_incomplete_traces(base_config):

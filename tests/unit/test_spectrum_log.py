@@ -2,43 +2,54 @@
 
 from __future__ import annotations
 
-from repro.radio.events import FrequencyActivity, RoundActivity
+import weakref
+
+from repro.radio.events import RoundActivity
 from repro.radio.spectrum_log import SpectrumLog
 
 
 def make_activity(global_round: int, broadcasters: dict[int, int], disrupted=(), delivered=()):
-    per_frequency = {}
-    for frequency, count in broadcasters.items():
-        per_frequency[frequency] = FrequencyActivity(
-            frequency=frequency,
-            broadcasters=tuple(range(count)),
-            listeners=(),
-            disrupted=frequency in disrupted,
-            delivered=frequency in delivered,
-        )
     return RoundActivity(
-        global_round=global_round, per_frequency=per_frequency, disrupted=frozenset(disrupted)
+        global_round=global_round,
+        broadcasters={frequency: list(range(count)) for frequency, count in broadcasters.items()},
+        disrupted=frozenset(disrupted),
+        delivered=frozenset(delivered),
     )
 
 
 class TestSpectrumLog:
-    def test_record_and_len(self):
+    def test_record_keeps_only_the_latest_round(self):
         log = SpectrumLog()
-        assert len(log) == 0
-        log.record(make_activity(1, {1: 2}))
-        assert len(log) == 1
-        assert log.total_rounds == 1
-        assert log.latest is not None
+        first, second = make_activity(1, {1: 2}), make_activity(2, {1: 1})
+        log.record(first)
+        assert log.latest is first
+        log.record(second)
+        assert log.latest is second
+        assert log.broadcast_count(1) == 3
 
-    def test_bounded_window_keeps_aggregates(self):
-        log = SpectrumLog(window=2)
-        for round_index in range(1, 6):
-            log.record(make_activity(round_index, {1: 1}))
-        assert len(log) == 2
-        assert log.total_rounds == 5
-        assert log.broadcast_count(1) == 5
+    def test_drops_each_round_once_the_next_is_recorded(self):
+        class TrackedActivity(RoundActivity):
+            """A record that takes weak references (the slotted base does not)."""
 
-    def test_counters_track_broadcasts_deliveries_disruptions(self):
+        first = TrackedActivity(global_round=1, broadcasters={1: [0]})
+        alive = weakref.ref(first)
+        log = SpectrumLog()
+        log.record(first)
+        del first
+        assert alive() is not None
+        log.record(make_activity(2, {1: 1}))
+        assert alive() is None
+        assert log.broadcast_count(1) == 2
+
+    def test_counts_the_deliveries_the_record_names(self):
+        # A lone broadcaster on an undisrupted frequency counts as a delivery
+        # only if the record says so: the log never re-derives the rule.
+        log = SpectrumLog()
+        log.record(make_activity(1, {1: 1, 2: 1}, delivered={2}))
+        assert log.delivery_count(1) == 0
+        assert log.delivery_count(2) == 1
+
+    def test_counters_track_broadcasts_and_deliveries(self):
         log = SpectrumLog()
         log.record(make_activity(1, {1: 2, 3: 1}, disrupted={2}, delivered={3}))
         log.record(make_activity(2, {3: 1}, delivered={3}))
@@ -46,7 +57,7 @@ class TestSpectrumLog:
         assert log.broadcast_count(3) == 2
         assert log.delivery_count(3) == 2
         assert log.delivery_count(1) == 0
-        assert log.disruption_count(2) == 1
+        assert log.broadcast_count(2) == log.delivery_count(2) == 0
 
     def test_busiest_frequencies_ranks_by_broadcasts(self):
         log = SpectrumLog()
@@ -56,14 +67,6 @@ class TestSpectrumLog:
     def test_busiest_frequencies_tie_breaks_by_index(self):
         log = SpectrumLog()
         assert log.busiest_frequencies(3, universe=[4, 2, 1, 3]) == (1, 2, 3)
-
-    def test_iteration_and_recent_window(self):
-        log = SpectrumLog(window=3)
-        activities = [make_activity(i, {1: 1}) for i in range(1, 5)]
-        for activity in activities:
-            log.record(activity)
-        assert list(log) == list(activities[-3:])
-        assert log.recent_window() == tuple(activities[-3:])
 
     def test_latest_is_none_when_empty(self):
         assert SpectrumLog().latest is None
