@@ -95,11 +95,18 @@ class MetricsObserver(BaseRoundObserver):
     The simulator attaches one per execution; tests can also feed it manually
     or replay a buffered trace through it (see :func:`collect_metrics`).
     Call :meth:`result` once the execution is over.
+
+    Role-rounds are tallied per *spell*: each node keeps ``[role, rounds]``
+    for the role it has held since it last changed, and the spell is added to
+    ``role_rounds`` only when the role changes and in :meth:`result`.  A role
+    enters ``role_rounds`` at its first (round, node), so the mapping's
+    values and key order are those of a per-round count.
     """
 
     def __init__(self) -> None:
         self._metrics = ExecutionMetrics()
         self._leader_nodes: set[NodeId] = set()
+        self._spells: dict[NodeId, list] = {}
 
     def on_activation(self, node_id: NodeId, global_round: GlobalRound) -> None:
         self._metrics.activation_rounds[node_id] = global_round
@@ -108,7 +115,8 @@ class MetricsObserver(BaseRoundObserver):
         # Hot path: one call per simulated round at every trace level.  The
         # aggregate counters accumulate in locals and the per-node loops bind
         # their targets once, so the per-round cost is a handful of dict
-        # operations rather than repeated attribute traversals.
+        # operations rather than repeated attribute traversals.  A node whose
+        # role did not change only bumps its spell: no enum is hashed.
         metrics = self._metrics
         metrics.rounds_simulated += 1
         activity = record.activity
@@ -128,13 +136,13 @@ class MetricsObserver(BaseRoundObserver):
         metrics.collisions += collisions
         metrics.disrupted_deliveries_prevented += prevented
         metrics.disrupted_frequency_rounds += len(disrupted)
-        role_rounds = metrics.role_rounds
-        leader_nodes = self._leader_nodes
-        leader_role = Role.LEADER
+        spells = self._spells
         for node_id, role in record.roles.items():
-            role_rounds[role] += 1
-            if role is leader_role:
-                leader_nodes.add(node_id)
+            spell = spells.get(node_id)
+            if spell is not None and spell[0] is role:
+                spell[1] += 1
+            else:
+                self._start_spell(node_id, role, spell)
         sync_latencies = metrics.sync_latencies
         activation_rounds = metrics.activation_rounds
         global_round = record.global_round
@@ -145,8 +153,27 @@ class MetricsObserver(BaseRoundObserver):
             if activation_round is not None:
                 sync_latencies[node_id] = global_round - activation_round + 1
 
+    def _start_spell(self, node_id: NodeId, role: Role, spell: list | None) -> None:
+        """Close ``node_id``'s current spell, if any, and open one in ``role``.
+
+        Also the only place a node is recorded as having led.
+        """
+        role_rounds = self._metrics.role_rounds
+        if spell is None:
+            self._spells[node_id] = [role, 1]
+        else:
+            role_rounds[spell[0]] += spell[1]
+            spell[0], spell[1] = role, 1
+        if role not in role_rounds:
+            role_rounds[role] = 0  # first seen: take its place in the key order
+        if role is Role.LEADER:
+            self._leader_nodes.add(node_id)
+
     def result(self, leader_uids: frozenset[int] | None = None) -> ExecutionMetrics:
         """The accumulated metrics.
+
+        Adds every open spell's rounds to ``role_rounds`` and restarts the
+        spells' counts, so a second call returns the same metrics.
 
         Parameters
         ----------
@@ -155,6 +182,11 @@ class MetricsObserver(BaseRoundObserver):
             (more precise than counting LEADER roles per round, because
             leaders may stop being tracked once everything is synchronized).
         """
+        role_rounds = self._metrics.role_rounds
+        for spell in self._spells.values():
+            if spell[1]:
+                role_rounds[spell[0]] += spell[1]
+                spell[1] = 0
         if leader_uids is not None:
             self._metrics.leader_count = len(leader_uids)
         else:

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 
 from repro.faults.plan import FaultPlan
 from repro.params import ModelParameters
-from repro.protocols.base import ProtocolContext, SynchronizationProtocol
+from repro.protocols.base import ProtocolContext, SynchronizationProtocol, draw_one_to
 from repro.radio.actions import RadioAction, broadcast
 from repro.radio.events import ReceptionOutcome
 from repro.radio.messages import LeaderMessage
@@ -137,10 +137,10 @@ class FaultInjector:
         number immediately.
         """
         rng = self._byzantine_rngs[node_id]
-        frequency = rng.randrange(1, self._params.frequencies + 1)
+        frequency = draw_one_to(rng, self._params.frequencies)
         message = LeaderMessage(
-            leader_uid=rng.randrange(1, self._params.participant_bound + 1),
-            round_number=rng.randrange(1, FORGED_ROUND_BOUND),
+            leader_uid=draw_one_to(rng, self._params.participant_bound),
+            round_number=draw_one_to(rng, FORGED_ROUND_BOUND - 1),
         )
         return broadcast(frequency, message)
 

@@ -102,6 +102,30 @@ class SynchronizationProtocol(abc.ABC):
         return self.role is Role.LEADER
 
 
+def draw_one_to(rng: random.Random, width: int) -> int:
+    """A uniform draw from ``[1 .. width]``: exactly ``rng.randint(1, width)``.
+
+    It returns the same value and leaves ``rng`` in the same state, because it
+    runs CPython's ``_randbelow_with_getrandbits`` inline: ``k``-bit draws,
+    ``k = width.bit_length()``, until one falls below ``width``.  There is no
+    power-of-two shortcut: ``bit_length`` of ``2**m`` is ``m + 1``, so a power
+    of two rejects half its draws, and those rejections are part of the
+    stream.  The batch kernel's ``_WordStreams.randbelow``
+    (:mod:`repro.engine.batch`) replays the same algorithm on numpy words.
+
+    Every bounded draw made per node-round calls it — protocol frequencies,
+    a Byzantine node's forgeries — because it skips the three Python frames
+    ``randint`` -> ``randrange`` -> ``_randbelow`` take.
+    """
+    if width < 1:
+        raise ValueError(f"empty range for draw_one_to: width {width}")
+    k = width.bit_length()
+    value = rng.getrandbits(k)
+    while value >= width:
+        value = rng.getrandbits(k)
+    return value + 1
+
+
 #: A callable building one protocol instance per node.  The engine calls it at
 #: activation time with the node's freshly initialized context.
 ProtocolFactory = Callable[[ProtocolContext], SynchronizationProtocol]

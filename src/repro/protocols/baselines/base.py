@@ -29,7 +29,12 @@ from __future__ import annotations
 import math
 
 from repro.exceptions import ConfigurationError
-from repro.protocols.base import ProtocolContext, SynchronizationProtocol, SynchronizedOutputMixin
+from repro.protocols.base import (
+    ProtocolContext,
+    SynchronizationProtocol,
+    SynchronizedOutputMixin,
+    draw_one_to,
+)
 from repro.protocols.timestamps import Timestamp
 from repro.radio.actions import RadioAction, broadcast, listen
 from repro.radio.events import ReceptionOutcome
@@ -91,11 +96,11 @@ class ContentionBaseline(SynchronizedOutputMixin, SynchronizationProtocol):
 
     def listening_frequency(self) -> int:
         """Where knocked-out and synchronized nodes listen (default: whole band)."""
-        return self.context.rng.randint(1, self.context.params.frequencies)
+        return draw_one_to(self.context.rng, self.context.params.frequencies)
 
     def leader_frequency(self) -> int:
         """Where a leader announces its numbering (default: whole band)."""
-        return self.context.rng.randint(1, self.context.params.frequencies)
+        return draw_one_to(self.context.rng, self.context.params.frequencies)
 
     # -- shared skeleton ---------------------------------------------------------
 

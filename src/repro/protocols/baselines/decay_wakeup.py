@@ -11,7 +11,7 @@ uniformly regardless of ``t``.
 
 from __future__ import annotations
 
-from repro.protocols.base import BoundProtocolFactory, ProtocolContext
+from repro.protocols.base import BoundProtocolFactory, ProtocolContext, draw_one_to
 from repro.protocols.baselines.base import ContentionBaseline
 from repro.radio.actions import RadioAction, broadcast, listen
 
@@ -44,7 +44,7 @@ class DecayWakeupProtocol(ContentionBaseline):
 
     def contender_action(self) -> RadioAction:
         rng = self.context.rng
-        frequency = rng.randint(1, self.context.params.frequencies)
+        frequency = draw_one_to(rng, self.context.params.frequencies)
         if rng.random() < self.current_probability():
             return broadcast(frequency, self.identity_message())
         return listen(frequency)

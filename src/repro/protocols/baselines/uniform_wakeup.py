@@ -12,7 +12,7 @@ mismatch, which is exactly the pathology the Trapdoor epochs remove.
 from __future__ import annotations
 
 from repro.exceptions import ConfigurationError
-from repro.protocols.base import BoundProtocolFactory, ProtocolContext
+from repro.protocols.base import BoundProtocolFactory, ProtocolContext, draw_one_to
 from repro.protocols.baselines.base import ContentionBaseline
 from repro.radio.actions import RadioAction, broadcast, listen
 
@@ -51,7 +51,7 @@ class UniformWakeupProtocol(ContentionBaseline):
 
     def contender_action(self) -> RadioAction:
         rng = self.context.rng
-        frequency = rng.randint(1, self.context.params.frequencies)
+        frequency = draw_one_to(rng, self.context.params.frequencies)
         if rng.random() < self.broadcast_probability:
             return broadcast(frequency, self.identity_message())
         return listen(frequency)

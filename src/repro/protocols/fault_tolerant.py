@@ -36,6 +36,7 @@ from repro.protocols.base import (
     ProtocolFactory,
     SynchronizationProtocol,
     SynchronizedOutputMixin,
+    draw_one_to,
 )
 from repro.protocols.numbering import RoundNumbering
 from repro.protocols.timestamps import Timestamp
@@ -175,7 +176,7 @@ class FaultTolerantTrapdoorProtocol(SynchronizedOutputMixin, SynchronizationProt
         if self._state is _State.CONTENDER and self.schedule.completed(protocol_round):
             self._become_leader()
 
-        frequency = rng.randint(1, self._band_width)
+        frequency = draw_one_to(rng, self._band_width)
 
         if self._state is _State.CONTENDER:
             probability = self.schedule.broadcast_probability(protocol_round)
@@ -322,7 +323,7 @@ class MutedProtocol(SynchronizationProtocol):
 
     def choose_action(self) -> RadioAction:
         if self.muted:
-            return listen(self.context.rng.randint(1, self.context.params.frequencies))
+            return listen(draw_one_to(self.context.rng, self.context.params.frequencies))
         return self.inner.choose_action()
 
     def on_reception(self, outcome: ReceptionOutcome) -> None:

@@ -4,6 +4,7 @@ from repro.protocols.good_samaritan.config import GoodSamaritanConfig
 from repro.protocols.good_samaritan.protocol import GoodSamaritanProtocol
 from repro.protocols.good_samaritan.reports import SuccessLedger
 from repro.protocols.good_samaritan.schedule import (
+    EpochSpan,
     FallbackPosition,
     GoodSamaritanSchedule,
     SchedulePosition,
@@ -13,6 +14,7 @@ __all__ = [
     "GoodSamaritanConfig",
     "GoodSamaritanProtocol",
     "SuccessLedger",
+    "EpochSpan",
     "FallbackPosition",
     "GoodSamaritanSchedule",
     "SchedulePosition",

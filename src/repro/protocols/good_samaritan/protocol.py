@@ -26,19 +26,26 @@ Roles and transitions
   leader.
 * Any node that receives a :class:`~repro.radio.messages.LeaderMessage`
   immediately adopts the numbering.
+
+A node asks its :class:`~repro.protocols.good_samaritan.schedule.GoodSamaritanSchedule`
+for its epoch once per epoch it enters, and once on entering the fallback:
+it caches the epoch's span and reads the cache in every other round.
 """
 
 from __future__ import annotations
+
+import math
 
 from repro.protocols.base import (
     BoundProtocolFactory,
     ProtocolContext,
     SynchronizationProtocol,
     SynchronizedOutputMixin,
+    draw_one_to,
 )
 from repro.protocols.good_samaritan.config import GoodSamaritanConfig
 from repro.protocols.good_samaritan.reports import SuccessLedger
-from repro.protocols.good_samaritan.schedule import GoodSamaritanSchedule, SchedulePosition
+from repro.protocols.good_samaritan.schedule import EpochSpan, GoodSamaritanSchedule
 from repro.protocols.timestamps import Timestamp
 from repro.radio.actions import RadioAction, broadcast, listen
 from repro.radio.events import ReceptionOutcome
@@ -66,6 +73,15 @@ class GoodSamaritanProtocol(SynchronizedOutputMixin, SynchronizationProtocol):
         self._this_round_special = False
         self._leader_via_fallback = False
         self._downgrade_round: int | None = None
+        # Read every round: built once.
+        self._frequencies = context.params.frequencies
+        self._log_f = self.schedule.super_epoch_count
+        self._prefix_widths = self.schedule.prefix_widths
+        # The cached epoch span, valid for local rounds [first, last]; the
+        # empty range makes the first read ask the schedule.
+        self._span: EpochSpan | None = None
+        self._span_first: float = 1
+        self._span_last: float = 0
 
     # -- factory -----------------------------------------------------------
 
@@ -82,7 +98,6 @@ class GoodSamaritanProtocol(SynchronizedOutputMixin, SynchronizationProtocol):
         return self._state
 
     def choose_action(self) -> RadioAction:
-        local_round = self.context.local_round
         self._this_round_special = False
 
         if self._state is Role.LEADER:
@@ -90,10 +105,10 @@ class GoodSamaritanProtocol(SynchronizedOutputMixin, SynchronizationProtocol):
         if self._state in (Role.PASSIVE, Role.SYNCHRONIZED):
             return listen(self._monitoring_frequency())
 
-        position = self.schedule.position_of_round(local_round)
-        if position is not None:
-            return self._optimistic_action(position)
-        return self._fallback_action(local_round)
+        span = self._epoch_span()
+        if span is not None:
+            return self._optimistic_action(span)
+        return self._fallback_action(self.context.local_round)
 
     def on_reception(self, outcome: ReceptionOutcome) -> None:
         message = outcome.message
@@ -136,19 +151,18 @@ class GoodSamaritanProtocol(SynchronizedOutputMixin, SynchronizationProtocol):
 
     # -- optimistic portion -----------------------------------------------------
 
-    def _optimistic_action(self, position: SchedulePosition) -> RadioAction:
+    def _optimistic_action(self, span: EpochSpan) -> RadioAction:
         rng = self.context.rng
-        prefix = self.schedule.prefix_width(position.super_epoch)
-        frequencies = self.context.params.frequencies
+        prefix = self._prefix_widths[span.super_epoch - 1]
 
-        if position.epoch <= self.context.params.log_participants:
+        if span.epoch <= self.context.params.log_participants:
             # Regular epochs: half the time the super-epoch prefix, half the
             # time the whole band; broadcast with the epoch's probability.
             if rng.random() < self.config.local_band_probability:
-                frequency = rng.randint(1, prefix)
+                frequency = draw_one_to(rng, prefix)
             else:
-                frequency = rng.randint(1, frequencies)
-            probability = self.schedule.broadcast_probability(position.epoch)
+                frequency = draw_one_to(rng, self._frequencies)
+            probability = self.schedule.broadcast_probability(span.epoch)
             if rng.random() < probability:
                 return broadcast(frequency, self._identity_message(special=False))
             return listen(frequency)
@@ -161,8 +175,8 @@ class GoodSamaritanProtocol(SynchronizedOutputMixin, SynchronizationProtocol):
                 return broadcast(frequency, self._identity_message(special=True))
             return listen(frequency)
 
-        frequency = rng.randint(1, prefix)
-        probability = self.schedule.broadcast_probability(position.epoch)
+        frequency = draw_one_to(rng, prefix)
+        probability = self.schedule.broadcast_probability(span.epoch)
         if rng.random() < probability:
             return broadcast(frequency, self._identity_message(special=False))
         return listen(frequency)
@@ -190,25 +204,25 @@ class GoodSamaritanProtocol(SynchronizedOutputMixin, SynchronizationProtocol):
             self._maybe_record_success(message)
 
     def _maybe_record_success(self, message: ContenderMessage) -> None:
-        position = self.schedule.position_of_round(self.context.local_round)
-        if position is None or position.epoch != self.schedule.critical_epoch:
+        span = self._epoch_span()
+        if span is None or span.epoch != self.schedule.critical_epoch:
             return
         if message.special or self._this_round_special:
             return
         if message.timestamp.rounds_active != self.context.local_round:
             # The contender was not activated in the same round as this samaritan.
             return
-        self._ledger.ensure_epoch(position.super_epoch, position.epoch)
+        self._ledger.ensure_epoch(span.super_epoch, span.epoch)
         self._ledger.record(message.timestamp.uid)
 
     def _maybe_become_leader(self, message: SamaritanMessage) -> None:
         count = message.reports.get(self.context.uid, 0)
         if count <= 0:
             return
-        position = self.schedule.position_of_round(self.context.local_round)
-        if position is None:
+        span = self._epoch_span()
+        if span is None:
             return
-        threshold = self.schedule.success_threshold(position.super_epoch)
+        threshold = self.schedule.success_threshold(span.super_epoch)
         if count >= threshold:
             self._become_leader(via_fallback=False)
 
@@ -235,7 +249,7 @@ class GoodSamaritanProtocol(SynchronizedOutputMixin, SynchronizationProtocol):
 
         # A modified Trapdoor round: uniform frequency over the whole band,
         # broadcast with the fallback epoch's probability (contenders only).
-        frequency = rng.randint(1, self.context.params.frequencies)
+        frequency = draw_one_to(rng, self._frequencies)
         if self._state is Role.CONTENDER:
             probability = self.schedule.fallback_broadcast_probability(fallback.epoch)
             if rng.random() < probability:
@@ -258,7 +272,7 @@ class GoodSamaritanProtocol(SynchronizedOutputMixin, SynchronizationProtocol):
         rng = self.context.rng
         if rng.random() < 0.5:
             return self._special_frequency()
-        return rng.randint(1, self.context.params.frequencies)
+        return draw_one_to(rng, self._frequencies)
 
     def _become_leader(self, via_fallback: bool) -> None:
         self._state = Role.LEADER
@@ -276,9 +290,28 @@ class GoodSamaritanProtocol(SynchronizedOutputMixin, SynchronizationProtocol):
     def _my_timestamp(self) -> Timestamp:
         return Timestamp(rounds_active=self.context.local_round, uid=self.context.uid)
 
+    def _epoch_span(self) -> EpochSpan | None:
+        """The epoch span of the current local round, or ``None`` in the fallback.
+
+        The schedule is asked again only when ``local_round`` falls outside
+        the cached ``[first, last]``: once per epoch the node enters, and once
+        for the whole fallback.  The range is checked on every read, so
+        ``local_round`` may be set anywhere, backwards included.
+        """
+        local_round = self.context.local_round
+        if self._span_first <= local_round <= self._span_last:
+            return self._span
+        span = self.schedule.epoch_span(local_round)
+        if span is None:
+            self._span_first, self._span_last = self.schedule.optimistic_rounds + 1, math.inf
+        else:
+            self._span_first, self._span_last = span.first, span.last
+        self._span = span
+        return span
+
     def _identity_message(self, special: bool):
-        position = self.schedule.position_of_round(self.context.local_round)
-        epoch = position.epoch if position is not None else 0
+        span = self._epoch_span()
+        epoch = span.epoch if span is not None else 0
         if self._state is Role.SAMARITAN:
             return SamaritanMessage(
                 timestamp=self._my_timestamp(),
@@ -294,5 +327,5 @@ class GoodSamaritanProtocol(SynchronizedOutputMixin, SynchronizationProtocol):
         uniformly from ``[1 .. 2^d]`` (clamped to the band).
         """
         rng = self.context.rng
-        d = rng.randint(1, self.schedule.super_epoch_count)
-        return rng.randint(1, self.schedule.prefix_width(d))
+        d = draw_one_to(rng, self._log_f)
+        return draw_one_to(rng, self._prefix_widths[d - 1])

@@ -9,8 +9,9 @@ last super-epoch unsynchronized falls back to a modified Trapdoor protocol
 whose epochs are at least four times longer than the longest optimistic epoch.
 
 :class:`GoodSamaritanSchedule` materializes this structure for concrete
-parameters; the ``fig2`` benchmark renders it as the paper's Figure 2, and the
-protocol queries it every round through :meth:`position_of_round`.
+parameters; the ``fig2`` benchmark renders it as the paper's Figure 2.  The
+protocol finds its place through :meth:`epoch_span`, once per epoch it enters:
+the span's first and last local round tell it when to ask again.
 """
 
 from __future__ import annotations
@@ -40,6 +41,26 @@ class SchedulePosition:
     super_epoch: int
     epoch: int
     round_in_epoch: int
+
+
+@dataclass(frozen=True)
+class EpochSpan:
+    """The optimistic-portion epoch one local round falls in.
+
+    Attributes
+    ----------
+    super_epoch:
+        1-based super-epoch index ``k`` (``1 .. lg F``).
+    epoch:
+        1-based epoch index within the super-epoch (``1 .. lg N + 2``).
+    first, last:
+        The epoch's first and last local round (inclusive).
+    """
+
+    super_epoch: int
+    epoch: int
+    first: int
+    last: int
 
 
 @dataclass(frozen=True)
@@ -159,6 +180,11 @@ class GoodSamaritanSchedule:
         """Optimistic plus fallback rounds (the worst-case trajectory)."""
         return self._optimistic_total + self._fallback_total
 
+    @property
+    def prefix_widths(self) -> tuple[int, ...]:
+        """The prefix widths of super-epochs ``1 .. lg F``, in order."""
+        return self._prefix_widths
+
     def epoch_length(self, super_epoch: int) -> int:
         """``s(k)`` — the epoch length of super-epoch ``k``."""
         if not 1 <= super_epoch <= self._log_f:
@@ -209,19 +235,32 @@ class GoodSamaritanSchedule:
 
     # -- per-round queries ----------------------------------------------------
 
-    def position_of_round(self, local_round: int) -> SchedulePosition | None:
-        """The optimistic-portion position of a local round, or ``None`` if in fallback."""
+    def epoch_span(self, local_round: int) -> EpochSpan | None:
+        """The optimistic-portion epoch of a local round, or ``None`` if in fallback."""
         if local_round < 1:
             raise ConfigurationError(f"local round must be >= 1, got {local_round}")
-        remaining = local_round
+        first = 1  # the first local round of super-epoch k
         for k, super_length in enumerate(self._super_epoch_lengths, start=1):
-            if remaining <= super_length:
+            if local_round < first + super_length:
                 epoch_length = self._epoch_lengths[k - 1]
-                epoch = (remaining - 1) // epoch_length + 1
-                round_in_epoch = (remaining - 1) % epoch_length + 1
-                return SchedulePosition(super_epoch=k, epoch=epoch, round_in_epoch=round_in_epoch)
-            remaining -= super_length
+                epoch = (local_round - first) // epoch_length + 1
+                start = first + (epoch - 1) * epoch_length
+                return EpochSpan(
+                    super_epoch=k, epoch=epoch, first=start, last=start + epoch_length - 1
+                )
+            first += super_length
         return None
+
+    def position_of_round(self, local_round: int) -> SchedulePosition | None:
+        """The optimistic-portion position of a local round, or ``None`` if in fallback."""
+        span = self.epoch_span(local_round)
+        if span is None:
+            return None
+        return SchedulePosition(
+            super_epoch=span.super_epoch,
+            epoch=span.epoch,
+            round_in_epoch=local_round - span.first + 1,
+        )
 
     def fallback_position_of_round(self, local_round: int) -> FallbackPosition | None:
         """The fallback-portion position of a local round, or ``None`` if still optimistic."""

@@ -21,6 +21,7 @@ from repro.protocols.base import (
     ProtocolContext,
     SynchronizationProtocol,
     SynchronizedOutputMixin,
+    draw_one_to,
 )
 from repro.protocols.timestamps import Timestamp
 from repro.protocols.trapdoor.config import TrapdoorConfig
@@ -71,7 +72,7 @@ class TrapdoorProtocol(SynchronizedOutputMixin, SynchronizationProtocol):
         if self._state is Role.CONTENDER and self.schedule.completed(local_round):
             self._become_leader()
 
-        frequency = rng.randint(1, self._band_width)
+        frequency = draw_one_to(rng, self._band_width)
 
         if self._state is Role.CONTENDER:
             probability = self.schedule.broadcast_probability(local_round)

@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+from collections import Counter
 
+from repro.engine.observers import TraceLevel
+from repro.engine.simulator import SimulationConfig, simulate
+from repro.experiments.workloads import crowded_cafe
+from repro.params import ModelParameters
 from repro.protocols.good_samaritan.protocol import GoodSamaritanProtocol
+from repro.protocols.good_samaritan.schedule import GoodSamaritanSchedule
 from repro.protocols.good_samaritan.reports import SuccessLedger
 from repro.radio.events import ReceptionOutcome
 from repro.radio.messages import ContenderMessage, LeaderMessage, SamaritanMessage
@@ -241,3 +247,66 @@ class TestOptimisticActions:
         ]
         assert reports
         assert any(m.reports.get(42) == 1 for m in reports)
+
+
+def epochs_entered(schedule: GoodSamaritanSchedule, last_round: int) -> int:
+    """How many optimistic epochs start at or before local round ``last_round``."""
+    entered = 0
+    first = 1
+    for k in range(1, schedule.super_epoch_count + 1):
+        for _ in range(schedule.epochs_per_super_epoch):
+            if first > last_round:
+                return entered
+            entered += 1
+            first += schedule.epoch_length(k)
+    return entered
+
+
+class TestScheduleLookups:
+    def test_a_node_looks_up_each_epoch_once(self, monkeypatch):
+        """A node asks its schedule once per epoch it enters, plus once for the fallback."""
+        lookups: Counter = Counter()
+        depth = [0]
+
+        def counted(original):
+            def lookup(schedule, local_round):
+                if not depth[0]:  # position_of_round asking epoch_span is one lookup
+                    lookups[schedule] += 1
+                depth[0] += 1
+                try:
+                    return original(schedule, local_round)
+                finally:
+                    depth[0] -= 1
+
+            return lookup
+
+        for name in ("epoch_span", "position_of_round"):
+            monkeypatch.setattr(
+                GoodSamaritanSchedule, name, counted(getattr(GoodSamaritanSchedule, name))
+            )
+        protocols = []
+
+        def factory(context):
+            protocols.append(GoodSamaritanProtocol(context))
+            return protocols[-1]
+
+        params = ModelParameters(frequencies=8, disruption_budget=3, participant_bound=64)
+        workload = crowded_cafe(8)
+        result = simulate(
+            SimulationConfig(
+                params=params,
+                protocol_factory=factory,
+                activation=workload.activation,
+                adversary=workload.adversary,
+                max_rounds=2_000,
+                seed=3,
+                trace_level=TraceLevel.NONE,
+            )
+        )
+        assert len(protocols) == 8
+        assert result.metrics.rounds_simulated > 100
+        for protocol in protocols:
+            schedule, last_round = protocol.schedule, protocol.context.local_round
+            allowed = epochs_entered(schedule, last_round) + schedule.in_fallback(last_round)
+            assert lookups[schedule] <= allowed, (last_round, lookups[schedule], allowed)
+        assert sum(lookups.values()) > 0

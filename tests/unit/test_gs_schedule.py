@@ -222,3 +222,32 @@ class TestLookupTables:
             d = reference.randint(1, log_f)
             expected = reference.randint(1, min(2**d, frequencies))
             assert protocol._special_frequency() == expected
+
+    def test_epoch_span_and_position_agree_at_every_epoch_boundary(
+        self, frequencies, budget, participants
+    ):
+        schedule = GoodSamaritanSchedule(ModelParameters(frequencies, budget, participants))
+        # Walk the epochs from their lengths; check each epoch's first two and
+        # last two rounds, so both sides of every boundary are covered.
+        expected = {}
+        first = 1
+        for k in range(1, schedule.super_epoch_count + 1):
+            length = schedule.epoch_length(k)
+            for epoch in range(1, schedule.epochs_per_super_epoch + 1):
+                last = first + length - 1
+                for local_round in {first, first + 1, last - 1, last} & set(range(first, last + 1)):
+                    expected[local_round] = (k, epoch, first, last)
+                first = last + 1
+        assert first == schedule.optimistic_rounds + 1
+        for local_round, (k, epoch, first, last) in sorted(expected.items()):
+            span = schedule.epoch_span(local_round)
+            assert (span.super_epoch, span.epoch, span.first, span.last) == (k, epoch, first, last)
+            position = schedule.position_of_round(local_round)
+            assert (position.super_epoch, position.epoch, position.round_in_epoch) == (
+                k,
+                epoch,
+                local_round - first + 1,
+            )
+        for local_round in range(schedule.optimistic_rounds + 1, schedule.optimistic_rounds + 4):
+            assert schedule.epoch_span(local_round) is None
+            assert schedule.position_of_round(local_round) is None

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import random
 import tracemalloc
 
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.protocols.base import SynchronizationProtocol, SynchronizedOutputMixin
+from repro.protocols.base import SynchronizationProtocol, SynchronizedOutputMixin, draw_one_to
 from repro.protocols.numbering import RoundNumbering
 from repro.protocols.registry import PROTOCOL_FACTORIES, protocol_factory
 from repro.radio.actions import RadioAction, listen
@@ -129,3 +130,30 @@ class TestRoleRead:
         leader = LeaderMessage(leader_uid=99, round_number=40)
         protocol.on_reception(ReceptionOutcome(frequency=1, broadcast=False, message=leader))
         assert protocol.state_name == protocol.role.value == "synchronized"
+
+
+#: Every width up to 300 (each power of two among them), plus one wide power
+#: of two and one wide odd width.
+DRAW_WIDTHS = (*range(1, 301), 2**20, 3**13)
+
+
+class TestDrawOneTo:
+    """The per-round frequency draw replays ``Random.randint(1, width)``."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_same_values_and_state_as_randint(self, seed):
+        ours, reference = random.Random(seed), random.Random(seed)
+        for width in DRAW_WIDTHS:
+            drawn = [draw_one_to(ours, width) for _ in range(4)]
+            assert drawn == [reference.randint(1, width) for _ in range(4)], width
+            assert ours.getstate() == reference.getstate(), width
+
+    @pytest.mark.parametrize("width", [0, -1, -8])
+    def test_empty_range_raises_without_drawing(self, width):
+        ours = random.Random(3)
+        state = ours.getstate()
+        with pytest.raises(ValueError):
+            random.Random(3).randint(1, width)
+        with pytest.raises(ValueError):
+            draw_one_to(ours, width)
+        assert ours.getstate() == state
