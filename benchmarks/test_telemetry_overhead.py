@@ -10,8 +10,9 @@ wall-clock runs of the full scenario:
 1. **The hot loops are provably untouched.**  ``trapdoor_n64_batch`` calls
    :func:`repro.engine.batch.run_reduced_batch` directly, and the per-round
    scalar engine lives in ``repro.engine.simulator`` — a static check asserts
-   neither module references telemetry at all, so their cost is *identical*
-   to the pre-telemetry build, not merely close.
+   that neither module, nor any module the round loop calls every round,
+   references telemetry at all, so their cost is *identical* to the
+   pre-telemetry build, not merely close.
 
 2. **The disabled per-call cost is pinned.**  Orchestration layers
    (pool/campaign/search) do keep their instrument calls when telemetry is
@@ -28,18 +29,23 @@ Each timing takes :data:`TIMING_REPEATS` runs.  A per-call cost is the
 least of its timed loops: other work on a shared machine only ever adds
 time, so the least loop is the closest to the code's own cost, where one
 preempted loop would otherwise inflate it.  The scenario runtime is the
-median of its runs, the typical runtime one run shows.
+median of its runs, the typical runtime one run shows.  The two gates time
+their loops and the scenario in turns (:func:`_timed_in_turns`): a shared
+host runs in slow and fast windows, and a window that held all the loops but
+none of the scenario runs would skew the ratio.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib
 import inspect
+import pkgutil
 import statistics
 import tempfile
 import time
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 from repro.adversary.activation import StaggeredActivation
 from repro.adversary.jammers import RandomJammer
@@ -113,18 +119,31 @@ def _least_seconds(run: Callable[[], object], repeats: int = TIMING_REPEATS) -> 
     return least
 
 
-def _scenario_seconds() -> float:
-    """The pinned campaign workload's runtime with telemetry off (median of the repeats)."""
-    return statistics.median(_run_campaign_scenario(telemetry=None) for _ in range(TIMING_REPEATS))
+def _timed_in_turns(loops: Sequence[Callable[[], object]]) -> tuple[float, list[float]]:
+    """The campaign scenario's runtime and each loop's least time, timed in turns.
+
+    Each of :data:`TIMING_REPEATS` turns runs the scenario once, telemetry
+    off, and then every loop once, so a slow window of a shared host lands
+    on both sides of the ratio.  Returns the median scenario runtime and the
+    least time of each loop, in the order given.
+    """
+    scenario_runs: list[float] = []
+    least = [float("inf")] * len(loops)
+    for _ in range(TIMING_REPEATS):
+        scenario_runs.append(_run_campaign_scenario(telemetry=None))
+        for index, loop in enumerate(loops):
+            start = time.perf_counter()
+            loop()
+            least[index] = min(least[index], time.perf_counter() - start)
+    return statistics.median(scenario_runs), least
 
 
-def _noop_cost_per_call(calls: int = 200_000) -> float:
-    """Measured seconds per disabled-path operation (the worst of the shapes).
+def _noop_shapes(calls: int) -> tuple[Callable[[], None], ...]:
+    """One loop of ``calls`` disabled-path operations per shape.
 
     Covers every shape the orchestration layers use when telemetry is off:
     a prebound null instrument call, a disabled-handle lookup returning the
     singleton, the ``enabled`` guard, and a null span context entry/exit.
-    Each shape's cost is the least of :data:`TIMING_REPEATS` timed loops.
     """
 
     def prebound() -> None:
@@ -145,7 +164,15 @@ def _noop_cost_per_call(calls: int = 200_000) -> float:
             with TELEMETRY_OFF.span("x"):
                 pass
 
-    return max(_least_seconds(shape) for shape in (prebound, lookup, guard, span)) / calls
+    return prebound, lookup, guard, span
+
+
+def _noop_cost_per_call(calls: int = 200_000) -> float:
+    """Measured seconds per disabled-path operation (the worst of the shapes).
+
+    Each shape's cost is the least of :data:`TIMING_REPEATS` timed loops.
+    """
+    return max(_least_seconds(shape) for shape in _noop_shapes(calls)) / calls
 
 
 def test_hot_path_modules_are_uninstrumented():
@@ -154,14 +181,34 @@ def test_hot_path_modules_are_uninstrumented():
     ``trapdoor_n64_batch`` runs :mod:`repro.engine.batch` directly and every
     scenario bottoms out in :mod:`repro.engine.simulator`'s round loop; both
     iterate millions of times per scenario, where even a no-op call per round
-    would blow the 2% budget.  Instrumentation belongs one layer up (pool,
-    runners) — this pins that boundary.
+    would blow the 2% budget.  The same holds for everything the round loop
+    calls every round: the network, the observers and the spectrum log, the
+    node runtime, every protocol module and the fault injector.
+    Instrumentation belongs one layer up (pool, runners) — this pins that
+    boundary.
     """
-    import repro.engine.batch
-    import repro.engine.rng
-    import repro.engine.simulator
+    import repro.protocols
 
-    for module in (repro.engine.simulator, repro.engine.batch, repro.engine.rng):
+    hot_paths = [
+        "repro.engine.simulator",
+        "repro.engine.batch",
+        "repro.engine.rng",
+        "repro.engine.checker",
+        "repro.engine.metrics",
+        "repro.engine.observers",
+        "repro.engine.node",
+        "repro.radio.network",
+        "repro.radio.spectrum_log",
+        "repro.faults.injector",
+        "repro.faults.stabilization",
+    ]
+    hot_paths += [
+        module.name
+        for module in pkgutil.walk_packages(repro.protocols.__path__, "repro.protocols.")
+    ]
+    assert "repro.protocols.good_samaritan.protocol" in hot_paths
+    for name in hot_paths:
+        module = importlib.import_module(name)
         source = Path(module.__file__).read_text(encoding="utf-8")
         assert "telemetry" not in source.lower(), (
             f"{module.__name__} references telemetry — per-round hot paths "
@@ -265,7 +312,8 @@ def test_campaign_scenario_overhead_within_budget(emit):
     runs.  A generous safety factor keeps the gate honest on noisy machines
     while still catching per-round instrumentation instantly.
     """
-    scenario_seconds = _scenario_seconds()
+    calls = 50_000
+    scenario_seconds, shape_seconds = _timed_in_turns(_noop_shapes(calls))
 
     counting = Telemetry()
     _run_campaign_scenario(telemetry=counting)
@@ -302,7 +350,7 @@ def test_campaign_scenario_overhead_within_budget(emit):
         if name.startswith("span.")
     )
 
-    per_call = _noop_cost_per_call(calls=50_000)
+    per_call = max(shape_seconds) / calls
     projected_overhead = operations * per_call * SAFETY_FACTOR
     budget = OVERHEAD_BUDGET * scenario_seconds
     emit(
@@ -362,10 +410,9 @@ def test_worker_delta_path_within_budget(emit):
             for _ in range(chunks):
                 registry.merge_delta(delta)
 
-    build_cost = _least_seconds(build) / repeats
-    merge_cost = _least_seconds(merge) / repeats
-
-    scenario_seconds = _scenario_seconds()
+    scenario_seconds, (build_seconds, merge_seconds) = _timed_in_turns((build, merge))
+    build_cost = build_seconds / repeats
+    merge_cost = merge_seconds / repeats
     projected = chunks * (build_cost + merge_cost) * SAFETY_FACTOR
     budget = OVERHEAD_BUDGET * scenario_seconds
     emit(

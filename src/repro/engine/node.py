@@ -3,8 +3,8 @@
 :class:`NodeRuntime` is the engine-side view of one simulated device: it owns
 the node's :class:`~repro.protocols.base.ProtocolContext`, instantiates the
 protocol at activation (and again at a fault's reincarnation), and holds the
-per-node counters the round loop keeps: how many outputs the node has
-recorded, and its first synchronized local round.
+per-node counter the round loop keeps: how many outputs the node has
+recorded.
 
 The per-round state transitions — advancing the activation age, driving the
 protocol hooks, latching the first synchronization — live in one place, the
@@ -44,7 +44,6 @@ class NodeRuntime:
         "_context",
         "_activation_round",
         "outputs_recorded",
-        "first_sync_local_round",
     )
 
     def __init__(self, node_id: NodeId, params: ModelParameters, rng: random.Random) -> None:
@@ -55,7 +54,6 @@ class NodeRuntime:
         self._context: Optional[ProtocolContext] = None
         self._activation_round: Optional[GlobalRound] = None
         self.outputs_recorded: int = 0
-        self.first_sync_local_round: Optional[int] = None
 
     # -- lifecycle -------------------------------------------------------
 
@@ -115,9 +113,9 @@ class NodeRuntime:
         protocol instance, context, and uid are discarded and the node
         restarts at local round 1 on the provided random stream — the same
         state transitions as :meth:`activate`, minus the double-activation
-        guard.  ``first_sync_local_round`` stays latched (liveness and the
-        sync-latency metric measure the *first* synchronization; recovery
-        time is the stabilization tracker's job).
+        guard.  The node stays in the simulator's synced set (liveness and
+        the sync-latency metric measure the *first* synchronization;
+        recovery time is the stabilization tracker's job).
         """
         if self._protocol is None:
             raise SimulationError(f"node {self.node_id} reincarnated before activation")

@@ -1,9 +1,8 @@
 """The one public spelling of how a batch executes: :class:`ExecutionPlan`.
 
 Execution knobs accreted across several call sites as the orchestration
-stack grew — worker count, pool chunk size, the batch kernel, and the
-telemetry output options.  They live in one frozen, JSON-round-trippable plan
-object:
+stack grew — worker count, pool chunk size and the batch kernel.  They live
+in one frozen, JSON-round-trippable plan object:
 
 * :func:`~repro.engine.runner.run_trials`,
   :func:`~repro.engine.runner.run_reduced_trials`,
@@ -15,7 +14,9 @@ object:
   JSON form verbatim, so the wire schema and the Python API are one surface.
 
 A plan never changes results: it only chooses *where* work executes (serial,
-worker pool, vectorized lockstep kernel) and what observability rides along.
+worker pool, vectorized lockstep kernel).  Telemetry outputs are not part of
+it: the CLI's ``--telemetry``, ``--telemetry-rotate-bytes`` and
+``--metrics-out`` flags write them.
 The golden-equivalence suite pins ``plan=`` dispatch bit-identical to the
 serial engine.  A live :class:`~repro.engine.pool.ExecutionPool` is
 deliberately **not** part of the plan — pools are process-local handles that
@@ -40,6 +41,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 #: change — the service refuses job requests whose plan schema it cannot read.
 PLAN_SCHEMA = "repro.execution-plan/v1"
 
+#: Keys that plans written by older builds carry, always as ``null``: the
+#: fields were never read, so :meth:`ExecutionPlan.from_dict` skips a null
+#: one and refuses any other value rather than drop it silently.
+_RETIRED_FIELDS = ("telemetry_events", "telemetry_rotate_bytes", "metrics_out")
+
 
 @dataclass(frozen=True, slots=True)
 class ExecutionPlan:
@@ -55,13 +61,6 @@ class ExecutionPlan:
         Run same-template seed batches on the vectorized lockstep kernel
         (:mod:`repro.engine.batch`) where the configuration is batchable,
         with transparent scalar fallback otherwise.
-    telemetry_events:
-        Optional JSONL path for structured telemetry events.
-    telemetry_rotate_bytes:
-        Optional size cap for the events JSONL (one ``.1`` predecessor kept).
-    metrics_out:
-        Optional final metrics-snapshot path (JSON, or Prometheus text when
-        the suffix is ``.prom``).
 
     None of these fields ever changes results — stores, checkpoints, and
     digests are bit-identical under every plan (the golden suite pins it).
@@ -70,19 +69,12 @@ class ExecutionPlan:
     workers: int = 1
     pool_chunk: Optional[int] = None
     batch: bool = False
-    telemetry_events: Optional[str] = None
-    telemetry_rotate_bytes: Optional[int] = None
-    metrics_out: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ConfigurationError(f"an execution plan needs >= 1 worker, got {self.workers}")
         if self.pool_chunk is not None and self.pool_chunk < 1:
             raise ConfigurationError(f"pool_chunk must be positive, got {self.pool_chunk}")
-        if self.telemetry_rotate_bytes is not None and self.telemetry_rotate_bytes < 1:
-            raise ConfigurationError(
-                f"telemetry_rotate_bytes must be positive, got {self.telemetry_rotate_bytes}"
-            )
 
     # -- derived views ------------------------------------------------------
 
@@ -117,9 +109,6 @@ class ExecutionPlan:
             "workers": self.workers,
             "pool_chunk": self.pool_chunk,
             "batch": self.batch,
-            "telemetry_events": self.telemetry_events,
-            "telemetry_rotate_bytes": self.telemetry_rotate_bytes,
-            "metrics_out": self.metrics_out,
         }
 
     def to_json(self) -> str:
@@ -132,6 +121,7 @@ class ExecutionPlan:
 
         Unknown keys are refused rather than silently dropped — a job request
         with a misspelled knob must fail admission, not run with defaults.
+        Keys of removed fields (``_RETIRED_FIELDS``) are read only as ``null``.
         """
         if not isinstance(data, Mapping):
             raise ConfigurationError(
@@ -143,8 +133,14 @@ class ExecutionPlan:
                 f"unsupported execution-plan schema {schema!r} "
                 f"(this build reads {PLAN_SCHEMA!r})"
             )
+        for name in _RETIRED_FIELDS:
+            if data.get(name) is not None:
+                raise ConfigurationError(
+                    f"execution plan field {name!r} was removed and must be null, got "
+                    f"{data[name]!r} (the CLI's telemetry flags write telemetry outputs)"
+                )
         known = {field.name for field in fields(cls)}
-        unknown = sorted(set(data) - known - {"schema"})
+        unknown = sorted(set(data) - known - {"schema", *_RETIRED_FIELDS})
         if unknown:
             raise ConfigurationError(
                 f"execution plan has unknown fields: {', '.join(unknown)} "

@@ -11,9 +11,11 @@ execution, fault-injected or not.  In every global round it:
    the execution only through the *previous* round);
 5. resolves the round on the :class:`~repro.radio.network.SingleHopRadioNetwork`
    (collision rule + disruption);
-6. delivers each node's reception outcome and streams the resolved round to
-   the observer pipeline (trace recorder, property checker, metrics
-   collector, spectrum log, plus any caller-supplied observers).
+6. hands each node that received a message to its protocol
+   (``on_reception``; a node that received nothing gets no call), reads
+   every node's output and role, and streams the resolved round to the
+   observer pipeline (trace recorder, property checker, metrics collector,
+   spectrum log, plus any caller-supplied observers).
 
 Faults enter the loop as data: the fault injector lists the rounds that
 carry events (a fault-free run pays one set-membership test per round), a
@@ -254,21 +256,15 @@ class Simulator:
                 actions[node_id] = protocol.choose_action()
 
             disrupted = choose_disruption(global_round, adversary_rng, len(rows))
-            resolution = resolve_round(global_round, actions, disrupted, activations)
+            received, activity = resolve_round(global_round, actions, disrupted, activations)
 
             outputs: dict[NodeId, SyncOutput] = {}
             roles: dict[NodeId, Role] = {}
-            outcomes = resolution.outcomes
             for node_id, node, protocol, context in rows:
-                outcome = outcomes.get(node_id)
-                if outcome is None:
-                    raise SimulationError(
-                        f"node {node_id} acted in round {global_round} but got no outcome"
-                    )
-                protocol.on_reception(outcome)
+                if node_id in received:
+                    protocol.on_reception(received[node_id])
                 output = protocol.current_output()
-                if output is not None and node.first_sync_local_round is None:
-                    node.first_sync_local_round = context.local_round
+                if output is not None:
                     synced_nodes.add(node_id)
                 node.outputs_recorded += 1
                 outputs[node_id] = output
@@ -281,7 +277,7 @@ class Simulator:
                 global_round=global_round,
                 outputs=outputs,
                 roles=roles,
-                activity=resolution.activity,
+                activity=activity,
             )
             for notify in notify_round:
                 notify(record)

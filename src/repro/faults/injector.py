@@ -22,8 +22,7 @@ from repro.faults.plan import FaultPlan
 from repro.params import ModelParameters
 from repro.protocols.base import ProtocolContext, SynchronizationProtocol, draw_one_to
 from repro.radio.actions import RadioAction, broadcast
-from repro.radio.events import ReceptionOutcome
-from repro.radio.messages import LeaderMessage
+from repro.radio.messages import LeaderMessage, Message
 from repro.types import SyncOutput
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -166,7 +165,7 @@ class ForgingProtocol(SynchronizationProtocol):
     def choose_action(self) -> RadioAction:
         return self._injector.byzantine_action(self._node_id)
 
-    def on_reception(self, outcome: ReceptionOutcome) -> None:
+    def on_reception(self, message: Message) -> None:
         pass
 
     def current_output(self) -> SyncOutput:

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 from repro.params import ModelParameters
 from repro.radio.actions import RadioAction
-from repro.radio.events import ReceptionOutcome
+from repro.radio.messages import Message
 from repro.types import LocalRound, Role, SyncOutput
 
 
@@ -54,9 +54,14 @@ class SynchronizationProtocol(abc.ABC):
     implement :meth:`choose_action`, :meth:`on_reception`, and
     :meth:`current_output`.  The engine guarantees the call order per round::
 
-        choose_action() -> (network resolution) -> on_reception() -> current_output()
+        choose_action() -> (network resolution) -> [on_reception(message)] -> current_output()
 
-    with ``context.local_round`` already set for the round.
+    with ``context.local_round`` already set for the round.  ``on_reception``
+    runs only in a round in which the node received a message: it listened
+    on a frequency that exactly one node broadcast on and the adversary did
+    not disrupt.  In any other round — it broadcast, or heard silence, a
+    collision or disruption, which the model does not let it tell apart —
+    the engine skips the call.
     """
 
     def __init__(self, context: ProtocolContext) -> None:
@@ -73,8 +78,8 @@ class SynchronizationProtocol(abc.ABC):
         """Choose this round's frequency and broadcast/listen decision."""
 
     @abc.abstractmethod
-    def on_reception(self, outcome: ReceptionOutcome) -> None:
-        """React to the end-of-round reception outcome."""
+    def on_reception(self, message: Message) -> None:
+        """React to the message received this round (called only on receipt)."""
 
     @abc.abstractmethod
     def current_output(self) -> SyncOutput:

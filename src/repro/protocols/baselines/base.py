@@ -37,8 +37,7 @@ from repro.protocols.base import (
 )
 from repro.protocols.timestamps import Timestamp
 from repro.radio.actions import RadioAction, broadcast, listen
-from repro.radio.events import ReceptionOutcome
-from repro.radio.messages import ContenderMessage, LeaderMessage
+from repro.radio.messages import ContenderMessage, LeaderMessage, Message
 from repro.types import Role
 
 
@@ -139,10 +138,7 @@ class ContentionBaseline(SynchronizedOutputMixin, SynchronizationProtocol):
             return listen(frequency)
         return listen(self.listening_frequency())
 
-    def on_reception(self, outcome: ReceptionOutcome) -> None:
-        message = outcome.message
-        if message is None:
-            return
+    def on_reception(self, message: Message) -> None:
         if isinstance(message, LeaderMessage):
             if self._state is not Role.LEADER:
                 self._state = Role.SYNCHRONIZED

@@ -43,8 +43,7 @@ from repro.protocols.timestamps import Timestamp
 from repro.protocols.trapdoor.config import TrapdoorConfig
 from repro.protocols.trapdoor.epochs import TrapdoorSchedule
 from repro.radio.actions import RadioAction, broadcast, listen
-from repro.radio.events import ReceptionOutcome
-from repro.radio.messages import ContenderMessage, LeaderMessage
+from repro.radio.messages import ContenderMessage, LeaderMessage, Message
 from repro.types import Role, SyncOutput
 
 
@@ -196,10 +195,7 @@ class FaultTolerantTrapdoorProtocol(SynchronizedOutputMixin, SynchronizationProt
 
         return listen(frequency)
 
-    def on_reception(self, outcome: ReceptionOutcome) -> None:
-        message = outcome.message
-        if message is None:
-            return
+    def on_reception(self, message: Message) -> None:
         if isinstance(message, LeaderMessage):
             self._on_leader_message(message)
             return
@@ -326,10 +322,10 @@ class MutedProtocol(SynchronizationProtocol):
             return listen(draw_one_to(self.context.rng, self.context.params.frequencies))
         return self.inner.choose_action()
 
-    def on_reception(self, outcome: ReceptionOutcome) -> None:
+    def on_reception(self, message: Message) -> None:
         if self.muted:
             return
-        self.inner.on_reception(outcome)
+        self.inner.on_reception(message)
 
     def current_output(self) -> SyncOutput:
         return self.inner.current_output()

@@ -48,8 +48,7 @@ from repro.protocols.good_samaritan.reports import SuccessLedger
 from repro.protocols.good_samaritan.schedule import EpochSpan, GoodSamaritanSchedule
 from repro.protocols.timestamps import Timestamp
 from repro.radio.actions import RadioAction, broadcast, listen
-from repro.radio.events import ReceptionOutcome
-from repro.radio.messages import ContenderMessage, LeaderMessage, SamaritanMessage
+from repro.radio.messages import ContenderMessage, LeaderMessage, Message, SamaritanMessage
 from repro.types import Frequency, Role
 
 
@@ -110,10 +109,7 @@ class GoodSamaritanProtocol(SynchronizedOutputMixin, SynchronizationProtocol):
             return self._optimistic_action(span)
         return self._fallback_action(self.context.local_round)
 
-    def on_reception(self, outcome: ReceptionOutcome) -> None:
-        message = outcome.message
-        if message is None:
-            return
+    def on_reception(self, message: Message) -> None:
         if isinstance(message, LeaderMessage):
             self._adopt_from_leader(message)
             return

@@ -27,8 +27,7 @@ from repro.protocols.timestamps import Timestamp
 from repro.protocols.trapdoor.config import TrapdoorConfig
 from repro.protocols.trapdoor.epochs import TrapdoorSchedule
 from repro.radio.actions import RadioAction, broadcast, listen
-from repro.radio.events import ReceptionOutcome
-from repro.radio.messages import ContenderMessage, LeaderMessage
+from repro.radio.messages import ContenderMessage, LeaderMessage, Message
 from repro.types import Role
 
 
@@ -98,10 +97,7 @@ class TrapdoorProtocol(SynchronizedOutputMixin, SynchronizationProtocol):
         # Knocked out (or synchronized without the assist extension): listen.
         return listen(frequency)
 
-    def on_reception(self, outcome: ReceptionOutcome) -> None:
-        message = outcome.message
-        if message is None:
-            return
+    def on_reception(self, message: Message) -> None:
         if isinstance(message, LeaderMessage):
             self._adopt_from_leader(message)
             return

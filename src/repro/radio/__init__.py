@@ -1,7 +1,7 @@
 """The disrupted single-hop radio network substrate (paper §2)."""
 
 from repro.radio.actions import RadioAction, broadcast, listen
-from repro.radio.events import FrequencyActivity, ReceptionOutcome, RoundActivity
+from repro.radio.events import FrequencyActivity, RoundActivity
 from repro.radio.frequencies import FrequencyBand
 from repro.radio.messages import (
     ContenderMessage,
@@ -11,7 +11,7 @@ from repro.radio.messages import (
     SamaritanMessage,
     WakeupMessage,
 )
-from repro.radio.network import NetworkResolution, SingleHopRadioNetwork
+from repro.radio.network import SingleHopRadioNetwork
 from repro.radio.spectrum_log import SpectrumLog
 
 __all__ = [
@@ -19,7 +19,6 @@ __all__ = [
     "broadcast",
     "listen",
     "FrequencyActivity",
-    "ReceptionOutcome",
     "RoundActivity",
     "FrequencyBand",
     "ContenderMessage",
@@ -28,7 +27,6 @@ __all__ = [
     "Message",
     "SamaritanMessage",
     "WakeupMessage",
-    "NetworkResolution",
     "SingleHopRadioNetwork",
     "SpectrumLog",
 ]

@@ -4,50 +4,16 @@ These records form the vocabulary shared by the network resolver
 (:mod:`repro.radio.network`), the execution trace
 (:mod:`repro.engine.trace`), the metrics collector, and the adaptive
 adversaries (which see the previous round's record through the spectrum log).
+They are the spectrum-wide view, for observers only: a protocol never sees
+them, and learns of a round only the message it received, if any.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
-from repro.radio.messages import Message
 from repro.types import Frequency, NodeId
-
-
-@dataclass(frozen=True, slots=True)
-class ReceptionOutcome:
-    """What a single node observed at the end of a round.
-
-    Attributes
-    ----------
-    frequency:
-        The frequency the node tuned to.
-    broadcast:
-        Whether the node itself broadcast (a broadcaster never receives).
-    message:
-        The message received, or ``None`` if nothing was received (the node
-        broadcast, the frequency was silent, collided, or disrupted).
-    collision:
-        True if two or more nodes broadcast on the node's frequency.  Nodes in
-        the paper's model cannot distinguish collision from silence or
-        disruption; this flag exists for metrics and tests only and must not
-        be used by protocol logic.
-    disrupted:
-        True if the adversary disrupted the node's frequency.  Also visible to
-        metrics/tests only.
-    """
-
-    frequency: Frequency
-    broadcast: bool
-    message: Optional[Message] = None
-    collision: bool = False
-    disrupted: bool = False
-
-    @property
-    def received(self) -> bool:
-        """True if the node received a message this round."""
-        return self.message is not None
 
 
 @dataclass(frozen=True, slots=True)

@@ -8,42 +8,28 @@ This module implements the communication rule of the paper's model (§2):
 * broadcasters receive nothing;
 * nodes cannot distinguish silence, collision, and disruption.
 
-The network itself is stateless; :class:`SingleHopRadioNetwork.resolve_round`
-is a pure function from the round's actions and the adversary's disruption set
-to per-node outcomes plus the round's
-:class:`~repro.radio.events.RoundActivity` record.  The record keeps what the
-resolver already has — the broadcaster and listener buckets per frequency,
-the disruption set, and the frequencies it delivered on — so the delivery
-rule above is decided here and nowhere else: every reader of the record
-(spectrum log, metrics, trace export) reads its ``delivered`` frequencies.
+The network is stateless: :meth:`SingleHopRadioNetwork.resolve_round` is a
+pure function from the round's actions and the adversary's disruption set to
+the messages delivered — one entry per listener that received, and nothing
+for any other node, so a node cannot tell silence, collision and disruption
+apart — plus the round's :class:`~repro.radio.events.RoundActivity` record.
+The record keeps what the resolver already has — the broadcaster and
+listener buckets per frequency, the disruption set, and the frequencies it
+delivered on — so the delivery rule above is decided here and nowhere else:
+every reader of the record (spectrum log, metrics, trace export) reads its
+``delivered`` frequencies.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.radio.actions import RadioAction
-from repro.radio.events import ReceptionOutcome, RoundActivity
+from repro.radio.events import RoundActivity
 from repro.radio.frequencies import FrequencyBand
+from repro.radio.messages import Message
 from repro.types import Frequency, Intent, NodeId
-
-
-@dataclass(frozen=True, slots=True)
-class NetworkResolution:
-    """The result of resolving one round of radio communication.
-
-    Attributes
-    ----------
-    outcomes:
-        Per-node reception outcomes.
-    activity:
-        The aggregate spectrum activity record for the round.
-    """
-
-    outcomes: Mapping[NodeId, ReceptionOutcome]
-    activity: RoundActivity
 
 
 class SingleHopRadioNetwork:
@@ -59,14 +45,6 @@ class SingleHopRadioNetwork:
         self._band = band
         #: The band as a frozenset, for O(t) validation of disruption sets.
         self._band_set: frozenset[Frequency] = frozenset(band.all_frequencies())
-        #: Interned reception outcomes.  An outcome with no message is fully
-        #: determined by ``(frequency, broadcast, collision, disrupted)`` —
-        #: at most ``8·F`` distinct values — and outcomes are immutable, so
-        #: the resolver hands every node a shared instance instead of
-        #: allocating one dataclass per node per round.
-        self._outcome_cache: dict[
-            tuple[Frequency, bool, bool, bool], ReceptionOutcome
-        ] = {}
 
     @property
     def band(self) -> FrequencyBand:
@@ -79,7 +57,7 @@ class SingleHopRadioNetwork:
         actions: Mapping[NodeId, RadioAction],
         disrupted: Iterable[Frequency],
         activations: Iterable[NodeId] = (),
-    ) -> NetworkResolution:
+    ) -> tuple[dict[NodeId, Message], RoundActivity]:
         """Resolve one round of communication.
 
         Parameters
@@ -96,8 +74,10 @@ class SingleHopRadioNetwork:
 
         Returns
         -------
-        NetworkResolution
-            Per-node outcomes and the aggregate activity record.
+        tuple[dict[NodeId, Message], RoundActivity]
+            ``received``, mapping exactly the listeners on a delivered
+            frequency to the message of that frequency's lone broadcaster,
+            and the round's aggregate activity record.
         """
         # Fast path: the simulator hands us an already-budget-validated
         # frozenset of in-band ints, so a subset check replaces per-frequency
@@ -131,32 +111,16 @@ class SingleHopRadioNetwork:
             else:
                 bucket.append(node_id)
 
-        outcomes: dict[NodeId, ReceptionOutcome] = {}
+        received: dict[NodeId, Message] = {}
         delivered: list[Frequency] = []
-        shared = self._shared_outcome
         for frequency, senders in broadcasters.items():
-            is_disrupted = frequency in disrupted_set
-            collision = len(senders) >= 2
-            outcome = shared(frequency, True, collision, is_disrupted)
-            for node_id in senders:
-                outcomes[node_id] = outcome
-            delivers = not collision and not is_disrupted
-            if delivers:
+            if len(senders) == 1 and frequency not in disrupted_set:
                 delivered.append(frequency)
-            receivers = listeners.get(frequency)
-            if receivers:
-                if delivers:
+                receivers = listeners.get(frequency)
+                if receivers:
                     message = actions[senders[0]].message
-                    outcome = ReceptionOutcome(frequency, broadcast=False, message=message)
-                else:
-                    outcome = shared(frequency, False, collision, is_disrupted)
-                for node_id in receivers:
-                    outcomes[node_id] = outcome
-        for frequency, receivers in listeners.items():
-            if frequency not in broadcasters:
-                outcome = shared(frequency, False, False, frequency in disrupted_set)
-                for node_id in receivers:
-                    outcomes[node_id] = outcome
+                    for node_id in receivers:
+                        received[node_id] = message
 
         activity = RoundActivity(
             global_round=global_round,
@@ -166,19 +130,7 @@ class SingleHopRadioNetwork:
             delivered=frozenset(delivered),
             activations=tuple(sorted(activations)),
         )
-        return NetworkResolution(outcomes=outcomes, activity=activity)
-
-    def _shared_outcome(
-        self, frequency: Frequency, broadcast: bool, collision: bool, disrupted: bool
-    ) -> ReceptionOutcome:
-        """The interned message-free outcome for these four fields."""
-        key = (frequency, broadcast, collision, disrupted)
-        outcome = self._outcome_cache.get(key)
-        if outcome is None:
-            outcome = self._outcome_cache[key] = ReceptionOutcome(
-                frequency=frequency, broadcast=broadcast, collision=collision, disrupted=disrupted
-            )
-        return outcome
+        return received, activity
 
     def validate_disruption_budget(self, disrupted: Iterable[Frequency], budget: int) -> frozenset[Frequency]:
         """Check that a disruption set respects the adversary budget ``t``.

@@ -29,7 +29,9 @@ the lock is off the hot path by construction.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import add
 from typing import Iterator, Optional, Sequence, Union
 
 from repro.exceptions import ConfigurationError
@@ -55,6 +57,13 @@ DEFAULT_SECONDS_BUCKETS: tuple[float, ...] = (
 #: one constant keeps them in lockstep by construction, and
 #: :meth:`MetricsRegistry.merge_delta` re-checks the length on every merge.
 WORKER_SECONDS_BUCKETS: tuple[float, ...] = DEFAULT_SECONDS_BUCKETS
+
+#: The bucket counts of one observation, by the slot it lands in: every
+#: :class:`WorkerStatsDelta` shares one of these tuples.
+_ONE_OBSERVATION: tuple[tuple[int, ...], ...] = tuple(
+    tuple(int(slot == index) for slot in range(len(WORKER_SECONDS_BUCKETS) + 1))
+    for index in range(len(WORKER_SECONDS_BUCKETS) + 1)
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -93,25 +102,23 @@ class WorkerStatsDelta:
         batched: bool,
         seconds: float,
     ) -> "WorkerStatsDelta":
-        """The delta one finished chunk contributes (one histogram observation)."""
-        counts = [0] * (len(WORKER_SECONDS_BUCKETS) + 1)
-        index = len(WORKER_SECONDS_BUCKETS)
-        for position, bound in enumerate(WORKER_SECONDS_BUCKETS):
-            if seconds <= bound:
-                index = position
-                break
-        counts[index] = 1
+        """The delta one finished chunk contributes (one histogram observation).
+
+        The observation lands in the first bucket whose bound is at least
+        ``seconds``, or in the +Inf slot.  Every worker chunk builds one, so
+        it passes the fields by position and shares its bucket counts.
+        """
         return cls(
-            pid=pid,
-            uptime_s=uptime_s,
-            chunks=1,
-            trials=trials,
-            rounds=rounds,
-            scalar_trials=0 if batched else trials,
-            batch_trials=trials if batched else 0,
-            simulate_seconds_sum=seconds,
-            simulate_seconds_count=1,
-            simulate_seconds_buckets=tuple(counts),
+            pid,
+            uptime_s,
+            1,
+            trials,
+            rounds,
+            0 if batched else trials,
+            trials if batched else 0,
+            seconds,
+            1,
+            _ONE_OBSERVATION[bisect_left(WORKER_SECONDS_BUCKETS, seconds)],
         )
 
 
@@ -229,7 +236,7 @@ class Histogram:
         if count < 0 or min(counts) < 0:
             raise ConfigurationError(f"histogram {self.name!r} merge counts must be non-negative")
         with self._lock:
-            self._counts = [mine + theirs for mine, theirs in zip(self._counts, counts)]
+            self._counts = list(map(add, self._counts, counts))
             self._sum += total
             self._count += count
 

@@ -35,43 +35,32 @@ class TestNetworkInvariants:
     def test_delivery_rule_is_exactly_the_paper_rule(self, instance):
         size, actions, disrupted = instance
         network = SingleHopRadioNetwork(FrequencyBand(size))
-        resolution = network.resolve_round(1, actions, disrupted)
+        received, _ = network.resolve_round(1, actions, disrupted)
 
         broadcasters_by_freq: dict[int, list[int]] = {}
         for node_id, action in actions.items():
             if action.is_broadcast:
                 broadcasters_by_freq.setdefault(action.frequency, []).append(node_id)
 
+        # Exactly the listeners on a frequency with one broadcaster and no
+        # disruption receive, each the message that broadcaster sent.
+        expected = {}
         for node_id, action in actions.items():
-            outcome = resolution.outcomes[node_id]
-            assert outcome.frequency == action.frequency
-            assert outcome.broadcast == action.is_broadcast
             senders = broadcasters_by_freq.get(action.frequency, [])
-            should_receive = (
-                action.is_listen and len(senders) == 1 and action.frequency not in disrupted
-            )
-            assert outcome.received == should_receive
-            if should_receive:
-                assert outcome.message == actions[senders[0]].message
-            # A broadcaster never receives anything.
-            if action.is_broadcast:
-                assert outcome.message is None
+            if action.is_listen and len(senders) == 1 and action.frequency not in disrupted:
+                expected[node_id] = actions[senders[0]].message
+        assert received == expected
+        # A broadcaster never receives anything.
+        assert not received.keys() & {
+            node_id for node_id, action in actions.items() if action.is_broadcast
+        }
 
     @given(round_instances())
     @settings(max_examples=200, deadline=None)
-    def test_every_acting_node_gets_exactly_one_outcome(self, instance):
+    def test_activity_record_is_consistent_with_receptions(self, instance):
         size, actions, disrupted = instance
         network = SingleHopRadioNetwork(FrequencyBand(size))
-        resolution = network.resolve_round(1, actions, disrupted)
-        assert set(resolution.outcomes) == set(actions)
-
-    @given(round_instances())
-    @settings(max_examples=200, deadline=None)
-    def test_activity_record_is_consistent_with_outcomes(self, instance):
-        size, actions, disrupted = instance
-        network = SingleHopRadioNetwork(FrequencyBand(size))
-        resolution = network.resolve_round(1, actions, disrupted)
-        activity = resolution.activity
+        received, activity = network.resolve_round(1, actions, disrupted)
         assert activity.disrupted == frozenset(disrupted)
         total_broadcasters = sum(1 for action in actions.values() if action.is_broadcast)
         assert activity.broadcaster_count() == total_broadcasters
@@ -112,10 +101,18 @@ class TestNetworkInvariants:
         )
         assert metrics.disrupted_frequency_rounds == len(activity.disrupted)
 
-        # The order the nodes acted in changes neither outcomes nor the view.
-        reverse = network.resolve_round(1, dict(reversed(list(actions.items()))), disrupted)
-        assert reverse.outcomes == resolution.outcomes
-        assert reverse.activity.per_frequency == per_frequency
+        # Receivers are exactly the listeners on the delivered frequencies.
+        listeners = activity.listeners
+        assert set(received) == {
+            node for frequency in activity.delivered for node in listeners.get(frequency, ())
+        }
+
+        # The order the nodes acted in changes neither receptions nor the view.
+        reverse_received, reverse = network.resolve_round(
+            1, dict(reversed(list(actions.items()))), disrupted
+        )
+        assert reverse_received == received
+        assert reverse.per_frequency == per_frequency
 
     @given(round_instances(), st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=60, deadline=None)
@@ -124,4 +121,4 @@ class TestNetworkInvariants:
         network = SingleHopRadioNetwork(FrequencyBand(size))
         first = network.resolve_round(1, actions, disrupted)
         second = network.resolve_round(1, actions, disrupted)
-        assert first.outcomes == second.outcomes
+        assert first == second

@@ -10,14 +10,9 @@ from repro.protocols.baselines.decay_wakeup import DecayWakeupProtocol
 from repro.protocols.baselines.round_robin import RoundRobinSweepProtocol
 from repro.protocols.baselines.single_channel import SingleChannelAlohaProtocol
 from repro.protocols.baselines.uniform_wakeup import UniformWakeupProtocol
-from repro.radio.events import ReceptionOutcome
 from repro.radio.messages import ContenderMessage, LeaderMessage
 from repro.timestamps import Timestamp
 from repro.types import Role
-
-
-def reception(message):
-    return ReceptionOutcome(frequency=1, broadcast=False, message=message)
 
 
 class TestDefaultVictoryRounds:
@@ -30,13 +25,13 @@ class TestDefaultVictoryRounds:
 class TestSharedSkeleton:
     def test_knockout_by_larger_timestamp(self, make_context):
         protocol = UniformWakeupProtocol(make_context(uid=3, local_round=2))
-        protocol.on_reception(reception(ContenderMessage(timestamp=Timestamp(50, 1))))
+        protocol.on_reception(ContenderMessage(timestamp=Timestamp(50, 1)))
         assert protocol.role is Role.KNOCKED_OUT
         assert all(protocol.choose_action().is_listen for _ in range(20))
 
     def test_no_knockout_by_smaller_timestamp(self, make_context):
         protocol = UniformWakeupProtocol(make_context(uid=3, local_round=20))
-        protocol.on_reception(reception(ContenderMessage(timestamp=Timestamp(1, 1))))
+        protocol.on_reception(ContenderMessage(timestamp=Timestamp(1, 1)))
         assert protocol.role is Role.CONTENDER
 
     def test_survivor_becomes_leader_after_victory_rounds(self, make_context):
@@ -61,7 +56,7 @@ class TestSharedSkeleton:
     def test_adoption_from_leader_message(self, make_context):
         context = make_context(local_round=3)
         protocol = UniformWakeupProtocol(context)
-        protocol.on_reception(reception(LeaderMessage(leader_uid=2, round_number=40)))
+        protocol.on_reception(LeaderMessage(leader_uid=2, round_number=40))
         assert protocol.role is Role.SYNCHRONIZED
         assert protocol.current_output() == 40
 

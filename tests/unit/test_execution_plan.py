@@ -15,6 +15,7 @@ Pins the three contracts of the API:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -50,16 +51,52 @@ def small_config() -> SimulationConfig:
 
 class TestExecutionPlanValue:
     def test_json_round_trip_is_identity(self):
-        plan = ExecutionPlan(
-            workers=4,
-            pool_chunk=2,
-            batch=True,
-            telemetry_events="events.jsonl",
-            telemetry_rotate_bytes=1_000_000,
-            metrics_out="metrics.json",
-        )
+        plan = ExecutionPlan(workers=4, pool_chunk=2, batch=True)
         assert ExecutionPlan.from_json(plan.to_json()) == plan
         assert ExecutionPlan.from_dict(plan.to_dict()) == plan
+
+    def test_plan_holds_exactly_workers_pool_chunk_and_batch(self):
+        assert [field.name for field in dataclasses.fields(ExecutionPlan)] == [
+            "workers",
+            "pool_chunk",
+            "batch",
+        ]
+        assert set(ExecutionPlan().to_dict()) == {"schema", "workers", "pool_chunk", "batch"}
+        with pytest.raises(TypeError, match="metrics_out"):
+            ExecutionPlan(metrics_out="m.json")  # type: ignore[call-arg]
+
+    def test_from_dict_reads_documents_with_the_removed_fields_as_null(self):
+        # Every plan written before the three fields went, e.g. a stored job
+        # request.json, carries them as null.
+        data = {
+            "schema": PLAN_SCHEMA,
+            "workers": 2,
+            "pool_chunk": 4,
+            "batch": True,
+            "telemetry_events": None,
+            "telemetry_rotate_bytes": None,
+            "metrics_out": None,
+        }
+        assert ExecutionPlan.from_dict(data) == ExecutionPlan(workers=2, pool_chunk=4, batch=True)
+        assert ExecutionPlan.from_json(json.dumps(data)).to_dict() == {
+            "schema": PLAN_SCHEMA,
+            "workers": 2,
+            "pool_chunk": 4,
+            "batch": True,
+        }
+
+    @pytest.mark.parametrize(
+        "name,value",
+        [
+            ("telemetry_events", "events.jsonl"),
+            ("telemetry_rotate_bytes", 1_000_000),
+            ("metrics_out", "metrics.json"),
+        ],
+    )
+    def test_from_dict_refuses_a_removed_field_with_a_value(self, name, value):
+        data = {**ExecutionPlan(workers=2).to_dict(), name: value}
+        with pytest.raises(ConfigurationError, match=name):
+            ExecutionPlan.from_dict(data)
 
     def test_default_plan_is_serial(self):
         plan = ExecutionPlan()
@@ -83,7 +120,6 @@ class TestExecutionPlanValue:
             {"workers": 0},
             {"workers": -1},
             {"pool_chunk": 0},
-            {"telemetry_rotate_bytes": 0},
         ],
     )
     def test_invalid_fields_are_rejected(self, kwargs):
@@ -235,3 +271,21 @@ class TestPlanOnTheWire:
         wire = json.loads(request.to_json())
         assert wire["plan"] == plan.to_dict()
         assert JobRequest.from_json(request.to_json()).plan == plan
+
+    def test_job_request_stored_with_the_removed_fields_as_null_still_loads(self):
+        from repro.service import JobRequest
+
+        plan = ExecutionPlan(workers=2, batch=True)
+        request = JobRequest.for_campaign(_campaign_spec("wire"), store="s.sqlite", plan=plan)
+        stored = json.loads(request.to_json())
+        stored["plan"].update(telemetry_events=None, telemetry_rotate_bytes=None, metrics_out=None)
+        assert JobRequest.from_json(json.dumps(stored)) == request
+
+    def test_job_request_with_a_removed_field_set_fails_admission(self):
+        from repro.service import JobRequest
+
+        request = JobRequest.for_campaign(_campaign_spec("wire"), store="s.sqlite")
+        wire = json.loads(request.to_json())
+        wire["plan"]["metrics_out"] = "m.json"
+        with pytest.raises(ConfigurationError, match="metrics_out"):
+            JobRequest.from_json(json.dumps(wire))

@@ -13,14 +13,9 @@ from repro.protocols.fault_tolerant import (
     crashable,
 )
 from repro.protocols.trapdoor.protocol import TrapdoorProtocol
-from repro.radio.events import ReceptionOutcome
 from repro.radio.messages import ContenderMessage, LeaderMessage
 from repro.timestamps import Timestamp
 from repro.types import Role
-
-
-def reception(message):
-    return ReceptionOutcome(frequency=1, broadcast=False, message=message)
 
 
 class TestConfig:
@@ -49,16 +44,16 @@ class TestDelayedCommitment:
         protocol = FaultTolerantTrapdoorProtocol(
             make_context(), FaultToleranceConfig(commit_threshold=2)
         )
-        protocol.on_reception(reception(LeaderMessage(leader_uid=1, round_number=30)))
+        protocol.on_reception(LeaderMessage(leader_uid=1, round_number=30))
         assert protocol.current_output() is None
         assert protocol.role is Role.KNOCKED_OUT
 
     def test_commit_after_threshold_messages(self, make_context):
         context = make_context(local_round=5)
         protocol = FaultTolerantTrapdoorProtocol(context, FaultToleranceConfig(commit_threshold=2))
-        protocol.on_reception(reception(LeaderMessage(leader_uid=1, round_number=30)))
+        protocol.on_reception(LeaderMessage(leader_uid=1, round_number=30))
         context.local_round = 7
-        protocol.on_reception(reception(LeaderMessage(leader_uid=1, round_number=32)))
+        protocol.on_reception(LeaderMessage(leader_uid=1, round_number=32))
         assert protocol.role is Role.SYNCHRONIZED
         # The numbering advanced two rounds between the messages.
         assert protocol.current_output() == 32
@@ -68,7 +63,7 @@ class TestDelayedCommitment:
         protocol = FaultTolerantTrapdoorProtocol(
             context, FaultToleranceConfig(commit_threshold=1, assist_probability=1.0)
         )
-        protocol.on_reception(reception(LeaderMessage(leader_uid=1, round_number=30)))
+        protocol.on_reception(LeaderMessage(leader_uid=1, round_number=30))
         action = protocol.choose_action()
         assert action.is_broadcast
         assert isinstance(action.message, LeaderMessage)
@@ -79,7 +74,7 @@ class TestRestart:
     def test_knocked_out_node_restarts_after_silence(self, make_context):
         context = make_context(uid=2, local_round=3)
         protocol = FaultTolerantTrapdoorProtocol(context)
-        protocol.on_reception(reception(ContenderMessage(timestamp=Timestamp(100, 9))))
+        protocol.on_reception(ContenderMessage(timestamp=Timestamp(100, 9)))
         assert protocol.role is Role.KNOCKED_OUT
         timeout = protocol.config.silence_timeout(protocol.schedule)
         context.local_round = 3 + timeout + 2
@@ -92,12 +87,12 @@ class TestRestart:
         protocol = FaultTolerantTrapdoorProtocol(
             context, FaultToleranceConfig(commit_threshold=5)
         )
-        protocol.on_reception(reception(ContenderMessage(timestamp=Timestamp(100, 9))))
+        protocol.on_reception(ContenderMessage(timestamp=Timestamp(100, 9)))
         timeout = protocol.config.silence_timeout(protocol.schedule)
         # Keep hearing the leader just often enough.
         for step in range(3):
             context.local_round += timeout // 2
-            protocol.on_reception(reception(LeaderMessage(leader_uid=1, round_number=10 + step)))
+            protocol.on_reception(LeaderMessage(leader_uid=1, round_number=10 + step))
             protocol.choose_action()
         assert protocol.restart_count == 0
 
@@ -106,7 +101,7 @@ class TestRestart:
         config = FaultToleranceConfig(commit_threshold=2)
         protocol = FaultTolerantTrapdoorProtocol(context, config)
         # Learn the numbering once (not enough to commit), then lose the leader.
-        protocol.on_reception(reception(LeaderMessage(leader_uid=1, round_number=50)))
+        protocol.on_reception(LeaderMessage(leader_uid=1, round_number=50))
         timeout = protocol.config.silence_timeout(protocol.schedule)
         context.local_round = 3 + timeout + 2
         protocol.choose_action()  # restart
@@ -139,7 +134,7 @@ class TestCrashInjection:
         context = make_context()
         muted = MutedProtocol(TrapdoorProtocol(context), mute_after=1)
         context.local_round = 5
-        muted.on_reception(reception(LeaderMessage(leader_uid=1, round_number=9)))
+        muted.on_reception(LeaderMessage(leader_uid=1, round_number=9))
         assert muted.current_output() is None
 
     def test_mute_after_must_be_positive(self, make_context):

@@ -11,14 +11,9 @@ from repro.params import ModelParameters
 from repro.protocols.good_samaritan.protocol import GoodSamaritanProtocol
 from repro.protocols.good_samaritan.schedule import GoodSamaritanSchedule
 from repro.protocols.good_samaritan.reports import SuccessLedger
-from repro.radio.events import ReceptionOutcome
 from repro.radio.messages import ContenderMessage, LeaderMessage, SamaritanMessage
 from repro.timestamps import Timestamp
 from repro.types import Role
-
-
-def reception(message, frequency=1):
-    return ReceptionOutcome(frequency=frequency, broadcast=False, message=message)
 
 
 class TestSuccessLedger:
@@ -60,25 +55,25 @@ class TestRoleTransitions:
         context = make_context(uid=100, local_round=50)
         protocol = GoodSamaritanProtocol(context)
         # Optimistic portion ignores timestamps: even a *smaller* timestamp downgrades.
-        protocol.on_reception(reception(ContenderMessage(timestamp=Timestamp(1, 1))))
+        protocol.on_reception(ContenderMessage(timestamp=Timestamp(1, 1)))
         assert protocol.role is Role.SAMARITAN
         assert protocol.downgrade_round == 50
 
     def test_samaritan_knocked_out_by_samaritan_message(self, make_context):
         protocol = GoodSamaritanProtocol(make_context())
-        protocol.on_reception(reception(ContenderMessage(timestamp=Timestamp(1, 1))))
-        protocol.on_reception(reception(SamaritanMessage(timestamp=Timestamp(2, 2))))
+        protocol.on_reception(ContenderMessage(timestamp=Timestamp(1, 1)))
+        protocol.on_reception(SamaritanMessage(timestamp=Timestamp(2, 2)))
         assert protocol.role is Role.PASSIVE
 
     def test_contender_not_downgraded_by_samaritan_message(self, make_context):
         protocol = GoodSamaritanProtocol(make_context())
-        protocol.on_reception(reception(SamaritanMessage(timestamp=Timestamp(2, 2))))
+        protocol.on_reception(SamaritanMessage(timestamp=Timestamp(2, 2)))
         assert protocol.role is Role.CONTENDER
 
     def test_everyone_adopts_leader_messages(self, make_context):
         context = make_context(local_round=3)
         protocol = GoodSamaritanProtocol(context)
-        protocol.on_reception(reception(LeaderMessage(leader_uid=9, round_number=77)))
+        protocol.on_reception(LeaderMessage(leader_uid=9, round_number=77))
         assert protocol.role is Role.SYNCHRONIZED
         assert protocol.current_output() == 77
         context.local_round = 5
@@ -86,9 +81,9 @@ class TestRoleTransitions:
 
     def test_passive_node_adopts_leader_messages(self, make_context):
         protocol = GoodSamaritanProtocol(make_context())
-        protocol.on_reception(reception(ContenderMessage(timestamp=Timestamp(1, 1))))
-        protocol.on_reception(reception(SamaritanMessage(timestamp=Timestamp(2, 2))))
-        protocol.on_reception(reception(LeaderMessage(leader_uid=9, round_number=10)))
+        protocol.on_reception(ContenderMessage(timestamp=Timestamp(1, 1)))
+        protocol.on_reception(SamaritanMessage(timestamp=Timestamp(2, 2)))
+        protocol.on_reception(LeaderMessage(leader_uid=9, round_number=10))
         assert protocol.role is Role.SYNCHRONIZED
 
 
@@ -102,36 +97,36 @@ class TestSamaritanCounting:
     def test_countable_reception_recorded(self, make_context):
         context = make_context(uid=5)
         protocol = GoodSamaritanProtocol(context)
-        protocol.on_reception(reception(ContenderMessage(timestamp=Timestamp(1, 1))))  # downgrade
+        protocol.on_reception(ContenderMessage(timestamp=Timestamp(1, 1)))  # downgrade
         critical_round = self.put_in_critical_epoch(protocol, context)
         message = ContenderMessage(timestamp=Timestamp(critical_round, 42), special=False)
-        protocol.on_reception(reception(message))
+        protocol.on_reception(message)
         assert protocol.success_ledger.count(42) == 1
 
     def test_special_messages_not_counted(self, make_context):
         context = make_context(uid=5)
         protocol = GoodSamaritanProtocol(context)
-        protocol.on_reception(reception(ContenderMessage(timestamp=Timestamp(1, 1))))
+        protocol.on_reception(ContenderMessage(timestamp=Timestamp(1, 1)))
         critical_round = self.put_in_critical_epoch(protocol, context)
         message = ContenderMessage(timestamp=Timestamp(critical_round, 42), special=True)
-        protocol.on_reception(reception(message))
+        protocol.on_reception(message)
         assert protocol.success_ledger.count(42) == 0
 
     def test_differently_aged_contenders_not_counted(self, make_context):
         context = make_context(uid=5)
         protocol = GoodSamaritanProtocol(context)
-        protocol.on_reception(reception(ContenderMessage(timestamp=Timestamp(1, 1))))
+        protocol.on_reception(ContenderMessage(timestamp=Timestamp(1, 1)))
         critical_round = self.put_in_critical_epoch(protocol, context)
         message = ContenderMessage(timestamp=Timestamp(critical_round - 3, 42))
-        protocol.on_reception(reception(message))
+        protocol.on_reception(message)
         assert protocol.success_ledger.count(42) == 0
 
     def test_outside_critical_epoch_not_counted(self, make_context):
         context = make_context(uid=5)
         protocol = GoodSamaritanProtocol(context)
-        protocol.on_reception(reception(ContenderMessage(timestamp=Timestamp(1, 1))))
+        protocol.on_reception(ContenderMessage(timestamp=Timestamp(1, 1)))
         context.local_round = 2  # epoch 1, not the critical epoch
-        protocol.on_reception(reception(ContenderMessage(timestamp=Timestamp(2, 42))))
+        protocol.on_reception(ContenderMessage(timestamp=Timestamp(2, 42)))
         assert protocol.success_ledger.count(42) == 0
 
 
@@ -141,7 +136,7 @@ class TestBecomingLeader:
         protocol = GoodSamaritanProtocol(context)
         threshold = protocol.schedule.success_threshold(1)
         report = SamaritanMessage(timestamp=Timestamp(10, 2), reports={5: threshold})
-        protocol.on_reception(reception(report))
+        protocol.on_reception(report)
         assert protocol.role is Role.LEADER
         assert protocol.current_output() == 10
         assert not protocol.became_leader_via_fallback
@@ -151,21 +146,21 @@ class TestBecomingLeader:
         protocol = GoodSamaritanProtocol(context)
         threshold = protocol.schedule.success_threshold(1)
         report = SamaritanMessage(timestamp=Timestamp(10, 2), reports={5: threshold - 1})
-        protocol.on_reception(reception(report))
+        protocol.on_reception(report)
         if threshold > 1:
             assert protocol.role is Role.CONTENDER
         else:
             # threshold of 1 means any positive report elects; the zero count path:
             empty = SamaritanMessage(timestamp=Timestamp(10, 2), reports={})
             fresh = GoodSamaritanProtocol(make_context(uid=6, local_round=10))
-            fresh.on_reception(reception(empty))
+            fresh.on_reception(empty)
             assert fresh.role is Role.CONTENDER
 
     def test_report_for_someone_else_does_not_elect(self, make_context):
         context = make_context(uid=5, local_round=10)
         protocol = GoodSamaritanProtocol(context)
         report = SamaritanMessage(timestamp=Timestamp(10, 2), reports={999: 100})
-        protocol.on_reception(reception(report))
+        protocol.on_reception(report)
         assert protocol.role is Role.CONTENDER
 
     def test_leader_broadcasts_numbering(self, make_context):
@@ -173,7 +168,7 @@ class TestBecomingLeader:
         protocol = GoodSamaritanProtocol(context)
         threshold = protocol.schedule.success_threshold(1)
         protocol.on_reception(
-            reception(SamaritanMessage(timestamp=Timestamp(10, 2), reports={5: threshold}))
+            SamaritanMessage(timestamp=Timestamp(10, 2), reports={5: threshold})
         )
         broadcasts = [
             action.message for action in (protocol.choose_action() for _ in range(200)) if action.is_broadcast
@@ -196,16 +191,14 @@ class TestFallback:
         protocol = GoodSamaritanProtocol(context)
         context.local_round = protocol.schedule.optimistic_rounds + 5
         assert protocol.in_fallback
-        protocol.on_reception(
-            reception(ContenderMessage(timestamp=Timestamp(context.local_round + 100, 9)))
-        )
+        protocol.on_reception(ContenderMessage(timestamp=Timestamp(context.local_round + 100, 9)))
         assert protocol.role is Role.PASSIVE
 
     def test_fallback_contender_survives_smaller_timestamp(self, make_context):
         context = make_context(uid=5)
         protocol = GoodSamaritanProtocol(context)
         context.local_round = protocol.schedule.optimistic_rounds + 5
-        protocol.on_reception(reception(ContenderMessage(timestamp=Timestamp(1, 1))))
+        protocol.on_reception(ContenderMessage(timestamp=Timestamp(1, 1)))
         assert protocol.role is Role.CONTENDER
 
     def test_fallback_actions_use_whole_band(self, make_context, params):
@@ -233,11 +226,11 @@ class TestOptimisticActions:
     def test_samaritan_messages_carry_reports(self, make_context):
         context = make_context(uid=5)
         protocol = GoodSamaritanProtocol(context)
-        protocol.on_reception(reception(ContenderMessage(timestamp=Timestamp(1, 1))))  # downgrade
+        protocol.on_reception(ContenderMessage(timestamp=Timestamp(1, 1)))  # downgrade
         schedule = protocol.schedule
         critical_start = schedule.epoch_length(1) * (schedule.critical_epoch - 1) + 1
         context.local_round = critical_start
-        protocol.on_reception(reception(ContenderMessage(timestamp=Timestamp(critical_start, 42))))
+        protocol.on_reception(ContenderMessage(timestamp=Timestamp(critical_start, 42)))
         # Move to the report epoch and collect broadcast messages.
         context.local_round = schedule.epoch_length(1) * (schedule.report_epoch - 1) + 1
         reports = [

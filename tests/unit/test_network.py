@@ -25,69 +25,86 @@ OTHER = LeaderMessage(leader_uid=2, round_number=9)
 
 class TestDelivery:
     def test_single_broadcaster_reaches_listener(self, network):
-        resolution = network.resolve_round(
+        received, activity = network.resolve_round(
             1, {0: broadcast(2, MESSAGE), 1: listen(2)}, disrupted=()
         )
-        assert resolution.outcomes[1].message == MESSAGE
-        assert resolution.outcomes[1].received
+        assert received == {1: MESSAGE}
+        assert activity.delivered == frozenset({2})
+
+    def test_every_listener_on_a_delivered_frequency_receives(self, network):
+        received, activity = network.resolve_round(
+            1, {0: listen(2), 1: broadcast(2, MESSAGE), 2: listen(2), 3: listen(1)}, disrupted=()
+        )
+        assert received == {0: MESSAGE, 2: MESSAGE}
+        assert activity.delivered == frozenset({2})
 
     def test_listener_on_other_frequency_hears_nothing(self, network):
-        resolution = network.resolve_round(
+        received, activity = network.resolve_round(
             1, {0: broadcast(2, MESSAGE), 1: listen(3)}, disrupted=()
         )
-        assert resolution.outcomes[1].message is None
+        assert received == {}
+        assert activity.delivered == frozenset({2})
 
     def test_broadcaster_never_receives(self, network):
-        resolution = network.resolve_round(
+        received, activity = network.resolve_round(
             1, {0: broadcast(2, MESSAGE), 1: broadcast(3, OTHER), 2: listen(3)}, disrupted=()
         )
-        assert resolution.outcomes[0].message is None
-        assert resolution.outcomes[0].broadcast
-        assert resolution.outcomes[2].message == OTHER
+        assert received == {2: OTHER}
+        assert activity.delivered == frozenset({2, 3})
 
     def test_collision_destroys_both_messages(self, network):
-        resolution = network.resolve_round(
+        received, activity = network.resolve_round(
             1, {0: broadcast(2, MESSAGE), 1: broadcast(2, OTHER), 2: listen(2)}, disrupted=()
         )
-        outcome = resolution.outcomes[2]
-        assert outcome.message is None
-        assert outcome.collision
+        assert received == {}
+        assert activity.delivered == frozenset()
+        assert activity.per_frequency[2].collided
 
     def test_disruption_blocks_delivery(self, network):
-        resolution = network.resolve_round(
+        received, activity = network.resolve_round(
             1, {0: broadcast(2, MESSAGE), 1: listen(2)}, disrupted={2}
         )
-        outcome = resolution.outcomes[1]
-        assert outcome.message is None
-        assert outcome.disrupted
+        assert received == {}
+        assert activity.delivered == frozenset()
+        assert activity.disrupted == frozenset({2})
 
     def test_disruption_on_other_frequency_is_harmless(self, network):
-        resolution = network.resolve_round(
+        received, activity = network.resolve_round(
             1, {0: broadcast(2, MESSAGE), 1: listen(2)}, disrupted={3}
         )
-        assert resolution.outcomes[1].message == MESSAGE
+        assert received == {1: MESSAGE}
+        assert activity.delivered == frozenset({2})
 
     def test_silence_and_disruption_look_identical_to_listener(self, network):
-        silent = network.resolve_round(1, {0: listen(1)}, disrupted=())
-        jammed = network.resolve_round(1, {0: listen(1)}, disrupted={1})
-        assert silent.outcomes[0].message is None
-        assert jammed.outcomes[0].message is None
+        silent, _ = network.resolve_round(1, {0: listen(1)}, disrupted=())
+        jammed, _ = network.resolve_round(1, {0: listen(1)}, disrupted={1})
+        collided, _ = network.resolve_round(
+            1, {0: listen(1), 1: broadcast(1, MESSAGE), 2: broadcast(1, OTHER)}, disrupted=()
+        )
+        assert silent == jammed == collided == {}
 
     def test_empty_round_resolves(self, network):
-        resolution = network.resolve_round(1, {}, disrupted={1})
-        assert resolution.outcomes == {}
-        assert resolution.activity.disrupted == frozenset({1})
+        received, activity = network.resolve_round(1, {}, disrupted={1})
+        assert received == {}
+        assert activity.disrupted == frozenset({1})
+
+    def test_resolver_keeps_no_state_between_rounds(self, network):
+        actions = {0: broadcast(2, MESSAGE), 1: listen(2), 2: listen(1)}
+        first = network.resolve_round(1, actions, disrupted=())
+        network.resolve_round(2, {0: broadcast(1, OTHER), 1: listen(1)}, disrupted={2})
+        again = network.resolve_round(1, actions, disrupted=())
+        assert again == first
+        assert vars(network).keys() == {"_band", "_band_set"}
 
 
 class TestActivityRecord:
     def test_activity_groups_by_frequency(self, network):
-        resolution = network.resolve_round(
+        _, activity = network.resolve_round(
             7,
             {0: broadcast(1, MESSAGE), 1: listen(1), 2: broadcast(3, OTHER), 3: broadcast(3, MESSAGE)},
             disrupted={2},
             activations=(5,),
         )
-        activity = resolution.activity
         assert activity.global_round == 7
         assert activity.activations == (5,)
         assert activity.per_frequency[1].delivered
@@ -113,9 +130,9 @@ class TestActivityRecord:
         assert activity.broadcaster_count() == 3
 
     def test_per_frequency_is_a_read_only_view(self, network):
-        activity = network.resolve_round(
+        _, activity = network.resolve_round(
             1, {0: broadcast(1, MESSAGE), 1: listen(1), 2: listen(3)}, disrupted=()
-        ).activity
+        )
         activity.per_frequency.clear()
         assert list(activity.per_frequency) == [1, 3]
         with pytest.raises(TypeError):

@@ -16,7 +16,7 @@ from repro.engine.simulator import SimulationConfig, simulate
 from repro.exceptions import SimulationError
 from repro.protocols.base import ProtocolContext, SynchronizationProtocol
 from repro.radio.actions import RadioAction, listen
-from repro.radio.events import ReceptionOutcome
+from repro.radio.messages import Message
 from repro.types import Role, SyncOutput
 
 
@@ -27,7 +27,7 @@ class ScriptedProtocol(SynchronizationProtocol):
         super().__init__(context)
         self.sync_after = sync_after
         self.activated = False
-        self.receptions: list[ReceptionOutcome] = []
+        self.receptions: list[Message] = []
         self.action_rounds: list[int] = []
 
     def on_activate(self) -> None:
@@ -37,8 +37,8 @@ class ScriptedProtocol(SynchronizationProtocol):
         self.action_rounds.append(self.context.local_round)
         return listen(1)
 
-    def on_reception(self, outcome: ReceptionOutcome) -> None:
-        self.receptions.append(outcome)
+    def on_reception(self, message: Message) -> None:
+        self.receptions.append(message)
 
     def current_output(self) -> SyncOutput:
         if self.context.local_round >= self.sync_after:
@@ -102,7 +102,8 @@ class TestRoundDriving:
     def test_local_round_advances_only_after_first_round(self, params):
         _, protocol = self.drive(params, rounds=3)
         assert protocol.action_rounds == [1, 2, 3]
-        assert len(protocol.receptions) == 3
+        # A lone listener hears only silence, so it is never handed a reception.
+        assert protocol.receptions == []
 
     def test_outputs_and_sync_latency_recorded(self, params):
         result, _ = self.drive(params, rounds=4, sync_after=3)

@@ -12,8 +12,7 @@ from repro.protocols.base import SynchronizationProtocol, SynchronizedOutputMixi
 from repro.protocols.numbering import RoundNumbering
 from repro.protocols.registry import PROTOCOL_FACTORIES, protocol_factory
 from repro.radio.actions import RadioAction, listen
-from repro.radio.events import ReceptionOutcome
-from repro.radio.messages import LeaderMessage
+from repro.radio.messages import LeaderMessage, Message
 from repro.types import Role
 
 
@@ -21,7 +20,7 @@ class MixinProtocol(SynchronizedOutputMixin, SynchronizationProtocol):
     def choose_action(self) -> RadioAction:
         return listen(1)
 
-    def on_reception(self, outcome: ReceptionOutcome) -> None:
+    def on_reception(self, message: Message) -> None:
         pass
 
 
@@ -128,7 +127,7 @@ class TestRoleRead:
         protocol = activated(name, make_context())
         assert protocol.state_name == protocol.role.value == "contender"
         leader = LeaderMessage(leader_uid=99, round_number=40)
-        protocol.on_reception(ReceptionOutcome(frequency=1, broadcast=False, message=leader))
+        protocol.on_reception(leader)
         assert protocol.state_name == protocol.role.value == "synchronized"
 
 

@@ -9,10 +9,11 @@ from repro.adversary.base import AdversaryContext, InterferenceAdversary
 from repro.adversary.jammers import NoInterference, RandomJammer
 from repro.engine.simulator import SimulationConfig, Simulator, simulate
 from repro.exceptions import ConfigurationError
-from repro.protocols.base import SynchronizationProtocol
+from repro.params import ModelParameters
+from repro.protocols.base import ProtocolContext, SynchronizationProtocol
 from repro.protocols.trapdoor.protocol import TrapdoorProtocol
-from repro.radio.actions import RadioAction, listen
-from repro.radio.events import ReceptionOutcome
+from repro.radio.actions import RadioAction, broadcast, listen
+from repro.radio.messages import DataMessage, Message
 from repro.types import SyncOutput
 
 
@@ -22,7 +23,7 @@ class ListenerProtocol(SynchronizationProtocol):
     def choose_action(self) -> RadioAction:
         return listen(1)
 
-    def on_reception(self, outcome: ReceptionOutcome) -> None:
+    def on_reception(self, message: Message) -> None:
         pass
 
     def current_output(self) -> SyncOutput:
@@ -31,6 +32,37 @@ class ListenerProtocol(SynchronizationProtocol):
 
 class NeverSyncProtocol(ListenerProtocol):
     """A protocol that never outputs a round number."""
+
+    def current_output(self) -> SyncOutput:
+        return None
+
+
+class ChatterProtocol(SynchronizationProtocol):
+    """Broadcasts or listens on frequency 1 or 2 at random, and logs it all.
+
+    A ``listener`` always listens on frequency 1.  Each node logs the message
+    it sent and every reception it is handed, by local round; it never
+    synchronizes.
+    """
+
+    def __init__(self, context: ProtocolContext, listener: bool = False) -> None:
+        super().__init__(context)
+        self.listener = listener
+        self.sent: dict[int, Message] = {}
+        self.heard: list[tuple[int, Message]] = []
+
+    def choose_action(self) -> RadioAction:
+        if self.listener:
+            return listen(1)
+        draw = self.context.rng.random()
+        if draw >= 0.5:
+            return listen(1 if draw < 0.75 else 2)
+        message = DataMessage(sender_uid=self.context.uid, payload=self.context.local_round)
+        self.sent[self.context.local_round] = message
+        return broadcast(1 if draw < 0.3 else 2, message)
+
+    def on_reception(self, message: Message) -> None:
+        self.heard.append((self.context.local_round, message))
 
     def current_output(self) -> SyncOutput:
         return None
@@ -186,3 +218,78 @@ class TestDeterminism:
             activation=SimultaneousActivation(count=1),
         )
         assert Simulator(config).config is config
+
+
+class TestReceptions:
+    """``on_reception`` runs once per round for exactly the nodes that received.
+
+    Five nodes wake in round 1 (so local and global rounds coincide): node 0
+    always listens on frequency 1, the others pick a frequency and whether to
+    broadcast at random, and a random jammer disrupts one of the three
+    frequencies each round.  A FULL trace says who listened where and which
+    frequencies delivered, and the lone broadcaster's log says what it sent.
+    """
+
+    ROUNDS = 300
+
+    def run(self, seed: int):
+        protocols: list[ChatterProtocol] = []
+
+        def factory(context: ProtocolContext) -> ChatterProtocol:
+            # Node ids are activation ranks: node 0 is built first.
+            protocols.append(ChatterProtocol(context, listener=not protocols))
+            return protocols[-1]
+
+        result = simulate(
+            SimulationConfig(
+                params=ModelParameters(frequencies=3, disruption_budget=1, participant_bound=8),
+                protocol_factory=factory,
+                activation=SimultaneousActivation(count=5),
+                adversary=RandomJammer(),
+                max_rounds=self.ROUNDS,
+                stop_when_synchronized=False,
+                seed=seed,
+            )
+        )
+        assert len(result.trace.records) == self.ROUNDS
+        return result.trace.records, protocols
+
+    @staticmethod
+    def delivered_to(records, protocols, node_id):
+        """(round, message) for every round the trace delivered to ``node_id``."""
+        expected = []
+        for record in records:
+            activity = record.activity
+            for frequency, listeners in activity.listeners.items():
+                if node_id in listeners and frequency in activity.delivered:
+                    [sender] = activity.broadcasters[frequency]
+                    round_ = record.global_round
+                    expected.append((round_, protocols[sender].sent[round_]))
+        return expected
+
+    def test_each_node_hears_exactly_what_the_trace_delivered_to_it(self):
+        records, protocols = self.run(seed=5)
+        for node_id, protocol in enumerate(protocols):
+            assert protocol.heard == self.delivered_to(records, protocols, node_id)
+        listener = protocols[0]
+        assert len(listener.heard) >= 20
+        # A broadcaster is never handed a reception, not even of its own message.
+        for node_id, protocol in enumerate(protocols[1:], start=1):
+            assert protocol.sent
+            assert not protocol.sent.keys() & {round_ for round_, _ in protocol.heard}
+
+    def test_silent_collided_and_jammed_rounds_record_nothing(self):
+        records, protocols = self.run(seed=6)
+        heard_rounds = {round_ for round_, _ in protocols[0].heard}
+        silent, collided, jammed = set(), set(), set()
+        for record in records:
+            senders = record.activity.broadcasters.get(1, ())
+            if not senders:
+                silent.add(record.global_round)
+            elif len(senders) >= 2:
+                collided.add(record.global_round)
+            elif 1 in record.activity.disrupted:
+                jammed.add(record.global_round)
+        assert silent and collided and jammed
+        assert not heard_rounds & (silent | collided | jammed)
+        assert len(heard_rounds) == self.ROUNDS - len(silent | collided | jammed)

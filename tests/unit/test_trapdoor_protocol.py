@@ -4,14 +4,9 @@ from __future__ import annotations
 
 
 from repro.protocols.trapdoor.protocol import TrapdoorProtocol
-from repro.radio.events import ReceptionOutcome
 from repro.radio.messages import ContenderMessage, LeaderMessage
 from repro.timestamps import Timestamp
 from repro.types import Role
-
-
-def reception(message, frequency=1):
-    return ReceptionOutcome(frequency=frequency, broadcast=False, message=message)
 
 
 class TestContenderBehaviour:
@@ -52,31 +47,26 @@ class TestKnockout:
     def test_larger_timestamp_knocks_out(self, make_context):
         context = make_context(uid=10, local_round=3)
         protocol = TrapdoorProtocol(context)
-        protocol.on_reception(reception(ContenderMessage(timestamp=Timestamp(50, 99))))
+        protocol.on_reception(ContenderMessage(timestamp=Timestamp(50, 99)))
         assert protocol.role is Role.KNOCKED_OUT
         assert protocol.knocked_out_by == Timestamp(50, 99)
 
     def test_smaller_timestamp_does_not_knock_out(self, make_context):
         context = make_context(uid=10, local_round=30)
         protocol = TrapdoorProtocol(context)
-        protocol.on_reception(reception(ContenderMessage(timestamp=Timestamp(2, 99))))
+        protocol.on_reception(ContenderMessage(timestamp=Timestamp(2, 99)))
         assert protocol.role is Role.CONTENDER
 
     def test_uid_breaks_timestamp_ties(self, make_context):
         context = make_context(uid=10, local_round=5)
         protocol = TrapdoorProtocol(context)
-        protocol.on_reception(reception(ContenderMessage(timestamp=Timestamp(5, 11))))
+        protocol.on_reception(ContenderMessage(timestamp=Timestamp(5, 11)))
         assert protocol.role is Role.KNOCKED_OUT
 
     def test_knocked_out_node_only_listens(self, make_context):
         protocol = TrapdoorProtocol(make_context())
-        protocol.on_reception(reception(ContenderMessage(timestamp=Timestamp(99, 99))))
+        protocol.on_reception(ContenderMessage(timestamp=Timestamp(99, 99)))
         assert all(protocol.choose_action().is_listen for _ in range(100))
-
-    def test_empty_reception_changes_nothing(self, make_context):
-        protocol = TrapdoorProtocol(make_context())
-        protocol.on_reception(ReceptionOutcome(frequency=1, broadcast=False, message=None))
-        assert protocol.role is Role.CONTENDER
 
 
 class TestLeadership:
@@ -116,13 +106,13 @@ class TestLeadership:
         context.local_round = protocol.schedule.total_rounds + 1
         protocol.choose_action()
         own_output = protocol.current_output()
-        protocol.on_reception(reception(LeaderMessage(leader_uid=1, round_number=9999)))
+        protocol.on_reception(LeaderMessage(leader_uid=1, round_number=9999))
         assert protocol.current_output() == own_output
 
     def test_knocked_out_contender_never_becomes_leader(self, make_context):
         context = make_context()
         protocol = TrapdoorProtocol(context)
-        protocol.on_reception(reception(ContenderMessage(timestamp=Timestamp(999, 999))))
+        protocol.on_reception(ContenderMessage(timestamp=Timestamp(999, 999)))
         context.local_round = protocol.schedule.total_rounds + 10
         protocol.choose_action()
         assert protocol.role is Role.KNOCKED_OUT
@@ -132,7 +122,7 @@ class TestAdoption:
     def test_any_node_adopts_leader_numbering(self, make_context):
         context = make_context(local_round=4)
         protocol = TrapdoorProtocol(context)
-        protocol.on_reception(reception(LeaderMessage(leader_uid=77, round_number=500)))
+        protocol.on_reception(LeaderMessage(leader_uid=77, round_number=500))
         assert protocol.role is Role.SYNCHRONIZED
         assert protocol.current_output() == 500
         context.local_round = 6
@@ -140,21 +130,21 @@ class TestAdoption:
 
     def test_knocked_out_node_adopts_leader_numbering(self, make_context):
         protocol = TrapdoorProtocol(make_context())
-        protocol.on_reception(reception(ContenderMessage(timestamp=Timestamp(999, 1))))
-        protocol.on_reception(reception(LeaderMessage(leader_uid=77, round_number=42)))
+        protocol.on_reception(ContenderMessage(timestamp=Timestamp(999, 1)))
+        protocol.on_reception(LeaderMessage(leader_uid=77, round_number=42))
         assert protocol.role is Role.SYNCHRONIZED
         assert protocol.current_output() == 42
 
     def test_synchronized_node_listens_by_default(self, make_context):
         protocol = TrapdoorProtocol(make_context())
-        protocol.on_reception(reception(LeaderMessage(leader_uid=77, round_number=42)))
+        protocol.on_reception(LeaderMessage(leader_uid=77, round_number=42))
         assert all(protocol.choose_action().is_listen for _ in range(50))
 
     def test_synchronized_assist_extension_broadcasts(self, make_context):
         from repro.protocols.trapdoor.config import TrapdoorConfig
 
         protocol = TrapdoorProtocol(make_context(), TrapdoorConfig(synchronized_nodes_assist=True))
-        protocol.on_reception(reception(LeaderMessage(leader_uid=77, round_number=42)))
+        protocol.on_reception(LeaderMessage(leader_uid=77, round_number=42))
         actions = [protocol.choose_action() for _ in range(300)]
         assert any(a.is_broadcast for a in actions)
         assert all(isinstance(a.message, LeaderMessage) for a in actions if a.is_broadcast)
