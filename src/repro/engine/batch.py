@@ -11,15 +11,14 @@ disruption masks, reception resolution, synchronization detection, and stop
 conditions are all array ops, and early-finished trials are masked out of
 every subsequent round rather than exited.
 
-**Determinism is bit-exact.**  Every random draw is replayed word-for-word
-from the same per-``(trial, component)`` Mersenne Twister streams the scalar
-engine uses (:mod:`repro.engine.rng`): each stream's :class:`random.Random`
-state is transplanted into a :class:`numpy.random.RandomState`, 32-bit output
-words are consumed in exactly the order CPython's ``random()`` /
-``getrandbits`` / ``Random.sample`` would consume them (including rejection
-re-draws), and node uids are drawn from the real Python stream *before* the
-transplant.  The golden equivalence suite pins the batch kernel against the
-scalar engine's recorded digests for every batchable combination.
+**Determinism is bit-exact.**  Every random draw comes from the very same
+per-``(trial, component)`` :class:`random.Random` objects the scalar engine
+would build (:mod:`repro.engine.rng`).  Node uids are drawn from them first;
+after that the kernel owns the streams and reads them only in blocks of
+32-bit words, which it consumes in exactly the order CPython's ``random()`` /
+``getrandbits`` / ``Random.sample`` would (including rejection re-draws).
+The golden equivalence suite pins the batch kernel against the scalar
+engine's recorded digests for every batchable combination.
 
 **Scope.**  The kernel covers the trace-free (``TraceLevel.NONE``) subset of
 the registries whose per-round logic is expressible as array ops:
@@ -120,33 +119,27 @@ _HUGE = np.iinfo(np.int64).max
 class _WordStreams:
     """Word-exact vectorized replay of a set of ``random.Random`` streams.
 
-    Each scalar stream's Mersenne Twister state is transplanted into a
-    :class:`numpy.random.RandomState`; 32-bit words are then drawn in blocks
-    and handed out one at a time per stream, so every stream's word sequence
-    is identical to what successive ``getrandbits(32)`` calls on the original
-    :class:`random.Random` would produce.  The higher-level helpers
+    The streams are owned: nothing else may read them once they are handed
+    over.  A stream's block is refilled with one ``getrandbits(32 * block)``
+    call, which CPython assembles from the stream's next ``block`` 32-bit
+    Mersenne Twister words, lowest word first, so its little-endian bytes
+    are those words in order.  Words are then handed out one at a time per
+    stream, so every stream's word sequence is identical to what successive
+    ``getrandbits(32)`` calls would produce.  The higher-level helpers
     (:meth:`randbelow`, :meth:`randoms`) rebuild CPython's exact consumption
     patterns — including rejection re-draws — on top of that word tape.
     """
 
-    __slots__ = ("_states", "_words", "_cursor", "_block")
+    __slots__ = ("_rngs", "_words", "_cursor", "_block")
 
     def __init__(self, rngs: Sequence[random.Random], block: int = 512) -> None:
-        self._states = [self._transplant(rng) for rng in rngs]
-        count = len(self._states)
+        self._rngs = list(rngs)
+        count = len(self._rngs)
         self._block = block
         self._words = np.zeros((max(count, 1), block), dtype=np.uint32)
         # Cursor starts exhausted: the first take() refills lazily, so streams
         # that are never consumed never generate a block.
         self._cursor = np.full(max(count, 1), block, dtype=np.int64)
-
-    @staticmethod
-    def _transplant(rng: random.Random) -> np.random.RandomState:
-        _version, internal, _gauss = rng.getstate()
-        key, pos = internal[:-1], internal[-1]
-        state = np.random.RandomState()
-        state.set_state(("MT19937", np.array(key, dtype=np.uint32), int(pos)))
-        return state
 
     def take(self, ids: np.ndarray) -> np.ndarray:
         """One 32-bit word from each stream in ``ids`` (ids must be unique)."""
@@ -155,9 +148,10 @@ class _WordStreams:
         exhausted = ids[cursor[ids] >= block]
         if exhausted.size:
             words = self._words
-            states = self._states
+            rngs = self._rngs
             for index in exhausted.tolist():
-                words[index] = states[index].randint(0, 2**32, size=block, dtype=np.uint32)
+                bits = rngs[index].getrandbits(32 * block)
+                words[index] = np.frombuffer(bits.to_bytes(4 * block, "little"), dtype="<u4")
             cursor[exhausted] = 0
         positions = cursor[ids]
         out = self._words[ids, positions]
@@ -519,7 +513,7 @@ def _lockstep(config: SimulationConfig, seeds: Sequence[int]) -> list[Simulation
     last_activation_bound = config.activation.last_activation_round()
     max_rounds = config.max_rounds
 
-    # -- stream setup: uids from the real Python streams, then transplant --
+    # -- stream setup: uids first, then the kernel owns every stream -------
     rngs: list[random.Random] = []
     uid = np.zeros((trials, total_rows), dtype=np.int64)
     for t, seed in enumerate(seeds):

@@ -6,8 +6,11 @@ allowed to change: for every batchable configuration the kernel must replay
 the scalar engine's randomness in exact consumption order and land on
 bit-identical results.
 
-This suite pins that equivalence three ways:
+This suite pins that equivalence four ways:
 
+* the kernel's word streams are compared draw for draw with clones of the
+  same ``random.Random`` objects, at a block size small enough that every
+  read crosses many refills;
 * every batchable ``protocol|jammer|activation`` combination of the golden
   matrix (the same matrix :mod:`tests.unit.test_engine_equivalence` pins,
   trace-free) is digest-compared against goldens recorded from the *scalar*
@@ -26,16 +29,18 @@ Regenerate the goldens (from the scalar engine, deliberately) with::
 from __future__ import annotations
 
 import json
+import random
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.adversary.registry import ADVERSARY_FACTORIES
 from repro.campaigns.runner import CampaignRunner
 from repro.campaigns.spec import CampaignSpec
 from repro.campaigns.store import ResultStore
-from repro.engine.batch import batchable, run_batch, run_reduced_batch
+from repro.engine.batch import _WordStreams, batchable, run_batch, run_reduced_batch
 from repro.engine.observers import TraceLevel
 from repro.engine.plan import ExecutionPlan
 from repro.engine.pool import ExecutionPool, ReducedTrial
@@ -116,6 +121,72 @@ class TestBatchableProbe:
             trace_level=TraceLevel.FULL,
         )
         assert not batchable(traced)
+
+
+class TestWordStreams:
+    """``_WordStreams`` against clones of the very streams it reads.
+
+    A 5-word block makes every run of reads cross many refills, and each
+    stream is first advanced by an odd-length ``getrandbits`` (as
+    ``draw_uid`` does), so no refill starts at Mersenne Twister position 0.
+    """
+
+    STREAMS = 6
+
+    @classmethod
+    def streams(cls) -> tuple[_WordStreams, list[random.Random]]:
+        rngs = []
+        for index in range(cls.STREAMS):
+            rng = random.Random(1_000 + index)
+            rng.getrandbits(2 * index + 7)
+            rngs.append(rng)
+        clones = []
+        for rng in rngs:
+            clone = random.Random()
+            clone.setstate(rng.getstate())
+            clones.append(clone)
+        return _WordStreams(rngs, block=5), clones
+
+    def test_take_equals_successive_getrandbits(self):
+        streams, clones = self.streams()
+        for step in range(60):
+            # A varying subset, so the streams' cursors drift apart.
+            ids = np.array([i for i in range(self.STREAMS) if (i + step) % 3], dtype=np.int64)
+            assert streams.take(ids).tolist() == [clones[i].getrandbits(32) for i in ids]
+
+    def test_randbelow_equals_randrange(self):
+        streams, clones = self.streams()
+        ids = np.arange(self.STREAMS, dtype=np.int64)
+        for n in range(1, 41):
+            for _ in range(3):
+                assert streams.randbelow(ids, n).tolist() == [c.randrange(n) for c in clones], n
+
+    def test_randoms_equal_random(self):
+        streams, clones = self.streams()
+        ids = np.arange(self.STREAMS, dtype=np.int64)
+        for _ in range(30):
+            assert streams.randoms(ids).tolist() == [c.random() for c in clones]
+
+    @pytest.mark.parametrize(
+        "population, k",
+        [
+            (list(range(1, 9)), 3),  # n <= setsize: CPython copies a pool
+            ([2, 3, 5, 7, 11, 13, 17], 6),  # pool branch, values that are not indices
+            (list(range(1, 31)), 3),  # n > setsize: CPython rejects repeats via a set
+            (list(range(3, 200, 2)), 7),  # rejection branch with the larger k > 5 set
+        ],
+    )
+    def test_sample_mask_equals_sample(self, population, k):
+        streams, clones = self.streams()
+        ids = np.arange(self.STREAMS, dtype=np.int64)
+        values = np.array(population, dtype=np.int64)
+        width = max(population) + 1
+        for _ in range(12):
+            mask = streams.sample_mask(ids, values, k, width)
+            for row, clone in enumerate(clones):
+                assert np.flatnonzero(mask[row]).tolist() == sorted(clone.sample(population, k))
+            # Both sides consumed the same words: the next ones still agree.
+            assert streams.take(ids).tolist() == [c.getrandbits(32) for c in clones]
 
 
 class TestGoldenEquivalence:
