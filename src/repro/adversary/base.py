@@ -25,9 +25,14 @@ from repro.radio.spectrum_log import SpectrumLog
 from repro.types import Frequency
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class AdversaryContext:
     """Everything an adversary may see when choosing its disruption set.
+
+    The simulator builds one context per run and updates it in place:
+    before each call it sets :attr:`global_round` and
+    :attr:`active_node_count`.  An adversary reads the context during the
+    call and keeps nothing from it.
 
     Attributes
     ----------

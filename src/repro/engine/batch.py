@@ -391,6 +391,22 @@ def _jammer_plan(config: SimulationConfig) -> _JammerPlan:
     raise ConfigurationError(f"{kind.__name__} is not batchable")
 
 
+def _programs(config: SimulationConfig) -> tuple[_ProtocolProgram, _JammerPlan] | None:
+    """The template's protocol program and jammer plan, or ``None`` if not batchable."""
+    if config.trace_level is not TraceLevel.NONE:
+        return None
+    if config.faults is not None:
+        # Fault injection (churn/Byzantine/corruption) rewrites per-node state
+        # mid-run — inherently scalar; the fallback loop handles it.
+        return None
+    if type(config.activation) not in _BATCHABLE_ACTIVATIONS:
+        return None
+    try:
+        return _protocol_program(config), _jammer_plan(config)
+    except ConfigurationError:
+        return None
+
+
 def batchable(config: SimulationConfig) -> bool:
     """Whether the lockstep kernel can replay ``config`` bit-identically.
 
@@ -400,20 +416,7 @@ def batchable(config: SimulationConfig) -> bool:
     False: the scalar fallback then raises exactly the error the scalar
     engine would.
     """
-    if config.trace_level is not TraceLevel.NONE:
-        return False
-    if config.faults is not None:
-        # Fault injection (churn/Byzantine/corruption) rewrites per-node state
-        # mid-run — inherently scalar; the fallback loop handles it.
-        return False
-    if type(config.activation) not in _BATCHABLE_ACTIVATIONS:
-        return False
-    try:
-        _protocol_program(config)
-        _jammer_plan(config)
-    except ConfigurationError:
-        return False
-    return True
+    return _programs(config) is not None
 
 
 def _activation_rows(
@@ -499,14 +502,17 @@ def _disruption_masks(
     return disrupted
 
 
-def _lockstep(config: SimulationConfig, seeds: Sequence[int]) -> list[SimulationResult]:
+def _lockstep(
+    config: SimulationConfig,
+    seeds: Sequence[int],
+    program: _ProtocolProgram,
+    plan: _JammerPlan,
+) -> list[SimulationResult]:
     """Run every seed of a batchable template in lockstep.  Bit-exact."""
     params = config.params
     band_size = params.frequencies
     width = band_size + 1
     trials = len(seeds)
-    program = _protocol_program(config)
-    plan = _jammer_plan(config)
     node_ids, activation_rounds = _activation_rows(config.activation, config.max_rounds)
     total_rows = len(node_ids)
     node_total = config.activation.node_count
@@ -790,11 +796,12 @@ def run_batch(template: SimulationConfig, seeds: Sequence[int]) -> list[Simulati
     seed_list = list(seeds)
     if not seed_list:
         return []
-    if not batchable(template):
+    programs = _programs(template)
+    if programs is None:
         if template.faults is not None and not _in_pool_worker():
             warn_fault_batch_fallback(template.faults)
         return [simulate_one(template, seed) for seed in seed_list]
-    return _lockstep(template, seed_list)
+    return _lockstep(template, seed_list, *programs)
 
 
 def run_reduced_batch(template: SimulationConfig, seeds: Sequence[int]) -> list[ReducedTrial]:

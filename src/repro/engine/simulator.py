@@ -8,9 +8,11 @@ execution, fault-injected or not.  In every global round it:
    Byzantine start;
 3. asks every active node's protocol for its radio action;
 4. asks the interference adversary for its disruption set (the adversary sees
-   the execution only through the *previous* round);
+   the execution only through the *previous* round, in the one
+   :class:`~repro.adversary.base.AdversaryContext` the run updates in place);
 5. resolves the round on the :class:`~repro.radio.network.SingleHopRadioNetwork`
-   (collision rule + disruption);
+   (collision rule + disruption; the network rejects out-of-band
+   frequencies), then checks the disruption set against the budget ``t``;
 6. hands each node that received a message to its protocol
    (``on_reception``; a node that received nothing gets no call), reads
    every node's output and role, and streams the resolved round to the
@@ -233,7 +235,18 @@ class Simulator:
         rows = self._active_rows
         activations_for_round = config.activation.activations_for_round
         resolve_round = self._network.resolve_round
-        choose_disruption = self._choose_disruption
+        choose_disruption = config.adversary.choose_disruption
+        budget = config.params.disruption_budget
+        enforce_budget = config.enforce_budget
+        # One context for the whole run: each round sets its round and node
+        # count in place before the adversary reads it.
+        adversary_context = AdversaryContext(
+            global_round=0,
+            band=config.params.band,
+            budget=budget,
+            history=self._spectrum,
+            rng=adversary_rng,
+        )
         synced_nodes = self._synced_nodes
         leader_uids = self._leader_uids
         leader_role = Role.LEADER
@@ -255,8 +268,17 @@ class Simulator:
                     context.local_round += 1
                 actions[node_id] = protocol.choose_action()
 
-            disrupted = choose_disruption(global_round, adversary_rng, len(rows))
-            received, activity = resolve_round(global_round, actions, disrupted, activations)
+            adversary_context.global_round = global_round
+            adversary_context.active_node_count = len(rows)
+            received, activity = resolve_round(
+                global_round, actions, choose_disruption(adversary_context), activations
+            )
+            # resolve_round has validated every frequency, so only the budget
+            # is left to check.
+            if enforce_budget and len(activity.disrupted) > budget:
+                raise ConfigurationError(
+                    f"adversary disrupted {len(activity.disrupted)} frequencies, budget is {budget}"
+                )
 
             outputs: dict[NodeId, SyncOutput] = {}
             roles: dict[NodeId, Role] = {}
@@ -391,22 +413,6 @@ class Simulator:
             for observer in observers:
                 observer.on_activation(node_id, global_round)
             self._pending_activations -= 1
-
-    def _choose_disruption(self, global_round: int, adversary_rng, active_count: int):
-        context = AdversaryContext(
-            global_round=global_round,
-            band=self._config.params.band,
-            budget=self._config.params.disruption_budget,
-            history=self._spectrum,
-            rng=adversary_rng,
-            active_node_count=active_count,
-        )
-        disrupted = self._config.adversary.choose_disruption(context)
-        if self._config.enforce_budget:
-            disrupted = self._network.validate_disruption_budget(
-                disrupted, self._config.params.disruption_budget
-            )
-        return disrupted
 
     def _should_stop(self, global_round: int) -> bool:
         if not self._config.stop_when_synchronized:

@@ -15,9 +15,12 @@ from repro.radio.events import RoundActivity
 from repro.types import GlobalRound, NodeId, Role, SyncOutput
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class RoundRecord:
     """Everything recorded about one global round.
+
+    Observers read the record and never write it: the trace recorder keeps
+    the very object every other observer saw.
 
     Attributes
     ----------

@@ -50,7 +50,7 @@ class FrequencyActivity:
         return len(self.broadcasters) >= 2
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class RoundActivity:
     """Everything that happened on the spectrum in one global round.
 
@@ -58,6 +58,7 @@ class RoundActivity:
     listened on each tuned frequency, in the order the nodes acted, the
     disruption set, and the frequencies a message was delivered on.
     :attr:`per_frequency` derives the sorted per-frequency view from them.
+    Observers and adversaries read the record and never write it.
 
     Attributes
     ----------

@@ -79,9 +79,10 @@ class SingleHopRadioNetwork:
             frequency to the message of that frequency's lone broadcaster,
             and the round's aggregate activity record.
         """
-        # Fast path: the simulator hands us an already-budget-validated
-        # frozenset of in-band ints, so a subset check replaces per-frequency
-        # validation.  Anything else (or any non-int) takes the strict path.
+        # This is the disruption set's only validation.  Fast path: every
+        # built-in adversary returns a frozenset of in-band ints, so a subset
+        # check replaces per-frequency validation.  Anything else (or any
+        # non-int: 2.0 == 2 passes the subset test) takes the strict path.
         if isinstance(disrupted, frozenset) and all(type(f) is int for f in disrupted):
             disrupted_set = disrupted
             if not disrupted_set <= self._band_set:
@@ -128,7 +129,7 @@ class SingleHopRadioNetwork:
             listeners=listeners,
             disrupted=disrupted_set,
             delivered=frozenset(delivered),
-            activations=tuple(sorted(activations)),
+            activations=tuple(sorted(activations)) if activations else (),
         )
         return received, activity
 
@@ -137,6 +138,10 @@ class SingleHopRadioNetwork:
 
         Returns the validated set.  Raises :class:`ConfigurationError` if the
         set exceeds the budget or contains out-of-band frequencies.
+
+        The simulator does not call it: :meth:`resolve_round` validates the
+        set, and the simulator checks the resolved set's size.  It stays
+        because ``perfbench/layers.py`` wraps it by name.
         """
         disrupted_set = frozenset(disrupted)
         # Plain ints inside the band need no per-frequency check.  The int

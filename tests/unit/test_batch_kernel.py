@@ -31,6 +31,7 @@ from __future__ import annotations
 import json
 import random
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +41,7 @@ from repro.adversary.registry import ADVERSARY_FACTORIES
 from repro.campaigns.runner import CampaignRunner
 from repro.campaigns.spec import CampaignSpec
 from repro.campaigns.store import ResultStore
+from repro.engine import batch
 from repro.engine.batch import _WordStreams, batchable, run_batch, run_reduced_batch
 from repro.engine.observers import TraceLevel
 from repro.engine.plan import ExecutionPlan
@@ -242,6 +244,38 @@ class TestGoldenEquivalence:
         assert not batchable(config)
         [fallback] = run_batch(config, [SEED])
         assert execution_digest(fallback) == execution_digest(simulate(config))
+
+    def test_run_batch_builds_each_program_once(self, monkeypatch):
+        """One kernel call builds the template's programs once, probe included.
+
+        Trapdoor's program holds a ``max_rounds + 1`` probability table, so a
+        second build per call is pure waste.  The counters also see a
+        non-batchable template fall back without building a program.
+        """
+        built = {"protocol": 0, "jammer": 0}
+
+        def counted(name, original):
+            def build(config):
+                built[name] += 1
+                return original(config)
+
+            return build
+
+        monkeypatch.setattr(batch, "_protocol_program", counted("protocol", batch._protocol_program))
+        monkeypatch.setattr(batch, "_jammer_plan", counted("jammer", batch._jammer_plan))
+        key = "trapdoor|random|staggered"
+        seeds = [0, 5, 9]
+        for calls in (1, 2):
+            results = run_batch(config_for(key), seeds)
+            assert built == {"protocol": calls, "jammer": calls}
+        for seed, batched in zip(seeds, results):
+            assert execution_digest(batched) == execution_digest(simulate(config_for(key, seed)))
+
+        built.update(protocol=0, jammer=0)
+        traced = replace(config_for(key), trace_level=TraceLevel.FULL)
+        [fallback] = run_batch(traced, [SEED])
+        assert built == {"protocol": 0, "jammer": 0}
+        assert execution_digest(fallback) == execution_digest(simulate(traced))
 
 
 class TestPlumbing:

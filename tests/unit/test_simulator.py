@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.adversary.activation import SimultaneousActivation, StaggeredActivation
 from repro.adversary.base import AdversaryContext, InterferenceAdversary
 from repro.adversary.jammers import NoInterference, RandomJammer
 from repro.engine.simulator import SimulationConfig, Simulator, simulate
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, SimulationError
+from repro.faults.plan import ChurnEvent, FaultPlan
 from repro.params import ModelParameters
 from repro.protocols.base import ProtocolContext, SynchronizationProtocol
 from repro.protocols.trapdoor.protocol import TrapdoorProtocol
@@ -28,6 +31,13 @@ class ListenerProtocol(SynchronizationProtocol):
 
     def current_output(self) -> SyncOutput:
         return self.context.local_round
+
+
+class OutOfBandListener(ListenerProtocol):
+    """A protocol that listens on a frequency outside every band used here."""
+
+    def choose_action(self) -> RadioAction:
+        return listen(99)
 
 
 class NeverSyncProtocol(ListenerProtocol):
@@ -293,3 +303,161 @@ class TestReceptions:
         assert silent and collided and jammed
         assert not heard_rounds & (silent | collided | jammed)
         assert len(heard_rounds) == self.ROUNDS - len(silent | collided | jammed)
+
+
+class RecordingAdversary(InterferenceAdversary):
+    """Notes what its context says each round, and never disrupts.
+
+    It keeps the context objects only to count them: the contract is one
+    context per run, updated in place.
+    """
+
+    def __init__(self) -> None:
+        self.contexts: list[AdversaryContext] = []
+        self.seen: list[tuple[int, object, int]] = []
+
+    def choose_disruption(self, context: AdversaryContext):
+        self.contexts.append(context)
+        self.seen.append((context.global_round, context.history.latest, context.active_node_count))
+        return frozenset()
+
+
+class ScriptedAdversary(InterferenceAdversary):
+    """Returns ``make()`` every round: a disruption set of any type."""
+
+    def __init__(self, make) -> None:
+        self.make = make
+
+    def choose_disruption(self, context: AdversaryContext):
+        return self.make()
+
+
+class TestAdversaryContext:
+    """Every round the adversary sees its round, the previous round and the node count."""
+
+    ROUNDS = 30
+
+    def run(self, activation, faults=None):
+        adversary = RecordingAdversary()
+        result = simulate(
+            SimulationConfig(
+                params=ModelParameters(frequencies=3, disruption_budget=1, participant_bound=8),
+                protocol_factory=ChatterProtocol,
+                activation=activation,
+                adversary=adversary,
+                max_rounds=self.ROUNDS,
+                stop_when_synchronized=False,
+                faults=faults,
+                seed=4,
+            )
+        )
+        records = result.trace.records
+        assert len(records) == self.ROUNDS
+        assert [seen[0] for seen in adversary.seen] == list(range(1, self.ROUNDS + 1))
+        assert len({id(context) for context in adversary.contexts}) == 1
+        return adversary.seen, records, result.trace.activation_rounds
+
+    def test_history_is_the_previous_round(self):
+        seen, records, _ = self.run(SimultaneousActivation(count=4))
+        latest = [history for _, history, _ in seen]
+        assert latest[0] is None
+        for index in range(1, self.ROUNDS):
+            assert latest[index] is records[index - 1].activity
+        assert any(latest[index].broadcasters for index in range(1, self.ROUNDS))
+
+    def test_node_count_follows_staggered_activation(self):
+        seen, records, activated = self.run(StaggeredActivation(count=4, spacing=3))
+        assert sorted(activated.values()) == [1, 4, 7, 10]
+        for (global_round, _, count), record in zip(seen, records):
+            assert count == sum(1 for first in activated.values() if first <= global_round)
+            assert count == len(record.outputs)
+
+    def test_node_count_follows_churn(self):
+        plan = FaultPlan(churn=(ChurnEvent(node_id=1, leave_round=8, rejoin_round=15),))
+        seen, records, _ = self.run(SimultaneousActivation(count=4), faults=plan)
+        for (global_round, _, count), record in zip(seen, records):
+            assert count == 4 - (8 <= global_round < 15)
+            assert count == len(record.outputs)
+            assert (1 in record.outputs) == (count == 4)
+
+
+def exactly(message: str) -> str:
+    """A ``pytest.raises`` pattern matching ``message`` and nothing more."""
+    return f"^{re.escape(message)}$"
+
+
+class TestDisruptionChecks:
+    """The band and the budget are checked once per round, in the round's order.
+
+    The cases of ``test_network.py::TestBudgetValidation``, driven through the
+    simulator, with the budget enforced and not: out-of-band sets fail
+    either way, on the band first and on the first bad frequency in the
+    order given; an over-budget set fails only when the budget is enforced,
+    and only after the round's actions and disruption set have been checked.
+    """
+
+    @staticmethod
+    def run(make, enforce_budget: bool, protocol_factory=ListenerProtocol):
+        return simulate(
+            SimulationConfig(
+                params=ModelParameters(frequencies=8, disruption_budget=3, participant_bound=16),
+                protocol_factory=protocol_factory,
+                activation=SimultaneousActivation(count=2),
+                adversary=ScriptedAdversary(make),
+                enforce_budget=enforce_budget,
+                max_rounds=5,
+            )
+        )
+
+    @pytest.mark.parametrize("enforce_budget", [True, False], ids=["enforced", "unenforced"])
+    @pytest.mark.parametrize(
+        "make, expected",
+        [
+            (lambda: [1, 2], {1, 2}),
+            (lambda: [True], {1}),
+            (lambda: (f for f in (3, 8)), {3, 8}),
+            (lambda: frozenset(), set()),
+        ],
+        ids=["list", "bool", "generator", "empty-frozenset"],
+    )
+    def test_accepts(self, make, expected, enforce_budget):
+        # ListenerProtocol synchronizes at once: the run is one round long.
+        [record] = self.run(make, enforce_budget).trace.records
+        assert record.activity.disrupted == frozenset(expected)
+
+    @pytest.mark.parametrize("enforce_budget", [True, False], ids=["enforced", "unenforced"])
+    @pytest.mark.parametrize("container", [list, frozenset])
+    @pytest.mark.parametrize("frequency", [0, 9, 2.0, "1"], ids=repr)
+    def test_rejects_out_of_band(self, frequency, container, enforce_budget):
+        message = f"frequency {frequency!r} outside band [1..8]"
+        with pytest.raises(ConfigurationError, match=exactly(message)):
+            self.run(lambda: container([frequency]), enforce_budget)
+
+    def test_rejects_over_budget_only_when_enforced(self):
+        message = "adversary disrupted 4 frequencies, budget is 3"
+        with pytest.raises(ConfigurationError, match=exactly(message)):
+            self.run(lambda: [1, 2, 3, 4], enforce_budget=True)
+        [record] = self.run(lambda: [1, 2, 3, 4], enforce_budget=False).trace.records
+        assert record.activity.disrupted == frozenset({1, 2, 3, 4})
+
+    @pytest.mark.parametrize("enforce_budget", [True, False], ids=["enforced", "unenforced"])
+    @pytest.mark.parametrize("container", [list, frozenset])
+    def test_out_of_band_fails_before_over_budget(self, container, enforce_budget):
+        message = "frequency 9 outside band [1..8]"
+        with pytest.raises(ConfigurationError, match=exactly(message)):
+            self.run(lambda: container([1, 2, 3, 9]), enforce_budget)
+
+    @pytest.mark.parametrize("enforce_budget", [True, False], ids=["enforced", "unenforced"])
+    @pytest.mark.parametrize("first, second", [(9, 0), (0, 9)])
+    def test_first_out_of_band_frequency_in_order_given_is_named(
+        self, first, second, enforce_budget
+    ):
+        message = f"frequency {first} outside band [1..8]"
+        with pytest.raises(ConfigurationError, match=exactly(message)):
+            self.run(lambda: [first, second], enforce_budget)
+
+    @pytest.mark.parametrize("enforce_budget", [True, False], ids=["enforced", "unenforced"])
+    def test_out_of_band_action_fails_before_over_budget(self, enforce_budget):
+        message = "node 0 tuned to frequency 99 outside band [1..8]"
+        with pytest.raises(SimulationError, match=exactly(message)):
+            self.run(lambda: [1, 2, 3, 4], enforce_budget, OutOfBandListener)
