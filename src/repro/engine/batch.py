@@ -23,8 +23,12 @@ engine's recorded digests for every batchable combination.
 **Scope.**  The kernel covers the trace-free (``TraceLevel.NONE``) subset of
 the registries whose per-round logic is expressible as array ops:
 
-* protocols: trapdoor (without the ``synchronized_nodes_assist`` extension),
-  uniform-wakeup, decay-wakeup, single-channel, round-robin;
+* protocols: the Trapdoor family — trapdoor, uniform-wakeup, decay-wakeup,
+  single-channel, round-robin — whose
+  :class:`~repro.protocols.contention.ContentionProtocol` skeleton the
+  kernel replays, reading each member's horizon, probabilities and band off
+  a probe and re-implementing its frequency rule
+  (``_BATCHABLE_PROTOCOLS``);
 * adversaries: all eight registered jammers;
 * activations: all five built-in schedules (none of them consult the
   activation random stream).
@@ -41,7 +45,7 @@ import multiprocessing
 import random
 from dataclasses import dataclass
 from collections import Counter
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence, cast
 
 import numpy as np
 
@@ -72,11 +76,7 @@ from repro.engine.rng import derive_seed
 from repro.engine.simulator import SimulationConfig
 from repro.exceptions import ConfigurationError
 from repro.protocols.base import BoundProtocolFactory, ProtocolContext
-from repro.protocols.baselines.decay_wakeup import DecayWakeupProtocol
-from repro.protocols.baselines.round_robin import RoundRobinSweepProtocol
-from repro.protocols.baselines.single_channel import SingleChannelAlohaProtocol
-from repro.protocols.baselines.uniform_wakeup import UniformWakeupProtocol
-from repro.protocols.trapdoor.protocol import TrapdoorProtocol
+from repro.protocols.registry import protocol_factory
 from repro.timestamps import draw_uid
 from repro.types import Role
 
@@ -86,13 +86,23 @@ __all__ = ["batchable", "run_batch", "run_reduced_batch"]
 _CONTENDER, _KNOCKED_OUT, _LEADER, _SYNCHRONIZED = 0, 1, 2, 3
 _STATE_ROLES = (Role.CONTENDER, Role.KNOCKED_OUT, Role.LEADER, Role.SYNCHRONIZED)
 
-_BATCHABLE_PROTOCOLS = (
-    TrapdoorProtocol,
-    UniformWakeupProtocol,
-    DecayWakeupProtocol,
-    SingleChannelAlohaProtocol,
-    RoundRobinSweepProtocol,
-)
+#: The Trapdoor-family members the kernel replays, by registry name, and the
+#: frequency rule each one tunes by.  The kernel reads a member's horizon,
+#: probabilities and ``band_width`` off a probe, but re-implements its
+#: ``frequency()``, ``leader_frequency()`` and ``contends()`` from the rule
+#: below.  So a change to those hooks, a new override of them or of
+#: ``choose_action``/``on_reception``, or a new draw needs matching kernel
+#: support, or the member must leave this table.
+_BATCHABLE_PROTOCOLS = {
+    cast(BoundProtocolFactory, protocol_factory(name)).protocol_class: rule
+    for name, rule in (
+        ("trapdoor", "random-freq"),
+        ("uniform-wakeup", "random-freq"),
+        ("decay-wakeup", "random-freq"),
+        ("single-channel", "single"),
+        ("round-robin", "roundrobin"),
+    )
+}
 _BATCHABLE_JAMMERS = (
     NoInterference,
     FixedBandJammer,
@@ -223,76 +233,42 @@ class _WordStreams:
 
 @dataclass(frozen=True)
 class _ProtocolProgram:
-    """The per-round draw/transition schedule of one batchable protocol.
+    """What the kernel replays of one family member, read from a probe instance.
 
-    Extracted once per batch from a probe instance, so the round loop never
-    touches protocol objects.  ``contender_probability[lr]`` is the contender
-    broadcast threshold at local round ``lr`` (index 0 unused).
+    The round loop never touches protocol objects.  ``kind`` is the member's
+    frequency rule: ``random-freq`` draws from ``[1 .. band_width]``,
+    ``single`` stays on ``channel``, and ``roundrobin`` sweeps the band with
+    uid-slotted contenders and random-frequency leaders.
     """
 
     kind: str  # "random-freq" | "single" | "roundrobin"
     horizon: int
     leader_probability: float
-    contender_probability: np.ndarray
+    contender_probability: Callable[[int], float]
     band_width: int
     channel: int
     slots: int
 
 
 def _protocol_program(config: SimulationConfig) -> _ProtocolProgram:
-    """Build the draw schedule for the template's protocol (may raise)."""
+    """Read the template's family member off a probe instance (may raise)."""
     factory = config.protocol_factory
     if type(factory) is not BoundProtocolFactory:
         raise ConfigurationError("not a registry-bound protocol factory")
-    if factory.protocol_class not in _BATCHABLE_PROTOCOLS:
+    kind = _BATCHABLE_PROTOCOLS.get(factory.protocol_class)
+    if kind is None:
         raise ConfigurationError(f"{factory.protocol_class.__name__} is not batchable")
-    probe_context = ProtocolContext(
-        params=config.params, rng=random.Random(0), uid=1, local_round=1
+    probe: Any = factory(
+        ProtocolContext(params=config.params, rng=random.Random(0), uid=1, local_round=1)
     )
-    probe: Any = factory(probe_context)
-    max_lr = config.max_rounds + 1
-    local_rounds = range(1, max_lr + 1)
-    if isinstance(probe, TrapdoorProtocol):
-        if probe.config.synchronized_nodes_assist:
-            raise ConfigurationError("synchronized_nodes_assist is not batchable")
-        probability = np.array(
-            [0.0] + [probe.schedule.broadcast_probability(lr) for lr in local_rounds]
-        )
-        return _ProtocolProgram(
-            kind="random-freq",
-            horizon=probe.schedule.total_rounds,
-            leader_probability=probe.config.leader_broadcast_probability,
-            contender_probability=probability,
-            band_width=probe.schedule.effective_frequencies,
-            channel=0,
-            slots=0,
-        )
-    frequencies = config.params.frequencies
-    if isinstance(probe, UniformWakeupProtocol):
-        probability = np.full(max_lr + 1, probe.broadcast_probability)
-        kind, band_width, channel, slots = "random-freq", frequencies, 0, 0
-    elif isinstance(probe, DecayWakeupProtocol):
-        cycle = probe._cycle_length
-        probability = np.array(
-            [0.0] + [0.5 ** (((lr - 1) % cycle) + 1) for lr in local_rounds]
-        )
-        kind, band_width, channel, slots = "random-freq", frequencies, 0, 0
-    elif isinstance(probe, SingleChannelAlohaProtocol):
-        probability = np.array(
-            [0.0] + [probe._schedule.broadcast_probability(lr) for lr in local_rounds]
-        )
-        kind, band_width, channel, slots = "single", 0, probe.channel, 0
-    else:  # RoundRobinSweepProtocol
-        probability = np.zeros(max_lr + 1)
-        kind, band_width, channel, slots = "roundrobin", frequencies, 0, probe.slots
     return _ProtocolProgram(
         kind=kind,
         horizon=probe.victory_rounds,
         leader_probability=probe.leader_broadcast_probability,
-        contender_probability=probability,
-        band_width=band_width,
-        channel=channel,
-        slots=slots,
+        contender_probability=probe.contender_probability,
+        band_width=probe.band_width,
+        channel=probe.channel if kind == "single" else 0,
+        slots=probe.slots if kind == "roundrobin" else 0,
     )
 
 
@@ -559,7 +535,14 @@ def _lockstep(
 
     trial_column = np.arange(trials, dtype=np.int64)[:, None]
     leader_probability = program.leader_probability
-    contender_probability = program.contender_probability
+    # contender_probability[lr]: a contender's broadcast threshold at local
+    # round lr (index 0 unused).  A node past the horizon is no contender, so
+    # the table stops there; round-robin contenders follow their slots.
+    horizon = min(program.horizon, max_rounds)
+    if program.kind != "roundrobin":
+        contender_probability = np.array(
+            [0.0] + [program.contender_probability(lr) for lr in range(1, horizon + 1)]
+        )
     stop_enabled = config.stop_when_synchronized
     extra_after_sync = config.extra_rounds_after_sync
 
@@ -629,34 +612,32 @@ def _lockstep(
             else:
                 threshold = np.where(
                     state_r == _CONTENDER,
-                    contender_probability[local_round][None, :],
+                    contender_probability[np.minimum(local_round, horizon)][None, :],
                     leader_probability,
                 )
                 broadcasting = needs_b & (draws < threshold)
 
-            # Reception: exactly-one-broadcaster-and-undisrupted delivers.
+            # Reception, as in ``resolve_round``: a listener on a frequency with
+            # exactly one broadcaster and no disruption gets that broadcaster's
+            # message.  ``sender`` holds a broadcaster's row per (trial,
+            # frequency): where ``counts`` is 1, the lone sender's.
+            bt, br = np.nonzero(broadcasting)
+            bf = frequency[bt, br]
             counts = np.zeros((trials, width), dtype=np.int64)
-            leader_sum = np.zeros((trials, width), dtype=np.int64)
-            round_sum = np.zeros((trials, width), dtype=np.int64)
-            ts_round_sum = np.zeros((trials, width), dtype=np.int64)
-            ts_uid_sum = np.zeros((trials, width), dtype=np.int64)
-            bt = np.broadcast_to(trial_column, (trials, R))[broadcasting]
-            bf = frequency[broadcasting]
             np.add.at(counts, (bt, bf), 1)
-            is_leader_b = (state_r == _LEADER)[broadcasting].astype(np.int64)
-            np.add.at(leader_sum, (bt, bf), is_leader_b)
-            outputs_now = offset[:, :R] + local_round[None, :]
-            np.add.at(round_sum, (bt, bf), outputs_now[broadcasting])
-            np.add.at(ts_round_sum, (bt, bf), np.broadcast_to(local_round, (trials, R))[broadcasting])
-            np.add.at(ts_uid_sum, (bt, bf), uid_r[broadcasting])
+            sender = np.zeros((trials, width), dtype=np.int64)
+            sender[bt, bf] = br
             delivered = (counts == 1) & ~disrupted
 
-            # Per-listener effects (broadcasters never receive).
+            # Per-listener effects (broadcasters never receive): each listener
+            # reads its sender's state, output and timestamp as they were
+            # when the message went out.
             got = delivered[trial_column, frequency] & act2d & ~broadcasting
-            from_leader = leader_sum[trial_column, frequency] > 0
-            message_round = round_sum[trial_column, frequency]
-            message_ts_round = ts_round_sum[trial_column, frequency]
-            message_ts_uid = ts_uid_sum[trial_column, frequency]
+            source = sender[trial_column, frequency]
+            from_leader = state_r[trial_column, source] == _LEADER
+            message_ts_round = local_round[source]
+            message_ts_uid = uid_r[trial_column, source]
+            message_round = offset[:, :R][trial_column, source] + message_ts_round
             hears_leader = got & from_leader & (state_r != _LEADER)
             newly_adopting = hears_leader & ~adopted[:, :R]
             knocked_out = (

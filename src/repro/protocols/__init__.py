@@ -7,12 +7,12 @@ from repro.protocols.base import (
     SynchronizedOutputMixin,
 )
 from repro.protocols.baselines import (
-    ContentionBaseline,
     DecayWakeupProtocol,
     RoundRobinSweepProtocol,
     SingleChannelAlohaProtocol,
     UniformWakeupProtocol,
 )
+from repro.protocols.contention import ContentionProtocol
 from repro.protocols.fault_tolerant import (
     CrashSchedule,
     FaultToleranceConfig,
@@ -34,7 +34,7 @@ __all__ = [
     "ProtocolFactory",
     "SynchronizationProtocol",
     "SynchronizedOutputMixin",
-    "ContentionBaseline",
+    "ContentionProtocol",
     "DecayWakeupProtocol",
     "RoundRobinSweepProtocol",
     "SingleChannelAlohaProtocol",

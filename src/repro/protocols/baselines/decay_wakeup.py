@@ -11,12 +11,11 @@ uniformly regardless of ``t``.
 
 from __future__ import annotations
 
-from repro.protocols.base import BoundProtocolFactory, ProtocolContext, draw_one_to
-from repro.protocols.baselines.base import ContentionBaseline
-from repro.radio.actions import RadioAction, broadcast, listen
+from repro.protocols.base import BoundProtocolFactory, ProtocolContext
+from repro.protocols.contention import ContentionProtocol
 
 
-class DecayWakeupProtocol(ContentionBaseline):
+class DecayWakeupProtocol(ContentionProtocol):
     """Cycle broadcast probabilities ``1/2, 1/4, …, 1/N`` on random frequencies.
 
     Parameters
@@ -24,7 +23,7 @@ class DecayWakeupProtocol(ContentionBaseline):
     context:
         The node's protocol context.
     victory_rounds:
-        Contention horizon (see :class:`~repro.protocols.baselines.base.ContentionBaseline`).
+        Contention horizon (see :class:`~repro.protocols.contention.ContentionProtocol`).
     """
 
     def __init__(self, context: ProtocolContext, victory_rounds: int | None = None) -> None:
@@ -37,14 +36,6 @@ class DecayWakeupProtocol(ContentionBaseline):
 
         return BoundProtocolFactory(cls, (victory_rounds,))
 
-    def current_probability(self) -> float:
-        """The decay probability for the node's current local round."""
-        phase = (self.context.local_round - 1) % self._cycle_length
-        return 0.5 ** (phase + 1)
-
-    def contender_action(self) -> RadioAction:
-        rng = self.context.rng
-        frequency = draw_one_to(rng, self.context.params.frequencies)
-        if rng.random() < self.current_probability():
-            return broadcast(frequency, self.identity_message())
-        return listen(frequency)
+    def contender_probability(self, local_round: int) -> float:
+        """The decay ladder ``1/2, 1/4, …, 1/N``, restarting every ``lg N`` rounds."""
+        return 0.5 ** ((local_round - 1) % self._cycle_length + 1)

@@ -1,7 +1,7 @@
 """Deterministic round-robin sweep baseline.
 
-A deterministic strawman: node ``u`` broadcasts whenever
-``(local_round + uid) mod slots == 0`` (a crude uid-based TDMA slotting) and
+A deterministic strawman: a contender broadcasts whenever
+``local_round ≡ uid (mod slots)`` (a crude uid-based TDMA slotting) and
 sweeps its frequency deterministically through the band.  Determinism removes
 collisions only if uids happen to fall in distinct slot classes, and a sweep
 is trivially predictable — a sweep jammer aligned with it prevents all
@@ -13,11 +13,10 @@ from __future__ import annotations
 
 from repro.exceptions import ConfigurationError
 from repro.protocols.base import BoundProtocolFactory, ProtocolContext
-from repro.protocols.baselines.base import ContentionBaseline
-from repro.radio.actions import RadioAction, broadcast, listen
+from repro.protocols.contention import ContentionProtocol
 
 
-class RoundRobinSweepProtocol(ContentionBaseline):
+class RoundRobinSweepProtocol(ContentionProtocol):
     """Deterministic uid-slotted broadcasts on a sweeping frequency.
 
     Parameters
@@ -27,7 +26,7 @@ class RoundRobinSweepProtocol(ContentionBaseline):
     slots:
         The slotting modulus; a node broadcasts once every ``slots`` rounds.
     victory_rounds:
-        Contention horizon (see :class:`~repro.protocols.baselines.base.ContentionBaseline`).
+        Contention horizon (see :class:`~repro.protocols.contention.ContentionProtocol`).
     """
 
     def __init__(
@@ -51,16 +50,14 @@ class RoundRobinSweepProtocol(ContentionBaseline):
         """The slot class this node's uid falls in."""
         return self.context.uid % self.slots
 
-    def current_frequency(self) -> int:
-        """The deterministic sweep position for the node's current round."""
+    def contends(self, local_round: int) -> bool:
+        # Slotted, not random: a contender draws no coin.
+        return local_round % self.slots == self.my_slot()
+
+    def frequency(self) -> int:
+        """The deterministic sweep position for the node's current round.
+
+        The leader keeps the default rule, a random frequency in the band.
+        """
         frequencies = self.context.params.frequencies
         return (self.context.local_round + self.context.uid) % frequencies + 1
-
-    def contender_action(self) -> RadioAction:
-        frequency = self.current_frequency()
-        if self.context.local_round % self.slots == self.my_slot():
-            return broadcast(frequency, self.identity_message())
-        return listen(frequency)
-
-    def listening_frequency(self) -> int:
-        return self.current_frequency()

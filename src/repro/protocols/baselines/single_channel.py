@@ -13,13 +13,12 @@ why frequency diversity is not optional in the disrupted model.
 from __future__ import annotations
 
 from repro.protocols.base import BoundProtocolFactory, ProtocolContext
-from repro.protocols.baselines.base import ContentionBaseline
+from repro.protocols.contention import ContentionProtocol
 from repro.protocols.trapdoor.config import TrapdoorConfig
 from repro.protocols.trapdoor.epochs import TrapdoorSchedule
-from repro.radio.actions import RadioAction, broadcast, listen
 
 
-class SingleChannelAlohaProtocol(ContentionBaseline):
+class SingleChannelAlohaProtocol(ContentionProtocol):
     """Epoch-doubling contention confined to frequency 1.
 
     Parameters
@@ -53,14 +52,10 @@ class SingleChannelAlohaProtocol(ContentionBaseline):
 
         return BoundProtocolFactory(cls, (channel, victory_rounds))
 
-    def contender_action(self) -> RadioAction:
-        rng = self.context.rng
-        probability = self._schedule.broadcast_probability(self.context.local_round)
-        if rng.random() < probability:
-            return broadcast(self.channel, self.identity_message())
-        return listen(self.channel)
+    def contender_probability(self, local_round: int) -> float:
+        return self._schedule.broadcast_probability(local_round)
 
-    def listening_frequency(self) -> int:
+    def frequency(self) -> int:
         return self.channel
 
     def leader_frequency(self) -> int:

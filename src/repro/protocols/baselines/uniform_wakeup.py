@@ -12,12 +12,11 @@ mismatch, which is exactly the pathology the Trapdoor epochs remove.
 from __future__ import annotations
 
 from repro.exceptions import ConfigurationError
-from repro.protocols.base import BoundProtocolFactory, ProtocolContext, draw_one_to
-from repro.protocols.baselines.base import ContentionBaseline
-from repro.radio.actions import RadioAction, broadcast, listen
+from repro.protocols.base import BoundProtocolFactory, ProtocolContext
+from repro.protocols.contention import ContentionProtocol
 
 
-class UniformWakeupProtocol(ContentionBaseline):
+class UniformWakeupProtocol(ContentionProtocol):
     """Contend with a fixed broadcast probability on a random frequency.
 
     Parameters
@@ -27,7 +26,7 @@ class UniformWakeupProtocol(ContentionBaseline):
     broadcast_probability:
         The fixed per-round broadcast probability ``p``.
     victory_rounds:
-        Contention horizon (see :class:`ContentionBaseline`).
+        Contention horizon (see :class:`~repro.protocols.contention.ContentionProtocol`).
     """
 
     def __init__(
@@ -49,9 +48,5 @@ class UniformWakeupProtocol(ContentionBaseline):
 
         return BoundProtocolFactory(cls, (broadcast_probability, victory_rounds))
 
-    def contender_action(self) -> RadioAction:
-        rng = self.context.rng
-        frequency = draw_one_to(rng, self.context.params.frequencies)
-        if rng.random() < self.broadcast_probability:
-            return broadcast(frequency, self.identity_message())
-        return listen(frequency)
+    def contender_probability(self, local_round: int) -> float:
+        return self.broadcast_probability

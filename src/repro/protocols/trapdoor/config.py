@@ -37,11 +37,6 @@ class TrapdoorConfig:
         If True (paper behaviour), the last epoch is lengthened to
         ``Θ(F′²/(F′−t) · lg N)``; if False every epoch has the regular length —
         the ``ablation_final_epoch`` benchmark flips this switch.
-    synchronized_nodes_assist:
-        Optional extension (not in the paper): nodes that adopted the
-        numbering from the leader re-broadcast it with probability 1/2,
-        accelerating dissemination in large networks.  Off by default to stay
-        faithful to §6.
     """
 
     epoch_constant: float = 2.0
@@ -49,7 +44,6 @@ class TrapdoorConfig:
     leader_broadcast_probability: float = 0.5
     use_effective_band: bool = True
     use_extended_final_epoch: bool = True
-    synchronized_nodes_assist: bool = False
 
     def __post_init__(self) -> None:
         if self.epoch_constant <= 0:

@@ -12,26 +12,22 @@ becomes the *leader*, declares the round numbering, and thereafter broadcasts
 :class:`~repro.radio.messages.LeaderMessage`s with probability 1/2 on a random
 frequency in ``[1 .. F′]``.  Any node that hears a leader message adopts the
 numbering immediately.
+
+That state machine is the family skeleton of
+:mod:`repro.protocols.contention`; the Trapdoor Protocol declares only its
+schedule: the epoch's broadcast probability, the band ``F′``, the horizon
+(every epoch) and the epoch index its contender messages carry.
 """
 
 from __future__ import annotations
 
-from repro.protocols.base import (
-    BoundProtocolFactory,
-    ProtocolContext,
-    SynchronizationProtocol,
-    SynchronizedOutputMixin,
-    draw_one_to,
-)
-from repro.protocols.timestamps import Timestamp
+from repro.protocols.base import BoundProtocolFactory, ProtocolContext
+from repro.protocols.contention import ContentionProtocol
 from repro.protocols.trapdoor.config import TrapdoorConfig
 from repro.protocols.trapdoor.epochs import TrapdoorSchedule
-from repro.radio.actions import RadioAction, broadcast, listen
-from repro.radio.messages import ContenderMessage, LeaderMessage, Message
-from repro.types import Role
 
 
-class TrapdoorProtocol(SynchronizedOutputMixin, SynchronizationProtocol):
+class TrapdoorProtocol(ContentionProtocol):
     """Per-node state machine of the Trapdoor Protocol.
 
     Parameters
@@ -43,14 +39,14 @@ class TrapdoorProtocol(SynchronizedOutputMixin, SynchronizationProtocol):
     """
 
     def __init__(self, context: ProtocolContext, config: TrapdoorConfig | None = None) -> None:
-        super().__init__(context)
         self.config = config or TrapdoorConfig()
         self.schedule = TrapdoorSchedule(context.params, self.config)
-        self._state = Role.CONTENDER
-        self._band_width = self.schedule.effective_frequencies
-        self._knocked_out_by: Timestamp | None = None
-
-    # -- factory -----------------------------------------------------------
+        super().__init__(
+            context,
+            victory_rounds=self.schedule.total_rounds,
+            leader_broadcast_probability=self.config.leader_broadcast_probability,
+        )
+        self.band_width = self.schedule.effective_frequencies
 
     @classmethod
     def factory(cls, config: TrapdoorConfig | None = None):
@@ -58,91 +54,9 @@ class TrapdoorProtocol(SynchronizedOutputMixin, SynchronizationProtocol):
 
         return BoundProtocolFactory(cls, (config,))
 
-    # -- protocol interface -------------------------------------------------
+    def contender_probability(self, local_round: int) -> float:
+        return self.schedule.broadcast_probability(local_round)
 
-    @property
-    def role(self) -> Role:
-        return self._state
-
-    def choose_action(self) -> RadioAction:
-        rng = self.context.rng
-        local_round = self.context.local_round
-
-        if self._state is Role.CONTENDER and self.schedule.completed(local_round):
-            self._become_leader()
-
-        frequency = draw_one_to(rng, self._band_width)
-
-        if self._state is Role.CONTENDER:
-            probability = self.schedule.broadcast_probability(local_round)
-            if rng.random() < probability:
-                message = ContenderMessage(
-                    timestamp=self._my_timestamp(),
-                    epoch=self._current_epoch_index(local_round),
-                )
-                return broadcast(frequency, message)
-            return listen(frequency)
-
-        if self._state is Role.LEADER:
-            if rng.random() < self.config.leader_broadcast_probability:
-                return broadcast(frequency, self._leader_message())
-            return listen(frequency)
-
-        if self._state is Role.SYNCHRONIZED and self.config.synchronized_nodes_assist:
-            output = self.current_output()
-            if output is not None and rng.random() < 0.5:
-                return broadcast(frequency, LeaderMessage(leader_uid=self.context.uid, round_number=output))
-            return listen(frequency)
-
-        # Knocked out (or synchronized without the assist extension): listen.
-        return listen(frequency)
-
-    def on_reception(self, message: Message) -> None:
-        if isinstance(message, LeaderMessage):
-            self._adopt_from_leader(message)
-            return
-        if isinstance(message, ContenderMessage) and self._state is Role.CONTENDER:
-            if message.timestamp > self._my_timestamp():
-                self._state = Role.KNOCKED_OUT
-                self._knocked_out_by = message.timestamp
-
-    # -- introspection (used by tests and metrics) ---------------------------
-
-    @property
-    def state_name(self) -> str:
-        """The internal state name (contender / knocked_out / leader / synchronized)."""
-        return self._state.value
-
-    @property
-    def knocked_out_by(self) -> Timestamp | None:
-        """The timestamp that knocked this node out, if any."""
-        return self._knocked_out_by
-
-    # -- internals ------------------------------------------------------------
-
-    def _my_timestamp(self) -> Timestamp:
-        return Timestamp(rounds_active=self.context.local_round, uid=self.context.uid)
-
-    def _current_epoch_index(self, local_round: int) -> int:
+    def epoch(self, local_round: int) -> int:
         epoch = self.schedule.epoch_of_round(local_round)
         return epoch.index if epoch is not None else self.schedule.epoch_count
-
-    def _become_leader(self) -> None:
-        self._state = Role.LEADER
-        # The leader numbers rounds by its own activation age.
-        self.adopt_round_number(self.context.local_round)
-
-    def _leader_message(self) -> LeaderMessage:
-        output = self.current_output()
-        assert output is not None  # leaders always have a committed number
-        return LeaderMessage(leader_uid=self.context.uid, round_number=output)
-
-    def _adopt_from_leader(self, message: LeaderMessage) -> None:
-        if self._state is Role.LEADER:
-            # A second leader hearing the first adopts nothing; uniqueness is
-            # guaranteed w.h.p. by the analysis, and the checker will flag
-            # disagreement if it ever happens with unlucky constants.
-            return
-        if self._state is not Role.SYNCHRONIZED:
-            self._state = Role.SYNCHRONIZED
-        self.adopt_round_number(message.round_number)

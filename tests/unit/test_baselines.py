@@ -5,11 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.protocols.baselines.base import ContentionBaseline, default_victory_rounds
 from repro.protocols.baselines.decay_wakeup import DecayWakeupProtocol
 from repro.protocols.baselines.round_robin import RoundRobinSweepProtocol
 from repro.protocols.baselines.single_channel import SingleChannelAlohaProtocol
 from repro.protocols.baselines.uniform_wakeup import UniformWakeupProtocol
+from repro.protocols.contention import ContentionProtocol, default_victory_rounds
 from repro.radio.messages import ContenderMessage, LeaderMessage
 from repro.timestamps import Timestamp
 from repro.types import Role
@@ -66,10 +66,13 @@ class TestSharedSkeleton:
         with pytest.raises(ConfigurationError):
             UniformWakeupProtocol(make_context(), broadcast_probability=0)
 
-    def test_contender_action_is_abstract(self, make_context):
-        skeleton = ContentionBaseline(make_context())
-        with pytest.raises(NotImplementedError):
-            skeleton.contender_action()
+    def test_member_without_contender_probability_fails_loudly(self, make_context):
+        class Undeclared(ContentionProtocol):
+            pass
+
+        member = Undeclared(make_context())
+        with pytest.raises(NotImplementedError, match="Undeclared declares no contender_probability"):
+            member.choose_action()
 
 
 class TestUniformWakeup:
@@ -89,12 +92,11 @@ class TestDecayWakeup:
     def test_probability_cycles_through_decay_ladder(self, make_context):
         context = make_context()
         protocol = DecayWakeupProtocol(context)
-        context.local_round = 1
-        assert protocol.current_probability() == pytest.approx(0.5)
-        context.local_round = 2
-        assert protocol.current_probability() == pytest.approx(0.25)
-        context.local_round = 1 + context.params.log_participants
-        assert protocol.current_probability() == pytest.approx(0.5)
+        assert protocol.contender_probability(1) == pytest.approx(0.5)
+        assert protocol.contender_probability(2) == pytest.approx(0.25)
+        assert protocol.contender_probability(1 + context.params.log_participants) == (
+            pytest.approx(0.5)
+        )
 
     def test_factory_builds_instances(self, make_context):
         assert isinstance(DecayWakeupProtocol.factory()(make_context()), DecayWakeupProtocol)
@@ -104,7 +106,7 @@ class TestSingleChannel:
     def test_everything_happens_on_one_channel(self, make_context):
         protocol = SingleChannelAlohaProtocol(make_context(), channel=2)
         assert all(protocol.choose_action().frequency == 2 for _ in range(100))
-        assert protocol.listening_frequency() == 2
+        assert protocol.frequency() == protocol.leader_frequency() == 2
 
     def test_channel_must_be_in_band(self, make_context):
         with pytest.raises(ConfigurationError):
@@ -120,9 +122,9 @@ class TestRoundRobin:
         context = make_context(uid=6)
         protocol = RoundRobinSweepProtocol(context)
         context.local_round = 1
-        first = protocol.current_frequency()
+        first = protocol.frequency()
         context.local_round = 2
-        second = protocol.current_frequency()
+        second = protocol.frequency()
         assert first != second
         assert 1 <= first <= params.frequencies and 1 <= second <= params.frequencies
 
@@ -130,10 +132,14 @@ class TestRoundRobin:
         context = make_context(uid=6)
         protocol = RoundRobinSweepProtocol(context, slots=4, victory_rounds=10_000)
         slot = protocol.my_slot()
+        state = context.rng.getstate()
         for local_round in range(1, 13):
             context.local_round = local_round
-            action = protocol.contender_action()
+            action = protocol.choose_action()
             assert action.is_broadcast == (local_round % 4 == slot)
+            assert action.frequency == protocol.frequency()
+        # Slotted contention is deterministic: it draws nothing.
+        assert context.rng.getstate() == state
 
     def test_rejects_invalid_slots(self, make_context):
         with pytest.raises(ConfigurationError):

@@ -45,11 +45,13 @@ from repro.engine import batch
 from repro.engine.batch import _WordStreams, batchable, run_batch, run_reduced_batch
 from repro.engine.observers import TraceLevel
 from repro.engine.plan import ExecutionPlan
-from repro.engine.pool import ExecutionPool, ReducedTrial
+from repro.engine.pool import ExecutionPool, ReducedTrial, _run_seed_chunk
 from repro.engine.runner import run_reduced_trials
 from repro.engine.serialization import execution_digest
 from repro.engine.simulator import SimulationConfig, simulate
+from repro.protocols.base import ProtocolContext
 from repro.protocols.registry import protocol_factory
+from repro.protocols.trapdoor.protocol import TrapdoorProtocol
 
 # The same pinned matrix the scalar golden suite uses (tests/unit is not a
 # package: both under pytest's rootdir import mode and as a __main__ script,
@@ -248,8 +250,10 @@ class TestGoldenEquivalence:
     def test_run_batch_builds_each_program_once(self, monkeypatch):
         """One kernel call builds the template's programs once, probe included.
 
-        Trapdoor's program holds a ``max_rounds + 1`` probability table, so a
-        second build per call is pure waste.  The counters also see a
+        The kernel builds a contender-probability table per call, up to the
+        contention horizon (no contender outlives it), so a second build is
+        pure waste; a pool chunk, which runs the kernel and then reports
+        whether it did, builds it once too.  The counters also see a
         non-batchable template fall back without building a program.
         """
         built = {"protocol": 0, "jammer": 0}
@@ -276,6 +280,33 @@ class TestGoldenEquivalence:
         [fallback] = run_batch(traced, [SEED])
         assert built == {"protocol": 0, "jammer": 0}
         assert execution_digest(fallback) == execution_digest(simulate(traced))
+
+        lookups: list[int] = []
+        original = TrapdoorProtocol.contender_probability
+
+        def looked_up(protocol, local_round):
+            lookups.append(local_round)
+            return original(protocol, local_round)
+
+        monkeypatch.setattr(TrapdoorProtocol, "contender_probability", looked_up)
+        chunk = _run_seed_chunk(config_for(key), (0, 1, 2, 3), True, True)
+        horizon = TrapdoorProtocol(
+            ProtocolContext(params=PARAMS, rng=random.Random(0), uid=1, local_round=1)
+        ).victory_rounds
+        assert horizon < MAX_ROUNDS
+        assert lookups == list(range(1, horizon + 1))
+        assert (chunk.stats.batch_trials, chunk.stats.scalar_trials) == (4, 0)
+        assert list(chunk.rows) == run_reduced_batch(config_for(key), [0, 1, 2, 3])
+        chunk = _run_seed_chunk(traced, (0, 1), True, True)
+        assert (chunk.stats.batch_trials, chunk.stats.scalar_trials) == (0, 2)
+
+        # A run shorter than the horizon stops the table at ``max_rounds``.
+        lookups.clear()
+        short = replace(config_for(key), max_rounds=horizon // 2)
+        results = run_batch(short, seeds)
+        assert lookups == list(range(1, horizon // 2 + 1))
+        for seed, batched in zip(seeds, results):
+            assert execution_digest(batched) == execution_digest(simulate(replace(short, seed=seed)))
 
 
 class TestPlumbing:

@@ -26,14 +26,20 @@ class TestContenderBehaviour:
     def test_contender_messages_carry_current_timestamp(self, make_context):
         context = make_context(uid=42, local_round=1)
         protocol = TrapdoorProtocol(context)
-        context.local_round = 9
-        broadcasts = []
-        for _ in range(500):
-            action = protocol.choose_action()
-            if action.is_broadcast:
-                broadcasts.append(action.message)
-        assert broadcasts, "expected at least one broadcast in 500 tries"
-        assert all(m.timestamp == Timestamp(9, 42) for m in broadcasts)
+        final_round = protocol.schedule.total_rounds
+        for local_round in (9, final_round):
+            context.local_round = local_round
+            broadcasts = []
+            for _ in range(500):
+                action = protocol.choose_action()
+                if action.is_broadcast:
+                    broadcasts.append(action.message)
+            assert broadcasts, "expected at least one broadcast in 500 tries"
+            assert all(m.timestamp == Timestamp(local_round, 42) for m in broadcasts)
+            # The message carries the schedule's epoch index, final epoch included.
+            epoch = protocol.schedule.epoch_of_round(local_round).index
+            assert all(m.epoch == epoch for m in broadcasts)
+        assert epoch == protocol.schedule.epoch_count > 1
 
     def test_broadcast_rate_tracks_epoch_probability(self, make_context):
         context = make_context()
@@ -49,7 +55,6 @@ class TestKnockout:
         protocol = TrapdoorProtocol(context)
         protocol.on_reception(ContenderMessage(timestamp=Timestamp(50, 99)))
         assert protocol.role is Role.KNOCKED_OUT
-        assert protocol.knocked_out_by == Timestamp(50, 99)
 
     def test_smaller_timestamp_does_not_knock_out(self, make_context):
         context = make_context(uid=10, local_round=30)
@@ -67,6 +72,19 @@ class TestKnockout:
         protocol = TrapdoorProtocol(make_context())
         protocol.on_reception(ContenderMessage(timestamp=Timestamp(99, 99)))
         assert all(protocol.choose_action().is_listen for _ in range(100))
+
+    def test_knocked_out_and_synchronized_nodes_listen_inside_effective_band(
+        self, make_context, params
+    ):
+        width = params.effective_frequencies
+        assert width < params.frequencies
+        knocked_out = TrapdoorProtocol(make_context(uid=3))
+        knocked_out.on_reception(ContenderMessage(timestamp=Timestamp(99, 99)))
+        synchronized = TrapdoorProtocol(make_context(uid=4))
+        synchronized.on_reception(LeaderMessage(leader_uid=77, round_number=42))
+        for protocol in (knocked_out, synchronized):
+            frequencies = {protocol.choose_action().frequency for _ in range(300)}
+            assert frequencies == set(range(1, width + 1))
 
 
 class TestLeadership:
@@ -139,12 +157,3 @@ class TestAdoption:
         protocol = TrapdoorProtocol(make_context())
         protocol.on_reception(LeaderMessage(leader_uid=77, round_number=42))
         assert all(protocol.choose_action().is_listen for _ in range(50))
-
-    def test_synchronized_assist_extension_broadcasts(self, make_context):
-        from repro.protocols.trapdoor.config import TrapdoorConfig
-
-        protocol = TrapdoorProtocol(make_context(), TrapdoorConfig(synchronized_nodes_assist=True))
-        protocol.on_reception(LeaderMessage(leader_uid=77, round_number=42))
-        actions = [protocol.choose_action() for _ in range(300)]
-        assert any(a.is_broadcast for a in actions)
-        assert all(isinstance(a.message, LeaderMessage) for a in actions if a.is_broadcast)
