@@ -10,12 +10,9 @@ This benchmark runs both protocols on identical good executions while sweeping
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from _bench_helpers import run_once
 from repro.adversary.activation import SimultaneousActivation
 from repro.adversary.jammers import NoInterference, RandomJammer
-from repro.adversary.oblivious import ObliviousSchedule
 from repro.campaigns.query import aggregate
 from repro.campaigns.runner import CampaignRunner
 from repro.campaigns.spec import CampaignSpec, register_workload
@@ -38,22 +35,16 @@ SEEDS = 3
 
 
 def summary_for(protocol_factory, actual_disruption: int):
-    def per_seed(config: SimulationConfig, seed: int) -> SimulationConfig:
-        inner = (
-            RandomJammer(strength=actual_disruption) if actual_disruption > 0 else NoInterference()
-        )
-        jammer = ObliviousSchedule.pre_drawn(
-            inner, PARAMS.band, PARAMS.disruption_budget, rounds=60_000, seed=seed * 37 + 1
-        )
-        return replace(config, adversary=jammer)
-
     config = SimulationConfig(
         params=PARAMS,
         protocol_factory=protocol_factory,
         activation=SimultaneousActivation(count=NODE_COUNT),
+        adversary=(
+            RandomJammer(strength=actual_disruption) if actual_disruption > 0 else NoInterference()
+        ),
         max_rounds=90_000,
     )
-    return run_trials(config, seeds=SEEDS, config_for_seed=per_seed)
+    return run_trials(config, seeds=SEEDS)
 
 
 def test_gs_beats_trapdoor_at_low_actual_disruption(benchmark, emit):

@@ -14,7 +14,6 @@ from __future__ import annotations
 from _bench_helpers import run_once
 from repro.adversary.activation import SimultaneousActivation, StaggeredActivation
 from repro.adversary.jammers import NoInterference, RandomJammer
-from repro.adversary.oblivious import ObliviousSchedule
 from repro.analysis.fitting import monotonically_increasing
 from repro.engine.runner import run_trials
 from repro.engine.simulator import SimulationConfig
@@ -28,26 +27,17 @@ SCHEDULE = GoodSamaritanSchedule(PARAMS)
 
 
 def good_execution_summary(actual_disruption: int, seeds: int = 3, node_count: int = 4):
-    """Simultaneous activation against a pre-drawn oblivious jammer using t' channels."""
-
-    def per_seed(config: SimulationConfig, seed: int) -> SimulationConfig:
-        inner = (
-            RandomJammer(strength=actual_disruption) if actual_disruption > 0 else NoInterference()
-        )
-        jammer = ObliviousSchedule.pre_drawn(
-            inner, PARAMS.band, PARAMS.disruption_budget, rounds=40_000, seed=seed * 101 + 7
-        )
-        from dataclasses import replace
-
-        return replace(config, adversary=jammer)
-
+    """Simultaneous activation against an oblivious random jammer using t' channels."""
     config = SimulationConfig(
         params=PARAMS,
         protocol_factory=GoodSamaritanProtocol.factory(),
         activation=SimultaneousActivation(count=node_count),
+        adversary=(
+            RandomJammer(strength=actual_disruption) if actual_disruption > 0 else NoInterference()
+        ),
         max_rounds=60_000,
     )
-    return run_trials(config, seeds=seeds, config_for_seed=per_seed)
+    return run_trials(config, seeds=seeds)
 
 
 def test_thm18_latency_tracks_actual_disruption(benchmark, emit):

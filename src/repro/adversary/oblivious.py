@@ -1,22 +1,22 @@
-"""Oblivious adversary wrappers.
+"""Oblivious adversaries given as explicit disruption schedules.
 
 The Good Samaritan analysis (§7) assumes an *oblivious* adversary: one whose
 behaviour can be written down as a fixed sequence of distributions over
-disruption sets before the execution starts.  :class:`ObliviousSchedule`
-pre-draws such a sequence from any other adversary (or accepts an explicit
-list), guaranteeing that nothing in the execution can influence it.
+disruption sets before the execution starts.  A jammer flagged ``oblivious``
+(e.g. :class:`~repro.adversary.jammers.RandomJammer`) already is one: it never
+reads the execution's history, and it draws only from the trial's own
+adversary stream, which no node reads, so it goes into a configuration as it
+is.  :class:`ObliviousSchedule` replays an explicit list of disruption sets, and
+:class:`CyclicObliviousSchedule` tiles one period of them — the form the
+strategy search's oblivious genomes decode to.
 """
 
 from __future__ import annotations
 
 import hashlib
-import random
 from typing import Iterable, Sequence
 
 from repro.adversary.base import AdversaryContext, InterferenceAdversary
-from repro.exceptions import ConfigurationError
-from repro.radio.frequencies import FrequencyBand
-from repro.radio.spectrum_log import SpectrumLog
 from repro.types import Frequency
 
 
@@ -66,51 +66,6 @@ class ObliviousSchedule(InterferenceAdversary):
     def schedule(self) -> tuple[frozenset[Frequency], ...]:
         """The pre-committed per-round disruption sets."""
         return self._schedule
-
-    @classmethod
-    def pre_drawn(
-        cls,
-        inner: InterferenceAdversary,
-        band: FrequencyBand,
-        budget: int,
-        rounds: int,
-        seed: int = 0,
-        active_node_count: int = 0,
-    ) -> "ObliviousSchedule":
-        """Pre-draw ``rounds`` rounds of ``inner``'s behaviour into a fixed schedule.
-
-        The inner adversary sees an *empty* history in every round (it cannot
-        react to the execution), which is exactly what obliviousness means.
-
-        Parameters
-        ----------
-        inner:
-            The adversary whose behaviour is pre-committed.
-        band, budget:
-            The band and disruption budget the schedule is drawn for.
-        rounds:
-            Length of the schedule.
-        seed:
-            Seed for the adversary's random stream.
-        active_node_count:
-            A constant node count exposed to the inner adversary.
-        """
-        if rounds < 0:
-            raise ConfigurationError(f"schedule length must be non-negative, got {rounds}")
-        rng = random.Random(seed)
-        empty_history = SpectrumLog()
-        schedule = []
-        for global_round in range(1, rounds + 1):
-            context = AdversaryContext(
-                global_round=global_round,
-                band=band,
-                budget=budget,
-                history=empty_history,
-                rng=rng,
-                active_node_count=active_node_count,
-            )
-            schedule.append(inner.choose_disruption(context))
-        return cls(schedule)
 
 
 class CyclicObliviousSchedule(ObliviousSchedule):

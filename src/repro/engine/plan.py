@@ -47,6 +47,11 @@ PLAN_SCHEMA = "repro.execution-plan/v1"
 _RETIRED_FIELDS = ("telemetry_events", "telemetry_rotate_bytes", "metrics_out")
 
 
+def is_strict_int(value: object) -> bool:
+    """Whether ``value`` is a true integer: ``bool`` is an ``int`` subclass, so refuse it."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True, slots=True)
 class ExecutionPlan:
     """How a batch of simulations should execute — one serializable object.
@@ -71,10 +76,15 @@ class ExecutionPlan:
     batch: bool = False
 
     def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise ConfigurationError(f"an execution plan needs >= 1 worker, got {self.workers}")
-        if self.pool_chunk is not None and self.pool_chunk < 1:
-            raise ConfigurationError(f"pool_chunk must be positive, got {self.pool_chunk}")
+        if not is_strict_int(self.workers) or self.workers < 1:
+            raise ConfigurationError(f"workers must be an integer >= 1, got {self.workers!r}")
+        chunk = self.pool_chunk
+        if chunk is not None and (not is_strict_int(chunk) or chunk < 1):
+            raise ConfigurationError(
+                f"pool_chunk must be a positive integer or null, got {chunk!r}"
+            )
+        if not isinstance(self.batch, bool):
+            raise ConfigurationError(f"batch must be true or false, got {self.batch!r}")
 
     # -- derived views ------------------------------------------------------
 

@@ -1,8 +1,9 @@
 """Where a multi-seed batch executes, and the persistent execution pool.
 
-Every configuration carries its own master seed and all randomness in an
-execution derives from it, so executions are embarrassingly parallel and a
-parallel batch is bit-for-bit the same batch as a serial one, just faster.
+A batch is one :class:`~repro.engine.simulator.SimulationConfig` template and
+its seeds.  All randomness in an execution derives from its seed, so
+executions are embarrassingly parallel and a parallel batch is bit-for-bit the
+same batch as a serial one, just faster.
 :func:`~repro.engine.runner.run_trials` and
 :func:`~repro.engine.runner.run_reduced_trials` run every batch on the first
 of three paths that applies:
@@ -22,9 +23,9 @@ of three paths that applies:
 * **in-process** (a serial plan) — :func:`seed_rows`, the very row code each
   worker runs on its chunk.
 
-``plan.batch`` composes with all three: same-template seed batches run on the
-vectorized lockstep kernel (:mod:`repro.engine.batch`), which advances a whole
-chunk through the round loop as numpy array ops — in each worker on the pool
+``plan.batch`` composes with all three: the batch runs on the vectorized
+lockstep kernel (:mod:`repro.engine.batch`), which advances a whole chunk
+through the round loop as numpy array ops — in each worker on the pool
 paths.  Only trace-free batchable configurations qualify
 (:func:`repro.engine.batch.batchable`); anything else transparently falls back
 to the scalar loop.  Results are bit-identical on every path (the
@@ -261,18 +262,6 @@ def _run_seed_chunk(
     return ChunkResult(rows=tuple(rows), stats=_chunk_stats(rows, batched, seconds))
 
 
-def _run_config_chunk(configs: tuple["SimulationConfig", ...]) -> ChunkResult:
-    """Worker entry point: run one chunk of heterogeneous configurations."""
-    from repro.engine.simulator import simulate
-
-    started = time.perf_counter()
-    rows = [simulate(config) for config in configs]
-    return ChunkResult(
-        rows=tuple(rows),
-        stats=_chunk_stats(rows, False, time.perf_counter() - started),
-    )
-
-
 def payload_is_picklable(payload: object) -> bool:
     """Whether a work payload can cross the process boundary at all."""
     try:
@@ -355,15 +344,15 @@ class ExecutionPool:
     workers:
         Worker processes to keep alive (at least 1).
     chunk_size:
-        Seeds (or configs) per dispatched chunk.  ``None`` picks a size that
-        spreads a batch over roughly ``4 × workers`` chunks — large enough to
-        amortize the template pickle, small enough to keep every worker busy.
+        Seeds per dispatched chunk.  ``None`` picks a size that spreads a
+        batch over roughly ``4 × workers`` chunks — large enough to amortize
+        the template pickle, small enough to keep every worker busy.
     crash_retries:
         How many times a chunk is re-dispatched on fresh workers after its
-        executor broke — at submission, or mid-batch in :meth:`run_seeds`,
-        :meth:`iter_reduced` or :meth:`run_configs` — before the
-        :class:`WorkerCrashError` propagates (deterministic seeds make the
-        re-run byte-identical).  ``0`` restores fail-fast.
+        executor broke — at submission, or mid-batch in :meth:`run_seeds` or
+        :meth:`iter_reduced` — before the :class:`WorkerCrashError`
+        propagates (deterministic seeds make the re-run byte-identical).
+        ``0`` restores fail-fast.
     telemetry:
         Optional :class:`~repro.telemetry.Telemetry` handle.  A live handle
         counts dispatched chunks/trials per execution path (scalar vs batch),
@@ -651,26 +640,6 @@ class ExecutionPool:
                 yield [row for _ in range(size) for row in next(chunks)]
         finally:
             chunks.close()
-
-    def run_configs(self, configs: Sequence["SimulationConfig"]) -> list[SimulationResult]:
-        """Run heterogeneous configurations, in input order.
-
-        The generic path for batches that differ in more than the seed (e.g. a
-        per-seed ``config_for_seed`` hook): each config is shipped whole, but
-        still in chunks and still on the persistent workers.
-        """
-        config_list = list(configs)
-        chunks = self.chunk(config_list)
-        self._metric_trials.inc(len(config_list))
-        self._metric_chunks.inc(len(chunks))
-        self._metric_scalar_chunks.inc(len(chunks))
-        if not payload_is_picklable(config_list):
-            warn_serial_fallback(telemetry=self._telemetry)
-            return self.ingest(_run_config_chunk(tuple(config_list)))
-        futures = self._submit([_ChunkPayload(_run_config_chunk, (chunk,)) for chunk in chunks])
-        if self._telemetry.enabled:
-            self._observe_dispatch(futures, chunks, reduce=False, batch=False)
-        return [row for rows in self._gather(futures) for row in rows]
 
     def ingest(self, outcome: ChunkResult) -> list:
         """Unwrap one chunk outcome: record its worker stats, return the rows.

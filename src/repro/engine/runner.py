@@ -16,13 +16,13 @@ import functools
 import math
 import statistics
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.engine.observers import TraceLevel
 from repro.engine.plan import ExecutionPlan
 from repro.engine.pool import ExecutionPool, ReducedTrial, seed_rows
 from repro.engine.results import SimulationResult
-from repro.engine.simulator import SimulationConfig, simulate
+from repro.engine.simulator import SimulationConfig
 from repro.faults.plan import FaultPlan
 
 
@@ -234,7 +234,6 @@ def _dispatch(
     plan: ExecutionPlan,
     pool: Optional[ExecutionPool],
     reduce: bool,
-    configs: Optional[list[SimulationConfig]] = None,
 ) -> list:
     """Run one batch on the first path that applies; rows come back in seed order.
 
@@ -243,28 +242,19 @@ def _dispatch(
        shut down before returning.
     3. Otherwise in-process, through :func:`~repro.engine.pool.seed_rows` —
        the row code every worker runs on its chunk.
-
-    ``configs`` (one per seed, built by a ``config_for_seed`` hook) replaces
-    the shared template: whole configurations travel, and the batch kernel
-    is not used.
     """
     if pool is None:
         pool = plan.pool()
         if pool is not None:
             with pool:
-                return _dispatch(template, seeds, plan, pool, reduce, configs)
-        if configs is not None:
-            return [simulate(config) for config in configs]
+                return _dispatch(template, seeds, plan, pool, reduce)
         return seed_rows(template, seeds, reduce, plan.batch)
-    if configs is not None:
-        return pool.run_configs(configs)
     return pool.run_seeds(template, seeds, reduce=reduce, batch=plan.batch)
 
 
 def run_trials(
     config: SimulationConfig,
     seeds: Sequence[int] | int = 10,
-    config_for_seed: Callable[[SimulationConfig, int], SimulationConfig] | None = None,
     *,
     trace_level: Optional[TraceLevel] = None,
     pool: Optional[ExecutionPool] = None,
@@ -273,6 +263,13 @@ def run_trials(
 ) -> TrialSummary:
     """Run the same configuration across many seeds.
 
+    A batch is one template and its seeds: every trial runs ``config`` with
+    only its ``seed`` field replaced.  What differs between trials comes
+    from the streams each trial derives from its own seed
+    (:class:`~repro.engine.rng.RandomStreams`) — a jammer such as
+    :class:`~repro.adversary.jammers.RandomJammer` draws from the trial's
+    ``adversary`` stream, so it goes into the config as it is.
+
     Parameters
     ----------
     config:
@@ -280,11 +277,6 @@ def run_trials(
     seeds:
         Either an explicit sequence of seeds or a count ``k`` meaning
         ``0 .. k−1``.
-    config_for_seed:
-        Optional hook to customize the configuration per seed (used by
-        experiments that need, e.g., a freshly pre-drawn oblivious adversary
-        per trial).  The hook runs in the parent process, so it does not need
-        to be picklable even under a parallel plan.
     trace_level:
         Optional override of the configuration's
         :class:`~repro.engine.observers.TraceLevel` for the whole batch
@@ -301,11 +293,10 @@ def run_trials(
         The :class:`~repro.engine.plan.ExecutionPlan` for the batch: worker
         count (``1`` = serial, ``>1`` = a temporary pool opened and shut
         down inside this call), optional pool chunk size, and whether
-        same-template batches route through the vectorized lockstep kernel
-        (:mod:`repro.engine.batch`, transparent scalar fallback; ignored when
-        ``config_for_seed`` makes the batch heterogeneous).  Every execution
-        derives all randomness from its own seed and results come back in
-        seed order, so no plan ever changes results.
+        the batch routes through the vectorized lockstep kernel
+        (:mod:`repro.engine.batch`, transparent scalar fallback).  Every
+        execution derives all randomness from its own seed and results come
+        back in seed order, so no plan ever changes results.
     faults:
         Optional :class:`~repro.faults.plan.FaultPlan` applied to every trial
         (sugar for ``replace(config, faults=...)``); fault randomness derives
@@ -313,12 +304,7 @@ def run_trials(
     """
     seed_list = _normalize_seeds(seeds)
     template = _template_for(config, trace_level, faults)
-    configs = None
-    if config_for_seed is not None:
-        configs = [config_for_seed(replace(template, seed=seed), seed) for seed in seed_list]
-    results = _dispatch(
-        template, seed_list, plan or ExecutionPlan(), pool, reduce=False, configs=configs
-    )
+    results = _dispatch(template, seed_list, plan or ExecutionPlan(), pool, reduce=False)
     return TrialSummary(results=tuple(results), seeds=seed_list)
 
 

@@ -28,7 +28,6 @@ from repro.adversary.jammers import (
     ReactiveJammer,
     SweepJammer,
 )
-from repro.adversary.oblivious import ObliviousSchedule
 from repro.exceptions import ExperimentError
 from repro.params import ModelParameters
 
@@ -66,29 +65,25 @@ def quiet_start(node_count: int) -> Workload:
 
 
 def synchronized_start_low_jam(
-    node_count: int,
-    params: ModelParameters,
-    actual_disruption: int,
-    horizon: int = 50_000,
-    seed: int = 0,
+    node_count: int, params: ModelParameters, actual_disruption: int
 ) -> Workload:
     """The Good Samaritan "good execution": simultaneous start, oblivious jammer with ``t' ≤ t``.
 
-    The jammer is pre-drawn (oblivious) and only ever uses ``actual_disruption``
-    of the allowed ``t`` channels per round.
+    The jammer is :class:`RandomJammer` with ``strength=actual_disruption``
+    (:class:`NoInterference` at ``t' = 0``): oblivious as it is, it uses only
+    ``actual_disruption`` of the allowed ``t`` channels per round and draws
+    them from each trial's own adversary stream.
     """
     if actual_disruption > params.disruption_budget:
         raise ExperimentError(
             f"actual disruption t'={actual_disruption} exceeds the budget t={params.disruption_budget}"
         )
-    inner = RandomJammer(strength=actual_disruption) if actual_disruption > 0 else NoInterference()
-    adversary = ObliviousSchedule.pre_drawn(
-        inner, params.band, params.disruption_budget, rounds=horizon, seed=seed
-    )
     return Workload(
         name=f"good_execution_tprime_{actual_disruption}",
         activation=SimultaneousActivation(count=node_count),
-        adversary=adversary,
+        adversary=(
+            RandomJammer(strength=actual_disruption) if actual_disruption > 0 else NoInterference()
+        ),
         description=f"simultaneous activation, oblivious jammer using t'={actual_disruption} channels",
     )
 

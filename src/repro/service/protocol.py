@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional, Union
 
 from repro.campaigns.spec import CampaignSpec
-from repro.engine.plan import ExecutionPlan
+from repro.engine.plan import ExecutionPlan, is_strict_int
 from repro.exceptions import ConfigurationError
 from repro.search.checkpoint import SearchSpec
 
@@ -77,8 +77,10 @@ class JobRequest:
             )
         if not isinstance(self.store, str) or not self.store.strip():
             raise ConfigurationError("a job request needs a non-empty store path")
-        if self.limit is not None and self.limit < 1:
-            raise ConfigurationError(f"job limit must be positive, got {self.limit}")
+        if self.limit is not None and (not is_strict_int(self.limit) or self.limit < 1):
+            raise ConfigurationError(
+                f"job limit must be a positive integer or null, got {self.limit!r}"
+            )
         # Admission-time validation: parsing through the real constructors
         # rejects malformed grids/objectives before they reach the queue.
         self.parsed_spec()

@@ -6,7 +6,6 @@ import pytest
 
 from repro.adversary.activation import SimultaneousActivation, StaggeredActivation
 from repro.adversary.jammers import NoInterference, RandomJammer
-from repro.adversary.oblivious import ObliviousSchedule
 from repro.engine.simulator import SimulationConfig, simulate
 from repro.params import ModelParameters
 from repro.protocols.good_samaritan.protocol import GoodSamaritanProtocol
@@ -16,11 +15,9 @@ PARAMS = ModelParameters(frequencies=8, disruption_budget=3, participant_bound=1
 SCHEDULE = GoodSamaritanSchedule(PARAMS)
 
 
-def oblivious_jammer(actual_disruption: int, seed: int, horizon: int = 40_000):
-    inner = RandomJammer(strength=actual_disruption) if actual_disruption else NoInterference()
-    return ObliviousSchedule.pre_drawn(
-        inner, PARAMS.band, PARAMS.disruption_budget, rounds=horizon, seed=seed
-    )
+def oblivious_jammer(actual_disruption: int):
+    """A jammer using t' channels; it draws from each run's own adversary stream."""
+    return RandomJammer(strength=actual_disruption) if actual_disruption else NoInterference()
 
 
 def run(activation, adversary, seed=0, max_rounds=60_000):
@@ -40,7 +37,7 @@ class TestGoodExecutions:
 
     @pytest.mark.parametrize("t_prime", [0, 1])
     def test_finishes_within_adaptive_bound(self, t_prime):
-        result = run(SimultaneousActivation(count=4), oblivious_jammer(t_prime, seed=11), seed=5)
+        result = run(SimultaneousActivation(count=4), oblivious_jammer(t_prime), seed=5)
         assert result.synchronized, result.summary()
         assert result.report.all_safety_holds
         # Theorem 18: done by the end of super-epoch lg(2t'), with slack for
@@ -49,13 +46,13 @@ class TestGoodExecutions:
         assert result.max_sync_latency <= 2 * bound
 
     def test_good_execution_avoids_fallback(self):
-        result = run(SimultaneousActivation(count=4), oblivious_jammer(1, seed=3), seed=9)
+        result = run(SimultaneousActivation(count=4), oblivious_jammer(1), seed=9)
         assert result.synchronized
         assert result.max_sync_latency <= SCHEDULE.optimistic_rounds
 
     def test_agreement_and_single_leader(self):
         for seed in range(3):
-            result = run(SimultaneousActivation(count=5), oblivious_jammer(1, seed=seed), seed=seed)
+            result = run(SimultaneousActivation(count=5), oblivious_jammer(1), seed=seed)
             assert result.leader_count == 1, result.summary()
             assert result.agreement_holds
 
@@ -89,13 +86,13 @@ class TestFallbackExecutions:
 
 class TestAdaptivity:
     def test_lower_actual_disruption_is_faster(self):
-        quiet = run(SimultaneousActivation(count=4), oblivious_jammer(0, seed=2), seed=2)
+        quiet = run(SimultaneousActivation(count=4), oblivious_jammer(0), seed=2)
         noisy = run(SimultaneousActivation(count=4), RandomJammer(), seed=2, max_rounds=80_000)
         assert quiet.synchronized and noisy.synchronized
         assert quiet.max_sync_latency <= noisy.max_sync_latency
 
     def test_roles_include_samaritans_during_execution(self):
-        result = run(SimultaneousActivation(count=5), oblivious_jammer(1, seed=7), seed=7)
+        result = run(SimultaneousActivation(count=5), oblivious_jammer(1), seed=7)
         from repro.types import Role
 
         saw_samaritan = any(

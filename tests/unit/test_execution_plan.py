@@ -120,10 +120,18 @@ class TestExecutionPlanValue:
             {"workers": 0},
             {"workers": -1},
             {"pool_chunk": 0},
+            {"workers": 2.5},
+            {"workers": True},
+            {"workers": "2"},
+            {"pool_chunk": 2.5},
+            {"pool_chunk": True},
+            {"batch": "false"},
+            {"batch": 1},
         ],
     )
     def test_invalid_fields_are_rejected(self, kwargs):
-        with pytest.raises(ConfigurationError):
+        (name,) = kwargs
+        with pytest.raises(ConfigurationError, match=name):
             ExecutionPlan(**kwargs)
 
     def test_from_dict_rejects_unknown_schema(self):

@@ -85,7 +85,7 @@ class TestWorkloads:
         assert isinstance(workload.adversary, NoInterference)
 
     def test_good_execution_respects_budget(self, params):
-        workload = synchronized_start_low_jam(4, params, actual_disruption=2, horizon=100)
+        workload = synchronized_start_low_jam(4, params, actual_disruption=2)
         assert workload.adversary.oblivious
         with pytest.raises(ExperimentError):
             synchronized_start_low_jam(4, params, actual_disruption=params.disruption_budget + 1)

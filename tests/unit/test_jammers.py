@@ -6,6 +6,8 @@ import random
 
 import pytest
 
+from repro.adversary import registry as adversary_registry
+from repro.adversary.activation import StaggeredActivation
 from repro.adversary.base import AdversaryContext, validate_budget
 from repro.adversary.jammers import (
     BurstyJammer,
@@ -18,7 +20,11 @@ from repro.adversary.jammers import (
     TwoNodeProductJammer,
 )
 from repro.adversary.oblivious import ObliviousSchedule
+from repro.engine.observers import TraceLevel
+from repro.engine.simulator import SimulationConfig, simulate
 from repro.exceptions import ConfigurationError
+from repro.params import ModelParameters
+from repro.protocols.registry import protocol_factory
 from repro.radio.events import RoundActivity
 from repro.radio.frequencies import FrequencyBand
 from repro.radio.spectrum_log import SpectrumLog
@@ -155,25 +161,52 @@ class TestObliviousSchedule:
     def test_empty_schedule_never_disrupts(self):
         assert ObliviousSchedule([]).choose_disruption(make_context()) == frozenset()
 
-    def test_pre_drawn_is_deterministic_per_seed(self):
-        band = FrequencyBand(8)
-        first = ObliviousSchedule.pre_drawn(RandomJammer(), band, 3, rounds=20, seed=4)
-        second = ObliviousSchedule.pre_drawn(RandomJammer(), band, 3, rounds=20, seed=4)
-        for round_index in range(1, 21):
-            context = make_context(global_round=round_index)
-            assert first.choose_disruption(context) == second.choose_disruption(context)
-
-    def test_pre_drawn_respects_budget(self):
-        band = FrequencyBand(8)
-        schedule = ObliviousSchedule.pre_drawn(RandomJammer(), band, 2, rounds=10, seed=1)
-        for round_index in range(1, 11):
-            assert len(schedule.choose_disruption(make_context(global_round=round_index))) <= 2
-
-    def test_pre_drawn_rejects_negative_length(self):
-        with pytest.raises(ConfigurationError):
-            ObliviousSchedule.pre_drawn(RandomJammer(), FrequencyBand(4), 1, rounds=-1)
-
     def test_describe_strings(self):
         assert "oblivious" in ObliviousSchedule([]).describe()
         assert "random" in RandomJammer().describe()
         assert "fixed band" in FixedBandJammer().describe()
+
+
+PROBE_PARAMS = ModelParameters(frequencies=8, disruption_budget=3, participant_bound=16)
+PROBE_SEEDS = (0, 1, 2)
+OBLIVIOUS = [
+    name for name in adversary_registry.names() if adversary_registry.resolve(name).oblivious
+]
+ADAPTIVE = [name for name in adversary_registry.names() if name not in OBLIVIOUS]
+
+
+def disruptions_met(adversary: str, protocol: str, seed: int) -> list[frozenset[int]]:
+    """The disruption set of every round of one 400-round execution."""
+    config = SimulationConfig(
+        params=PROBE_PARAMS,
+        protocol_factory=protocol_factory(protocol),
+        activation=StaggeredActivation(count=4, spacing=2),
+        adversary=adversary_registry.resolve(adversary),
+        max_rounds=400,
+        seed=seed,
+        stop_when_synchronized=False,
+        trace_level=TraceLevel.FULL,
+    )
+    return [record.activity.disrupted for record in simulate(config).trace]
+
+
+class TestObliviousFlag:
+    """A jammer flagged oblivious ignores the execution it jams.
+
+    The same seed and activation under two protocols with different traffic
+    must meet the same disruption sets, round by round.  The adaptive jammers
+    show that the probe can see a reaction: for some seed, they differ.
+    """
+
+    @pytest.mark.parametrize("name", OBLIVIOUS)
+    def test_oblivious_jammer_ignores_the_execution(self, name):
+        for seed in PROBE_SEEDS:
+            trapdoor = disruptions_met(name, "trapdoor", seed)
+            assert trapdoor == disruptions_met(name, "good-samaritan", seed), seed
+
+    @pytest.mark.parametrize("name", ADAPTIVE)
+    def test_adaptive_jammer_reacts_to_the_execution(self, name):
+        assert any(
+            disruptions_met(name, "trapdoor", seed) != disruptions_met(name, "good-samaritan", seed)
+            for seed in PROBE_SEEDS
+        )

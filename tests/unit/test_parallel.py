@@ -7,8 +7,6 @@ to the serial full-trace batch, not merely similar.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 
 from repro.adversary.activation import StaggeredActivation
@@ -75,16 +73,6 @@ class TestDeterminism:
         for seed, result in zip(summary.seeds, summary.results):
             assert result.trace.seed == seed
 
-    def test_config_hook_runs_in_the_parent_process(self, batch_config):
-        hook_seeds = []
-
-        def hook(config, seed):
-            hook_seeds.append(seed)
-            return config
-
-        run_trials(batch_config, seeds=3, config_for_seed=hook, plan=ExecutionPlan(workers=2))
-        assert hook_seeds == [0, 1, 2]
-
 
 class BoomProtocol(TrapdoorProtocol):
     """Raises from its constructor to simulate a genuine bug in a worker."""
@@ -119,36 +107,6 @@ class TestUnpicklableFallback:
         serial = run_trials(config, seeds=2)
         with pytest.warns(RuntimeWarning, match="not picklable"):
             fallback = run_trials(config, seeds=2, plan=ExecutionPlan(workers=2))
-        assert_summaries_identical(serial, fallback)
-
-    def test_closure_factory_mixed_into_a_large_batch_falls_back_cleanly(self, params):
-        """Regression: the fallback decision is made before submission.
-
-        The old code submitted first and probed picklability only inside the
-        exception handler — by which point the executor had already consumed
-        part of the input, so the probe could see a clean remainder and
-        re-raise spuriously.  A single closure-built config buried late in a
-        large batch must deterministically take the serial fallback, with
-        every result identical to a fully serial run.
-        """
-
-        def hook(config, seed):
-            if seed == 10:  # one bad apple, deep in the batch
-                return replace(config, protocol_factory=lambda ctx: TrapdoorProtocol(ctx))
-            return config
-
-        base = SimulationConfig(
-            params=params,
-            protocol_factory=TrapdoorProtocol.factory(),
-            activation=StaggeredActivation(count=3, spacing=2),
-            adversary=RandomJammer(),
-            max_rounds=10_000,
-        )
-        serial = run_trials(base, seeds=12, config_for_seed=hook)
-        with pytest.warns(RuntimeWarning, match="not picklable"):
-            fallback = run_trials(
-                base, seeds=12, config_for_seed=hook, plan=ExecutionPlan(workers=4)
-            )
         assert_summaries_identical(serial, fallback)
 
 

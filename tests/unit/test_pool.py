@@ -51,13 +51,6 @@ def pool():
         yield pool
 
 
-#: Both dispatch shapes: a same-template seed batch (``run_seeds``) and a
-#: ``config_for_seed`` batch (``run_configs``).
-both_dispatches = pytest.mark.parametrize(
-    "hook", [None, lambda config, seed: config], ids=["seeds", "configs"]
-)
-
-
 class TestValidation:
     def test_rejects_zero_workers(self):
         with pytest.raises(ConfigurationError):
@@ -121,18 +114,6 @@ class TestBitIdentity:
     def test_explicit_seed_order_is_preserved(self, batch_config, pool):
         reduced = run_reduced_trials(batch_config, seeds=(9, 2, 5), pool=pool)
         assert tuple(trial.seed for trial in reduced) == (9, 2, 5)
-
-    def test_config_hook_routes_through_the_pool_generic_path(self, batch_config, pool):
-        hook_seeds = []
-
-        def hook(config, seed):
-            hook_seeds.append(seed)
-            return config
-
-        serial = run_trials(batch_config, seeds=3, config_for_seed=hook)
-        pooled = run_trials(batch_config, seeds=3, config_for_seed=hook, pool=pool)
-        assert hook_seeds == [0, 1, 2, 0, 1, 2]  # the hook always runs in the parent
-        assert pooled.latencies() == serial.latencies()
 
 
 class TestPersistence:
@@ -292,15 +273,12 @@ class TestCrashRetry:
             reduced = run_reduced_trials(config, seeds=2, pool=pool)
         assert reduced == run_reduced_trials(config, seeds=2)
 
-    @both_dispatches
-    def test_parallel_plan_without_a_pool_retries_too(self, params, tmp_path, hook):
+    def test_parallel_plan_without_a_pool_retries_too(self, params, tmp_path):
         # The temporary pool a parallel plan opens has the same retry budget
-        # as a caller's pool — for template batches and config_for_seed ones.
+        # as a caller's pool.
         config = self._crash_once_config(params, tmp_path)
-        summary = run_trials(
-            config, seeds=3, config_for_seed=hook, plan=ExecutionPlan(workers=2)
-        )
-        serial = run_trials(config, seeds=3, config_for_seed=hook)
+        summary = run_trials(config, seeds=3, plan=ExecutionPlan(workers=2))
+        serial = run_trials(config, seeds=3)
         assert summary.latencies() == serial.latencies()
         for parallel_result, serial_result in zip(summary.results, serial.results):
             assert parallel_result.metrics == serial_result.metrics
@@ -359,8 +337,7 @@ class TestBrokenResubmission:
             assert pool.starts == 2
             assert not pool.running
 
-    @both_dispatches
-    def test_broken_first_submit_is_a_retry(self, monkeypatch, batch_config, hook):
+    def test_broken_first_submit_is_a_retry(self, monkeypatch, batch_config):
         # Start 1 is already broken when the batch's first chunk is submitted
         # (a worker died since the last call).  Start 2 runs the batch.
         from repro.telemetry import Telemetry
@@ -368,20 +345,19 @@ class TestBrokenResubmission:
         script_executors(monkeypatch, [1, "run"])
         telemetry = Telemetry()
         with ExecutionPool(workers=2, chunk_size=1, telemetry=telemetry) as pool:
-            summary = run_trials(batch_config, seeds=3, config_for_seed=hook, pool=pool)
+            summary = run_trials(batch_config, seeds=3, pool=pool)
             assert pool.starts == 2
         counters = telemetry.snapshot()["counters"]
         assert counters["pool.chunk_retries"] == 3
         assert counters["events.chunk-retried"] == 1
-        serial = run_trials(batch_config, seeds=3, config_for_seed=hook)
+        serial = run_trials(batch_config, seeds=3)
         assert [r.metrics for r in summary.results] == [r.metrics for r in serial.results]
 
-    @both_dispatches
-    def test_broken_first_submit_without_budget_raises(self, monkeypatch, batch_config, hook):
+    def test_broken_first_submit_without_budget_raises(self, monkeypatch, batch_config):
         script_executors(monkeypatch, [1, "run"])
         with ExecutionPool(workers=2, chunk_size=1, crash_retries=0) as pool:
             with pytest.raises(WorkerCrashError, match="executor broke mid-submit"):
-                run_trials(batch_config, seeds=3, config_for_seed=hook, pool=pool)
+                run_trials(batch_config, seeds=3, pool=pool)
             assert pool.starts == 1
             assert not pool.running
 

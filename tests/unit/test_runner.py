@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.adversary.activation import SimultaneousActivation
-from repro.adversary.jammers import NoInterference, RandomJammer
+from repro.adversary.jammers import RandomJammer
 from repro.engine.runner import run_trials
 from repro.engine.simulator import SimulationConfig
 from repro.protocols.trapdoor.protocol import TrapdoorProtocol
@@ -54,22 +54,6 @@ class TestRunTrials:
         summary = run_trials(base_config, seeds=2)
         with pytest.raises(ValueError):
             summary.percentile_latency(1.5)
-
-    def test_config_hook_is_applied_per_seed(self, params):
-        seen = []
-
-        def hook(config, seed):
-            seen.append(seed)
-            return config
-
-        config = SimulationConfig(
-            params=params,
-            protocol_factory=TrapdoorProtocol.factory(),
-            activation=SimultaneousActivation(count=2),
-            adversary=NoInterference(),
-        )
-        run_trials(config, seeds=[3, 4], config_for_seed=hook)
-        assert seen == [3, 4]
 
     def test_describe_mentions_rates(self, base_config):
         summary = run_trials(base_config, seeds=2)

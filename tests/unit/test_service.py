@@ -439,6 +439,11 @@ class TestWireSchema:
             }
             with pytest.raises(ServiceError):
                 client.request(bad_spec)
+            bad_plan = JobRequest.for_campaign(campaign_spec("bad-plan"), store="b.sqlite")
+            wire = bad_plan.to_dict()
+            wire["plan"]["pool_chunk"] = 2.5
+            with pytest.raises(ServiceError, match="pool_chunk"):
+                client.request({"op": "submit", "request": wire})
 
     def test_http_facade_serves_monitor_compatible_job_status(self, service):
         import urllib.request
@@ -486,6 +491,23 @@ class TestJobRequestValidation:
     def test_missing_fields_are_named(self):
         with pytest.raises(ConfigurationError, match="missing fields: kind, spec"):
             JobRequest.from_dict({"store": "s.sqlite"})
+
+    @pytest.mark.parametrize(
+        "field,value,named",
+        [
+            ("limit", 2.5, "limit"),
+            ("limit", True, "limit"),
+            ("limit", 0, "limit"),
+            ("plan", {"workers": 2, "pool_chunk": 2.5}, "pool_chunk"),
+            ("plan", {"workers": "2"}, "workers"),
+            ("plan", {"batch": "false"}, "batch"),
+        ],
+    )
+    def test_malformed_plan_or_limit_is_refused_at_admission(self, field, value, named):
+        wire = JobRequest.for_campaign(campaign_spec("types"), store="t.sqlite").to_dict()
+        wire[field] = value
+        with pytest.raises(ConfigurationError, match=named):
+            JobRequest.from_dict(wire)
 
 
 class _FakeSocket:
