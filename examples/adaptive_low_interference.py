@@ -8,8 +8,8 @@ together and only ``t' ≪ t`` channels are actually disrupted, it finishes in
 guarantee in bad executions.
 
 This example runs both protocols on identical "good executions" while sweeping
-the *actual* interference level, then shows the flip side: under full-budget
-adaptive jamming the worst-case protocol is the safer bet.
+the *actual* interference level, then runs both under full-budget random
+jamming and says which synchronized faster there.
 
 Run it with::
 
@@ -115,8 +115,16 @@ def worst_case() -> None:
         )
     print(render_table(rows, title="Full-budget random jamming (2 seeds each)", float_digits=1))
     print()
-    print("Under worst-case interference the optimistic protocol pays its extra log N factor;")
-    print("when interference is usually light, the adaptive protocol wins by a wide margin.")
+    if any(row["mean latency"] is None for row in rows):
+        print("Not every run synchronized within the round cap, so the means do not compare.")
+        return
+    faster, slower = sorted(rows, key=lambda row: row["mean latency"])
+    print(
+        f"Under full-budget random jamming {faster['protocol']} synchronized in "
+        f"{faster['mean latency']:.1f} rounds on average, {slower['protocol']} in "
+        f"{slower['mean latency']:.1f}: {slower['mean latency'] / faster['mean latency']:.1f}x "
+        "as long."
+    )
 
 
 def main() -> None:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Optional, Sequence
+from typing import Any, Iterable, Optional, Sequence
 
 from repro.campaigns.store import ResultStore
 from repro.engine.pool import ReducedTrial
@@ -87,10 +87,18 @@ def _statistics_row(summary: StoredSummary) -> dict[str, Any]:
     return row
 
 
+#: What :meth:`ResultStore.iter_cells` yields per cell: key, description, trials.
+_Cell = tuple[str, dict[str, Any], tuple[ReducedTrial, ...]]
+
+
 def cell_rows(store: ResultStore, campaign: Optional[str] = None) -> list[dict[str, Any]]:
     """One table row per completed cell: grid coordinates plus statistics."""
+    return _cell_rows(store.iter_cells(campaign))
+
+
+def _cell_rows(cells: Iterable[_Cell]) -> list[dict[str, Any]]:
     rows = []
-    for key, description, records in store.iter_cells(campaign):
+    for key, description, records in cells:
         row: dict[str, Any] = {"cell": key}
         for dimension in GROUPABLE_DIMENSIONS:
             if dimension in description:
@@ -125,13 +133,22 @@ def aggregate(
         One row per distinct group, in first-seen order, ready for
         :func:`~repro.experiments.tables.render_table`.
     """
+    return _aggregate(store, campaign, group_by, store.iter_cells(campaign))
+
+
+def _aggregate(
+    store: ResultStore,
+    campaign: Optional[str],
+    group_by: Sequence[str],
+    cells: Iterable[_Cell],
+) -> list[dict[str, Any]]:
     for dimension in group_by:
         if dimension not in GROUPABLE_DIMENSIONS:
             raise ExperimentError(
                 f"cannot group by {dimension!r}; groupable: {', '.join(GROUPABLE_DIMENSIONS)}"
             )
     groups: dict[tuple, list[ReducedTrial]] = {}
-    for _key, description, records in store.iter_cells(campaign):
+    for _key, description, records in cells:
         group = tuple(description.get(dimension) for dimension in group_by)
         groups.setdefault(group, []).extend(records)
     if not groups:
@@ -153,13 +170,17 @@ def export_campaign(
     path: str | Path,
     group_by: Sequence[str] = ("protocol", "workload"),
 ) -> Path:
-    """Write a campaign's cells and grouped aggregates as one JSON document."""
+    """Write a campaign's cells and grouped aggregates as one JSON document.
+
+    The campaign's cells are read from the store once, for both parts.
+    """
     spec_json = store.spec_json_for(campaign)
+    cells = list(store.iter_cells(campaign))
     document = {
         "campaign": campaign,
         "spec": json.loads(spec_json) if spec_json else None,
-        "cells": cell_rows(store, campaign),
-        "aggregates": aggregate(store, campaign, group_by=group_by),
+        "cells": _cell_rows(cells),
+        "aggregates": _aggregate(store, campaign, group_by, cells),
     }
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)

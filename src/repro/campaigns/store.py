@@ -100,6 +100,8 @@ class ResultStore:
             self._wal = False
         if self._wal:
             self._connection.execute("PRAGMA synchronous=NORMAL")
+        if self._has_current_layout():
+            return  # nothing to create or migrate: open without writing
         with self._connection:
             self._connection.executescript(_SCHEMA)
             # Additive migration (no schema-version bump):
@@ -127,6 +129,27 @@ class ResultStore:
                     f"result store {self._path!r} has schema version {row[0]}, "
                     f"but this build reads version {STORE_SCHEMA_VERSION}"
                 )
+
+    def _has_current_layout(self) -> bool:
+        """Whether opening needs no DDL, found by reads alone.
+
+        True when ``meta`` says schema :data:`STORE_SCHEMA_VERSION` and
+        ``trials`` has its ``stabilization_rounds`` column.  A new database,
+        one that needs the migration and one of another version take the DDL
+        path, which creates, migrates or refuses them.
+        """
+        try:
+            row = self._connection.execute(
+                "SELECT value FROM meta WHERE key = 'schema_version'"
+            ).fetchone()
+        except sqlite3.OperationalError:
+            return False  # no meta table yet: a new database
+        columns = {column[1] for column in self._connection.execute("PRAGMA table_info(trials)")}
+        return (
+            row is not None
+            and row[0] == str(STORE_SCHEMA_VERSION)
+            and "stabilization_rounds" in columns
+        )
 
     # -- lifecycle -------------------------------------------------------
 
@@ -360,3 +383,16 @@ class ResultStore:
     def cell_count(self, campaign: Optional[str] = None) -> int:
         """Number of completed cells (optionally restricted to a campaign)."""
         return len(self.completed_keys(campaign))
+
+    def campaign_cell_counts(self) -> dict[str, int]:
+        """Every registered campaign's completed-cell count, by name, in one query.
+
+        A campaign with no cells yet counts 0; a cell attributed to several
+        campaigns counts in each.
+        """
+        rows = self._connection.execute(
+            "SELECT campaigns.name, COUNT(campaign_cells.cell_key) FROM campaigns"
+            " LEFT JOIN campaign_cells ON campaign_cells.campaign = campaigns.name"
+            " GROUP BY campaigns.name ORDER BY campaigns.name"
+        ).fetchall()
+        return dict(rows)

@@ -2,11 +2,13 @@
 
 The problem definition (§3) lists validity, synch commit, correctness,
 agreement, and liveness.  :class:`StreamingPropertyChecker` evaluates all of
-them *incrementally*, one resolved round at a time, as a
-:class:`~repro.engine.observers.RoundObserver` — the simulator feeds it
-directly, so no buffered trace is needed.  :class:`PropertyChecker` keeps the
-historical post-hoc API (`check(trace)`) by replaying a buffered trace
-through the streaming checker; both paths produce identical reports.
+them *incrementally*: the simulator's pass over a round's nodes hands it each
+node's output (:meth:`~StreamingPropertyChecker.on_output`) and then closes
+the round (:meth:`~StreamingPropertyChecker.end_round`), so no buffered trace
+or round record is needed.  Its ``on_round(record)`` replays a record through
+the same two entry points, and :class:`PropertyChecker` keeps the historical
+post-hoc API (`check(trace)`) by replaying a buffered trace; every path runs
+the same rules and produces identical reports.
 Agreement and liveness are probabilistic in the paper ("with high
 probability" / "with probability 1"), so the checker reports them as booleans
 per execution; multi-seed statistics live in :mod:`repro.engine.runner`.
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 from repro.engine.observers import BaseRoundObserver, replay_trace
 from repro.engine.trace import ExecutionTrace, RoundRecord
 from repro.exceptions import ProtocolViolationError
-from repro.types import GlobalRound, NodeId
+from repro.types import GlobalRound, NodeId, SyncOutput
 
 
 @dataclass(frozen=True)
@@ -106,27 +108,28 @@ class _NodeCheckState:
     """Incremental per-node state for the sequence properties."""
 
     previous: int | None = None
-    committed: bool = False
     first_sync_round: GlobalRound | None = None
     violations: list[PropertyViolation] = field(default_factory=list)
 
 
 class StreamingPropertyChecker(BaseRoundObserver):
-    """Evaluates the five properties incrementally, one round at a time.
+    """Evaluates the five properties incrementally, one node-round at a time.
 
-    Feed it ``on_activation`` / ``on_round`` events (the simulator does this
-    automatically) and call :meth:`report` at the end.  The report — including
-    the order of recorded violations — is identical to what the historical
-    post-hoc checker produced from a full trace.
+    The simulator calls :meth:`on_output` for each node of a round, in node
+    order, then :meth:`end_round`; :meth:`on_round` does the same for a round
+    record.  Call :meth:`report` at the end.  The report — including the order
+    of recorded violations — is identical to what the historical post-hoc
+    checker produced from a full trace.
 
     Parameters
     ----------
     exclude:
-        Node ids exempt from every property (the fault subsystem passes the
-        Byzantine set here — forging nodes are adversarial hardware, not
-        protocol instances, so their behaviour proves nothing about the
-        protocol).  Excluded nodes get no per-node state and do not count
-        toward liveness.
+        Node ids exempt from the per-node properties (the fault subsystem
+        passes the Byzantine set here — forging nodes are adversarial
+        hardware, not protocol instances, so their behaviour proves nothing
+        about the protocol).  Excluded nodes get no per-node state and do not
+        count toward liveness; their outputs still face validity and
+        agreement.
     """
 
     def __init__(self, exclude: frozenset[NodeId] = frozenset()) -> None:
@@ -134,6 +137,12 @@ class StreamingPropertyChecker(BaseRoundObserver):
         self._round_violations: list[PropertyViolation] = []
         self._rounds_seen = 0
         self._exclude = exclude
+        self._distinct: set[int] = set()
+        #: Nodes with checker state that output a non-⊥ value since their
+        #: last reset.  A ⊥ output can fire a rule (synch commit) only for
+        #: these: any other node's previous output is ⊥ already, so the
+        #: simulator skips :meth:`on_output` for its ⊥.
+        self.committed: set[NodeId] = set()
 
     def on_activation(self, node_id: NodeId, global_round: GlobalRound) -> None:
         if node_id in self._exclude:
@@ -152,69 +161,71 @@ class StreamingPropertyChecker(BaseRoundObserver):
         state = self._nodes.get(node_id)
         if state is not None:
             state.previous = None
-            state.committed = False
+            self.committed.discard(node_id)
 
-    def on_round(self, record: RoundRecord) -> None:
-        """Fold one round into the incremental property state.
+    def on_output(self, global_round: GlobalRound, node_id: NodeId, output: SyncOutput) -> None:
+        """Fold one node's output in ``global_round`` into the property state.
 
-        This is hot-path code (one call per simulated round at every trace
-        level): the per-property passes are fused into a single walk over the
-        round's outputs.  The recorded violations — and their order — are
-        identical to the historical multi-pass implementation: validity
-        violations land in round order, the round's agreement violation (if
-        any) right after them, and the per-node sequence violations accumulate
-        on their node's own state.
+        Validity and the round's distinct outputs (for :meth:`end_round`'s
+        agreement check) take every node; the sequence properties only nodes
+        with state, and their violations accumulate on that node.  Hot path:
+        one call per node-round, minus the ⊥ outputs of nodes outside
+        :attr:`committed`, which fire nothing.
+        """
+        if output is not None:
+            if not isinstance(output, int) or output < 0:
+                self._round_violations.append(
+                    PropertyViolation(
+                        property_name="validity",
+                        global_round=global_round,
+                        node_id=node_id,
+                        detail=f"output {output!r} is neither ⊥ nor a natural number",
+                    )
+                )
+            self._distinct.add(output)
+        state = self._nodes.get(node_id)
+        if state is None:
+            return
+        previous = state.previous
+        if output is None:
+            if node_id in self.committed:
+                state.violations.append(
+                    PropertyViolation(
+                        property_name="synch_commit",
+                        global_round=global_round,
+                        node_id=node_id,
+                        detail="output returned to ⊥ after committing to a round number",
+                    )
+                )
+        elif previous is None:
+            # First non-⊥ output since activation, a reset or a return to ⊥.
+            self.committed.add(node_id)
+            if state.first_sync_round is None:
+                state.first_sync_round = global_round
+        elif output != previous + 1:
+            state.violations.append(
+                PropertyViolation(
+                    property_name="correctness",
+                    global_round=global_round,
+                    node_id=node_id,
+                    detail=(
+                        f"output jumped from {previous} to {output} "
+                        f"(expected {previous + 1})"
+                    ),
+                )
+            )
+        state.previous = output
+
+    def end_round(self, global_round: GlobalRound) -> None:
+        """Close ``global_round`` once every node's output is in: agreement.
+
+        The round's agreement violation, if any, lands right after its
+        validity violations.
         """
         self._rounds_seen += 1
-        nodes = self._nodes
-        round_violations = self._round_violations
-        global_round = record.global_round
-        distinct: set[int] = set()
-        for node_id, output in record.outputs.items():
-            if output is not None:
-                if not isinstance(output, int) or output < 0:
-                    round_violations.append(
-                        PropertyViolation(
-                            property_name="validity",
-                            global_round=global_round,
-                            node_id=node_id,
-                            detail=f"output {output!r} is neither ⊥ nor a natural number",
-                        )
-                    )
-                distinct.add(output)
-            state = nodes.get(node_id)
-            if state is None:
-                continue
-            previous = state.previous
-            if output is None:
-                if state.committed:
-                    state.violations.append(
-                        PropertyViolation(
-                            property_name="synch_commit",
-                            global_round=global_round,
-                            node_id=node_id,
-                            detail="output returned to ⊥ after committing to a round number",
-                        )
-                    )
-            else:
-                if previous is not None and output != previous + 1:
-                    state.violations.append(
-                        PropertyViolation(
-                            property_name="correctness",
-                            global_round=global_round,
-                            node_id=node_id,
-                            detail=(
-                                f"output jumped from {previous} to {output} "
-                                f"(expected {previous + 1})"
-                            ),
-                        )
-                    )
-                state.committed = True
-                if state.first_sync_round is None:
-                    state.first_sync_round = global_round
-            state.previous = output
+        distinct = self._distinct
         if len(distinct) > 1:
-            round_violations.append(
+            self._round_violations.append(
                 PropertyViolation(
                     property_name="agreement",
                     global_round=global_round,
@@ -222,6 +233,13 @@ class StreamingPropertyChecker(BaseRoundObserver):
                     detail=f"distinct non-⊥ outputs {sorted(distinct)} in the same round",
                 )
             )
+        distinct.clear()
+
+    def on_round(self, record: RoundRecord) -> None:
+        """Replay one round record through :meth:`on_output` and :meth:`end_round`."""
+        for node_id, output in record.outputs.items():
+            self.on_output(record.global_round, node_id, output)
+        self.end_round(record.global_round)
 
     def report(self) -> PropertyReport:
         """Assemble the final :class:`PropertyReport`."""

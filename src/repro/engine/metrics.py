@@ -6,10 +6,11 @@ deliveries, leader counts, and synchronization latencies.  It is deliberately
 decoupled from the property checker — metrics describe *how* an execution
 went; the checker decides whether it was *correct*.
 
-:class:`MetricsObserver` is the streaming implementation: the simulator feeds
-it one resolved round at a time, so metrics are available even when no trace
-is retained.  :func:`collect_metrics` keeps the historical post-hoc API by
-replaying a buffered trace through the observer.
+:class:`MetricsObserver` is the streaming implementation: the simulator's
+pass over a round's nodes hands it each node's output and role, then the
+round's spectrum activity, so metrics are available even when no trace or
+round record is kept.  :func:`collect_metrics` keeps the historical post-hoc
+API by replaying a buffered trace through the observer's same entry points.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from typing import Mapping
 
 from repro.engine.observers import BaseRoundObserver, replay_trace
 from repro.engine.trace import ExecutionTrace, RoundRecord
-from repro.types import GlobalRound, NodeId, Role
+from repro.radio.events import RoundActivity
+from repro.types import GlobalRound, NodeId, Role, SyncOutput
 
 
 @dataclass
@@ -92,34 +94,55 @@ class ExecutionMetrics:
 class MetricsObserver(BaseRoundObserver):
     """Accumulates :class:`ExecutionMetrics` incrementally, round by round.
 
-    The simulator attaches one per execution; tests can also feed it manually
-    or replay a buffered trace through it (see :func:`collect_metrics`).
-    Call :meth:`result` once the execution is over.
+    The simulator attaches one per execution and calls :meth:`on_node` for
+    each node of a round, in node order, then :meth:`end_round`;
+    :meth:`on_round` does the same for a round record, so tests can feed it
+    by hand or replay a buffered trace through it (see
+    :func:`collect_metrics`).  Call :meth:`result` once the execution is over.
 
     Role-rounds are tallied per *spell*: each node keeps ``[role, rounds]``
-    for the role it has held since it last changed, and the spell is added to
-    ``role_rounds`` only when the role changes and in :meth:`result`.  A role
-    enters ``role_rounds`` at its first (round, node), so the mapping's
-    values and key order are those of a per-round count.
+    in :attr:`spells` for the role it has held since it last changed, and the
+    spell is added to ``role_rounds`` only when the role changes and in
+    :meth:`result`.  A role enters ``role_rounds`` at its first (round, node),
+    so the mapping's values and key order are those of a per-round count.
     """
 
     def __init__(self) -> None:
         self._metrics = ExecutionMetrics()
         self._leader_nodes: set[NodeId] = set()
-        self._spells: dict[NodeId, list] = {}
+        #: Each node's open spell, ``[role, rounds]``.
+        self.spells: dict[NodeId, list] = {}
+        #: Node id → activation-to-first-non-⊥ latency (the metrics' own map).
+        self.sync_latencies = self._metrics.sync_latencies
 
     def on_activation(self, node_id: NodeId, global_round: GlobalRound) -> None:
         self._metrics.activation_rounds[node_id] = global_round
 
-    def on_round(self, record: RoundRecord) -> None:
-        # Hot path: one call per simulated round at every trace level.  The
-        # aggregate counters accumulate in locals and the per-node loops bind
-        # their targets once, so the per-round cost is a handful of dict
-        # operations rather than repeated attribute traversals.  A node whose
-        # role did not change only bumps its spell: no enum is hashed.
+    def on_node(
+        self, global_round: GlobalRound, node_id: NodeId, output: SyncOutput, role: Role
+    ) -> None:
+        """Fold one node's round into its role spell and its sync latency.
+
+        When ``role`` is the node's open spell's role and ``output`` is ⊥ or
+        the node's latency is already in :attr:`sync_latencies`, all this
+        call does is ``spells[node_id][1] += 1``; the simulator does that
+        itself instead of calling.
+        """
+        spell = self.spells.get(node_id)
+        if spell is not None and spell[0] is role:
+            spell[1] += 1
+        else:
+            self._start_spell(node_id, role, spell)
+        if output is None or node_id in self.sync_latencies:
+            return
+        activation_round = self._metrics.activation_rounds.get(node_id)
+        if activation_round is not None:
+            self.sync_latencies[node_id] = global_round - activation_round + 1
+
+    def end_round(self, activity: RoundActivity) -> None:
+        """Close a round once every node is in: count its spectrum activity."""
         metrics = self._metrics
         metrics.rounds_simulated += 1
-        activity = record.activity
         disrupted = activity.disrupted
         broadcasts = 0
         collisions = 0
@@ -136,22 +159,12 @@ class MetricsObserver(BaseRoundObserver):
         metrics.collisions += collisions
         metrics.disrupted_deliveries_prevented += prevented
         metrics.disrupted_frequency_rounds += len(disrupted)
-        spells = self._spells
-        for node_id, role in record.roles.items():
-            spell = spells.get(node_id)
-            if spell is not None and spell[0] is role:
-                spell[1] += 1
-            else:
-                self._start_spell(node_id, role, spell)
-        sync_latencies = metrics.sync_latencies
-        activation_rounds = metrics.activation_rounds
-        global_round = record.global_round
+
+    def on_round(self, record: RoundRecord) -> None:
+        """Replay one round record through :meth:`on_node` and :meth:`end_round`."""
         for node_id, output in record.outputs.items():
-            if output is None or node_id in sync_latencies:
-                continue
-            activation_round = activation_rounds.get(node_id)
-            if activation_round is not None:
-                sync_latencies[node_id] = global_round - activation_round + 1
+            self.on_node(record.global_round, node_id, output, record.roles[node_id])
+        self.end_round(record.activity)
 
     def _start_spell(self, node_id: NodeId, role: Role, spell: list | None) -> None:
         """Close ``node_id``'s current spell, if any, and open one in ``role``.
@@ -160,7 +173,7 @@ class MetricsObserver(BaseRoundObserver):
         """
         role_rounds = self._metrics.role_rounds
         if spell is None:
-            self._spells[node_id] = [role, 1]
+            self.spells[node_id] = [role, 1]
         else:
             role_rounds[spell[0]] += spell[1]
             spell[0], spell[1] = role, 1
@@ -183,7 +196,7 @@ class MetricsObserver(BaseRoundObserver):
             leaders may stop being tracked once everything is synchronized).
         """
         role_rounds = self._metrics.role_rounds
-        for spell in self._spells.values():
+        for spell in self.spells.values():
             if spell[1]:
                 role_rounds[spell[0]] += spell[1]
                 spell[1] = 0

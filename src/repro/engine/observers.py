@@ -13,6 +13,13 @@ An observer sees four events, always in this order::
     on_round(record)                         # once per resolved round
     on_simulation_end(rounds_simulated)
 
+The simulator builds a round record only for the observers that keep
+records: the trace recorder, a fault plan's stabilization tracker, and any
+observer passed to it.  It feeds the property checker, the metrics collector
+and the spectrum log through their own per-node and per-round entry points;
+their ``on_round`` replays a record through those entry points, for
+:func:`replay_trace` and hand-fed records.
+
 Observers keep incremental state, so heavy sweeps can run with
 :attr:`TraceLevel.NONE` (no buffered trace at all) and still produce the exact
 same property report and metrics as a full-trace run.

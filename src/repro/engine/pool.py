@@ -87,6 +87,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Generator, Optional, Sequence
 
+from repro.engine.plan import is_strict_int
 from repro.engine.results import SimulationResult
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.telemetry import Telemetry, as_telemetry
@@ -379,12 +380,14 @@ class ExecutionPool:
         telemetry: Optional[Telemetry] = None,
         crash_retries: int = 2,
     ) -> None:
-        if workers < 1:
-            raise ConfigurationError(f"an execution pool needs >= 1 worker, got {workers}")
-        if chunk_size is not None and chunk_size < 1:
-            raise ConfigurationError(f"chunk_size must be positive, got {chunk_size}")
-        if crash_retries < 0:
-            raise ConfigurationError(f"crash_retries must be >= 0, got {crash_retries}")
+        if not is_strict_int(workers) or workers < 1:
+            raise ConfigurationError(
+                f"an execution pool needs an integer >= 1 of workers, got {workers!r}"
+            )
+        if chunk_size is not None and (not is_strict_int(chunk_size) or chunk_size < 1):
+            raise ConfigurationError(f"chunk_size must be a positive integer, got {chunk_size!r}")
+        if not is_strict_int(crash_retries) or crash_retries < 0:
+            raise ConfigurationError(f"crash_retries must be an integer >= 0, got {crash_retries!r}")
         self._workers = workers
         self._chunk_size = chunk_size
         self._crash_retries = crash_retries

@@ -13,11 +13,14 @@ execution, fault-injected or not.  In every global round it:
 5. resolves the round on the :class:`~repro.radio.network.SingleHopRadioNetwork`
    (collision rule + disruption; the network rejects out-of-band
    frequencies), then checks the disruption set against the budget ``t``;
-6. hands each node that received a message to its protocol
-   (``on_reception``; a node that received nothing gets no call), reads
-   every node's output and role, and streams the resolved round to the
-   observer pipeline (trace recorder, property checker, metrics collector,
-   spectrum log, plus any caller-supplied observers).
+6. in one pass over the nodes, hands each node that received a message to
+   its protocol (``on_reception``; a node that received nothing gets no
+   call), reads its output and role, and feeds them to the property checker
+   and the metrics collector; then it closes the round once (the agreement
+   check, the activity counters, the spectrum log) and hands a
+   :class:`~repro.engine.trace.RoundRecord` to the observers that keep
+   records (trace recorder, stabilization tracker, caller-supplied
+   observers) — a run without any builds no record.
 
 Faults enter the loop as data: the fault injector lists the rounds that
 carry events (a fault-free run pays one set-membership test per round), a
@@ -28,7 +31,7 @@ Properties and metrics are computed *incrementally* as the execution streams
 by, so a run with :attr:`~repro.engine.observers.TraceLevel.NONE` buffers no
 per-round history at all and still produces the same report and metrics as a
 full-trace run.  Its memory does not grow with the run length: the spectrum
-log keeps only the previous round's record and per-frequency counters, and
+log keeps only the previous round's activity and per-frequency counters, and
 the checker and metrics keep per-node and aggregate state.
 
 The loop ends when every node that will ever be activated has synchronized
@@ -152,8 +155,9 @@ class Simulator:
         The simulation configuration.
     observers:
         Additional streaming :class:`~repro.engine.observers.RoundObserver`
-        instances notified after the built-in pipeline (spectrum log, trace
-        recorder, checker, metrics, stabilization tracker).
+        instances, handed each round's record after the built-in pipeline
+        (spectrum log, trace recorder, checker, metrics, stabilization
+        tracker).
     """
 
     def __init__(
@@ -179,12 +183,13 @@ class Simulator:
         # Per-node hot-path dispatch rows (built by `_row`), appended at
         # activation, so the round loop drives each protocol directly.
         self._active_rows: list[_Row] = []
-        self._synced_nodes: set[NodeId] = set()
         self._leader_uids: set[int] = set()
         self._pending_activations = config.activation.node_count
         # Set by `run` for fault-injected executions only.
         self._injector: FaultInjector | None = None
         self._tracker: StabilizationTracker | None = None
+        # Set by `run`: the nodes that output non-⊥ at least once.
+        self._sync_latencies: dict[NodeId, int] = {}
 
     @property
     def config(self) -> SimulationConfig:
@@ -216,21 +221,35 @@ class Simulator:
             exclude=injector.byzantine_nodes if injector is not None else frozenset()
         )
         metrics = MetricsObserver()
+        self._sync_latencies = metrics.sync_latencies
+        spectrum = self._spectrum
+        # The observers that keep round records; the loop builds a record
+        # only when there is one.  The checker, metrics and spectrum log are
+        # fed directly instead.
+        record_observers: tuple[RoundObserver, ...] = tuple(
+            observer for observer in (recorder, tracker) if observer is not None
+        ) + self._extra_observers
         observers: tuple[RoundObserver, ...] = tuple(
             observer
-            for observer in (self._spectrum, recorder, checker, metrics, tracker)
+            for observer in (spectrum, recorder, checker, metrics, tracker)
             if observer is not None
         ) + self._extra_observers
 
         for observer in observers:
             observer.on_simulation_start(config.params, config.seed)
 
-        # Hot-path dispatch: the observer pipeline is fixed for the whole
-        # execution, so bind every `on_round` once and notify through the
-        # resulting tuple — one fast batched call site per round instead of a
-        # per-observer attribute lookup.  With TraceLevel.NONE the tuple holds
-        # no recorder at all: streaming observers only, nothing buffered.
-        notify_round = tuple(observer.on_round for observer in observers)
+        # Hot-path dispatch: the pipeline is fixed for the whole execution,
+        # so every per-round and per-node entry point is bound once here.
+        keep_records = bool(record_observers)
+        notify_round = tuple(observer.on_round for observer in record_observers)
+        check_output = checker.on_output
+        committed = checker.committed
+        check_round = checker.end_round
+        count_node = metrics.on_node
+        spells = metrics.spells
+        sync_latencies = metrics.sync_latencies
+        count_round = metrics.end_round
+        log_round = spectrum.record
         departed: dict[NodeId, NodeRuntime] = {}
         rows = self._active_rows
         activations_for_round = config.activation.activations_for_round
@@ -244,10 +263,9 @@ class Simulator:
             global_round=0,
             band=config.params.band,
             budget=budget,
-            history=self._spectrum,
+            history=spectrum,
             rng=adversary_rng,
         )
-        synced_nodes = self._synced_nodes
         leader_uids = self._leader_uids
         leader_role = Role.LEADER
 
@@ -280,29 +298,46 @@ class Simulator:
                     f"adversary disrupted {len(activity.disrupted)} frequencies, budget is {budget}"
                 )
 
-            outputs: dict[NodeId, SyncOutput] = {}
-            roles: dict[NodeId, Role] = {}
+            if keep_records:
+                outputs: dict[NodeId, SyncOutput] = {}
+                roles: dict[NodeId, Role] = {}
             for node_id, node, protocol, context in rows:
                 if node_id in received:
                     protocol.on_reception(received[node_id])
                 output = protocol.current_output()
-                if output is not None:
-                    synced_nodes.add(node_id)
-                node.outputs_recorded += 1
-                outputs[node_id] = output
                 role = protocol.role
-                roles[node_id] = role
+                node.outputs_recorded += 1
+                # Skipped: a ⊥ that fires no rule (`checker.committed`).
+                if output is not None or node_id in committed:
+                    check_output(global_round, node_id, output)
+                # Skipped: a call that would only extend the open spell
+                # (`MetricsObserver.on_node`).
+                spell = spells.get(node_id)
+                if (
+                    spell is not None
+                    and spell[0] is role
+                    and (output is None or node_id in sync_latencies)
+                ):
+                    spell[1] += 1
+                else:
+                    count_node(global_round, node_id, output, role)
                 if role is leader_role:
                     leader_uids.add(context.uid)
-
-            record = RoundRecord(
-                global_round=global_round,
-                outputs=outputs,
-                roles=roles,
-                activity=activity,
-            )
-            for notify in notify_round:
-                notify(record)
+                if keep_records:
+                    outputs[node_id] = output
+                    roles[node_id] = role
+            check_round(global_round)
+            count_round(activity)
+            log_round(activity)
+            if keep_records:
+                record = RoundRecord(
+                    global_round=global_round,
+                    outputs=outputs,
+                    roles=roles,
+                    activity=activity,
+                )
+                for notify in notify_round:
+                    notify(record)
             rounds_simulated = global_round
 
             if self._should_stop(global_round):
@@ -426,9 +461,10 @@ class Simulator:
             return global_round >= self._injector.last_fault_round and self._tracker.converged
         if not self._nodes:
             return False
-        # The synced-node set only grows (outputs latch), so this membership
-        # count replaces the per-round scan over every node runtime.
-        return len(self._synced_nodes) == len(self._nodes)
+        # The metrics time every node's first non-⊥ output, and every node
+        # is activated at most once, so this count replaces a per-round scan
+        # over every node runtime.
+        return len(self._sync_latencies) == len(self._nodes)
 
 
 def simulate(config: SimulationConfig) -> SimulationResult:

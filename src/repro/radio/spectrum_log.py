@@ -8,8 +8,9 @@ so its memory does not grow with the run length.
 
 The log doubles as a streaming round observer (it implements the
 :class:`~repro.engine.observers.RoundObserver` interface structurally, with
-no dependency on the engine layer): the simulator feeds it one resolved round
-at a time via :meth:`on_round`.
+no dependency on the engine layer): the simulator feeds it each resolved
+round's activity through :meth:`record`, and :meth:`on_round` does the same
+for a round record.
 """
 
 from __future__ import annotations

@@ -77,6 +77,8 @@ class JobRequest:
             )
         if not isinstance(self.store, str) or not self.store.strip():
             raise ConfigurationError("a job request needs a non-empty store path")
+        if not is_strict_int(self.priority):
+            raise ConfigurationError(f"job priority must be an integer, got {self.priority!r}")
         if self.limit is not None and (not is_strict_int(self.limit) or self.limit < 1):
             raise ConfigurationError(
                 f"job limit must be a positive integer or null, got {self.limit!r}"
@@ -176,15 +178,12 @@ class JobRequest:
             )
         plan_data = data.get("plan")
         plan = ExecutionPlan.from_dict(plan_data) if plan_data is not None else ExecutionPlan()
-        priority = data.get("priority", 0)
-        if not isinstance(priority, int):
-            raise ConfigurationError(f"job priority must be an integer, got {priority!r}")
         return cls(
             kind=data["kind"],
             spec=data["spec"],
             store=data["store"],
             plan=plan,
-            priority=priority,
+            priority=data.get("priority", 0),
             limit=data.get("limit"),
         )
 

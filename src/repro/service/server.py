@@ -429,8 +429,8 @@ class CampaignService:
             raise ConfigurationError(f"no store at {path}")
         with ResultStore(str(path)) as store:
             campaigns = [
-                {"campaign": name, "completed": store.cell_count(name)}
-                for name in store.campaign_names()
+                {"campaign": name, "completed": completed}
+                for name, completed in store.campaign_cell_counts().items()
             ]
         return {"ok": True, "store": str(path), "campaigns": campaigns}
 

@@ -14,6 +14,7 @@ import os
 import sqlite3
 import tempfile
 import time
+from unittest import mock
 
 import pytest
 from test_pool import CrashOnceAdversary
@@ -496,6 +497,101 @@ class TestQuery:
         assert document["spec"]["participants"] == [8, 16]
         assert len(document["cells"]) == 4
         assert document["aggregates"][0]["trials"] == 8
+
+
+def statements_on_open(path) -> list[str]:
+    """Every SQL statement a :class:`ResultStore` open-and-close runs."""
+    connect = sqlite3.connect
+    statements: list[str] = []
+
+    def traced(*args, **kwargs):
+        connection = connect(*args, **kwargs)
+        connection.set_trace_callback(statements.append)
+        return connection
+
+    with mock.patch.object(sqlite3, "connect", traced):
+        ResultStore(path).close()
+    return statements
+
+
+def writes(statements: list[str]) -> list[str]:
+    return [
+        statement
+        for statement in statements
+        if statement.split()[0].upper() in ("BEGIN", "CREATE", "ALTER", "INSERT", "UPDATE")
+    ]
+
+
+class TestStoreReadPath:
+    """Opening an up-to-date store writes nothing; status and export read once."""
+
+    RECORD = TrialRecord(seed=0, synchronized=True, agreement=True, safety=True,
+                         leader_count=1, max_sync_latency=10, rounds_simulated=10)
+
+    def test_a_fresh_store_is_created_and_a_reopen_writes_nothing(self, tmp_path):
+        path = tmp_path / "store.db"
+        assert any(s.lstrip().startswith("CREATE TABLE") for s in statements_on_open(path))
+        assert writes(statements_on_open(path)) == []
+        with ResultStore(path) as store:
+            assert store.record_cell("c", "k1", {"x": 1}, [self.RECORD])
+
+    def test_an_old_layout_is_migrated_once(self, tmp_path):
+        path = tmp_path / "store.db"
+        with ResultStore(path) as store:
+            store.record_cell("c", "k1", {"x": 1}, [self.RECORD])
+        connection = sqlite3.connect(path)
+        with connection:
+            connection.execute("ALTER TABLE trials DROP COLUMN stabilization_rounds")
+        connection.close()
+        migrated = writes(statements_on_open(path))
+        assert any("ADD COLUMN stabilization_rounds" in s for s in migrated)
+        assert writes(statements_on_open(path)) == []
+        with ResultStore(path) as store:
+            assert store.trial_records("k1") == (self.RECORD,)
+
+    def test_a_wrong_version_is_refused_on_every_open(self, tmp_path):
+        path = tmp_path / "store.db"
+        ResultStore(path).close()
+        connection = sqlite3.connect(path)
+        with connection:
+            connection.execute("UPDATE meta SET value = '2' WHERE key = 'schema_version'")
+        connection.close()
+        for _ in range(2):
+            with pytest.raises(ConfigurationError, match="schema version 2"):
+                ResultStore(path)
+
+    def test_cell_counts_list_empty_campaigns_and_count_shared_cells_in_each(self, tmp_path):
+        with ResultStore(tmp_path / "store.db") as store:
+            store.register_campaign("b-empty")
+            store.register_campaign("a-first")
+            store.register_campaign("c-shares")
+            store.record_cell("a-first", "k1", {"x": 1}, [self.RECORD])
+            store.record_cell("a-first", "k2", {"x": 2}, [self.RECORD])
+            store.add_cells_to_campaign("c-shares", ["k2"])
+            store.record_cell("unregistered", "k3", {"x": 3}, [self.RECORD])
+            counts = store.campaign_cell_counts()
+            assert counts == {"a-first": 2, "b-empty": 0, "c-shares": 1}
+            assert list(counts) == store.campaign_names()
+            assert counts == {name: store.cell_count(name) for name in store.campaign_names()}
+
+    def test_export_reads_the_cells_once_and_writes_the_same_bytes(self, tmp_path):
+        spec = tiny_spec()
+        store = ResultStore(tmp_path / "store.db")
+        CampaignRunner(spec, store).run()
+        group_by = ("participants",)
+        expected = json.dumps(
+            {
+                "campaign": spec.name,
+                "spec": json.loads(store.spec_json_for(spec.name)),
+                "cells": cell_rows(store, spec.name),
+                "aggregates": aggregate(store, spec.name, group_by=group_by),
+            },
+            indent=2,
+        )
+        with mock.patch.object(ResultStore, "iter_cells", wraps=store.iter_cells) as reads:
+            path = export_campaign(store, spec.name, tmp_path / "export.json", group_by=group_by)
+        assert reads.call_count == 1
+        assert path.read_text() == expected
 
 
 class TestStoreDurability:

@@ -8,8 +8,10 @@ and a post-hoc pass over the recorded trace.
 
 from __future__ import annotations
 
+import pickle
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 
@@ -20,10 +22,16 @@ from repro.engine.checker import PropertyChecker, StreamingPropertyChecker
 from repro.engine.metrics import MetricsObserver, collect_metrics
 from repro.engine.observers import BaseRoundObserver, TraceLevel, TraceRecorder, replay_trace
 from repro.engine.simulator import SimulationConfig, Simulator, simulate
+from repro.engine.trace import RoundRecord
 from repro.exceptions import ConfigurationError
+from repro.faults.plan import ChurnEvent, CorruptionEvent, FaultPlan
 from repro.params import ModelParameters
+from repro.protocols.base import BoundProtocolFactory, SynchronizationProtocol
 from repro.protocols.trapdoor.protocol import TrapdoorProtocol
+from repro.radio.actions import RadioAction, listen
+from repro.radio.messages import Message
 from repro.radio.spectrum_log import SpectrumLog
+from repro.types import Role, SyncOutput
 
 
 @pytest.fixture
@@ -270,3 +278,139 @@ def test_sampled_trace_guards_rounds_simulated_but_exposes_rounds_retained(base_
     with pytest.raises(ValueError, match="complete trace"):
         sampled.trace.rounds_simulated
     assert sampled.trace.rounds_retained == len(sampled.trace.records)
+
+
+#: A misbehaving node's output per local round; after the last entry it
+#: counts on from 205.
+_SCRIPT: dict[int, SyncOutput] = {1: None, 2: None, 3: 100, 4: 101, 5: -1, 6: None, 7: 200, 8: 205}
+
+
+class MisbehavingProtocol(SynchronizationProtocol):
+    """Breaks every safety property on scripted local rounds.
+
+    Local round 3 commits to 100; round 5 outputs -1 (validity, and a jump
+    from 101); round 6 returns to ⊥ (synch commit); round 8 jumps from 200 to
+    205 (correctness).  Nodes activated in different rounds output different
+    numbers in the same round (agreement).  The role changes with the script
+    too, so the metrics open several spells per node.
+    """
+
+    def choose_action(self) -> RadioAction:
+        return listen(1)
+
+    def on_reception(self, message: Message) -> None:
+        pass
+
+    def current_output(self) -> SyncOutput:
+        local_round = self.context.local_round
+        if local_round in _SCRIPT:
+            return _SCRIPT[local_round]
+        return 205 + local_round - 8
+
+    @property
+    def role(self) -> Role:
+        local_round = self.context.local_round
+        if local_round in (3, 4):
+            return Role.LEADER
+        return Role.SYNCHRONIZED if local_round >= 7 else Role.CONTENDER
+
+
+def misbehaving_config(faults: FaultPlan | None = None) -> SimulationConfig:
+    return SimulationConfig(
+        params=ModelParameters(4, 1, 8),
+        protocol_factory=BoundProtocolFactory(MisbehavingProtocol),
+        activation=StaggeredActivation(count=3, spacing=2),
+        max_rounds=24,
+        seed=5,
+        stop_when_synchronized=False,
+        faults=faults,
+    )
+
+
+def at_every_level(config: SimulationConfig):
+    """``config`` run at ``NONE``, ``SAMPLED`` and ``FULL``, in that order."""
+    return [
+        simulate(replace(config, trace_level=TraceLevel.NONE)),
+        simulate(replace(config, trace_level=TraceLevel.SAMPLED, trace_sample_interval=4)),
+        simulate(replace(config, trace_level=TraceLevel.FULL)),
+    ]
+
+
+class TestLiveLoopChecksMisbehavingProtocols:
+    """The live loop skips per-node calls that cannot fire a rule; replaying
+    a record skips nothing.  A misbehaving protocol makes the two disagree if
+    a skip drops a call that mattered."""
+
+    def test_config_is_picklable(self):
+        config = misbehaving_config()
+        assert pickle.loads(pickle.dumps(config)).protocol_factory == config.protocol_factory
+
+    def test_every_trace_level_reports_what_the_post_hoc_checker_finds(self):
+        none, sampled, full = at_every_level(misbehaving_config())
+        post_hoc = PropertyChecker().check(full.trace)
+        assert none.report == sampled.report == full.report == post_hoc
+        kinds = [violation.property_name for violation in full.report.violations]
+        assert {"validity", "synch_commit", "correctness", "agreement"} <= set(kinds)
+        # Round violations come first (validity before the round's agreement),
+        # then each node's sequence violations in node order.
+        assert kinds.index("validity") < kinds.index("synch_commit")
+        assert [v.node_id for v in full.report.violations if v.property_name == "synch_commit"] == [
+            0,
+            1,
+            2,
+        ]
+        assert full.report.liveness_achieved
+
+    def test_every_trace_level_counts_what_collect_metrics_counts(self):
+        none, sampled, full = at_every_level(misbehaving_config())
+        assert none.metrics == sampled.metrics == full.metrics
+        post_hoc = collect_metrics(full.trace)
+        assert replace(full.metrics, leader_count=0) == replace(post_hoc, leader_count=0)
+        assert list(full.metrics.role_rounds) == [Role.CONTENDER, Role.LEADER, Role.SYNCHRONIZED]
+
+    def test_faults_do_not_split_the_trace_levels(self):
+        # Churn and corruption reset a node's sequence state mid-script; the
+        # Byzantine node is excluded from the sequence properties but still
+        # faces validity and agreement.
+        plan = FaultPlan(
+            churn=(ChurnEvent(node_id=1, leave_round=6, rejoin_round=9),),
+            corruption=(CorruptionEvent(round_index=12, node_ids=(0,)),),
+            byzantine_count=1,
+            byzantine_start_round=15,
+        )
+        none, sampled, full = at_every_level(misbehaving_config(plan))
+        assert none.report == sampled.report == full.report
+        assert none.metrics == sampled.metrics == full.metrics
+        assert none.stabilization == sampled.stabilization == full.stabilization
+
+
+class TestRoundRecordsOnlyForRecordKeepers:
+    @staticmethod
+    def records_built(config: SimulationConfig, observers=()) -> tuple[int, int]:
+        """(``RoundRecord`` constructions in the simulator, rounds simulated)."""
+        with mock.patch("repro.engine.simulator.RoundRecord", wraps=RoundRecord) as built:
+            result = Simulator(config, observers=observers).run()
+        return built.call_count, result.rounds_simulated
+
+    def test_a_trace_free_fault_free_run_builds_none(self, base_config):
+        built, rounds = self.records_built(replace(base_config, trace_level=TraceLevel.NONE))
+        assert rounds > 0 and built == 0
+
+    @pytest.mark.parametrize("level", [TraceLevel.FULL, TraceLevel.SAMPLED])
+    def test_a_recorded_run_builds_one_per_round(self, base_config, level):
+        built, rounds = self.records_built(replace(base_config, trace_level=level))
+        assert built == rounds
+
+    def test_a_fault_plan_builds_one_per_round(self, base_config):
+        plan = FaultPlan(churn=(ChurnEvent(node_id=1, leave_round=10, rejoin_round=20),))
+        built, rounds = self.records_built(
+            replace(base_config, trace_level=TraceLevel.NONE, faults=plan)
+        )
+        assert built == rounds
+
+    def test_an_extra_observer_builds_one_per_round(self, base_config):
+        observer = RecordingObserver()
+        built, rounds = self.records_built(
+            replace(base_config, trace_level=TraceLevel.NONE), observers=[observer]
+        )
+        assert built == rounds == observer.rounds

@@ -64,6 +64,21 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             ExecutionPool(workers=2, crash_retries=-1)
 
+    @pytest.mark.parametrize(
+        "kwargs,named",
+        [
+            ({"workers": 2.0}, "workers"),
+            ({"workers": True}, "workers"),
+            ({"workers": 2, "chunk_size": 2.5}, "chunk_size"),
+            ({"workers": 2, "chunk_size": True}, "chunk_size"),
+            ({"workers": 2, "crash_retries": 1.5}, "crash_retries"),
+            ({"workers": 2, "crash_retries": False}, "crash_retries"),
+        ],
+    )
+    def test_rejects_non_integer_settings_at_construction(self, kwargs, named):
+        with pytest.raises(ConfigurationError, match=named):
+            ExecutionPool(**kwargs)
+
     def test_construction_is_lazy(self):
         pool = ExecutionPool(workers=2)
         assert not pool.running

@@ -509,6 +509,15 @@ class TestJobRequestValidation:
         with pytest.raises(ConfigurationError, match=named):
             JobRequest.from_dict(wire)
 
+    @pytest.mark.parametrize("value", [True, False, 1.5, "2", None])
+    def test_non_integer_priority_is_refused(self, value):
+        wire = JobRequest.for_campaign(campaign_spec("types"), store="t.sqlite").to_dict()
+        wire["priority"] = value
+        with pytest.raises(ConfigurationError, match="priority"):
+            JobRequest.from_dict(wire)
+        with pytest.raises(ConfigurationError, match="priority"):
+            JobRequest.for_campaign(campaign_spec("types"), store="t.sqlite", priority=value)
+
 
 class _FakeSocket:
     """Just enough socket for ServiceClient.__init__ to finish."""
