@@ -62,7 +62,6 @@ from repro.campaigns import (
 )
 from repro.engine import (
     PropertyChecker,
-    RoundObserver,
     SimulationConfig,
     SimulationResult,
     Simulator,
@@ -135,7 +134,6 @@ __all__ = [
     "ResultStore",
     "StoredSummary",
     "PropertyChecker",
-    "RoundObserver",
     "SimulationConfig",
     "SimulationResult",
     "Simulator",

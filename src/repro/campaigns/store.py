@@ -32,6 +32,13 @@ from repro.exceptions import ConfigurationError, ExperimentError
 #: rows; it is left in place, unread, so they still open as version 1.)
 STORE_SCHEMA_VERSION = 1
 
+#: The ``trials`` columns a :class:`ReducedTrial` is read from, in
+#: :func:`_reduced_trial`'s order.
+_TRIAL_COLUMNS = (
+    "seed, synchronized, agreement, safety, leader_count,"
+    " max_sync_latency, rounds_simulated, stabilization_rounds"
+)
+
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS meta (
     key   TEXT PRIMARY KEY,
@@ -339,24 +346,9 @@ class ResultStore:
     def trial_records(self, key: str) -> tuple[ReducedTrial, ...]:
         """The stored trials of one cell, in seed order."""
         rows = self._connection.execute(
-            "SELECT seed, synchronized, agreement, safety, leader_count,"
-            " max_sync_latency, rounds_simulated, stabilization_rounds FROM trials"
-            " WHERE cell_key = ? ORDER BY seed",
-            (key,),
+            f"SELECT {_TRIAL_COLUMNS} FROM trials WHERE cell_key = ? ORDER BY seed", (key,)
         ).fetchall()
-        return tuple(
-            ReducedTrial(
-                seed=row[0],
-                synchronized=bool(row[1]),
-                agreement=bool(row[2]),
-                safety=bool(row[3]),
-                leader_count=row[4],
-                max_sync_latency=row[5],
-                rounds_simulated=row[6],
-                stabilization_rounds=row[7],
-            )
-            for row in rows
-        )
+        return tuple(_reduced_trial(row) for row in rows)
 
     def iter_cells(
         self, campaign: Optional[str] = None
@@ -364,21 +356,31 @@ class ResultStore:
         """Yield ``(key, description, trials)`` for every completed cell.
 
         Cells come back in insertion order, which for a campaign run matches
-        the spec's deterministic expansion order.
+        the spec's deterministic expansion order, each with its trials in
+        seed order (as :meth:`trial_records` returns them).  Two queries,
+        whatever the number of cells: one for the cells, one for their trials.
         """
-        if campaign is None:
-            rows = self._connection.execute(
-                "SELECT key, cell_json FROM cells ORDER BY rowid"
-            ).fetchall()
-        else:
-            rows = self._connection.execute(
-                "SELECT cells.key, cells.cell_json FROM campaign_cells"
-                " JOIN cells ON cells.key = campaign_cells.cell_key"
-                " WHERE campaign_cells.campaign = ? ORDER BY cells.rowid",
-                (campaign,),
-            ).fetchall()
-        for key, cell_json in rows:
-            yield key, json.loads(cell_json), self.trial_records(key)
+        scope = "FROM cells"
+        parameters: tuple[str, ...] = ()
+        if campaign is not None:
+            scope += (
+                " JOIN campaign_cells ON campaign_cells.cell_key = cells.key"
+                " AND campaign_cells.campaign = ?"
+            )
+            parameters = (campaign,)
+        cells = self._connection.execute(
+            f"SELECT cells.key, cells.cell_json {scope} ORDER BY cells.rowid", parameters
+        ).fetchall()
+        rows = self._connection.execute(
+            f"SELECT cells.key, {_TRIAL_COLUMNS} {scope}"
+            " JOIN trials ON trials.cell_key = cells.key ORDER BY cells.rowid, seed",
+            parameters,
+        ).fetchall()
+        trials: dict[str, list[ReducedTrial]] = {}
+        for row in rows:
+            trials.setdefault(row[0], []).append(_reduced_trial(row[1:]))
+        for key, cell_json in cells:
+            yield key, json.loads(cell_json), tuple(trials.get(key, ()))
 
     def cell_count(self, campaign: Optional[str] = None) -> int:
         """Number of completed cells (optionally restricted to a campaign)."""
@@ -396,3 +398,17 @@ class ResultStore:
             " GROUP BY campaigns.name ORDER BY campaigns.name"
         ).fetchall()
         return dict(rows)
+
+
+def _reduced_trial(row: Sequence[Any]) -> ReducedTrial:
+    """One stored trial, from its :data:`_TRIAL_COLUMNS` values."""
+    return ReducedTrial(
+        seed=row[0],
+        synchronized=bool(row[1]),
+        agreement=bool(row[2]),
+        safety=bool(row[3]),
+        leader_count=row[4],
+        max_sync_latency=row[5],
+        rounds_simulated=row[6],
+        stabilization_rounds=row[7],
+    )

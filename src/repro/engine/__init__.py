@@ -9,8 +9,6 @@ from repro.engine.checker import (
 from repro.engine.metrics import ExecutionMetrics, MetricsObserver, collect_metrics
 from repro.engine.node import NodeRuntime
 from repro.engine.observers import (
-    BaseRoundObserver,
-    RoundObserver,
     TraceLevel,
     TraceRecorder,
     replay_trace,
@@ -47,8 +45,6 @@ __all__ = [
     "MetricsObserver",
     "collect_metrics",
     "NodeRuntime",
-    "BaseRoundObserver",
-    "RoundObserver",
     "TraceLevel",
     "TraceRecorder",
     "replay_trace",

@@ -67,7 +67,7 @@ from repro.adversary.jammers import (
     SweepJammer,
     TwoNodeProductJammer,
 )
-from repro.engine.checker import PropertyReport, PropertyViolation
+from repro.engine.checker import PropertyViolation, agreement_violation, property_report
 from repro.engine.metrics import ExecutionMetrics
 from repro.engine.observers import TraceLevel
 from repro.engine.pool import ReducedTrial, simulate_one, warn_fault_batch_fallback
@@ -672,14 +672,8 @@ def _lockstep(
             highest = np.where(producing, outputs_after, -1).max(axis=1)
             disagreeing = alive & (lowest != _HUGE) & (highest > lowest)
             for t in np.flatnonzero(disagreeing):
-                distinct = np.unique(outputs_after[t][producing[t]]).tolist()
                 violations[t].append(
-                    PropertyViolation(
-                        property_name="agreement",
-                        global_round=global_round,
-                        node_id=None,
-                        detail=f"distinct non-⊥ outputs {distinct} in the same round",
-                    )
+                    agreement_violation(global_round, outputs_after[t][producing[t]].tolist())
                 )
 
             counters["broadcasts"] += broadcasting.sum(axis=1)
@@ -737,27 +731,11 @@ def _lockstep(
                 node_ids[r]: int(activation_rounds[r]) for r in range(row_count)
             },
         )
-        report = PropertyReport()
-        report.violations.extend(violations[t])
-        achieved = row_count > 0 and bool((sync_rounds > 0).all())
-        report.liveness_achieved = achieved
-        if achieved:
-            report.synchronization_round = int(sync_rounds.max())
-        else:
-            unsynced = sorted(
-                node_ids[r] for r in range(row_count) if sync_rounds[r] == 0
-            )
-            report.violations.append(
-                PropertyViolation(
-                    property_name="liveness",
-                    global_round=0,
-                    node_id=unsynced[0] if unsynced else None,
-                    detail=(
-                        f"{len(unsynced)} node(s) never synchronized within "
-                        f"{rounds} rounds"
-                    ),
-                )
-            )
+        report = property_report(
+            violations[t],
+            {node_ids[r]: int(sync_rounds[r]) or None for r in range(row_count)},
+            rounds,
+        )
         results.append(SimulationResult(trace=None, report=report, metrics=metrics))
     return results
 

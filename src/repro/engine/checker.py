@@ -8,7 +8,10 @@ the round (:meth:`~StreamingPropertyChecker.end_round`), so no buffered trace
 or round record is needed.  Its ``on_round(record)`` replays a record through
 the same two entry points, and :class:`PropertyChecker` keeps the historical
 post-hoc API (`check(trace)`) by replaying a buffered trace; every path runs
-the same rules and produces identical reports.
+the same rules and produces identical reports.  The batch kernel
+(:mod:`repro.engine.batch`) detects disagreement and synchronization with
+array operations, but builds its violations and its liveness verdict with
+this module's :func:`agreement_violation` and :func:`property_report`.
 Agreement and liveness are probabilistic in the paper ("with high
 probability" / "with probability 1"), so the checker reports them as booleans
 per execution; multi-seed statistics live in :mod:`repro.engine.runner`.
@@ -17,8 +20,9 @@ per execution; multi-seed statistics live in :mod:`repro.engine.runner`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable, Mapping
 
-from repro.engine.observers import BaseRoundObserver, replay_trace
+from repro.engine.observers import replay_trace
 from repro.engine.trace import ExecutionTrace, RoundRecord
 from repro.exceptions import ProtocolViolationError
 from repro.types import GlobalRound, NodeId, SyncOutput
@@ -103,6 +107,47 @@ class PropertyReport:
             )
 
 
+def agreement_violation(global_round: GlobalRound, outputs: Iterable[int]) -> PropertyViolation:
+    """The agreement violation of a round whose non-⊥ ``outputs`` differ."""
+    return PropertyViolation(
+        property_name="agreement",
+        global_round=global_round,
+        node_id=None,
+        detail=f"distinct non-⊥ outputs {sorted(set(outputs))} in the same round",
+    )
+
+
+def property_report(
+    violations: list[PropertyViolation],
+    first_sync_rounds: Mapping[NodeId, GlobalRound | None],
+    rounds: int,
+) -> PropertyReport:
+    """The final report: ``violations``, then the liveness verdict.
+
+    Liveness holds when at least one node is checked and every checked node
+    has a first synchronization round; the synchronization round is then the
+    latest of them.  Otherwise a liveness violation names the lowest
+    unsynchronized node.
+    """
+    report = PropertyReport(violations=violations)
+    unsynced = sorted(
+        node_id for node_id, sync_round in first_sync_rounds.items() if sync_round is None
+    )
+    report.liveness_achieved = bool(first_sync_rounds) and not unsynced
+    if report.liveness_achieved:
+        report.synchronization_round = max(first_sync_rounds.values())  # type: ignore[type-var]
+    else:
+        report.violations.append(
+            PropertyViolation(
+                property_name="liveness",
+                global_round=0,
+                node_id=unsynced[0] if unsynced else None,
+                detail=f"{len(unsynced)} node(s) never synchronized within {rounds} rounds",
+            )
+        )
+    return report
+
+
 @dataclass
 class _NodeCheckState:
     """Incremental per-node state for the sequence properties."""
@@ -112,7 +157,7 @@ class _NodeCheckState:
     violations: list[PropertyViolation] = field(default_factory=list)
 
 
-class StreamingPropertyChecker(BaseRoundObserver):
+class StreamingPropertyChecker:
     """Evaluates the five properties incrementally, one node-round at a time.
 
     The simulator calls :meth:`on_output` for each node of a round, in node
@@ -225,14 +270,7 @@ class StreamingPropertyChecker(BaseRoundObserver):
         self._rounds_seen += 1
         distinct = self._distinct
         if len(distinct) > 1:
-            self._round_violations.append(
-                PropertyViolation(
-                    property_name="agreement",
-                    global_round=global_round,
-                    node_id=None,
-                    detail=f"distinct non-⊥ outputs {sorted(distinct)} in the same round",
-                )
-            )
+            self._round_violations.append(agreement_violation(global_round, distinct))
         distinct.clear()
 
     def on_round(self, record: RoundRecord) -> None:
@@ -243,34 +281,14 @@ class StreamingPropertyChecker(BaseRoundObserver):
 
     def report(self) -> PropertyReport:
         """Assemble the final :class:`PropertyReport`."""
-        report = PropertyReport()
-        report.violations.extend(self._round_violations)
+        violations = list(self._round_violations)
         for node_id in sorted(self._nodes):
-            report.violations.extend(self._nodes[node_id].violations)
-        sync_rounds = [state.first_sync_round for state in self._nodes.values()]
-        report.liveness_achieved = bool(self._nodes) and all(
-            r is not None for r in sync_rounds
+            violations.extend(self._nodes[node_id].violations)
+        return property_report(
+            violations,
+            {node_id: state.first_sync_round for node_id, state in self._nodes.items()},
+            self._rounds_seen,
         )
-        if report.liveness_achieved:
-            report.synchronization_round = max(sync_rounds)  # type: ignore[type-var]
-        else:
-            unsynced = sorted(
-                node_id
-                for node_id, state in self._nodes.items()
-                if state.first_sync_round is None
-            )
-            report.violations.append(
-                PropertyViolation(
-                    property_name="liveness",
-                    global_round=0,
-                    node_id=unsynced[0] if unsynced else None,
-                    detail=(
-                        f"{len(unsynced)} node(s) never synchronized within "
-                        f"{self._rounds_seen} rounds"
-                    ),
-                )
-            )
-        return report
 
 
 class PropertyChecker:

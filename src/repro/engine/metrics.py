@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from repro.engine.observers import BaseRoundObserver, replay_trace
+from repro.engine.observers import replay_trace
 from repro.engine.trace import ExecutionTrace, RoundRecord
 from repro.radio.events import RoundActivity
 from repro.types import GlobalRound, NodeId, Role, SyncOutput
@@ -91,7 +91,7 @@ class ExecutionMetrics:
         return self.collisions / self.rounds_simulated if self.rounds_simulated else 0.0
 
 
-class MetricsObserver(BaseRoundObserver):
+class MetricsObserver:
     """Accumulates :class:`ExecutionMetrics` incrementally, round by round.
 
     The simulator attaches one per execution and calls :meth:`on_node` for

@@ -1,34 +1,34 @@
-"""Streaming round observers.
+"""Trace levels, the trace recorder, and trace replay.
 
-The simulator no longer buffers a full execution and re-walks it post hoc:
-instead it feeds every resolved round, as it happens, to a pipeline of
-*round observers*.  The trace recorder, the property checker, the metrics
-collector, and the spectrum log are all observers; tests and experiments can
-attach their own.
+The simulator does not buffer an execution and re-walk it post hoc: it feeds
+every resolved round, as it happens, to a fixed set of consumers through
+their own entry points.  The property checker, the metrics collector and,
+under a fault plan, the stabilization tracker take each node's output from
+the loop's one pass over the nodes and close the round once; the spectrum
+log takes the round's activity.  The trace recorder is the only consumer
+that keeps round records, and the simulator builds a
+:class:`~repro.engine.trace.RoundRecord` only for it, at
+:attr:`TraceLevel.FULL` or :attr:`TraceLevel.SAMPLED`.
 
-An observer sees four events, always in this order::
+The recorder sees four events, always in this order::
 
     on_simulation_start(params, seed)
     on_activation(node_id, global_round)     # once per node, before its round
     on_round(record)                         # once per resolved round
     on_simulation_end(rounds_simulated)
 
-The simulator builds a round record only for the observers that keep
-records: the trace recorder, a fault plan's stabilization tracker, and any
-observer passed to it.  It feeds the property checker, the metrics collector
-and the spectrum log through their own per-node and per-round entry points;
-their ``on_round`` replays a record through those entry points, for
-:func:`replay_trace` and hand-fed records.
-
-Observers keep incremental state, so heavy sweeps can run with
-:attr:`TraceLevel.NONE` (no buffered trace at all) and still produce the exact
-same property report and metrics as a full-trace run.
+:func:`replay_trace` drives a kept ``FULL`` trace back through consumers'
+``on_activation`` and ``on_round``; the checker's and the metrics' ``on_round``
+replay a record through their per-node entry points, so post-hoc analysis
+runs the code the live loop runs.  Consumers keep incremental state, so heavy
+sweeps can run with :attr:`TraceLevel.NONE` (no buffered trace at all) and
+still produce the exact same property report and metrics as a full-trace run.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Optional, Protocol, runtime_checkable
+from typing import Any, Optional
 
 from repro.engine.trace import ExecutionTrace, RoundRecord
 from repro.exceptions import ConfigurationError
@@ -56,36 +56,7 @@ class TraceLevel(enum.Enum):
     NONE = "none"
 
 
-@runtime_checkable
-class RoundObserver(Protocol):
-    """Structural interface of a streaming round observer."""
-
-    def on_simulation_start(self, params: ModelParameters, seed: int) -> None: ...
-
-    def on_activation(self, node_id: NodeId, global_round: GlobalRound) -> None: ...
-
-    def on_round(self, record: RoundRecord) -> None: ...
-
-    def on_simulation_end(self, rounds_simulated: int) -> None: ...
-
-
-class BaseRoundObserver:
-    """No-op base class; concrete observers override what they need."""
-
-    def on_simulation_start(self, params: ModelParameters, seed: int) -> None:
-        pass
-
-    def on_activation(self, node_id: NodeId, global_round: GlobalRound) -> None:
-        pass
-
-    def on_round(self, record: RoundRecord) -> None:
-        pass
-
-    def on_simulation_end(self, rounds_simulated: int) -> None:
-        pass
-
-
-class TraceRecorder(BaseRoundObserver):
+class TraceRecorder:
     """Builds an :class:`~repro.engine.trace.ExecutionTrace` as rounds stream by.
 
     Parameters
@@ -150,22 +121,20 @@ class TraceRecorder(BaseRoundObserver):
             self._trace.append(self._last_record)
 
 
-def replay_trace(trace: ExecutionTrace, *observers: RoundObserver) -> None:
-    """Feed a buffered trace through observers, as if it were streaming.
+def replay_trace(trace: ExecutionTrace, *consumers: Any) -> None:
+    """Feed a buffered trace through consumers, as if it were streaming.
 
-    This is what keeps the post-hoc APIs (``PropertyChecker.check``,
+    Each consumer gets ``on_activation(node_id, global_round)`` for every
+    activation, then ``on_round(record)`` for every round in order.  This is
+    what keeps the post-hoc APIs (``PropertyChecker.check``,
     ``collect_metrics``) alive on top of the streaming implementations.
-    Replaying a sampled trace would feed the observers only the retained
+    Replaying a sampled trace would feed the consumers only the retained
     subset of rounds — silently wrong — so incomplete traces are refused.
     """
     trace.require_complete("replay_trace")
-    for observer in observers:
-        observer.on_simulation_start(trace.params, trace.seed)
     for node_id, global_round in trace.activation_rounds.items():
-        for observer in observers:
-            observer.on_activation(node_id, global_round)
+        for consumer in consumers:
+            consumer.on_activation(node_id, global_round)
     for record in trace:
-        for observer in observers:
-            observer.on_round(record)
-    for observer in observers:
-        observer.on_simulation_end(trace.rounds_simulated)
+        for consumer in consumers:
+            consumer.on_round(record)

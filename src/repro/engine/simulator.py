@@ -15,17 +15,17 @@ execution, fault-injected or not.  In every global round it:
    frequencies), then checks the disruption set against the budget ``t``;
 6. in one pass over the nodes, hands each node that received a message to
    its protocol (``on_reception``; a node that received nothing gets no
-   call), reads its output and role, and feeds them to the property checker
-   and the metrics collector; then it closes the round once (the agreement
-   check, the activity counters, the spectrum log) and hands a
-   :class:`~repro.engine.trace.RoundRecord` to the observers that keep
-   records (trace recorder, stabilization tracker, caller-supplied
-   observers) — a run without any builds no record.
+   call), reads its output and role, and feeds them to the property checker,
+   the metrics collector and, under a fault plan, the stabilization tracker;
+   then it closes the round once on each (the agreement check, the activity
+   counters, the reconvergence check), logs the round's spectrum activity,
+   and hands a :class:`~repro.engine.trace.RoundRecord` to the trace
+   recorder — a run without a trace builds no record.
 
 Faults enter the loop as data: the fault injector lists the rounds that
 carry events (a fault-free run pays one set-membership test per round), a
 Byzantine node's dispatch row holds a forging protocol from its start round
-on, and a stabilization-tracker observer measures recovery.
+on, and the stabilization tracker measures recovery.
 
 Properties and metrics are computed *incrementally* as the execution streams
 by, so a run with :attr:`~repro.engine.observers.TraceLevel.NONE` buffers no
@@ -42,7 +42,7 @@ agree again — plus an optional grace period, or at ``max_rounds``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.adversary.activation import ActivationSchedule
 from repro.adversary.base import AdversaryContext, InterferenceAdversary
@@ -50,7 +50,7 @@ from repro.adversary.jammers import NoInterference
 from repro.engine.checker import StreamingPropertyChecker
 from repro.engine.metrics import MetricsObserver
 from repro.engine.node import NodeRuntime
-from repro.engine.observers import RoundObserver, TraceLevel, TraceRecorder
+from repro.engine.observers import TraceLevel, TraceRecorder
 from repro.engine.results import SimulationResult
 from repro.engine.rng import RandomStreams
 from repro.engine.trace import RoundRecord
@@ -149,22 +149,20 @@ class SimulationConfig:
 class Simulator:
     """Drives one execution of a protocol against an adversary.
 
+    The run's consumers are fixed: the spectrum log, the property checker,
+    the metrics collector, the trace recorder (unless the trace level is
+    ``NONE``) and the stabilization tracker (under a fault plan).  The loop
+    calls each one's own entry points.  For per-round analysis of an
+    execution, keep a ``FULL`` trace and replay it
+    (:func:`~repro.engine.observers.replay_trace`).
+
     Parameters
     ----------
     config:
         The simulation configuration.
-    observers:
-        Additional streaming :class:`~repro.engine.observers.RoundObserver`
-        instances, handed each round's record after the built-in pipeline
-        (spectrum log, trace recorder, checker, metrics, stabilization
-        tracker).
     """
 
-    def __init__(
-        self,
-        config: SimulationConfig,
-        observers: Sequence[RoundObserver] = (),
-    ) -> None:
+    def __init__(self, config: SimulationConfig) -> None:
         self._config = config
         self._streams = RandomStreams(config.seed)
         self._network = SingleHopRadioNetwork(config.params.band)
@@ -175,7 +173,6 @@ class Simulator:
         fresh = getattr(factory, "fresh", None)
         self._protocol_factory: ProtocolFactory = fresh() if callable(fresh) else factory
         self._spectrum = SpectrumLog()
-        self._extra_observers = tuple(observers)
         # Nodes never deactivate, so this insertion-ordered mapping *is* the
         # active set: `_activate` appends and the round loop iterates it
         # directly instead of rebuilding a filtered copy every round.
@@ -207,6 +204,7 @@ class Simulator:
             recorder = TraceRecorder(
                 level=config.trace_level, sample_interval=config.trace_sample_interval
             )
+            recorder.on_simulation_start(config.params, config.seed)
         injector: FaultInjector | None = None
         tracker: StabilizationTracker | None = None
         event_rounds: frozenset[int] = frozenset()
@@ -223,25 +221,12 @@ class Simulator:
         metrics = MetricsObserver()
         self._sync_latencies = metrics.sync_latencies
         spectrum = self._spectrum
-        # The observers that keep round records; the loop builds a record
-        # only when there is one.  The checker, metrics and spectrum log are
-        # fed directly instead.
-        record_observers: tuple[RoundObserver, ...] = tuple(
-            observer for observer in (recorder, tracker) if observer is not None
-        ) + self._extra_observers
-        observers: tuple[RoundObserver, ...] = tuple(
-            observer
-            for observer in (spectrum, recorder, checker, metrics, tracker)
-            if observer is not None
-        ) + self._extra_observers
 
-        for observer in observers:
-            observer.on_simulation_start(config.params, config.seed)
-
-        # Hot-path dispatch: the pipeline is fixed for the whole execution,
+        # Hot-path dispatch: the consumers are fixed for the whole execution,
         # so every per-round and per-node entry point is bound once here.
-        keep_records = bool(record_observers)
-        notify_round = tuple(observer.on_round for observer in record_observers)
+        # Only the trace recorder keeps round records.
+        keep_records = recorder is not None
+        track_output = tracker.on_output if tracker is not None else None
         check_output = checker.on_output
         committed = checker.committed
         check_round = checker.end_round
@@ -274,7 +259,7 @@ class Simulator:
         for global_round in range(1, config.max_rounds + 1):
             activations = activations_for_round(global_round, activation_rng)
             if activations:
-                self._activate(activations, global_round, observers)
+                self._activate(activations, global_round, checker, metrics, recorder)
             if global_round in event_rounds:
                 self._apply_faults(global_round, checker, departed)
 
@@ -323,21 +308,25 @@ class Simulator:
                     count_node(global_round, node_id, output, role)
                 if role is leader_role:
                     leader_uids.add(context.uid)
+                if track_output is not None:
+                    track_output(global_round, node_id, output)
                 if keep_records:
                     outputs[node_id] = output
                     roles[node_id] = role
             check_round(global_round)
             count_round(activity)
             log_round(activity)
-            if keep_records:
-                record = RoundRecord(
-                    global_round=global_round,
-                    outputs=outputs,
-                    roles=roles,
-                    activity=activity,
+            if tracker is not None:
+                tracker.observe_round(global_round)
+            if recorder is not None:
+                recorder.on_round(
+                    RoundRecord(
+                        global_round=global_round,
+                        outputs=outputs,
+                        roles=roles,
+                        activity=activity,
+                    )
                 )
-                for notify in notify_round:
-                    notify(record)
             rounds_simulated = global_round
 
             if self._should_stop(global_round):
@@ -349,8 +338,8 @@ class Simulator:
             else:
                 grace_remaining = None
 
-        for observer in observers:
-            observer.on_simulation_end(rounds_simulated)
+        if recorder is not None:
+            recorder.on_simulation_end(rounds_simulated)
 
         return SimulationResult(
             trace=recorder.trace if recorder is not None else None,
@@ -432,7 +421,9 @@ class Simulator:
         self,
         activations: tuple[NodeId, ...],
         global_round: int,
-        observers: tuple[RoundObserver, ...],
+        checker: StreamingPropertyChecker,
+        metrics: MetricsObserver,
+        recorder: TraceRecorder | None,
     ) -> None:
         for node_id in activations:
             if node_id in self._nodes:
@@ -445,8 +436,10 @@ class Simulator:
             runtime.activate(global_round, self._protocol_factory)
             self._nodes[node_id] = runtime
             self._active_rows.append(self._row(runtime, global_round))
-            for observer in observers:
-                observer.on_activation(node_id, global_round)
+            if recorder is not None:
+                recorder.on_activation(node_id, global_round)
+            checker.on_activation(node_id, global_round)
+            metrics.on_activation(node_id, global_round)
             self._pending_activations -= 1
 
     def _should_stop(self, global_round: int) -> bool:

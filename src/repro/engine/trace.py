@@ -19,8 +19,8 @@ from repro.types import GlobalRound, NodeId, Role, SyncOutput
 class RoundRecord:
     """Everything recorded about one global round.
 
-    Observers read the record and never write it: the trace recorder keeps
-    the very object every other observer saw.
+    The simulator builds one per round only for the trace recorder, which
+    keeps it as it is; replay drivers and other readers never write it.
 
     Attributes
     ----------

@@ -23,16 +23,18 @@ counting up in step — as long as no later activation or injection happens.
 The property checker excludes Byzantine nodes from round 1; the tracker
 excludes them only from ``byzantine_start_round`` on, since until then they
 run the protocol and reconvergence waits for them.
+
+The simulator feeds the tracker from its one pass over a round's nodes, as
+it feeds the property checker: :meth:`StabilizationTracker.on_output` per
+present node, then :meth:`StabilizationTracker.observe_round` once per round.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Collection, Mapping, Optional
+from typing import Any, Mapping, Optional
 
-from repro.engine.observers import BaseRoundObserver
-from repro.engine.trace import RoundRecord
-from repro.types import NodeId, SyncOutput
+from repro.types import GlobalRound, NodeId, SyncOutput
 
 
 @dataclass(frozen=True, slots=True)
@@ -76,11 +78,13 @@ class StabilizationReport:
         )
 
 
-class StabilizationTracker(BaseRoundObserver):
+class StabilizationTracker:
     """Accumulates per-epoch reconvergence times during one execution.
 
-    A round observer: the simulator opens epochs with :meth:`record_epoch`,
-    and the ``byzantine`` nodes count as honest until ``byzantine_start_round``.
+    The simulator opens epochs with :meth:`record_epoch`, hands every
+    present node's output to :meth:`on_output` and closes each round with
+    :meth:`observe_round`; :meth:`finalize` assembles the report.  The
+    ``byzantine`` nodes count as honest until ``byzantine_start_round``.
     """
 
     def __init__(self, byzantine: frozenset[NodeId], byzantine_start_round: int) -> None:
@@ -89,6 +93,7 @@ class StabilizationTracker(BaseRoundObserver):
         self._epochs: list[int] = []
         self._recovery: list[Optional[int]] = []
         self._pending: list[int] = []  # indices into _epochs awaiting reconvergence
+        self._outputs: set[SyncOutput] = set()  # the round's honest outputs so far
         #: Whether the present honest nodes were converged at the last round end.
         self.converged = False
 
@@ -100,19 +105,23 @@ class StabilizationTracker(BaseRoundObserver):
         self._epochs.append(global_round)
         self._recovery.append(None)
 
-    def on_round(self, record: RoundRecord) -> None:
-        outputs: Collection[SyncOutput] = record.outputs.values()
-        if self._byzantine and record.global_round >= self._byzantine_start_round:
-            byzantine = self._byzantine
-            outputs = [
-                output for node_id, output in record.outputs.items() if node_id not in byzantine
-            ]
-        self.converged = bool(outputs) and None not in outputs and len(set(outputs)) == 1
-        self.observe_round(record.global_round, self.converged)
+    def on_output(self, global_round: GlobalRound, node_id: NodeId, output: SyncOutput) -> None:
+        """Fold one present node's output in ``global_round`` into the round."""
+        if node_id in self._byzantine and global_round >= self._byzantine_start_round:
+            return
+        self._outputs.add(output)
 
-    def observe_round(self, global_round: int, converged: bool) -> None:
-        """Fold one round-end convergence observation into the pending epochs."""
-        if converged and self._pending:
+    def observe_round(self, global_round: GlobalRound) -> None:
+        """Close ``global_round`` once every present node's output is in.
+
+        The round is converged when its honest outputs are one non-⊥ value
+        (so a round without a present honest node is not); a converged round
+        ends every pending epoch.
+        """
+        outputs = self._outputs
+        self.converged = len(outputs) == 1 and None not in outputs
+        outputs.clear()
+        if self.converged and self._pending:
             for index in self._pending:
                 self._recovery[index] = global_round - self._epochs[index]
             self._pending.clear()

@@ -6,11 +6,9 @@ the execution through the end of the previous round: that round's
 and delivery counters over the whole execution.  It keeps no other history,
 so its memory does not grow with the run length.
 
-The log doubles as a streaming round observer (it implements the
-:class:`~repro.engine.observers.RoundObserver` interface structurally, with
-no dependency on the engine layer): the simulator feeds it each resolved
-round's activity through :meth:`record`, and :meth:`on_round` does the same
-for a round record.
+The simulator feeds it each resolved round's activity through
+:meth:`record`; to rebuild a log after the fact, feed :meth:`record` the
+activities of a ``FULL`` trace's records, in order.
 """
 
 from __future__ import annotations
@@ -44,21 +42,6 @@ class SpectrumLog:
         delivery_counts = self._delivery_counts
         for frequency in activity.delivered:
             delivery_counts[frequency] += 1
-
-    # -- RoundObserver interface (structural, no engine import) -----------
-
-    def on_simulation_start(self, params, seed) -> None:
-        """Observer hook: nothing to initialize — the log is ready at birth."""
-
-    def on_activation(self, node_id, global_round) -> None:
-        """Observer hook: activations are visible via the round activity."""
-
-    def on_round(self, record) -> None:
-        """Observer hook: record the round's spectrum activity."""
-        self.record(record.activity)
-
-    def on_simulation_end(self, rounds_simulated) -> None:
-        """Observer hook: nothing to finalize."""
 
     # -- occupancy statistics ---------------------------------------------
 

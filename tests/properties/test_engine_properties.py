@@ -8,7 +8,9 @@ fault plans and seeds, and runs each at all three levels.  For a ``FULL`` run
 without a fault plan it also replays the kept trace through the post-hoc
 :class:`~repro.engine.checker.PropertyChecker` and
 :func:`~repro.engine.metrics.collect_metrics`, which must agree with what was
-streamed.
+streamed.  For a run with a fault plan it recomputes every epoch's recovery
+from the kept records with the reconvergence rule written out below, which
+must agree with the stabilization tracker the loop fed node by node.
 
 Round records are mutable slotted dataclasses: observers read them and never
 write them.  The test copies each record's content when the trace recorder
@@ -36,10 +38,14 @@ from repro.adversary.registry import ADVERSARY_FACTORIES
 from repro.engine.checker import PropertyChecker
 from repro.engine.metrics import collect_metrics
 from repro.engine.observers import TraceLevel, TraceRecorder
+from repro.engine.results import SimulationResult
+from repro.engine.rng import RandomStreams
 from repro.engine.simulator import SimulationConfig, simulate
 from repro.engine.trace import RoundRecord
 from repro.exceptions import ConfigurationError
+from repro.faults.injector import FaultInjector
 from repro.faults.plan import ChurnEvent, CorruptionEvent, FaultPlan
+from repro.faults.stabilization import StabilizationReport
 from repro.params import ModelParameters
 from repro.protocols.registry import PROTOCOL_FACTORIES, protocol_factory
 
@@ -132,6 +138,45 @@ def run_copying_records(config: SimulationConfig):
     return result, handed
 
 
+def reference_stabilization(
+    config: SimulationConfig, full: SimulationResult
+) -> StabilizationReport:
+    """Every epoch's recovery, recomputed from ``full``'s kept round records.
+
+    A round is converged when some present honest node exists and every
+    present honest node output the same non-⊥ value; a Byzantine node counts
+    as honest before ``byzantine_start_round``.  An epoch recovers at the
+    first converged round from its own round on; one that never does is
+    charged the rounds from the epoch to one past the end of the run.
+    """
+    assert config.faults is not None and full.stabilization is not None
+    injector = FaultInjector(
+        config.faults, RandomStreams(config.seed), config.activation.node_count, config.params
+    )
+    byzantine, start = injector.byzantine_nodes, injector.byzantine_start_round
+
+    def converged(record: RoundRecord) -> bool:
+        honest = [
+            output
+            for node_id, output in record.outputs.items()
+            if node_id not in byzantine or record.global_round < start
+        ]
+        return bool(honest) and all(output is not None and output == honest[0] for output in honest)
+
+    converged_rounds = [record.global_round for record in full.trace if converged(record)]
+    epochs = full.stabilization.epochs
+    hits = [next((r for r in converged_rounds if r >= epoch), None) for epoch in epochs]
+    rounds = full.trace.rounds_simulated
+    return StabilizationReport(
+        epochs=epochs,
+        recovery_rounds=tuple(
+            hit - epoch if hit is not None else rounds - epoch + 1
+            for epoch, hit in zip(epochs, hits)
+        ),
+        reconverged=None not in hits,
+    )
+
+
 def assert_unchanged(handed: list[tuple[RoundRecord, tuple]]) -> None:
     for record, copied in handed:
         assert content(record) == copied, f"round {record.global_round} changed after it was kept"
@@ -157,7 +202,9 @@ def test_trace_levels_agree(protocol, data):
             assert other.trace is None and not other_handed
         assert_unchanged(other_handed)
 
-    if config.faults is None:
+    if config.faults is not None:
+        assert full.stabilization == reference_stabilization(config, full)
+    else:
         assert PropertyChecker().check(trace) == full.report
         post_hoc = collect_metrics(trace)
         # The streamed leader count counts distinct leader uids; the

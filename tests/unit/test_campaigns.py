@@ -574,6 +574,54 @@ class TestStoreReadPath:
             assert list(counts) == store.campaign_names()
             assert counts == {name: store.cell_count(name) for name in store.campaign_names()}
 
+    @staticmethod
+    def iter_cells_traced(store: ResultStore, campaign=None) -> tuple[list, list[str]]:
+        """``list(store.iter_cells(campaign))`` and the SQL statements it ran."""
+        statements: list[str] = []
+        store._connection.set_trace_callback(statements.append)
+        try:
+            return list(store.iter_cells(campaign)), statements
+        finally:
+            store._connection.set_trace_callback(None)
+
+    def test_iter_cells_statements_do_not_grow_with_the_cell_count(self, tmp_path):
+        statements = {}
+        for cells in (2, 12):
+            with ResultStore(tmp_path / f"{cells}.db") as store:
+                for index in range(cells):
+                    seeds = [dataclasses.replace(self.RECORD, seed=seed) for seed in range(3)]
+                    store.record_cell("c", f"k{index}", {"x": index}, seeds)
+                for campaign in (None, "c"):
+                    listed, ran = self.iter_cells_traced(store, campaign)
+                    assert len(listed) == cells
+                    statements[cells, campaign] = len(ran)
+        assert statements[2, None] == statements[12, None]
+        assert statements[2, "c"] == statements[12, "c"]
+
+    def test_iter_cells_yields_every_cells_trial_records(self, tmp_path):
+        def trial(seed: int, stabilization_rounds: int | None = None) -> TrialRecord:
+            return dataclasses.replace(
+                self.RECORD, seed=seed, stabilization_rounds=stabilization_rounds
+            )
+
+        with ResultStore(tmp_path / "store.db") as store:
+            store.record_cell("a", "k1", {"x": 1}, [trial(2), trial(0), trial(1)])
+            store.record_cell("b", "fault", {"x": 2}, [trial(5, 7), trial(3, 40), trial(4)])
+            store.record_cell("a", "k3", {"x": 3}, [trial(0)])
+            store.add_cells_to_campaign("b", ["k1"])
+            in_order = {
+                None: ["k1", "fault", "k3"],
+                "a": ["k1", "k3"],
+                "b": ["k1", "fault"],
+            }
+            for campaign, keys in in_order.items():
+                expected = [
+                    (key, store.cell_description(key), store.trial_records(key)) for key in keys
+                ]
+                assert list(store.iter_cells(campaign)) == expected
+            assert [t.seed for t in store.trial_records("fault")] == [3, 4, 5]
+            assert [t.stabilization_rounds for t in store.trial_records("fault")] == [40, None, 7]
+
     def test_export_reads_the_cells_once_and_writes_the_same_bytes(self, tmp_path):
         spec = tiny_spec()
         store = ResultStore(tmp_path / "store.db")

@@ -43,7 +43,6 @@ from repro.engine.pool import ExecutionPool
 from repro.engine.runner import run_reduced_trials, run_trials
 from repro.engine.serialization import execution_digest
 from repro.engine.simulator import SimulationConfig, simulate
-from repro.engine.trace import RoundRecord
 from repro.exceptions import ConfigurationError
 from repro.faults import (
     ChurnEvent,
@@ -55,7 +54,6 @@ from repro.faults import (
 )
 from repro.params import ModelParameters
 from repro.protocols.registry import PROTOCOL_FACTORIES, protocol_factory
-from repro.radio.events import RoundActivity
 
 GOLDEN_PATH = Path(__file__).resolve().parents[1] / "golden" / "fault_equivalence.json"
 
@@ -414,7 +412,9 @@ class TestStabilizationTracker:
     @staticmethod
     def feed(tracker: StabilizationTracker, outputs_by_round: list[dict]) -> None:
         for global_round, outputs in enumerate(outputs_by_round, start=1):
-            tracker.on_round(RoundRecord(global_round, outputs, {}, RoundActivity(global_round)))
+            for node_id, output in outputs.items():
+                tracker.on_output(global_round, node_id, output)
+            tracker.observe_round(global_round)
 
     def test_byzantine_node_counts_as_honest_until_its_start_round(self):
         # Node 1 turns Byzantine at round 3 and outputs ⊥ throughout: it

@@ -1,9 +1,9 @@
-"""Unit tests for the streaming observer pipeline.
+"""Unit tests for the simulator's streaming consumers.
 
 The streaming checker and metrics observer are the single implementation the
-post-hoc APIs replay through, so these tests pin (a) the observer event
-protocol itself, (b) trace levels, and (c) equality between a streaming run
-and a post-hoc pass over the recorded trace.
+post-hoc APIs replay through, so these tests pin (a) trace replay and the
+simulator's fixed set of consumers, (b) trace levels, and (c) equality
+between a streaming run and a post-hoc pass over the recorded trace.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from repro.adversary.jammers import RandomJammer, ReactiveJammer
 from repro.adversary.policy import PolicyJammer
 from repro.engine.checker import PropertyChecker, StreamingPropertyChecker
 from repro.engine.metrics import MetricsObserver, collect_metrics
-from repro.engine.observers import BaseRoundObserver, TraceLevel, TraceRecorder, replay_trace
+from repro.engine.observers import TraceLevel, TraceRecorder, replay_trace
 from repro.engine.simulator import SimulationConfig, Simulator, simulate
 from repro.engine.trace import RoundRecord
 from repro.exceptions import ConfigurationError
@@ -46,53 +46,45 @@ def base_config(params):
     )
 
 
-class RecordingObserver(BaseRoundObserver):
-    """Counts every event it receives."""
+class RecordingConsumer:
+    """Keeps every activation and round record a replay hands it."""
 
     def __init__(self) -> None:
-        self.started = 0
         self.activations = []
-        self.rounds = 0
-        self.ended_with = None
-
-    def on_simulation_start(self, params, seed):
-        self.started += 1
+        self.records = []
 
     def on_activation(self, node_id, global_round):
         self.activations.append((node_id, global_round))
 
     def on_round(self, record):
-        self.rounds += 1
-
-    def on_simulation_end(self, rounds_simulated):
-        self.ended_with = rounds_simulated
+        self.records.append(record)
 
 
 class TestObserverProtocol:
-    def test_custom_observer_sees_every_event(self, base_config):
-        observer = RecordingObserver()
-        result = Simulator(base_config, observers=[observer]).run()
-        assert observer.started == 1
-        assert observer.rounds == result.rounds_simulated
-        assert observer.ended_with == result.rounds_simulated
-        assert dict(observer.activations) == result.trace.activation_rounds
+    def test_simulator_takes_no_observers(self, base_config):
+        with pytest.raises(TypeError):
+            Simulator(base_config, observers=[RecordingConsumer()])
 
     def test_spectrum_log_implements_the_observer_interface(self, base_config):
+        # The log's one observer entry point is record(activity).
+        result = simulate(base_config)
         log = SpectrumLog()
-        result = Simulator(base_config, observers=[log]).run()
+        for record in result.trace:
+            log.record(record.activity)
         assert log.latest is result.trace.records[-1].activity
         band = base_config.params.band.all_frequencies()
         assert sum(log.broadcast_count(f) for f in band) == result.metrics.broadcasts
         assert sum(log.delivery_count(f) for f in band) == result.metrics.deliveries
 
     def test_replay_matches_live_observation(self, base_config):
-        live = RecordingObserver()
-        result = Simulator(base_config, observers=[live]).run()
-        replayed = RecordingObserver()
+        result = simulate(base_config)
+        replayed = RecordingConsumer()
         replay_trace(result.trace, replayed)
-        assert replayed.rounds == live.rounds
-        assert sorted(replayed.activations) == sorted(live.activations)
-        assert replayed.ended_with == live.ended_with
+        assert all(
+            kept is record for kept, record in zip(replayed.records, result.trace, strict=True)
+        )
+        assert replayed.activations == list(result.trace.activation_rounds.items())
+        assert len(replayed.records) == result.rounds_simulated
 
 
 class TestTraceLevels:
@@ -386,10 +378,10 @@ class TestLiveLoopChecksMisbehavingProtocols:
 
 class TestRoundRecordsOnlyForRecordKeepers:
     @staticmethod
-    def records_built(config: SimulationConfig, observers=()) -> tuple[int, int]:
+    def records_built(config: SimulationConfig) -> tuple[int, int]:
         """(``RoundRecord`` constructions in the simulator, rounds simulated)."""
         with mock.patch("repro.engine.simulator.RoundRecord", wraps=RoundRecord) as built:
-            result = Simulator(config, observers=observers).run()
+            result = Simulator(config).run()
         return built.call_count, result.rounds_simulated
 
     def test_a_trace_free_fault_free_run_builds_none(self, base_config):
@@ -401,16 +393,9 @@ class TestRoundRecordsOnlyForRecordKeepers:
         built, rounds = self.records_built(replace(base_config, trace_level=level))
         assert built == rounds
 
-    def test_a_fault_plan_builds_one_per_round(self, base_config):
+    def test_a_fault_plan_builds_none(self, base_config):
         plan = FaultPlan(churn=(ChurnEvent(node_id=1, leave_round=10, rejoin_round=20),))
         built, rounds = self.records_built(
             replace(base_config, trace_level=TraceLevel.NONE, faults=plan)
         )
-        assert built == rounds
-
-    def test_an_extra_observer_builds_one_per_round(self, base_config):
-        observer = RecordingObserver()
-        built, rounds = self.records_built(
-            replace(base_config, trace_level=TraceLevel.NONE), observers=[observer]
-        )
-        assert built == rounds == observer.rounds
+        assert rounds > 0 and built == 0
