@@ -8,17 +8,20 @@ This module removes it by running a whole *batch* of seeds in lockstep
 through the round loop as structure-of-arrays numpy operations over a
 ``(trials, nodes)``-shaped state: per-round frequency choices, jammer
 disruption masks, reception resolution, synchronization detection, and stop
-conditions are all array ops, and early-finished trials are masked out of
-every subsequent round rather than exited.
+conditions are all array ops.  Only live trials are stepped: a trial that
+stops has its totals written out and its row compacted out of every working
+array, so the remaining steps run on smaller arrays.
 
 **Determinism is bit-exact.**  Every random draw comes from the very same
 per-``(trial, component)`` :class:`random.Random` objects the scalar engine
 would build (:mod:`repro.engine.rng`).  Node uids are drawn from them first;
 after that the kernel owns the streams and reads them only in blocks of
 32-bit words, which it consumes in exactly the order CPython's ``random()`` /
-``getrandbits`` / ``Random.sample`` would (including rejection re-draws).
-The golden equivalence suite pins the batch kernel against the scalar
-engine's recorded digests for every batchable combination.
+``getrandbits`` / ``Random.sample`` would (including rejection re-draws);
+reading a window of words ahead changes nothing, because the words it does
+not take stay unread.  The golden equivalence suite pins the batch kernel
+against the scalar engine's recorded digests for every batchable
+combination.
 
 **Scope.**  The kernel covers the trace-free (``TraceLevel.NONE``) subset of
 the registries whose per-round logic is expressible as array ops:
@@ -40,6 +43,7 @@ otherwise, so callers can pass any configuration.
 
 from __future__ import annotations
 
+import bisect
 import math
 import multiprocessing
 import random
@@ -85,6 +89,8 @@ __all__ = ["batchable", "run_batch", "run_reduced_batch"]
 #: Protocol state encoding shared by every batchable protocol's state machine.
 _CONTENDER, _KNOCKED_OUT, _LEADER, _SYNCHRONIZED = 0, 1, 2, 3
 _STATE_ROLES = (Role.CONTENDER, Role.KNOCKED_OUT, Role.LEADER, Role.SYNCHRONIZED)
+#: Planes of the kernel's per-(trial, frequency) tallies.
+_BROADCASTS, _DELIVERIES, _COLLISIONS, _PREVENTED, _DISRUPTED = range(5)
 
 #: The Trapdoor-family members the kernel replays, by registry name, and the
 #: frequency rule each one tunes by.  The kernel reads a member's horizon,
@@ -130,43 +136,72 @@ class _WordStreams:
     """Word-exact vectorized replay of a set of ``random.Random`` streams.
 
     The streams are owned: nothing else may read them once they are handed
-    over.  A stream's block is refilled with one ``getrandbits(32 * block)``
-    call, which CPython assembles from the stream's next ``block`` 32-bit
-    Mersenne Twister words, lowest word first, so its little-endian bytes
-    are those words in order.  Words are then handed out one at a time per
-    stream, so every stream's word sequence is identical to what successive
-    ``getrandbits(32)`` calls would produce.  The higher-level helpers
-    (:meth:`randbelow`, :meth:`randoms`) rebuild CPython's exact consumption
-    patterns — including rejection re-draws — on top of that word tape.
+    over.  Each stream has one slot of ``block + WINDOW`` words in a flat
+    ``uint32`` tape and a cursor at its next unread word.  A refill moves the
+    stream's unread words to the front of its slot and appends one
+    ``getrandbits(32 * block)`` call, which CPython assembles from the
+    stream's next ``block`` 32-bit Mersenne Twister words, lowest word first,
+    so its little-endian bytes are those words in order; it repeats until the
+    read fits.  Every stream's word sequence is therefore identical to what
+    successive ``getrandbits(32)`` calls would produce.
+
+    :meth:`randbelow` gathers a window of ``WINDOW`` words per stream, takes
+    the first one CPython would accept and moves the cursor just past it;
+    only streams whose whole window was rejected (under 1 in 256 at the worst
+    rejection rate) read again.  :meth:`randoms` reads two words per stream.
+    Words read ahead stay unread, so the helpers rebuild CPython's exact
+    consumption — rejection re-draws included — on top of the tape.
     """
 
-    __slots__ = ("_rngs", "_words", "_cursor", "_block")
+    #: Words ``randbelow`` reads per stream and pass.  A slot holds one block
+    #: plus one window: a refill starts with fewer than ``WINDOW`` words left.
+    WINDOW = 8
+
+    __slots__ = ("_rngs", "_words", "_windows", "_cursor", "_end", "_block")
 
     def __init__(self, rngs: Sequence[random.Random], block: int = 512) -> None:
         self._rngs = list(rngs)
-        count = len(self._rngs)
         self._block = block
-        self._words = np.zeros((max(count, 1), block), dtype=np.uint32)
-        # Cursor starts exhausted: the first take() refills lazily, so streams
-        # that are never consumed never generate a block.
-        self._cursor = np.full(max(count, 1), block, dtype=np.int64)
+        count = max(len(self._rngs), 1)
+        slot = block + self.WINDOW
+        self._words = np.zeros(count * slot, dtype=np.uint32)
+        # Row p of this view is the window of words p .. p + WINDOW - 1.
+        self._windows = np.lib.stride_tricks.sliding_window_view(self._words, self.WINDOW)
+        # Cursor and end are positions on the tape: a stream's next unread
+        # word and one past its last word read from the Python stream.  Both
+        # start at the slot's front, so the first read refills lazily and a
+        # stream that is never read never generates a block.
+        self._cursor = np.arange(count, dtype=np.int64) * slot
+        self._end = self._cursor.copy()
+
+    def _ready(self, ids: np.ndarray, need: int) -> np.ndarray:
+        """The cursors of ``ids``, each with at least ``need`` unread words behind it."""
+        cursor = self._cursor[ids]
+        unread = self._end[ids] - cursor
+        if not ids.size or unread.min() >= need:
+            return cursor
+        short = unread < need
+        words, rngs, block = self._words, self._rngs, self._block
+        slot = block + self.WINDOW
+        refills = zip(ids[short].tolist(), cursor[short].tolist(), unread[short].tolist())
+        for index, start, left in refills:
+            front = index * slot
+            words[front : front + left] = words[start : start + left]
+            while left < need:
+                bits = rngs[index].getrandbits(32 * block)
+                words[front + left : front + left + block] = np.frombuffer(
+                    bits.to_bytes(4 * block, "little"), "<u4"
+                )
+                left += block
+            self._cursor[index] = front
+            self._end[index] = front + left
+        return self._cursor[ids]
 
     def take(self, ids: np.ndarray) -> np.ndarray:
         """One 32-bit word from each stream in ``ids`` (ids must be unique)."""
-        cursor = self._cursor
-        block = self._block
-        exhausted = ids[cursor[ids] >= block]
-        if exhausted.size:
-            words = self._words
-            rngs = self._rngs
-            for index in exhausted.tolist():
-                bits = rngs[index].getrandbits(32 * block)
-                words[index] = np.frombuffer(bits.to_bytes(4 * block, "little"), dtype="<u4")
-            cursor[exhausted] = 0
-        positions = cursor[ids]
-        out = self._words[ids, positions]
-        cursor[ids] = positions + 1
-        return out
+        cursor = self._ready(ids, 1)
+        self._cursor[ids] = cursor + 1
+        return self._words[cursor]
 
     def randbelow(self, ids: np.ndarray, n: int) -> np.ndarray:
         """CPython's ``_randbelow_with_getrandbits(n)`` for each stream in ``ids``."""
@@ -175,22 +210,27 @@ class _WordStreams:
         k = n.bit_length()
         if k > 32:  # pragma: no cover - frequency draws never exceed 32 bits
             raise ConfigurationError(f"batched randbelow limited to 32-bit ranges, got {n}")
-        shift = np.uint32(32 - k)
         # No power-of-two shortcut: ``bit_length`` of 2**m is m + 1, so even an
         # exact power of two rejects half its k-bit draws, exactly as CPython.
-        result = np.zeros(len(ids), dtype=np.int64)
-        pending = np.arange(len(ids))
-        while pending.size:
-            drawn = (self.take(ids[pending]) >> shift).astype(np.int64)
-            accepted = drawn < n
-            result[pending[accepted]] = drawn[accepted]
-            pending = pending[~accepted]
+        cursor = self._ready(ids, self.WINDOW)
+        drawn = self._windows[cursor] >> np.uint32(32 - k)
+        accepted = drawn < n
+        first = accepted.argmax(axis=1)
+        picked = np.arange(0, accepted.size, self.WINDOW) + first
+        hit = accepted.ravel()[picked]
+        self._cursor[ids] = cursor + np.where(hit, first + 1, self.WINDOW)
+        result = drawn.ravel()[picked].astype(np.int64)
+        if not hit.all():
+            missed = np.flatnonzero(~hit)
+            result[missed] = self.randbelow(ids[missed], n)
         return result
 
     def randoms(self, ids: np.ndarray) -> np.ndarray:
         """CPython's ``random()`` (two words -> 53-bit float) per stream in ``ids``."""
-        a = (self.take(ids) >> np.uint32(5)).astype(np.float64)
-        b = (self.take(ids) >> np.uint32(6)).astype(np.float64)
+        cursor = self._ready(ids, 2)
+        self._cursor[ids] = cursor + 2
+        a = (self._words[cursor] >> np.uint32(5)).astype(np.float64)
+        b = (self._words[cursor + 1] >> np.uint32(6)).astype(np.float64)
         return (a * 67108864.0 + b) * _RANDOM_SCALE
 
     def sample_mask(self, ids: np.ndarray, population: np.ndarray, k: int, width: int) -> np.ndarray:
@@ -274,17 +314,23 @@ def _protocol_program(config: SimulationConfig) -> _ProtocolProgram:
 
 @dataclass(frozen=True)
 class _JammerPlan:
-    """How the template's jammer is replayed in the lockstep loop."""
+    """How the template's jammer is replayed in the lockstep loop.
+
+    ``kind`` is ``none``; ``static``, the same set every round; ``sweep``;
+    ``sampled``, ``static_mask`` plus ``Random.sample(population, count)``
+    in the first ``on_rounds`` rounds of every ``period``; or ``adaptive``,
+    the ``count`` busiest frequencies so far, by broadcasts and, when
+    ``deliveries`` is set, deliveries.
+    """
 
     kind: str
-    needs_rng: bool
-    adaptive: bool
-    static_mask: np.ndarray  # (F+1,) — shared deterministic part, if any
-    count: int  # frequencies drawn randomly per round (random/bursty/lowband)
-    others: np.ndarray  # lowband: the ascending non-prefix population
-    step: int  # sweep
-    on_rounds: int  # bursty
-    period: int  # bursty
+    static_mask: np.ndarray  # (F+1,)
+    population: np.ndarray
+    count: int
+    step: int = 1  # sweep
+    on_rounds: int = 1  # sampled
+    period: int = 1  # sampled
+    deliveries: bool = False  # adaptive
 
 
 def _jammer_plan(config: SimulationConfig) -> _JammerPlan:
@@ -293,78 +339,42 @@ def _jammer_plan(config: SimulationConfig) -> _JammerPlan:
     params = config.params
     budget = params.disruption_budget
     band_size = params.frequencies
-    empty = np.zeros(band_size + 1, dtype=bool)
-    none = np.array([], dtype=np.int64)
-
-    def plan(kind: str, **overrides: Any) -> _JammerPlan:
-        values: dict[str, Any] = {
-            "kind": kind,
-            "needs_rng": False,
-            "adaptive": False,
-            "static_mask": empty,
-            "count": 0,
-            "others": none,
-            "step": 1,
-            "on_rounds": 0,
-            "period": 1,
-        }
-        values.update(overrides)
-        return _JammerPlan(**values)
+    static = np.zeros(band_size + 1, dtype=bool)
+    band = np.arange(1, band_size + 1, dtype=np.int64)
+    none = _JammerPlan("none", static, band, 0)
 
     kind = type(adversary)
     if kind is NoInterference:
-        return plan("none")
+        return none
     if kind is FixedBandJammer:
-        mask = empty.copy()
-        mask[1 : min(budget, band_size - 1) + 1] = True
-        return plan("fixed", static_mask=mask)
+        static[1 : min(budget, band_size - 1) + 1] = True
+        return _JammerPlan("static", static, band, 0)
     if kind is RandomJammer:
-        strength = adversary.strength  # type: ignore[attr-defined]
+        strength = cast(RandomJammer, adversary).strength
         count = budget if strength is None else min(strength, budget)
-        if count <= 0:
-            return plan("none")
-        return plan("random", needs_rng=True, count=count)
+        return _JammerPlan("sampled", static, band, count) if count > 0 else none
+    if kind not in _BATCHABLE_JAMMERS:
+        raise ConfigurationError(f"{kind.__name__} is not batchable")
+    if budget <= 0:
+        return none
+    jammer: Any = adversary
     if kind is SweepJammer:
-        if budget <= 0:
-            return plan("none")
-        return plan("sweep", step=adversary.step, count=budget)  # type: ignore[attr-defined]
+        return _JammerPlan("sweep", static, band, budget, step=jammer.step)
     if kind is BurstyJammer:
-        if budget <= 0:
-            return plan("none")
-        on = adversary.on_rounds  # type: ignore[attr-defined]
-        period = on + adversary.off_rounds  # type: ignore[attr-defined]
-        return plan("bursty", needs_rng=True, count=budget, on_rounds=on, period=max(period, 1))
-    if kind is ReactiveJammer:
-        if budget <= 0:
-            return plan("none")
-        return plan("reactive", adaptive=True, count=budget)
-    if kind is TwoNodeProductJammer:
-        if budget <= 0:
-            return plan("none")
-        return plan("twoprod", adaptive=True, count=budget)
-    if kind is LowBandJammer:
-        if budget <= 0:
-            return plan("none")
-        width = budget if adversary.prefix_width is None else adversary.prefix_width  # type: ignore[attr-defined]
-        prefix = list(params.band.prefix(width))  # raises on width < 1, like the scalar path
-        chosen = prefix[:budget]
-        mask = empty.copy()
-        mask[chosen] = True
-        remaining = budget - len(chosen)
-        if remaining <= 0:
-            return plan("lowband", static_mask=mask)
-        chosen_set = set(chosen)
-        others = np.array(
-            [f for f in params.band.all_frequencies() if f not in chosen_set], dtype=np.int64
-        )
-        return plan(
-            "lowband",
-            needs_rng=True,
-            static_mask=mask,
-            count=min(remaining, len(others)),
-            others=others,
-        )
-    raise ConfigurationError(f"{kind.__name__} is not batchable")
+        period = max(jammer.on_rounds + jammer.off_rounds, 1)
+        return _JammerPlan("sampled", static, band, budget, on_rounds=jammer.on_rounds, period=period)
+    if kind is not LowBandJammer:
+        deliveries = kind is TwoNodeProductJammer
+        return _JammerPlan("adaptive", static, band, budget, deliveries=deliveries)
+    width = budget if jammer.prefix_width is None else jammer.prefix_width
+    prefix = list(params.band.prefix(width))  # raises on width < 1, like the scalar path
+    chosen = prefix[:budget]
+    static[chosen] = True
+    remaining = budget - len(chosen)
+    if remaining <= 0:
+        return _JammerPlan("static", static, band, 0)
+    others = band[~static[1:]]
+    return _JammerPlan("sampled", static, others, min(remaining, len(others)))
 
 
 def _programs(config: SimulationConfig) -> tuple[_ProtocolProgram, _JammerPlan] | None:
@@ -413,69 +423,48 @@ def _activation_rows(
     return node_ids, np.array(rounds, dtype=np.int64)
 
 
-def _disruption_masks(
+def _disruption_mask(
     plan: _JammerPlan,
     streams: _WordStreams,
     adversary_sids: np.ndarray,
+    tallies: np.ndarray,
     global_round: int,
-    alive: np.ndarray,
-    trials: int,
-    band_size: int,
-    cum_broadcasts: np.ndarray | None,
-    cum_deliveries: np.ndarray | None,
-) -> np.ndarray:
-    """The per-trial disruption mask ``(trials, F+1)`` for one round.
+) -> np.ndarray | None:
+    """The frequencies the jammer disrupts this round, per live trial.
 
-    Random draws are taken only for trials still alive — finished trials
-    consume no further adversary randomness, exactly like the scalar loop
-    that stopped running them.
+    ``None`` when it disrupts nothing, else a mask over ``[0 .. F]``, shaped
+    ``(trials, F+1)`` or broadcastable to it.  Only live trials draw, so a
+    finished trial consumes no further adversary randomness, exactly like
+    the scalar loop that stopped running it.
     """
-    width = band_size + 1
     kind = plan.kind
-    if kind in ("none", "fixed", "lowband") and not plan.needs_rng:
-        return np.broadcast_to(plan.static_mask, (trials, width))
+    if kind == "static":
+        return plan.static_mask
     if kind == "sweep":
+        band_size = plan.static_mask.size - 1
         start = ((global_round - 1) * plan.step) % band_size
-        mask = np.zeros(width, dtype=bool)
+        mask = np.zeros(band_size + 1, dtype=bool)
         mask[(start + np.arange(plan.count)) % band_size + 1] = True
-        return np.broadcast_to(mask, (trials, width))
-    disrupted = np.zeros((trials, width), dtype=bool)
-    alive_idx = np.flatnonzero(alive)
-    if alive_idx.size == 0:
-        return disrupted
-    if kind == "random":
-        population = np.arange(1, band_size + 1, dtype=np.int64)
-        disrupted[alive_idx] = streams.sample_mask(
-            adversary_sids[alive_idx], population, plan.count, width
+        return mask
+    if kind == "sampled":
+        if (global_round - 1) % plan.period >= plan.on_rounds:
+            return None
+        sampled = streams.sample_mask(
+            adversary_sids, plan.population, plan.count, plan.static_mask.size
         )
-        return disrupted
-    if kind == "bursty":
-        phase = (global_round - 1) % plan.period
-        if phase >= plan.on_rounds:
-            return disrupted
-        population = np.arange(1, band_size + 1, dtype=np.int64)
-        disrupted[alive_idx] = streams.sample_mask(
-            adversary_sids[alive_idx], population, plan.count, width
-        )
-        return disrupted
-    if kind == "lowband":
-        disrupted[alive_idx] = plan.static_mask
-        if plan.count > 0:
-            disrupted[alive_idx] |= streams.sample_mask(
-                adversary_sids[alive_idx], plan.others, plan.count, width
-            )
-        return disrupted
-    # Adaptive jammers: rank by history through the previous round.  A stable
-    # argsort on the negated usage counts reproduces the scalar tie-break
-    # (ascending frequency index).
-    assert cum_broadcasts is not None
-    usage = cum_broadcasts[:, 1:]
-    if kind == "twoprod":
-        assert cum_deliveries is not None
-        usage = usage + cum_deliveries[:, 1:]
-    order = np.argsort(-usage, axis=1, kind="stable")
-    np.put_along_axis(disrupted[:, 1:], order[:, : plan.count], True, axis=1)
-    return disrupted
+        return sampled | plan.static_mask
+    if kind == "adaptive":
+        # Rank by history through the previous round.  A stable argsort on the
+        # negated usage counts reproduces the scalar tie-break (ascending
+        # frequency index).
+        usage = tallies[:, _BROADCASTS, 1:]
+        if plan.deliveries:
+            usage = usage + tallies[:, _DELIVERIES, 1:]
+        mask = np.zeros((len(tallies), plan.static_mask.size), dtype=bool)
+        order = np.argsort(-usage, axis=1, kind="stable")
+        np.put_along_axis(mask[:, 1:], order[:, : plan.count], True, axis=1)
+        return mask
+    return None
 
 
 def _lockstep(
@@ -484,56 +473,74 @@ def _lockstep(
     program: _ProtocolProgram,
     plan: _JammerPlan,
 ) -> list[SimulationResult]:
-    """Run every seed of a batchable template in lockstep.  Bit-exact."""
+    """Run every seed of a batchable template in lockstep.  Bit-exact.
+
+    The working arrays hold one row per live trial.  When a trial stops, its
+    totals go to the per-trial result arrays and its row leaves every
+    working array, so it draws no further words and costs no further work.
+    """
     params = config.params
     band_size = params.frequencies
     width = band_size + 1
     trials = len(seeds)
     node_ids, activation_rounds = _activation_rows(config.activation, config.max_rounds)
-    total_rows = len(node_ids)
+    rows = len(node_ids)
     node_total = config.activation.node_count
-    last_activation_bound = config.activation.last_activation_round()
+    last_activation = config.activation.last_activation_round()
     max_rounds = config.max_rounds
 
     # -- stream setup: uids first, then the kernel owns every stream -------
     rngs: list[random.Random] = []
-    uid = np.zeros((trials, total_rows), dtype=np.int64)
-    for t, seed in enumerate(seeds):
-        for r, node_id in enumerate(node_ids):
+    uids: list[int] = []
+    for seed in seeds:
+        for node_id in node_ids:
             rng = random.Random(derive_seed(seed, "node", node_id))
-            uid[t, r] = draw_uid(rng, params.participant_bound)
+            uids.append(draw_uid(rng, params.participant_bound))
             rngs.append(rng)
-    adversary_sids = np.array([], dtype=np.int64)
-    if plan.needs_rng:
-        adversary_sids = np.arange(trials, dtype=np.int64) + trials * total_rows
-        for seed in seeds:
-            rngs.append(random.Random(derive_seed(seed, "adversary")))
+    if plan.kind == "sampled":
+        rngs.extend(random.Random(derive_seed(seed, "adversary")) for seed in seeds)
     streams = _WordStreams(rngs)
-    node_sids = (
-        np.arange(trials, dtype=np.int64)[:, None] * total_rows
-        + np.arange(total_rows, dtype=np.int64)[None, :]
-    )
+    all_uids = np.array(uids, dtype=np.int64).reshape(trials, rows)
 
-    # -- lockstep state ----------------------------------------------------
-    state = np.zeros((trials, total_rows), dtype=np.int64)
-    adopted = np.zeros((trials, total_rows), dtype=bool)
-    offset = np.zeros((trials, total_rows), dtype=np.int64)
-    first_sync_round = np.zeros((trials, total_rows), dtype=np.int64)
-    leader_ever = np.zeros((trials, total_rows), dtype=bool)
-    synced_count = np.zeros(trials, dtype=np.int64)
-    alive = np.ones(trials, dtype=bool)
-    grace = np.full(trials, -1, dtype=np.int64)  # -1 = "no grace period running"
-    rounds_simulated = np.zeros(trials, dtype=np.int64)
-    metric_names = ("broadcasts", "deliveries", "collisions", "prevented", "disrupted")
-    counters = {name: np.zeros(trials, dtype=np.int64) for name in metric_names}
-    role_rounds = np.zeros((trials, 4), dtype=np.int64)
+    # -- per-trial results, written as each trial stops --------------------
+    rounds = np.full(trials, max_rounds, dtype=np.int64)
+    totals = np.zeros((trials, 5), dtype=np.int64)  # summed tallies
+    role_totals = np.zeros((trials, 4), dtype=np.int64)
+    first_sync = np.zeros((trials, rows), dtype=np.int64)
+    leader = np.zeros((trials, rows), dtype=bool)
     violations: list[list[PropertyViolation]] = [[] for _ in range(trials)]
-    cum_broadcasts = np.zeros((trials, width), dtype=np.int64) if plan.adaptive else None
-    cum_deliveries = (
-        np.zeros((trials, width), dtype=np.int64) if plan.kind == "twoprod" else None
-    )
+    # A leader numbers rounds by its own local round, and a node that hears
+    # one adopts that numbering for good; nobody renumbers.  So an adopted
+    # node outputs ``global_round + 1 - origin``, where ``origin`` is the
+    # activation round of the leader it follows, and a trial disagrees from
+    # the round its adopted nodes first follow two origins.
+    origins: list[set[int]] = [set() for _ in range(trials)]
+    disagreeing: set[int] = set()
 
-    trial_column = np.arange(trials, dtype=np.int64)[:, None]
+    def adopt(ids: np.ndarray, node_rows: np.ndarray, origin: np.ndarray, round_: int) -> None:
+        first_sync[ids, node_rows] = round_
+        for trial, origin_round in zip(ids.tolist(), origin.tolist()):
+            followed = origins[trial]
+            followed.add(origin_round)
+            if len(followed) > 1:
+                disagreeing.add(trial)
+
+    # -- working arrays, one row per live trial ----------------------------
+    lane = np.arange(trials)  # each live trial's row in the result arrays
+    state = np.zeros((trials, rows), dtype=np.int8)  # every node starts a contender
+    uid = all_uids
+    sids = np.arange(trials * rows, dtype=np.int64).reshape(trials, rows)
+    adversary_sids = trials * rows + lane
+    due = np.full(trials, _HUGE)  # the round a synchronized trial stops at
+    # Broadcasts, deliveries, collisions, prevented deliveries and
+    # disruptions per frequency: the adaptive jammers' history, and summed
+    # over the band, the trial's counters.
+    tallies = np.zeros((trials, 5, width), dtype=np.int64)
+    roles = np.zeros((trials, 4), dtype=np.int64)
+    cell_base = lane[:, None] * width
+    role_base = lane[:, None] * 4
+
+    activated = activation_rounds.tolist()
     leader_probability = program.leader_probability
     # contender_probability[lr]: a contender's broadcast threshold at local
     # round lr (index 0 unused).  A node past the horizon is no contender, so
@@ -546,195 +553,157 @@ def _lockstep(
     stop_enabled = config.stop_when_synchronized
     extra_after_sync = config.extra_rounds_after_sync
 
-    active_rows = 0
+    R = ripe = 0
     for global_round in range(1, max_rounds + 1):
-        if not alive.any():
-            break
-        while active_rows < total_rows and activation_rounds[active_rows] == global_round:
-            active_rows += 1
-        R = active_rows
+        while R < rows and activated[R] == global_round:
+            R += 1
+        live = lane.size
 
-        disrupted = _disruption_masks(
-            plan,
-            streams,
-            adversary_sids,
-            global_round,
-            alive,
-            trials,
-            band_size,
-            cum_broadcasts,
-            cum_deliveries,
-        )
-        counters["disrupted"] += np.where(alive, disrupted[:, 1:].sum(axis=1), 0)
+        disrupted = _disruption_mask(plan, streams, adversary_sids, tallies, global_round)
+        if disrupted is not None:
+            tallies[:, _DISRUPTED] += disrupted
+        if R == 0:
+            continue
+        state_r = state[:, :R]
+        local_round = global_round + 1 - activation_rounds[:R]  # shared across trials
 
-        if R > 0:
-            state_r = state[:, :R]
-            uid_r = uid[:, :R]
-            local_round = global_round - activation_rounds[:R] + 1  # shared across trials
-            act2d = alive[:, None] & np.ones(R, dtype=bool)[None, :]
+        # Promotion: a contender whose local round passes the horizon becomes
+        # leader.  Only rows activated exactly ``horizon`` rounds ago cross it.
+        crossed = ripe
+        while ripe < R and activated[ripe] + program.horizon <= global_round:
+            ripe += 1
+        if ripe > crossed:
+            pt, pr = (state[:, crossed:ripe] == _CONTENDER).nonzero()
+            pr += crossed
+            state[pt, pr] = _LEADER
+            leader[lane[pt], pr] = True
+            adopt(lane[pt], pr, activation_rounds[pr], global_round)
 
-            # Promotion: a contender that outlived its horizon becomes leader
-            # and adopts its own activation age as the numbering.
-            promoted = act2d & (state_r == _CONTENDER) & (local_round > program.horizon)
-            if promoted.any():
-                state_r[promoted] = _LEADER
-                adopted[:, :R][promoted] = True
-                offset[:, :R][promoted] = 0
-
-            # Stage A: frequency draws, in each node's own stream.
-            sids = node_sids[:, :R]
-            frequency = np.zeros((trials, R), dtype=np.int64)
-            if program.kind == "single":
-                frequency[act2d] = program.channel
-                needs_b = act2d & ((state_r == _CONTENDER) | (state_r == _LEADER))
-            elif program.kind == "roundrobin":
-                sweep = (local_round[None, :] + uid_r) % band_size + 1
-                frequency = np.where(act2d, sweep, 0)
-                leaders = act2d & (state_r == _LEADER)
-                if leaders.any():
-                    frequency[leaders] = 1 + streams.randbelow(sids[leaders], program.band_width)
-                needs_b = leaders
-            else:
-                if act2d.any():
-                    frequency[act2d] = 1 + streams.randbelow(sids[act2d], program.band_width)
-                needs_b = act2d & ((state_r == _CONTENDER) | (state_r == _LEADER))
-
-            # Stage B: broadcast-probability draws, after the frequency draw
-            # in every stream, exactly like the scalar protocols.
-            draws = np.zeros((trials, R), dtype=np.float64)
-            if needs_b.any():
-                draws[needs_b] = streams.randoms(sids[needs_b])
-            if program.kind == "roundrobin":
-                slot_hit = (local_round[None, :] % program.slots) == (uid_r % program.slots)
-                broadcasting = (act2d & (state_r == _CONTENDER) & slot_hit) | (
-                    needs_b & (draws < leader_probability)
-                )
-            else:
-                threshold = np.where(
-                    state_r == _CONTENDER,
-                    contender_probability[np.minimum(local_round, horizon)][None, :],
-                    leader_probability,
-                )
-                broadcasting = needs_b & (draws < threshold)
-
-            # Reception, as in ``resolve_round``: a listener on a frequency with
-            # exactly one broadcaster and no disruption gets that broadcaster's
-            # message.  ``sender`` holds a broadcaster's row per (trial,
-            # frequency): where ``counts`` is 1, the lone sender's.
-            bt, br = np.nonzero(broadcasting)
-            bf = frequency[bt, br]
-            counts = np.zeros((trials, width), dtype=np.int64)
-            np.add.at(counts, (bt, bf), 1)
-            sender = np.zeros((trials, width), dtype=np.int64)
-            sender[bt, bf] = br
-            delivered = (counts == 1) & ~disrupted
-
-            # Per-listener effects (broadcasters never receive): each listener
-            # reads its sender's state, output and timestamp as they were
-            # when the message went out.
-            got = delivered[trial_column, frequency] & act2d & ~broadcasting
-            source = sender[trial_column, frequency]
-            from_leader = state_r[trial_column, source] == _LEADER
-            message_ts_round = local_round[source]
-            message_ts_uid = uid_r[trial_column, source]
-            message_round = offset[:, :R][trial_column, source] + message_ts_round
-            hears_leader = got & from_leader & (state_r != _LEADER)
-            newly_adopting = hears_leader & ~adopted[:, :R]
-            knocked_out = (
-                got
-                & ~from_leader
-                & (state_r == _CONTENDER)
-                & (
-                    (message_ts_round > local_round[None, :])
-                    | (
-                        (message_ts_round == local_round[None, :])
-                        & (message_ts_uid > uid_r)
-                    )
-                )
-            )
-            offset[:, :R][newly_adopting] = (message_round - local_round[None, :])[newly_adopting]
-            adopted[:, :R][newly_adopting] = True
-            state_r[hears_leader] = _SYNCHRONIZED
-            state_r[knocked_out] = _KNOCKED_OUT
-
-            # Outputs, latches, roles — mirrors the scalar post-reception pass.
-            producing = act2d & adopted[:, :R]
-            newly_synced = producing & (first_sync_round[:, :R] == 0)
-            first_sync_round[:, :R][newly_synced] = global_round
-            synced_count += newly_synced.sum(axis=1)
-            leader_ever[:, :R] |= act2d & (state_r == _LEADER)
-            for s in range(4):
-                role_rounds[:, s] += (act2d & (state_r == s)).sum(axis=1)
-
-            # Agreement: any trial with two distinct non-⊥ outputs this round.
-            outputs_after = offset[:, :R] + local_round[None, :]
-            lowest = np.where(producing, outputs_after, _HUGE).min(axis=1)
-            highest = np.where(producing, outputs_after, -1).max(axis=1)
-            disagreeing = alive & (lowest != _HUGE) & (highest > lowest)
-            for t in np.flatnonzero(disagreeing):
-                violations[t].append(
-                    agreement_violation(global_round, outputs_after[t][producing[t]].tolist())
-                )
-
-            counters["broadcasts"] += broadcasting.sum(axis=1)
-            counters["deliveries"] += delivered[:, 1:].sum(axis=1)
-            counters["collisions"] += (counts[:, 1:] >= 2).sum(axis=1)
-            counters["prevented"] += ((counts[:, 1:] == 1) & disrupted[:, 1:]).sum(axis=1)
-            if cum_broadcasts is not None:
-                cum_broadcasts += counts
-            if cum_deliveries is not None:
-                cum_deliveries += delivered.astype(np.int64)
-
-        rounds_simulated[alive] = global_round
-
-        if stop_enabled and R == node_total and global_round >= last_activation_bound and R > 0:
-            stopping = alive & (synced_count == node_total)
-            entering = stopping & (grace < 0)
-            grace = np.where(entering, extra_after_sync, grace)
-            finished = stopping & (grace <= 0)
-            alive &= ~finished
-            grace = np.where(stopping & ~finished, grace - 1, grace)
-            grace = np.where(~stopping, -1, grace)
+        # Frequency draws, then broadcast coins, in each node's own stream.
+        sids_r = sids[:, :R]
+        contending = state_r == _CONTENDER
+        leading = state_r == _LEADER
+        drawing = contending | leading
+        if program.kind == "random-freq":
+            frequency = 1 + streams.randbelow(sids_r.ravel(), program.band_width).reshape(live, R)
+        elif program.kind == "single":
+            frequency = np.full((live, R), program.channel)
         else:
-            grace[:] = -1
+            frequency = (local_round + uid[:, :R]) % band_size + 1
+            frequency[leading] = 1 + streams.randbelow(sids_r[leading], program.band_width)
+            drawing = leading
+        coin = np.full((live, R), np.inf)
+        coin[drawing] = streams.randoms(sids_r[drawing])
+        if program.kind == "roundrobin":
+            slot_hit = local_round % program.slots == uid[:, :R] % program.slots
+            broadcasting = (contending & slot_hit) | (coin < leader_probability)
+        else:
+            threshold = np.where(
+                contending,
+                contender_probability[np.minimum(local_round, horizon)],
+                leader_probability,
+            )
+            broadcasting = coin < threshold
+
+        # Reception, as in ``resolve_round``: a listener on a frequency with
+        # exactly one broadcaster and no disruption gets that broadcaster's
+        # message.  Cells are ``(trial, frequency)`` pairs, flattened.
+        cells = cell_base + frequency
+        bt, br = broadcasting.nonzero()
+        sent = cells[bt, br]
+        counts = np.bincount(sent, minlength=live * width).reshape(live, width)
+        sender = np.empty(live * width, dtype=np.int64)  # read only where counts is 1
+        sender[sent] = br
+        lone = counts == 1
+        delivered = lone
+        if disrupted is not None:
+            delivered = lone & ~disrupted
+            tallies[:, _PREVENTED] += lone & disrupted
+        tallies[:, _BROADCASTS] += counts
+        tallies[:, _DELIVERIES] += delivered
+        tallies[:, _COLLISIONS] += counts >= 2
+        got = delivered.ravel()[cells] & ~broadcasting
+
+        # Listener effects, on the listeners that got a message: each reads
+        # its sender's state and timestamp as they were when it went out.
+        gt, gr = got.nonzero()
+        if gt.size:
+            source = sender[cells[gt, gr]]
+            own = state_r[gt, gr]
+            from_leader = state_r[gt, source] == _LEADER
+            hears_leader = from_leader & (own != _LEADER)
+            newer = (activation_rounds[source] < activation_rounds[gr]) | (
+                (activation_rounds[source] == activation_rounds[gr])
+                & (uid[gt, source] > uid[gt, gr])
+            )
+            knocked_out = ~from_leader & (own == _CONTENDER) & newer
+            state_r[gt, gr] = np.where(
+                hears_leader, _SYNCHRONIZED, np.where(knocked_out, _KNOCKED_OUT, own)
+            )
+            adopting = hears_leader & (own != _SYNCHRONIZED)
+            if adopting.any():
+                leaders = source[adopting]
+                adopt(lane[gt[adopting]], gr[adopting], activation_rounds[leaders], global_round)
+
+        for trial in disagreeing:
+            violations[trial].append(
+                agreement_violation(global_round, [global_round + 1 - a for a in origins[trial]])
+            )
+        tally = np.bincount((role_base + state_r).ravel(), minlength=4 * live).reshape(live, 4)
+        roles += tally
+
+        if stop_enabled and R == node_total and global_round >= last_activation:
+            synchronized = tally[:, _CONTENDER] + tally[:, _KNOCKED_OUT] == 0
+            due = np.where(synchronized, np.minimum(due, global_round + extra_after_sync), due)
+            finished = due <= global_round
+            if finished.any():
+                # Flush the finished trials' totals, then drop their rows
+                # from every working array.
+                done = lane[finished]
+                rounds[done] = global_round
+                totals[done] = tallies[finished].sum(axis=2)
+                role_totals[done] = roles[finished]
+                disagreeing.difference_update(done.tolist())
+                keep = ~finished
+                lane, state, uid, sids, adversary_sids, due, tallies, roles = (
+                    array[keep]
+                    for array in (lane, state, uid, sids, adversary_sids, due, tallies, roles)
+                )
+                if not lane.size:
+                    break
+                cell_base = np.arange(lane.size)[:, None] * width
+                role_base = np.arange(lane.size)[:, None] * 4
+    totals[lane] = tallies.sum(axis=2)
+    role_totals[lane] = roles
 
     # -- per-trial result assembly ----------------------------------------
     results: list[SimulationResult] = []
-    for t in range(trials):
-        rounds = int(rounds_simulated[t])
-        row_count = int(np.searchsorted(activation_rounds, rounds, side="right"))
-        sync_rounds = first_sync_round[t, :row_count]
-        latencies = {
-            node_ids[r]: int(sync_rounds[r] - activation_rounds[r] + 1)
-            for r in range(row_count)
-            if sync_rounds[r] > 0
-        }
-        roles = Counter(
-            {
-                _STATE_ROLES[s]: int(role_rounds[t, s])
-                for s in range(4)
-                if role_rounds[t, s] > 0
-            }
-        )
-        leader_uids = uid[t, :row_count][leader_ever[t, :row_count]]
+    for t, (trial_rounds, role_total, total) in enumerate(
+        zip(rounds.tolist(), role_totals.tolist(), totals.tolist())
+    ):
+        row_count = bisect.bisect_right(activated, trial_rounds)
+        sync_rounds = first_sync[t, :row_count].tolist()
+        broadcasts, deliveries, collisions, prevented, disrupted_rounds = total
         metrics = ExecutionMetrics(
-            rounds_simulated=rounds,
-            broadcasts=int(counters["broadcasts"][t]),
-            deliveries=int(counters["deliveries"][t]),
-            collisions=int(counters["collisions"][t]),
-            disrupted_frequency_rounds=int(counters["disrupted"][t]),
-            disrupted_deliveries_prevented=int(counters["prevented"][t]),
-            leader_count=int(np.unique(leader_uids).size),
-            sync_latencies=latencies,
-            role_rounds=roles,
-            activation_rounds={
-                node_ids[r]: int(activation_rounds[r]) for r in range(row_count)
+            rounds_simulated=trial_rounds,
+            broadcasts=broadcasts,
+            deliveries=deliveries,
+            collisions=collisions,
+            disrupted_frequency_rounds=disrupted_rounds,
+            disrupted_deliveries_prevented=prevented,
+            leader_count=len(set(all_uids[t, :row_count][leader[t, :row_count]].tolist())),
+            sync_latencies={
+                node_ids[r]: sync - activated[r] + 1 for r, sync in enumerate(sync_rounds) if sync
             },
+            role_rounds=Counter(
+                {_STATE_ROLES[s]: count for s, count in enumerate(role_total) if count > 0}
+            ),
+            activation_rounds={node_ids[r]: activated[r] for r in range(row_count)},
         )
         report = property_report(
             violations[t],
-            {node_ids[r]: int(sync_rounds[r]) or None for r in range(row_count)},
-            rounds,
+            {node_ids[r]: sync or None for r, sync in enumerate(sync_rounds)},
+            trial_rounds,
         )
         results.append(SimulationResult(trace=None, report=report, metrics=metrics))
     return results

@@ -9,15 +9,15 @@ bit-identical results.
 This suite pins that equivalence four ways:
 
 * the kernel's word streams are compared draw for draw with clones of the
-  same ``random.Random`` objects, at a block size small enough that every
-  read crosses many refills;
+  same ``random.Random`` objects, at block sizes small enough that every
+  read crosses many refills and smaller than the lookahead window;
 * every batchable ``protocol|jammer|activation`` combination of the golden
   matrix (the same matrix :mod:`tests.unit.test_engine_equivalence` pins,
   trace-free) is digest-compared against goldens recorded from the *scalar*
   engine — the kernel never gets to define its own truth;
 * multi-seed lockstep execution is compared seed-for-seed against scalar
-  runs, so masking early-finished trials provably cannot bleed state across
-  lanes;
+  runs, so compacting early-finished trials out of the working arrays
+  provably cannot bleed state across lanes;
 * the pooled/campaign plumbing (``batch=True``) is compared row-for-row
   against the serial scalar path, down to the bytes SQLite hands back.
 
@@ -130,7 +130,7 @@ class TestBatchableProbe:
 class TestWordStreams:
     """``_WordStreams`` against clones of the very streams it reads.
 
-    A 5-word block makes every run of reads cross many refills, and each
+    Blocks of at most 5 words make every run of reads cross many refills, and each
     stream is first advanced by an odd-length ``getrandbits`` (as
     ``draw_uid`` does), so no refill starts at Mersenne Twister position 0.
     """
@@ -138,9 +138,11 @@ class TestWordStreams:
     STREAMS = 6
 
     @classmethod
-    def streams(cls) -> tuple[_WordStreams, list[random.Random]]:
+    def streams(
+        cls, count: int = STREAMS, block: int = 5
+    ) -> tuple[_WordStreams, list[random.Random]]:
         rngs = []
-        for index in range(cls.STREAMS):
+        for index in range(count):
             rng = random.Random(1_000 + index)
             rng.getrandbits(2 * index + 7)
             rngs.append(rng)
@@ -149,7 +151,7 @@ class TestWordStreams:
             clone = random.Random()
             clone.setstate(rng.getstate())
             clones.append(clone)
-        return _WordStreams(rngs, block=5), clones
+        return _WordStreams(rngs, block=block), clones
 
     def test_take_equals_successive_getrandbits(self):
         streams, clones = self.streams()
@@ -192,6 +194,32 @@ class TestWordStreams:
             # Both sides consumed the same words: the next ones still agree.
             assert streams.take(ids).tolist() == [c.getrandbits(32) for c in clones]
 
+    @pytest.mark.parametrize("block", [1, 3, 5])
+    def test_interleaved_reads_across_refills(self, block):
+        """Every read kind, on shifting subsets of many streams, with tiny blocks.
+
+        ``randbelow(2**m + 1)`` rejects just under half its draws, so some
+        streams reject several words in a row and read past a refill while
+        their neighbours accept at once; blocks smaller than any lookahead
+        make each such read span refills.
+        """
+        count = 200
+        streams, clones = self.streams(count, block)
+        picker = random.Random(block)
+        for step in range(150):
+            ids = np.array(
+                sorted(picker.sample(range(count), picker.randint(1, count))), dtype=np.int64
+            )
+            read = step % 3
+            if read == 0:
+                n = 2 ** (step // 3 % 7 + 1) + 1
+                expected = [clones[i].randrange(n) for i in ids]
+                assert streams.randbelow(ids, n).tolist() == expected, (step, n)
+            elif read == 1:
+                assert streams.randoms(ids).tolist() == [clones[i].random() for i in ids], step
+            else:
+                assert streams.take(ids).tolist() == [clones[i].getrandbits(32) for i in ids], step
+
 
 class TestGoldenEquivalence:
     @pytest.mark.parametrize("key", batchable_keys())
@@ -221,8 +249,9 @@ class TestGoldenEquivalence:
         """A whole lockstep chunk equals the seed-by-seed scalar runs.
 
         Seeds finish at different rounds, so this is the test that pins the
-        early-finish masking: a dead lane consuming (or starving) one word of
-        anyone's randomness would shift every digest after it.
+        compaction of finished trials: a finished lane consuming (or starving)
+        one word of anyone's randomness, or a row whose state moves to another
+        lane, would shift every digest after it.
         """
         seeds = [7, 3, 11, 0, 25, 11 + 64, 2, 19]
         batch_results = run_batch(config_for(key), seeds)
