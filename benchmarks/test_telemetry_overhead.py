@@ -396,11 +396,11 @@ def test_worker_delta_path_within_budget(emit):
     chunks = 16
     scenarios = 125
     repeats = scenarios * chunks
-    delta = _chunk_stats(rows, True, 0.01)
+    delta = _chunk_stats(rows, len(rows), 0.01)
 
     def build() -> None:
         for _ in range(repeats):
-            _chunk_stats(rows, True, 0.01)
+            _chunk_stats(rows, len(rows), 0.01)
 
     def merge() -> None:
         # A fresh registry per scenario's worth of chunks, as each run has,

@@ -37,10 +37,16 @@ golden-equivalence suite pins this).
   reused across every subsequent call (and across
   :meth:`~repro.campaigns.runner.CampaignRunner.run` invocations, search
   generations, …) until :meth:`ExecutionPool.shutdown`;
-* **chunked template-and-delta dispatch** — a multi-seed batch ships the
-  shared :class:`~repro.engine.simulator.SimulationConfig` template *once per
-  chunk* plus the chunk's seeds, instead of one fully pickled config per
-  trial;
+* **chunked template-and-delta dispatch** — a chunk ships each template it
+  covers *once* plus that template's seeds, instead of one fully pickled
+  config per trial.  A dispatch group (one batch for :meth:`run_seeds`, a
+  campaign's missing cells or a search generation's missing candidates for
+  :meth:`iter_reduced`) goes through one chunker: each batch is cut into
+  about four chunks per worker, and runs of small batches are split
+  together, in order and across batch boundaries, into even chunks of up to
+  four seeds whose count the workers share evenly, so a service job pays a
+  few executor round trips, not one per seed.  A worker runs one entry
+  point over a chunk's segments (one template and some of its seeds each);
 * **in-worker reduction** — when the caller only persists summary scalars
   (campaign stores, search scores), workers reduce each trial to a compact
   :class:`ReducedTrial` row and the full :class:`SimulationResult` never
@@ -75,6 +81,7 @@ instrument call is ever made per simulated round — the round loops in
 
 from __future__ import annotations
 
+import itertools
 import logging
 import os
 import pickle
@@ -85,7 +92,7 @@ import weakref
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable, Generator, Optional, Sequence
+from typing import TYPE_CHECKING, Container, Generator, Optional, Sequence
 
 from repro.engine.plan import is_strict_int
 from repro.engine.results import SimulationResult
@@ -104,6 +111,19 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.engine.simulator import SimulationConfig
 
 logger = logging.getLogger("repro.engine.pool")
+
+#: Seeds that make a chunk worth its dispatch (:meth:`ExecutionPool._cut`):
+#: a batch whose automatic pieces would hold fewer is split together with
+#: its small neighbours, into chunks of at most this many seeds.  Each
+#: chunk pays a round trip through the executor's call queue, feeder and
+#: result-manager threads and wakes a worker.  With one chunk per seed, a
+#: 4-cell × 2-seed service campaign job spent ≈2.4 ms of parent CPU per job
+#: in those two threads alone (≈0.3 ms a chunk) and preempted its two
+#: workers 15–17 times, against 1–2 ms per trial (2-core host, Python
+#: 3.11.7).  Four seeds per chunk make the round
+#: trip a small share of the chunk's work, and a 1,000-cell × 2-seed
+#: campaign still commits every 2 cells.
+_MERGE_FLOOR = 4
 
 
 class WorkerCrashError(SimulationError):
@@ -226,7 +246,7 @@ def _worker_identity() -> tuple[int, float]:
     return pid, now - _WORKER_EPOCH.setdefault(pid, now)
 
 
-def _chunk_stats(rows: Sequence, batched: bool, seconds: float) -> WorkerStatsDelta:
+def _chunk_stats(rows: Sequence, batch_trials: int, seconds: float) -> WorkerStatsDelta:
     """The stats delta one finished chunk contributes (runs in the worker)."""
     rounds = 0
     for row in rows:
@@ -240,27 +260,35 @@ def _chunk_stats(rows: Sequence, batched: bool, seconds: float) -> WorkerStatsDe
         uptime_s=uptime,
         trials=len(rows),
         rounds=rounds,
-        batched=batched,
+        batch_trials=batch_trials,
         seconds=seconds,
     )
 
 
-def _run_seed_chunk(
-    template: "SimulationConfig",
-    seeds: tuple[int, ...],
+def _run_chunk(
+    segments: Sequence[tuple["SimulationConfig", tuple[int, ...]]],
     reduce: bool,
     batch: bool = False,
 ) -> ChunkResult:
-    """Worker entry point: :func:`seed_rows` on one chunk, plus its stats delta."""
+    """Worker entry point: :func:`seed_rows` on each segment of one chunk, plus its stats.
+
+    A segment is one template and some of its seeds; a chunk holds one
+    segment or, when small batches were split together, several in group
+    order.  The rows come back flat, segment after segment, and the stats
+    count each segment's trials as batch or scalar by whether its template
+    ran on the kernel.
+    """
     started = time.perf_counter()
-    rows = seed_rows(template, seeds, reduce, batch)
+    rows: list = []
+    for template, seeds in segments:
+        rows += seed_rows(template, seeds, reduce, batch)
     seconds = time.perf_counter() - started
-    batched = False
+    batch_trials = 0
     if batch:
         from repro.engine.batch import batchable
 
-        batched = batchable(template)
-    return ChunkResult(rows=tuple(rows), stats=_chunk_stats(rows, batched, seconds))
+        batch_trials = sum(len(seeds) for template, seeds in segments if batchable(template))
+    return ChunkResult(rows=tuple(rows), stats=_chunk_stats(rows, batch_trials, seconds))
 
 
 def payload_is_picklable(payload: object) -> bool:
@@ -332,7 +360,6 @@ def _succeeded(future: "Future[ChunkResult]") -> bool:
 class _ChunkPayload:
     """What the pool needs to re-dispatch one chunk after a worker crash."""
 
-    fn: Callable[..., ChunkResult]
     args: tuple
     attempt: int = 0
 
@@ -345,9 +372,12 @@ class ExecutionPool:
     workers:
         Worker processes to keep alive (at least 1).
     chunk_size:
-        Seeds per dispatched chunk.  ``None`` picks a size that spreads a
-        batch over roughly ``4 × workers`` chunks — large enough to amortize
-        the template pickle, small enough to keep every worker busy.
+        Seeds per dispatched chunk, exactly: an explicit size cuts every
+        batch on its own and never merges chunks.  ``None`` cuts each batch
+        into roughly ``4 × workers`` chunks — large enough to amortize the
+        template pickle, small enough to keep every worker busy — except
+        that runs of small batches are split together, across batch
+        boundaries, into even chunks of up to four seeds (see :meth:`_cut`).
     crash_retries:
         How many times a chunk is re-dispatched on fresh workers after its
         executor broke — at submission, or mid-batch in :meth:`run_seeds` or
@@ -496,13 +526,71 @@ class ExecutionPool:
     # -- chunking ---------------------------------------------------------
 
     def chunk(self, items: Sequence) -> list[tuple]:
-        """Split a batch into the chunks one dispatch would use, in order."""
-        size = self._chunk_size
-        if size is None:
-            # ~4 chunks per worker balances pickling amortization against
-            # tail latency (the last chunks land on whichever worker frees up).
-            size = max(1, -(-len(items) // (self._workers * 4)))
-        return [tuple(items[start : start + size]) for start in range(0, len(items), size)]
+        """Split one batch into the chunks a dispatch of it alone uses, in order."""
+        return [tuple(items[start:stop]) for [(_batch, start, stop)] in self._cut([len(items)])]
+
+    def _cut(
+        self, sizes: Sequence[int], alone: Container[int] = ()
+    ) -> list[list[tuple[int, int, int]]]:
+        """The one chunker: split a dispatch group into chunks, in order.
+
+        ``sizes`` holds each batch's seed count.  A chunk is a list of
+        ``(batch, start, stop)`` segments, each one batch's seeds
+        ``[start:stop]``.  A batch is cut on its own into pieces of
+        ``chunk_size`` seeds or, automatically, of ⌈n / (4 · workers)⌉:
+        about four chunks per worker balance the template pickle against
+        tail latency (the last chunks land on whichever worker frees up).
+        A batch whose automatic pieces would hold fewer than
+        ``_MERGE_FLOOR`` seeds is small instead: each run of consecutive
+        small batches is split as one, across batch boundaries, into a few
+        even chunks (:meth:`_split_run`), so small batches share round
+        trips and still keep every worker busy.  An explicit
+        ``chunk_size`` is never merged.  A batch in ``alone`` merges with
+        nothing.
+        """
+        chunks: list[list[tuple[int, int, int]]] = []
+        run: list[int] = []  # consecutive small batches, split when the run ends
+        for index, count in enumerate(sizes):
+            step = self._chunk_size or max(1, -(-count // (self._workers * 4)))
+            if self._chunk_size is None and step < _MERGE_FLOOR and index not in alone:
+                run.append(index)
+                continue
+            chunks += self._split_run(run, sizes)
+            run = []
+            chunks += [[(index, start, min(start + step, count))] for start in range(0, count, step)]
+        return chunks + self._split_run(run, sizes)
+
+    def _split_run(
+        self, run: Sequence[int], sizes: Sequence[int]
+    ) -> list[list[tuple[int, int, int]]]:
+        """Split a run of small batches' seeds, in order, into a few even chunks.
+
+        The run's M seeds go out as k = workers · ⌈M / (workers ·
+        ``_MERGE_FLOOR``)⌉ chunks, or M if fewer, the first M mod k of them
+        one seed larger.  So no chunk holds more than ``_MERGE_FLOOR``
+        seeds, the workers share the chunks evenly, and equal trials finish
+        in ⌈M / workers⌉ trial-times, as they would one seed per chunk.
+        """
+        total = sum(sizes[index] for index in run)
+        if not total:
+            return []
+        count = min(total, self._workers * -(-total // (self._workers * _MERGE_FLOOR)))
+        base, larger = divmod(total, count)
+        chunks: list[list[tuple[int, int, int]]] = []
+        chunk: list[tuple[int, int, int]] = []
+        wanted = base + (larger > 0)  # seeds the open chunk still takes
+        for index in run:
+            start = 0
+            while start < sizes[index]:
+                stop = min(sizes[index], start + wanted)
+                chunk.append((index, start, stop))
+                wanted -= stop - start
+                start = stop
+                if not wanted:
+                    chunks.append(chunk)
+                    chunk = []
+                    wanted = base + (len(chunks) < larger)
+        return chunks
 
     # -- dispatch ---------------------------------------------------------
 
@@ -515,61 +603,102 @@ class ExecutionPool:
     ) -> list["Future[ChunkResult]"]:
         """Submit one template's seed batch as chunked futures, in chunk order.
 
-        Each future resolves to a :class:`ChunkResult` whose rows are in seed
-        order, so unwrapping the futures' values (via :meth:`ingest`) in
-        submission order reproduces the serial batch exactly.  An unpicklable
-        template degrades to serial in-process execution (with a warning)
-        behind already-completed futures, so callers never special-case it.
-        :meth:`run_seeds` and :meth:`iter_reduced` drain these futures.
+        A dispatch group of one batch: each future resolves to a
+        :class:`ChunkResult` whose rows are in seed order, so unwrapping the
+        futures' values (via :meth:`ingest`) in submission order reproduces
+        the serial batch exactly.  An unpicklable template degrades to
+        serial in-process execution (with a warning) behind
+        already-completed futures, so callers never special-case it.
+        :meth:`run_seeds` drains these futures.
 
         With ``batch=True`` each chunk runs through the vectorized lockstep
         kernel in its worker (scalar fallback for non-batchable templates);
         results are still bit-identical, chunk and seed order unchanged.
         """
-        chunks = self.chunk(list(seeds))
-        self._metric_trials.inc(len(seeds))
+        return self._submit_group([(template, tuple(seeds))], reduce, batch)
+
+    def _submit_group(
+        self,
+        batches: Sequence[tuple["SimulationConfig", tuple[int, ...]]],
+        reduce: bool,
+        batch: bool,
+    ) -> list["Future[ChunkResult]"]:
+        """Submit a group of seed batches as chunk futures, in group order.
+
+        The one dispatch behind :meth:`run_seeds` and :meth:`iter_reduced`.
+        :meth:`_cut` splits the group; each chunk is one :func:`_run_chunk`
+        call.  Every batch is counted, probed and warned about on its own:
+        the batch-fallback probe (live telemetry only), and either the
+        unpicklable-template warning or the fault-plan warning, once per
+        batch.  An unpicklable batch runs in-process at its turn, behind
+        completed futures, after the worker chunks before it went out.
+        """
+        local = {
+            index for index, (template, _seeds) in enumerate(batches)
+            if not payload_is_picklable(template)
+        }
+        chunks = self._cut([len(seeds) for _template, seeds in batches], alone=local)
+        self._metric_trials.inc(sum(len(seeds) for _template, seeds in batches))
         self._metric_chunks.inc(len(chunks))
         (self._metric_batch_chunks if batch else self._metric_scalar_chunks).inc(len(chunks))
-        if batch and self._telemetry.enabled:
-            self._probe_batch_fallback(template)
-        if not payload_is_picklable(template):
-            warn_serial_fallback(telemetry=self._telemetry)
-            return [
-                _completed_future(_run_seed_chunk(template, chunk, reduce, batch))
-                for chunk in chunks
-            ]
-        if batch and template.faults is not None:
-            # The unpicklable path above warns from run_batch in-process
-            # instead, so each dispatch warns exactly once either way.
-            warn_fault_batch_fallback(template.faults)
-        futures = self._submit(
-            [_ChunkPayload(_run_seed_chunk, (template, chunk, reduce, batch)) for chunk in chunks]
-        )
+        for index, (template, _seeds) in enumerate(batches):
+            if batch and self._telemetry.enabled:
+                self._probe_batch_fallback(template)
+            if index in local:
+                warn_serial_fallback(telemetry=self._telemetry)
+            elif batch and template.faults is not None:
+                # The unpicklable path warns from run_batch in-process
+                # instead, so each batch warns exactly once either way.
+                warn_fault_batch_fallback(template.faults)
+        futures: list["Future[ChunkResult]"] = []
+        waiting: list[_ChunkPayload] = []
+        for segments in chunks:
+            work = tuple(
+                (batches[index][0], batches[index][1][start:stop]) for index, start, stop in segments
+            )
+            if segments[0][0] not in local:
+                waiting.append(_ChunkPayload((work, reduce, batch)))
+                continue
+            if waiting:
+                futures += self._submit(waiting)
+                waiting = []
+            futures.append(_completed_future(_run_chunk(work, reduce, batch)))
+        if waiting:
+            futures += self._submit(waiting)
         if self._telemetry.enabled:
-            self._observe_dispatch(futures, chunks, reduce=reduce, batch=batch)
+            self._observe_dispatch(
+                [
+                    (position, future, sum(stop - start for _batch, start, stop in segments))
+                    for position, (future, segments) in enumerate(zip(futures, chunks))
+                    if segments[0][0] not in local
+                ],
+                reduce=reduce,
+                batch=batch,
+            )
         return futures
 
     def _observe_dispatch(
         self,
-        futures: Sequence["Future[ChunkResult]"],
-        chunks: Sequence[tuple],
+        dispatched: Sequence[tuple[int, "Future[ChunkResult]", int]],
         reduce: bool,
         batch: bool,
     ) -> None:
-        """Track queue depth and emit one ChunkDispatched event per chunk.
+        """Track queue depth and emit one ChunkDispatched event per worker chunk.
 
-        Only runs with a live telemetry handle, so the disabled path attaches
-        no done-callbacks at all.  Done-callbacks fire on executor threads —
-        the gauge takes its own lock — and the events are emitted from the
-        submitting thread in chunk order.
+        ``dispatched`` holds each worker chunk's position in the dispatch,
+        its future and its seed count.  Only runs with a live telemetry
+        handle, so the disabled path attaches no done-callbacks at all.
+        Done-callbacks fire on executor threads — the gauge takes its own
+        lock — and the events are emitted from the submitting thread in
+        chunk order.
         """
-        for index, (future, chunk) in enumerate(zip(futures, chunks)):
+        for index, future, size in dispatched:
             self._inflight.inc()
             future.add_done_callback(lambda _f: self._inflight.dec())
             self._telemetry.emit(
                 ChunkDispatched(
                     chunk_index=index,
-                    size=len(chunk),
+                    size=size,
                     reduce=reduce,
                     batch=batch,
                     inflight=int(self._inflight.value),
@@ -580,7 +709,7 @@ class ExecutionPool:
         """Emit a BatchFallback event when a batch=True template is not batchable.
 
         The probe itself is the same check the worker performs before falling
-        back to the scalar loop, run once per dispatch in the parent — live
+        back to the scalar loop, run once per batch in the parent — live
         telemetry only, so the disabled path never imports the kernel here.
         """
         from repro.engine.batch import batchable
@@ -623,24 +752,23 @@ class ExecutionPool:
     ) -> Generator[list[ReducedTrial], None, None]:
         """Run several seed batches reduced; yield each batch's rows, in order.
 
-        Every batch's chunks are submitted up front, so workers never idle
-        between batches, and drained in submission order with the same crash
-        retry as :meth:`run_seeds`: a crash re-dispatches every outstanding
-        chunk of every batch as one group, so the executor restarts once per
-        crash, not once per batch.  Closing the iterator early (a campaign or
-        search stopped by its ``on_cell`` or ``on_candidate`` callback)
-        cancels the chunks no worker has picked up yet.
+        The batches go out as one dispatch group, so small ones share chunks
+        (see :meth:`_cut`) and workers never idle between batches.  The
+        chunks are drained in submission order with the same crash retry
+        as :meth:`run_seeds`: a crash re-dispatches every outstanding chunk
+        of the group at once, so the executor restarts once per crash, not
+        once per batch.  A batch's rows are yielded as soon as the chunk
+        holding its last seed is back.  Closing the iterator early (a
+        campaign or search stopped by its ``on_cell`` or ``on_candidate``
+        callback) cancels the chunks no worker has picked up yet; a chunk
+        already running may hold seeds of several batches.
         """
-        futures: list["Future[ChunkResult]"] = []
-        sizes = []
-        for template, seeds in batches:
-            submitted = self.submit_seed_chunks(template, seeds, reduce=True, batch=batch)
-            futures += submitted
-            sizes.append(len(submitted))
-        chunks = self._gather(futures)
+        group = [(template, tuple(seeds)) for template, seeds in batches]
+        chunks = self._gather(self._submit_group(group, reduce=True, batch=batch))
+        rows = itertools.chain.from_iterable(chunks)
         try:
-            for size in sizes:
-                yield [row for _ in range(size) for row in next(chunks)]
+            for _template, seeds in group:
+                yield list(itertools.islice(rows, len(seeds)))
         finally:
             chunks.close()
 
@@ -723,7 +851,7 @@ class ExecutionPool:
             futures: list["Future[ChunkResult]"] = []
             try:
                 for payload in payloads:
-                    future = executor.submit(payload.fn, *payload.args)
+                    future = executor.submit(_run_chunk, *payload.args)
                     self._chunk_payloads[future] = payload
                     futures.append(future)
                 break

@@ -4,7 +4,8 @@
 over one TCP connection: every request is one JSON line, every response one
 JSON line back (``watch`` streams many).  It is deliberately synchronous —
 the asyncio lives on the server; clients are scripts, tests, and the
-``repro client`` CLI, none of which want an event loop.
+``repro client`` CLI, none of which want an event loop.  ``watch`` streams a
+job's progress records; ``wait`` answers once, with the final one.
 
 Connection endpoints come either from an explicit ``host``/``port`` or from
 the announce file a service started with ``--announce`` (or ``port=0``)
@@ -135,19 +136,37 @@ class ServiceClient:
         return self.request({"op": "ping"})
 
     def submit(self, request: JobRequest, wait: bool = False) -> dict[str, Any]:
-        """Submit one job; with ``wait=True``, watch it to completion.
+        """Submit one job; with ``wait=True``, block until it is terminal.
 
         Returns the submit response (``job``, ``state``); when waiting, the
-        terminal ``job-finished`` record is merged in under ``"finished"``.
+        job's final record — the one :meth:`watch` ends with, normally the
+        ``job-finished`` record carrying the result summary — is merged in
+        under ``"finished"``.  Waiting is one :meth:`wait` request and one
+        reply, however many progress records the job emits.
         """
         response = self.request({"op": "submit", "request": request.to_dict()})
         if wait:
-            final = None
-            for record in self.watch(response["job"]):
-                final = record
             response = dict(response)
-            response["finished"] = final
+            response["finished"] = self.wait(response["job"])
         return response
+
+    def wait(self, job: str) -> dict[str, Any]:
+        """Block until a job is terminal and return its final record.
+
+        The record is the last one :meth:`watch` would yield: ``job-finished``
+        for a job that ran or was cancelled, or the ``service-stopping``
+        sentinel if the service shut down first.  The reply comes when the
+        job ends, so the connection's timeout does not apply to it; an
+        unknown job is refused with :class:`ServiceError`.
+        """
+        self._send({"op": "wait", "job": job})
+        timeout = self._sock.gettimeout()
+        self._sock.settimeout(None)
+        try:
+            response = self._expect_ok(self._readline())
+        finally:
+            self._sock.settimeout(timeout)
+        return response["finished"]
 
     def jobs(self) -> list[dict[str, Any]]:
         """Every job the service knows about."""

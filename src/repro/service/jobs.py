@@ -58,9 +58,10 @@ class Job:
     """One accepted submission and everything the service tracks about it.
 
     The ``events`` buffer and ``subscribers`` set are owned by the service's
-    event-loop thread (the executor publishes into them via
-    ``call_soon_threadsafe``), which serializes buffer appends against
-    ``watch`` subscriptions without a lock.  Scalar fields (``state``,
+    event-loop thread, which serializes buffer appends against ``watch`` and
+    ``wait`` subscriptions without a lock.  Other threads append records to
+    ``pending`` under the service's lock, and the loop thread moves them into
+    ``events`` in order.  Scalar fields (``state``,
     timestamps, ``error``, ``result``) are written by one thread at a time
     and read freely — torn reads are impossible for attribute rebinding.
     """
@@ -76,6 +77,7 @@ class Job:
     result: Optional[dict[str, Any]] = None
     cancel_event: threading.Event = field(default_factory=threading.Event)
     events: list[dict[str, Any]] = field(default_factory=list)
+    pending: list[dict[str, Any]] = field(default_factory=list)
     subscribers: set[Any] = field(default_factory=set)
 
     @property

@@ -14,8 +14,9 @@ Three threads, one loop::
     asyncio loop thread ── start_server(), one coroutine per client,
     │                      owns every Job.events buffer and subscriber set
     executor thread ────── JobQueue.pop() → run campaign/search via the
-    │                      ordinary runners; publishes progress through
-    │                      loop.call_soon_threadsafe (never touches buffers
+    │                      ordinary runners; appends progress records to the
+    │                      job's pending list and wakes the loop only when
+    │                      that list was empty (never touches buffers
     │                      directly)
     HTTP facade thread ─── optional ThreadingHTTPServer serving /status and
                            /jobs/<id>/status in the RunMonitor snapshot
@@ -29,7 +30,8 @@ cancelled job), ``events.jsonl`` (the job's full telemetry stream), and
 snapshots).  Progress streamed to ``watch`` subscribers is tapped straight
 off the job's telemetry event bus — cells committed, generations completed,
 best-candidate improvements — so the wire stream and the on-disk record are
-the same events.
+the same events.  A client that only needs the outcome sends ``wait`` and
+gets one reply, the final record a ``watch`` ends with.
 
 Cancellation is cooperative and exact: the cancel flag is only checked in
 the runners' ``on_cell`` / ``on_candidate`` callbacks, which fire *after*
@@ -47,7 +49,7 @@ import time
 from functools import partial
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Awaitable, Callable, Optional
 
 from repro.campaigns.runner import CampaignRunner
 from repro.campaigns.store import ResultStore
@@ -63,6 +65,10 @@ from repro.telemetry.monitor import STATUS_SCHEMA, RunMonitor
 
 #: Schema tag on every service-level status document.
 SERVICE_SCHEMA = "repro.service.status/v1"
+
+#: Ops that follow one job's records instead of answering at once
+#: (:meth:`CampaignService._op_follow`).
+_FOLLOW_OPS = ("wait", "watch")
 
 #: Monitor configuration per job kind — identical to what the direct CLI
 #: commands wire up, so a service job's status.json and a CLI run's are the
@@ -167,6 +173,7 @@ class CampaignService:
 
         self._jobs: dict[str, Job] = {}
         self._jobs_lock = threading.Lock()
+        self._pending_lock = threading.Lock()
         self._seq = 0
         self._started_unix_s: Optional[float] = None
 
@@ -334,8 +341,8 @@ class CampaignService:
                     await self._send(writer, {"ok": False, "error": f"invalid JSON: {error}"})
                     continue
                 op = request.get("op") if isinstance(request, dict) else None
-                if op == "watch":
-                    await self._op_watch(writer, request)
+                if op in _FOLLOW_OPS:
+                    await self._op_follow(writer, op, request)
                     continue
                 response = self._dispatch(op, request)
                 await self._send(writer, response)
@@ -367,9 +374,10 @@ class CampaignService:
             "store-status": self._op_store_status,
             "shutdown": lambda _request: {"ok": True, "stopping": True},
         }
-        handler = handlers.get(op or "")
+        handler = handlers.get(op) if isinstance(op, str) else None
         if handler is None:
-            return {"ok": False, "error": f"unknown op {op!r}; known: {', '.join(sorted(handlers))}"}
+            known = ", ".join(sorted([*handlers, *_FOLLOW_OPS]))
+            return {"ok": False, "error": f"unknown op {op!r}; known: {known}"}
         try:
             return handler(request)
         except AdmissionError as error:
@@ -434,39 +442,57 @@ class CampaignService:
             ]
         return {"ok": True, "store": str(path), "campaigns": campaigns}
 
-    async def _op_watch(self, writer: asyncio.StreamWriter, request: dict[str, Any]) -> None:
-        """Stream a job's buffered + live progress records as NDJSON lines.
+    async def _op_follow(
+        self, writer: asyncio.StreamWriter, op: str, request: dict[str, Any]
+    ) -> None:
+        """Serve ``watch`` (every record, one NDJSON line each) or ``wait``.
 
-        Runs on the loop thread, which owns every job's event buffer — the
-        replay-then-subscribe handoff is therefore race-free: no record can
-        land between the buffer snapshot and the subscription.
+        ``wait`` answers once, when the job is terminal, with the final
+        record a ``watch`` of the same job ends with (``job-finished``, or
+        the ``service-stopping`` sentinel) under ``"finished"``.
         """
         job_id = request.get("job")
-        job = self._jobs.get(job_id) if job_id is not None else None
+        job = self._jobs.get(job_id) if isinstance(job_id, str) else None
         if job is None:
             await self._send(writer, {"ok": False, "error": f"unknown job {job_id!r}"})
             return
+        if op == "wait":
+            final = await self._follow(job)
+            await self._send(writer, {"ok": True, "job": job.id, "finished": final})
+            return
         await self._send(writer, {"ok": True, "job": job.id, "watching": True})
+        await self._follow(job, lambda record: self._send(writer, {"event": record}))
+
+    async def _follow(
+        self,
+        job: Job,
+        send: Optional[Callable[[dict[str, Any]], Awaitable[None]]] = None,
+    ) -> dict[str, Any]:
+        """Replay a job's records, then follow it live, to its final record.
+
+        Returns that final record; ``send``, when given, gets every record
+        on the way.  Runs on the loop thread, which owns every job's event
+        buffer — the replay-then-subscribe handoff is therefore race-free:
+        no record can land between the buffer snapshot and the
+        subscription.  A record still on the executor's pending list
+        reaches the subscription when the loop publishes it, so a job that
+        is already terminal still ends on its own final record.
+        """
         queue: asyncio.Queue[dict[str, Any]] = asyncio.Queue()
         backlog = list(job.events)
         job.subscribers.add(queue)
         try:
             for record in backlog:
-                await self._send(writer, {"event": record})
+                if send is not None:
+                    await send(record)
                 if record.get("final"):
-                    return
-            if job.state.terminal and not any(r.get("final") for r in backlog):
-                # Terminal before any subscriber saw the sentinel (e.g. the
-                # job finished while the backlog replayed an empty buffer).
-                await self._send(
-                    writer, {"event": {"kind": "job-finished", "state": job.state.value, "final": True}}
-                )
-                return
+                    return record
             while True:
                 record = await queue.get()
-                await self._send(writer, {"event": record})
+                if send is not None:
+                    await send(record)
                 if record.get("final"):
-                    return
+                    return record
         finally:
             job.subscribers.discard(queue)
 
@@ -483,13 +509,15 @@ class CampaignService:
         job_dir = self.job_dir(job.id)
         job_dir.mkdir(parents=True, exist_ok=True)
         (job_dir / "request.json").write_text(request.to_json())
+        # Published before the executor can pop the job, so job-queued
+        # always precedes job-started.
+        self._publish_threadsafe(job, {"kind": "job-queued", "job": job.id, "priority": request.priority})
         try:
             self._queue.offer(job)
         except AdmissionError:
             with self._jobs_lock:
                 del self._jobs[job.id]
             raise
-        self._publish_threadsafe(job, {"kind": "job-queued", "job": job.id, "priority": request.priority})
         return job
 
     def cancel(self, job: Job) -> bool:
@@ -628,16 +656,9 @@ class CampaignService:
         telemetry = Telemetry(sink=JsonlSink(str(job_dir / "events.jsonl")))
 
         def tap(event: Any) -> None:
-            # Runs on the executor thread; hop to the loop thread, the sole
-            # owner of the event buffer and subscriber set.  Taps must never
-            # raise — a closed loop during shutdown just drops the record.
-            record = event.to_dict()
-            loop = self._loop
-            if loop is not None and loop.is_running():
-                try:
-                    loop.call_soon_threadsafe(self._publish, job, record)
-                except RuntimeError:
-                    pass
+            # Runs on the executor thread, in emit order with the lifecycle
+            # records; the loop thread publishes them.
+            self._publish_threadsafe(job, event.to_dict())
 
         telemetry.add_event_tap(tap)
 
@@ -679,8 +700,7 @@ class CampaignService:
         with CampaignRunner(
             spec, store, pool=self._pool, telemetry=telemetry, plan=job.request.plan
         ) as runner:
-            before = runner.status()
-            monitor = self._monitor(job, telemetry, wiring, total=before.total)
+            monitor = self._monitor(job, telemetry, wiring, total=len(spec.cells()))
             try:
                 progress = runner.run(max_cells=job.request.limit, on_cell=check_cancel)
             finally:
@@ -729,23 +749,39 @@ class CampaignService:
         }
 
     # -- event fanout ------------------------------------------------------
-
-    def _publish(self, job: Job, record: dict[str, Any]) -> None:
-        """Loop-thread-only: append to the buffer and fan out to watchers."""
-        job.events.append(record)
-        for queue in list(job.subscribers):
-            queue.put_nowait(record)
+    #
+    # Every record of a job (job-queued, job-started, job-finished and each
+    # telemetry event tapped off the run) goes through one per-job pending
+    # list, so its order on the wire is the order it was published in.  The
+    # publishing thread wakes the loop only when that list goes from empty to
+    # non-empty; the loop then publishes the whole batch.  A burst of events
+    # between two pool waits costs one wake-up, not one per event.
 
     def _publish_threadsafe(self, job: Job, record: dict[str, Any]) -> None:
-        """Publish from any thread (falls back to buffer-only before start)."""
+        """Publish from any thread (buffer-only while no loop runs)."""
+        with self._pending_lock:
+            job.pending.append(record)
+            if len(job.pending) > 1:
+                return  # the loop is already due to publish this batch
         loop = self._loop
         if loop is not None and loop.is_running():
             try:
-                loop.call_soon_threadsafe(self._publish, job, record)
+                loop.call_soon_threadsafe(self._publish_pending, job)
                 return
             except RuntimeError:
                 pass
-        job.events.append(record)
+        with self._pending_lock:
+            job.events += job.pending
+            job.pending = []
+
+    def _publish_pending(self, job: Job) -> None:
+        """Loop-thread-only: append a job's pending records to its buffer and fan out."""
+        with self._pending_lock:
+            records, job.pending = job.pending, []
+        job.events += records
+        for queue in list(job.subscribers):
+            for record in records:
+                queue.put_nowait(record)
 
 
 class _ServiceRequestHandler(BaseHTTPRequestHandler):

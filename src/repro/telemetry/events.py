@@ -22,11 +22,13 @@ golden-equivalence suite) — the stream is a one-way export.
 
 from __future__ import annotations
 
+import copy
+import functools
 import json
 import os
 import threading
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, ClassVar, IO, Mapping, Optional, Union
 
@@ -50,10 +52,38 @@ class TelemetryEvent:
     monotonic_s: float = field(default_factory=_monotonic, kw_only=True)
 
     def to_dict(self) -> dict[str, Any]:
-        """The JSON-serializable record (``kind`` first, fields after)."""
+        """The JSON-serializable record (``kind`` first, fields after).
+
+        Equal to ``{"kind": ..., **dataclasses.asdict(self)}``, in one walk
+        over the fields: scalars go in as they are, and containers (a span's
+        ``attributes``) are copied, so a record never aliases event state.
+        """
         payload: dict[str, Any] = {"kind": self.kind}
-        payload.update(asdict(self))
+        for name in _field_names(type(self)):
+            payload[name] = _copied(getattr(self, name))
         return payload
+
+
+#: Field values a record takes as they are: immutable, and ``asdict`` would
+#: only hand them back.
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+@functools.cache
+def _field_names(event_type: type) -> tuple[str, ...]:
+    """An event class's field names, in declaration order (computed once per class)."""
+    return tuple(item.name for item in fields(event_type))
+
+
+def _copied(value: Any) -> Any:
+    """``value`` with its dicts, lists and tuples copied, as ``asdict`` copies them."""
+    if type(value) in _SCALARS:
+        return value
+    if isinstance(value, dict):
+        return type(value)((_copied(key), _copied(item)) for key, item in value.items())
+    if isinstance(value, (list, tuple)):
+        return type(value)(_copied(item) for item in value)
+    return copy.deepcopy(value)
 
 
 # -- run lifecycle (the `trials` path) ----------------------------------------

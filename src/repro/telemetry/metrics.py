@@ -99,10 +99,13 @@ class WorkerStatsDelta:
         uptime_s: float,
         trials: int,
         rounds: int,
-        batched: bool,
+        batch_trials: int,
         seconds: float,
     ) -> "WorkerStatsDelta":
         """The delta one finished chunk contributes (one histogram observation).
+
+        ``batch_trials`` of the chunk's ``trials`` ran on the lockstep kernel;
+        the rest ran on the scalar loop.
 
         The observation lands in the first bucket whose bound is at least
         ``seconds``, or in the +Inf slot.  Every worker chunk builds one, so
@@ -114,8 +117,8 @@ class WorkerStatsDelta:
             1,
             trials,
             rounds,
-            0 if batched else trials,
-            trials if batched else 0,
+            trials - batch_trials,
+            batch_trials,
             seconds,
             1,
             _ONE_OBSERVATION[bisect_left(WORKER_SECONDS_BUCKETS, seconds)],

@@ -45,7 +45,7 @@ from repro.engine import batch
 from repro.engine.batch import _WordStreams, batchable, run_batch, run_reduced_batch
 from repro.engine.observers import TraceLevel
 from repro.engine.plan import ExecutionPlan
-from repro.engine.pool import ExecutionPool, ReducedTrial, _run_seed_chunk
+from repro.engine.pool import ExecutionPool, ReducedTrial, _run_chunk
 from repro.engine.runner import run_reduced_trials
 from repro.engine.serialization import execution_digest
 from repro.engine.simulator import SimulationConfig, simulate
@@ -318,7 +318,7 @@ class TestGoldenEquivalence:
             return original(protocol, local_round)
 
         monkeypatch.setattr(TrapdoorProtocol, "contender_probability", looked_up)
-        chunk = _run_seed_chunk(config_for(key), (0, 1, 2, 3), True, True)
+        chunk = _run_chunk(((config_for(key), (0, 1, 2, 3)),), True, True)
         horizon = TrapdoorProtocol(
             ProtocolContext(params=PARAMS, rng=random.Random(0), uid=1, local_round=1)
         ).victory_rounds
@@ -326,7 +326,7 @@ class TestGoldenEquivalence:
         assert lookups == list(range(1, horizon + 1))
         assert (chunk.stats.batch_trials, chunk.stats.scalar_trials) == (4, 0)
         assert list(chunk.rows) == run_reduced_batch(config_for(key), [0, 1, 2, 3])
-        chunk = _run_seed_chunk(traced, (0, 1), True, True)
+        chunk = _run_chunk(((traced, (0, 1)),), True, True)
         assert (chunk.stats.batch_trials, chunk.stats.scalar_trials) == (0, 2)
 
         # A run shorter than the horizon stops the table at ``max_rounds``.

@@ -36,7 +36,7 @@ from repro.engine.pool import (
     ChunkResult,
     ExecutionPool,
     WorkerCrashError,
-    _run_seed_chunk,
+    _run_chunk,
     simulate_one,
 )
 from repro.engine.simulator import SimulationConfig
@@ -103,14 +103,14 @@ def worker_counter_values(registry: MetricsRegistry) -> dict[str, float]:
 
 def sample_delta(pid: int = 1234, trials: int = 2, rounds: int = 50) -> WorkerStatsDelta:
     return WorkerStatsDelta.for_chunk(
-        pid=pid, uptime_s=0.5, trials=trials, rounds=rounds, batched=False, seconds=0.02
+        pid=pid, uptime_s=0.5, trials=trials, rounds=rounds, batch_trials=0, seconds=0.02
     )
 
 
 class TestWorkerStatsDelta:
     def test_for_chunk_buckets_one_observation(self):
         delta = WorkerStatsDelta.for_chunk(
-            pid=1, uptime_s=0.0, trials=3, rounds=30, batched=True, seconds=0.003
+            pid=1, uptime_s=0.0, trials=3, rounds=30, batch_trials=3, seconds=0.003
         )
         assert len(delta.simulate_seconds_buckets) == len(WORKER_SECONDS_BUCKETS) + 1
         assert sum(delta.simulate_seconds_buckets) == 1
@@ -120,7 +120,7 @@ class TestWorkerStatsDelta:
 
     def test_for_chunk_overflows_to_inf_bucket(self):
         delta = WorkerStatsDelta.for_chunk(
-            pid=1, uptime_s=0.0, trials=1, rounds=5, batched=False, seconds=1e6
+            pid=1, uptime_s=0.0, trials=1, rounds=5, batch_trials=0, seconds=1e6
         )
         assert delta.simulate_seconds_buckets[-1] == 1
         assert delta.scalar_trials == 1 and delta.batch_trials == 0
@@ -146,7 +146,7 @@ class TestWorkerStatsDelta:
                 uptime_s=float(index),
                 trials=index + 1,
                 rounds=10 * index,
-                batched=index % 2 == 0,
+                batch_trials=index + 1 if index % 2 == 0 else 0,
                 seconds=0.001 * (index + 1),
             )
             for index in range(6)
@@ -184,7 +184,7 @@ class TestWorkerStatsDelta:
 
 class TestWorkerDeltaPipeline:
     def test_chunk_result_carries_plain_picklable_stats(self):
-        outcome = _run_seed_chunk(tiny_config(), (0, 1), reduce=True)
+        outcome = _run_chunk(((tiny_config(), (0, 1)),), reduce=True)
         assert isinstance(outcome, ChunkResult)
         stats = outcome.stats
         assert stats.pid == os.getpid()

@@ -100,6 +100,77 @@ class TestChunking:
         pool = ExecutionPool(workers=4)
         assert pool.chunk([1, 2]) == [(1,), (2,)]
 
+    def test_a_small_group_merges_across_batches(self, monkeypatch, batch_config):
+        # A service campaign job: 4 cells x 2 seeds on 2 workers go out as
+        # 2 chunks of 4 seeds, each spanning two cells.
+        from repro.telemetry import Telemetry
+
+        script_executors(monkeypatch, ["run"])
+        telemetry = Telemetry()
+        events = []
+        telemetry.add_event_tap(events.append)
+        cells = [replace(batch_config, max_rounds=rounds) for rounds in (900, 1_000, 1_100, 1_200)]
+        group = [(cell, (2 * index, 2 * index + 1)) for index, cell in enumerate(cells)]
+        with ExecutionPool(workers=2, telemetry=telemetry) as pool:
+            rows = list(pool.iter_reduced(group))
+        counters = telemetry.snapshot()["counters"]
+        assert (counters["pool.chunks_dispatched"], counters["pool.trials_dispatched"]) == (2, 8)
+        dispatched = [event for event in events if event.kind == "chunk-dispatched"]
+        assert [(event.chunk_index, event.size) for event in dispatched] == [(0, 4), (1, 4)]
+        assert rows == [list(run_reduced_trials(cell, seeds=seeds)) for cell, seeds in group]
+
+    def test_small_batches_split_evenly_over_the_workers(self):
+        pool = ExecutionPool(workers=2)
+
+        def held(sizes):
+            return [sum(stop - start for _, start, stop in chunk) for chunk in pool._cut(sizes)]
+
+        # A one-candidate search group of 4 seeds still reaches both workers.
+        assert pool._cut([4]) == [[(0, 0, 2)], [(0, 2, 4)]]
+        assert pool.chunk([0, 1, 2, 3]) == [(0, 1), (2, 3)]
+        # 4 cells x 2 seeds: two chunks of two whole cells each.
+        assert pool._cut([2, 2, 2, 2]) == [
+            [(0, 0, 2), (1, 0, 2)],
+            [(2, 0, 2), (3, 0, 2)],
+        ]
+        # 12 or 18 seeds as cells, candidates or one batch: a chunk count
+        # the two workers share evenly, so equal trials take 6 and 9
+        # trial-times, as they do with one seed per chunk.
+        for sizes in ([2] * 6, [4] * 3, [12]):
+            assert held(sizes) == [3, 3, 3, 3]
+        assert pool._cut([4, 4, 4])[1] == [(0, 3, 4), (1, 0, 2)]
+        assert held([2] * 9) == held([18]) == [3] * 6
+        # 20 seeds: the larger chunks first, 10 trial-times.
+        assert held([2] * 10) == held([20]) == [4, 4, 3, 3, 3, 3]
+        # 1,000 cells x 2 seeds: 4-seed chunks, so a commit every 2 cells.
+        chunks = pool._cut([2] * 1_000)
+        assert len(chunks) == 500
+        assert all(sum(stop - start for _, start, stop in chunk) == 4 for chunk in chunks)
+        # A batch cut into 4-seed pieces anyway splits the runs around it.
+        assert held([2, 2, 32, 2]) == [2, 2] + [4] * 8 + [1, 1]
+
+    def test_one_large_batch_is_not_merged(self):
+        chunks = ExecutionPool(workers=2).chunk(list(range(128)))
+        assert [len(chunk) for chunk in chunks] == [16] * 8
+        assert [seed for chunk in chunks for seed in chunk] == list(range(128))
+
+    def test_an_explicit_chunk_size_is_never_merged(self):
+        pool = ExecutionPool(workers=2, chunk_size=1)
+        assert pool._cut([2, 2]) == [[(0, 0, 1)], [(0, 1, 2)], [(1, 0, 1)], [(1, 1, 2)]]
+        assert ExecutionPool(workers=2, chunk_size=3)._cut([2, 4]) == [
+            [(0, 0, 2)],
+            [(1, 0, 3)],
+            [(1, 3, 4)],
+        ]
+
+    def test_an_unpicklable_batch_joins_no_chunk(self):
+        pool = ExecutionPool(workers=1)
+        assert pool._cut([1, 1, 1, 1], alone={1}) == [
+            [(0, 0, 1)],
+            [(1, 0, 1)],
+            [(2, 0, 1), (3, 0, 1)],
+        ]
+
 
 class TestBitIdentity:
     def test_pooled_matches_serial_for_every_chunk_size(self, batch_config):
@@ -375,6 +446,32 @@ class TestBrokenResubmission:
                 run_trials(batch_config, seeds=3, pool=pool)
             assert pool.starts == 1
             assert not pool.running
+
+    def test_a_crash_inside_a_multi_cell_chunk_redispatches_it(self, params, batch_config, tmp_path):
+        # Automatic chunking puts the crashing cell's seeds in one chunk with
+        # a healthy cell's: the worker dies mid-chunk, the chunk goes out
+        # again on fresh workers, and every cell's rows come back in order.
+        from repro.telemetry import Telemetry
+
+        crashing = replace(
+            batch_config, adversary=CrashOnceAdversary(sentinel=str(tmp_path / "crashed-once"))
+        )
+        group = [
+            (batch_config, (0, 1)),
+            (crashing, (2, 3)),
+            (batch_config, (4, 5)),
+            (batch_config, (6, 7)),
+        ]
+        telemetry = Telemetry()
+        with ExecutionPool(workers=2, telemetry=telemetry) as pool:
+            assert pool._cut([2, 2, 2, 2]) == [
+                [(0, 0, 2), (1, 0, 2)],
+                [(2, 0, 2), (3, 0, 2)],
+            ]
+            rows = list(pool.iter_reduced(group))
+            assert pool.starts == 2
+        assert telemetry.snapshot()["counters"]["pool.chunk_retries"] >= 1
+        assert rows == [list(run_reduced_trials(cell, seeds=seeds)) for cell, seeds in group]
 
     def test_crash_in_a_multi_batch_drain_keeps_finished_chunks(self, monkeypatch, batch_config):
         # The second batch is unpicklable, so it ran in-process behind

@@ -383,7 +383,9 @@ class TestGroupedSearch:
         ran = tmp_path / "ran"
         ran.mkdir()
         gate = tmp_path / "gate"
-        # One seed per candidate, so one chunk is one candidate is one trial.
+        # One seed per candidate and an explicit chunk size of 1, which the
+        # pool never merges across candidates: one chunk is one candidate is
+        # one trial.
         spec = activation_spec(
             "search_test_counting",
             lambda node_count: GatedCountingActivation(

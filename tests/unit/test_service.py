@@ -41,6 +41,7 @@ from repro.service import (
     ServiceError,
     connect_from_announce,
 )
+from repro.telemetry.events import read_jsonl_events
 from repro.telemetry.monitor import validate_status
 
 
@@ -358,6 +359,54 @@ class TestWireSchema:
         assert finished["state"] == "completed"
         assert finished["result"]["complete"] is True
 
+    @pytest.mark.parametrize("kind", ["campaign", "search"])
+    def test_watch_stream_equals_the_job_event_file(self, service, kind):
+        """Between the lifecycle markers, the stream is the job's
+        ``events.jsonl``, record for record and in order (without ``seq``):
+        a hand-off that drops or reorders a record fails here."""
+        if kind == "campaign":
+            request = JobRequest.for_campaign(campaign_spec("mirror", cells=3), store="m.sqlite")
+        else:
+            request = JobRequest.for_search(search_spec("mirror-search"), store="ms.sqlite")
+        with ServiceClient("127.0.0.1", service.port) as client:
+            job_id = client.submit(request)["job"]
+            records = list(client.watch(job_id))
+        kinds = [record["kind"] for record in records]
+        assert kinds[:2] == ["job-queued", "job-started"]
+        assert kinds[-1] == "job-finished"
+        on_disk = read_jsonl_events(service.job_dir(job_id) / "events.jsonl")
+        assert len(on_disk) > 5
+        for record in on_disk:
+            del record["seq"]
+        assert records[2:-1] == on_disk
+
+    def test_wait_returns_the_record_a_watch_ends_with(self, service):
+        request = JobRequest.for_campaign(campaign_spec("waited", cells=2), store="w.sqlite")
+        with ServiceClient("127.0.0.1", service.port) as client:
+            # Waited on while it runs, and again once it is terminal.
+            job_id = client.submit(request)["job"]
+            running = client.wait(job_id)
+            submitted = client.submit(request, wait=True)
+            with ServiceClient("127.0.0.1", service.port) as watcher:
+                first = list(watcher.watch(job_id))[-1]
+                second = list(watcher.watch(submitted["job"]))[-1]
+            assert client.wait(job_id) == running == first
+        assert first["kind"] == "job-finished" and first["final"] is True
+        assert first["state"] == "completed"
+        assert submitted["finished"] == second
+        assert second["result"]["already_complete"] == 2
+
+    def test_wait_on_an_unknown_job_is_refused(self, service):
+        with ServiceClient("127.0.0.1", service.port) as client:
+            with pytest.raises(ServiceError, match="unknown job"):
+                client.wait("job-9999")
+            for op in ("wait", "watch"):
+                with pytest.raises(ServiceError, match="unknown job"):
+                    client.request({"op": op, "job": ["job-0001"]})
+            with pytest.raises(ServiceError, match="known: .*wait, watch"):
+                client.request({"op": "follow"})
+            assert client.ping()["ok"] is True  # the connection stays usable
+
     def test_search_watch_streams_generation_and_best_events(self, service):
         request = JobRequest.for_search(search_spec("wire-search"), store="ws.sqlite")
         with ServiceClient("127.0.0.1", service.port) as client:
@@ -377,6 +426,7 @@ class TestWireSchema:
         assert doc["state"] == "completed"
         assert doc["unit"] == "cells"
         assert doc["progress"]["done"] == len(campaign_spec("statusdoc").cells())
+        assert doc["progress"]["total"] == len(campaign_spec("statusdoc").cells())
 
     def test_queued_job_status_is_synthesized_schema_complete(self, tmp_path):
         with CampaignService(tmp_path / "run", monitor_interval=0.05) as service:
@@ -423,6 +473,8 @@ class TestWireSchema:
         with ServiceClient("127.0.0.1", service.port) as client:
             with pytest.raises(ServiceError, match="unknown op"):
                 client.request({"op": "frobnicate"})
+            with pytest.raises(ServiceError, match="unknown op"):
+                client.request({"op": ["frobnicate"]})
             with pytest.raises(ServiceError, match="unknown job"):
                 client.status("job-7777")
             with pytest.raises(ServiceError, match="schema"):

@@ -229,6 +229,41 @@ class TestEventsAndSink:
         assert record["kind"] == "serial-fallback"
         assert record["detail"] is None
 
+    #: A sample value per field annotation of the event classes; a span's
+    #: attributes nest dicts, lists and tuples.
+    SAMPLE_VALUES = {
+        "str": "text",
+        "int": 3,
+        "float": 0.25,
+        "bool": True,
+        "Optional[str]": None,
+        "Optional[int]": 7,
+        "Optional[float]": 1.5,
+        "Mapping[str, Any]": {"cell": "k", "seeds": [1, 2, {"nested": [3, (4, 5)]}], "rows": 2},
+    }
+
+    @pytest.mark.parametrize("event_type", list(EVENT_TYPES.values()), ids=list(EVENT_TYPES))
+    def test_to_dict_equals_asdict_and_copies_containers(self, event_type):
+        import copy
+        from dataclasses import asdict, fields
+
+        values = {
+            item.name: copy.deepcopy(self.SAMPLE_VALUES[item.type])
+            for item in fields(event_type)
+            if item.name != "monotonic_s"
+        }
+        event = event_type(**values)
+        record = event.to_dict()
+        reference = {"kind": event_type.kind, **asdict(event)}
+        assert record == reference
+        assert list(record) == list(reference)
+        # Mutating every container of the record leaves the event as it was.
+        for value in record.values():
+            if isinstance(value, dict):
+                value["seeds"][2]["nested"].append(6)
+                value["added"] = True
+        assert event.to_dict() == reference
+
     def test_sink_buffers_until_threshold(self, tmp_path):
         path = tmp_path / "events.jsonl"
         with JsonlSink(path, buffer_size=3) as sink:
