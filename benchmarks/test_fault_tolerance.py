@@ -5,7 +5,9 @@ the leader goes silent for ``Ω(F²/(F−t)·logN)`` rounds, and delay committin
 an output until several leader messages have been received.  This benchmark
 kills the elected leader at different points of the execution and checks that
 the surviving nodes still synchronize, agree among themselves, and re-elect a
-unique replacement.
+unique replacement.  A crash is a fault-plan departure with no rejoin: the
+leader, node 0, is activated in global round 1, so crashing it after its
+local round ``k`` is ``ChurnEvent(0, leave_round=k + 1)``.
 """
 
 from __future__ import annotations
@@ -16,13 +18,9 @@ from repro.adversary.jammers import RandomJammer
 from repro.engine.runner import run_trials
 from repro.engine.simulator import SimulationConfig
 from repro.experiments.tables import render_table
+from repro.faults import ChurnEvent, FaultPlan
 from repro.params import ModelParameters
-from repro.protocols.fault_tolerant import (
-    CrashSchedule,
-    FaultToleranceConfig,
-    FaultTolerantTrapdoorProtocol,
-    crashable,
-)
+from repro.protocols.fault_tolerant import FaultToleranceConfig, FaultTolerantTrapdoorProtocol
 from repro.protocols.trapdoor.config import TrapdoorConfig
 from repro.protocols.trapdoor.epochs import TrapdoorSchedule
 
@@ -35,16 +33,15 @@ FT_CONFIG = FaultToleranceConfig(
 SCHEDULE = TrapdoorSchedule(PARAMS, FT_CONFIG.trapdoor)
 
 
-def run_crash_scenario(crash_round: int | None, activation, seeds: int = 3):
-    factory = FaultTolerantTrapdoorProtocol.factory(FT_CONFIG)
-    if crash_round is not None:
-        factory = crashable(factory, CrashSchedule(crash_rounds={0: crash_round}))
+def run_crash_scenario(leave_round: int | None, activation, seeds: int = 3):
+    crash = FaultPlan(churn=(ChurnEvent(0, leave_round),)) if leave_round is not None else None
     config = SimulationConfig(
         params=PARAMS,
-        protocol_factory=factory,
+        protocol_factory=FaultTolerantTrapdoorProtocol.factory(FT_CONFIG),
         activation=activation,
         adversary=RandomJammer(),
         max_rounds=150_000,
+        faults=crash,
     )
     return run_trials(config, seeds=seeds)
 
@@ -76,28 +73,33 @@ def survivor_liveness(summary) -> float:
 
 
 def test_fault_tolerance_scenarios(benchmark, emit):
+    # The global round at whose start node 0 (activated in round 1) departs:
+    # after its local round total_rounds + 1, the round it wins in, or after
+    # local round 3 * total_rounds, long after everyone synchronized.
     scenarios = {
         "no crash": None,
-        "leader crashes right after winning": SCHEDULE.total_rounds + 1,
-        "leader crashes after stabilization": 3 * SCHEDULE.total_rounds,
+        "leader crashes right after winning": SCHEDULE.total_rounds + 2,
+        "leader crashes after stabilization": 3 * SCHEDULE.total_rounds + 1,
     }
     activation = ExplicitActivation(rounds=[1, 3, 5, 7])
 
     def run():
-        rows = []
-        for name, crash_round in scenarios.items():
-            summary = run_crash_scenario(crash_round, activation)
-            rows.append(
-                {
-                    "scenario": name,
-                    "survivor_liveness": survivor_liveness(summary),
-                    "survivor_agreement": survivors_agree(summary),
-                    "mean_latency": summary.mean_latency,
-                }
-            )
-        return rows
+        return {
+            name: run_crash_scenario(leave_round, activation)
+            for name, leave_round in scenarios.items()
+        }
 
-    rows = run_once(benchmark, run)
+    summaries = run_once(benchmark, run)
+    rows = [
+        {
+            "scenario": name,
+            "survivor_liveness": survivor_liveness(summary),
+            "survivor_agreement": survivors_agree(summary),
+            "mean_latency": summary.mean_latency,
+            "max_stabilization_rounds": summary.max_stabilization_rounds,
+        }
+        for name, summary in summaries.items()
+    ]
     emit(
         render_table(
             rows,
@@ -113,6 +115,12 @@ def test_fault_tolerance_scenarios(benchmark, emit):
     # Recovering from an early leader crash costs extra rounds (the silence
     # timeout plus a fresh contention), so the latency must be visibly larger.
     assert early_crash["mean_latency"] > baseline["mean_latency"]
+    # A crash after everyone synchronized must actually happen, and the
+    # survivors keep agreeing through it.
+    leave_round = scenarios["leader crashes after stabilization"]
+    for result in summaries["leader crashes after stabilization"].results:
+        assert result.rounds_simulated >= leave_round, result.summary()
+        assert result.stabilization.recovery_rounds == (0,), result.stabilization
 
 
 def test_fault_tolerance_without_crashes_matches_trapdoor_behaviour(benchmark, emit):

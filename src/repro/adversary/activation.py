@@ -11,7 +11,6 @@ beginning of that round.  The simulator queries it once per round.
 from __future__ import annotations
 
 import abc
-import dataclasses
 import random
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -44,18 +43,6 @@ class ActivationSchedule(abc.ABC):
     def describe(self) -> str:
         """Short human-readable description used in experiment tables."""
         return type(self).__name__
-
-    def identity(self) -> str:
-        """A stable string pinning down the schedule's behaviour.
-
-        Identical across processes, and different whenever the schedule
-        behaves differently.  Every built-in schedule is a dataclass, so the
-        repr covers all its fields; a non-dataclass subclass must override
-        this if ``describe()`` does not determine when each node wakes up.
-        """
-        if dataclasses.is_dataclass(self):
-            return f"{type(self).__qualname__}: {self!r}"
-        return f"{type(self).__qualname__}: {self.describe()}"
 
 
 def _validate_node_count(node_count: int) -> int:

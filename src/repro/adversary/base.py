@@ -15,7 +15,6 @@ configuration error, not a way to cheat.
 from __future__ import annotations
 
 import abc
-import dataclasses
 import random
 from dataclasses import dataclass
 
@@ -81,20 +80,6 @@ class InterferenceAdversary(abc.ABC):
     def describe(self) -> str:
         """A short human-readable description used in experiment tables."""
         return type(self).__name__
-
-    def identity(self) -> str:
-        """A stable string pinning down the adversary's behaviour.
-
-        It must be identical across processes and must change whenever the
-        adversary's behaviour changes, so it can stand in for the adversary
-        wherever a stable key is needed.  Dataclass adversaries are fully
-        captured by their repr; non-dataclass adversaries whose
-        ``describe()`` does not determine their behaviour must override this
-        (see :class:`~repro.adversary.oblivious.ObliviousSchedule`).
-        """
-        if dataclasses.is_dataclass(self):
-            return f"{type(self).__qualname__}: {self!r}"
-        return f"{type(self).__qualname__}: {self.describe()}"
 
 
 def validate_budget(band: FrequencyBand, budget: int) -> int:

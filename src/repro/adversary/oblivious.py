@@ -13,7 +13,6 @@ strategy search's oblivious genomes decode to.
 
 from __future__ import annotations
 
-import hashlib
 from typing import Iterable, Sequence
 
 from repro.adversary.base import AdversaryContext, InterferenceAdversary
@@ -50,18 +49,6 @@ class ObliviousSchedule(InterferenceAdversary):
     def describe(self) -> str:
         return f"oblivious schedule ({len(self._schedule)} rounds)"
 
-    def identity(self) -> str:
-        """Content digest of the pre-committed schedule.
-
-        Two schedules of the same length but different disruption sets must
-        have different identities, so the identity covers the actual
-        per-round sets, not just the length.
-        """
-        digest = hashlib.sha256()
-        for entry in self._schedule:
-            digest.update(repr(sorted(entry)).encode("utf-8"))
-        return f"{type(self).__qualname__}[{len(self._schedule)}]:{digest.hexdigest()[:16]}"
-
     @property
     def schedule(self) -> tuple[frozenset[Frequency], ...]:
         """The pre-committed per-round disruption sets."""
@@ -77,10 +64,6 @@ class CyclicObliviousSchedule(ObliviousSchedule):
     is the decoded form of the strategy search's bounded oblivious genomes
     (:class:`repro.search.space.ObliviousGenome`): the genome stores one
     period, the decoded adversary tiles it over the whole execution.
-
-    The content-digest :meth:`~ObliviousSchedule.identity` is inherited; it
-    already distinguishes the cyclic class from the truncating one because it
-    embeds the concrete class name.
     """
 
     def choose_disruption(self, context: AdversaryContext) -> frozenset[Frequency]:

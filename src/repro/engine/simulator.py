@@ -94,8 +94,6 @@ class SimulationConfig:
         Grace period simulated after global synchronization, useful when a
         test wants to observe post-synchronization behaviour (e.g. that the
         round numbers keep incrementing).
-    enforce_budget:
-        Check every round that the adversary respects its budget ``t``.
     trace_level:
         How much per-round history to retain (default:
         :attr:`~repro.engine.observers.TraceLevel.FULL`, the seed behaviour).
@@ -121,7 +119,6 @@ class SimulationConfig:
     seed: int = 0
     stop_when_synchronized: bool = True
     extra_rounds_after_sync: int = 0
-    enforce_budget: bool = True
     trace_level: TraceLevel = TraceLevel.FULL
     trace_sample_interval: int = 100
     faults: Optional[FaultPlan] = None
@@ -166,12 +163,6 @@ class Simulator:
         self._config = config
         self._streams = RandomStreams(config.seed)
         self._network = SingleHopRadioNetwork(config.params.band)
-        # Factories with per-execution state (e.g. crash injection counting
-        # activations) expose fresh(); take a reset copy so reusing one config
-        # across seeds — serially or in workers — cannot leak state between runs.
-        factory = config.protocol_factory
-        fresh = getattr(factory, "fresh", None)
-        self._protocol_factory: ProtocolFactory = fresh() if callable(fresh) else factory
         self._spectrum = SpectrumLog()
         # Nodes never deactivate, so this insertion-ordered mapping *is* the
         # active set: `_activate` appends and the round loop iterates it
@@ -241,7 +232,6 @@ class Simulator:
         resolve_round = self._network.resolve_round
         choose_disruption = config.adversary.choose_disruption
         budget = config.params.disruption_budget
-        enforce_budget = config.enforce_budget
         # One context for the whole run: each round sets its round and node
         # count in place before the adversary reads it.
         adversary_context = AdversaryContext(
@@ -278,7 +268,7 @@ class Simulator:
             )
             # resolve_round has validated every frequency, so only the budget
             # is left to check.
-            if enforce_budget and len(activity.disrupted) > budget:
+            if len(activity.disrupted) > budget:
                 raise ConfigurationError(
                     f"adversary disrupted {len(activity.disrupted)} frequencies, budget is {budget}"
                 )
@@ -391,7 +381,7 @@ class Simulator:
             if runtime is None:
                 continue
             runtime.reincarnate(
-                injector.rejoin_stream(node_id, global_round), self._protocol_factory
+                injector.rejoin_stream(node_id, global_round), self._config.protocol_factory
             )
             rows.append(self._row(runtime, global_round))
             checker.reset_node(node_id)
@@ -405,7 +395,7 @@ class Simulator:
                     runtime = row[1]
                     runtime.reincarnate(
                         injector.corruption_stream(node_id, global_round),
-                        self._protocol_factory,
+                        self._config.protocol_factory,
                     )
                     rows[index] = self._row(runtime, global_round)
                     checker.reset_node(node_id)
@@ -433,7 +423,7 @@ class Simulator:
                 params=self._config.params,
                 rng=self._streams.node_stream(node_id),
             )
-            runtime.activate(global_round, self._protocol_factory)
+            runtime.activate(global_round, self._config.protocol_factory)
             self._nodes[node_id] = runtime
             self._active_rows.append(self._row(runtime, global_round))
             if recorder is not None:

@@ -110,7 +110,7 @@ EXPERIMENTS: tuple[ExperimentSpec, ...] = (
         paper_artefact="Section 8 (fault tolerance)",
         claim="Restart-on-silence plus delayed commitment tolerates leader crashes",
         benchmark_module="benchmarks/test_fault_tolerance.py",
-        modules=("repro.protocols.fault_tolerant",),
+        modules=("repro.protocols.fault_tolerant", "repro.faults"),
     ),
     ExperimentSpec(
         identifier="ablation_fprime",

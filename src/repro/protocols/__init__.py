@@ -13,21 +13,14 @@ from repro.protocols.baselines import (
     UniformWakeupProtocol,
 )
 from repro.protocols.contention import ContentionProtocol
-from repro.protocols.fault_tolerant import (
-    CrashSchedule,
-    FaultToleranceConfig,
-    FaultTolerantTrapdoorProtocol,
-    MutedProtocol,
-    crashable,
-)
+from repro.protocols.fault_tolerant import FaultToleranceConfig, FaultTolerantTrapdoorProtocol
 from repro.protocols.good_samaritan import (
     GoodSamaritanConfig,
     GoodSamaritanProtocol,
     GoodSamaritanSchedule,
 )
-from repro.protocols.numbering import RoundNumbering
-from repro.protocols.timestamps import Timestamp, draw_uid
 from repro.protocols.trapdoor import TrapdoorConfig, TrapdoorProtocol, TrapdoorSchedule
+from repro.timestamps import Timestamp, draw_uid
 
 __all__ = [
     "ProtocolContext",
@@ -39,15 +32,11 @@ __all__ = [
     "RoundRobinSweepProtocol",
     "SingleChannelAlohaProtocol",
     "UniformWakeupProtocol",
-    "CrashSchedule",
     "FaultToleranceConfig",
     "FaultTolerantTrapdoorProtocol",
-    "MutedProtocol",
-    "crashable",
     "GoodSamaritanConfig",
     "GoodSamaritanProtocol",
     "GoodSamaritanSchedule",
-    "RoundNumbering",
     "Timestamp",
     "draw_uid",
     "TrapdoorConfig",

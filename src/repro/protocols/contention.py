@@ -51,9 +51,9 @@ from repro.protocols.base import (
     SynchronizedOutputMixin,
     draw_one_to,
 )
-from repro.protocols.timestamps import Timestamp
 from repro.radio.actions import RadioAction, broadcast, listen
 from repro.radio.messages import ContenderMessage, LeaderMessage, Message
+from repro.timestamps import Timestamp
 from repro.types import Role
 
 

@@ -15,11 +15,11 @@ crash failures:
 This module provides:
 
 * :class:`FaultToleranceConfig` — the constants of the modification;
-* :class:`FaultTolerantTrapdoorProtocol` — the modified protocol;
-* :class:`CrashSchedule` / :func:`crashable` — a fail-silent crash injector
-  that mutes a node (it stops broadcasting and ignores receptions) after a
-  configured local round, which is how the ``fault_tolerance`` benchmark
-  kills leaders.
+* :class:`FaultTolerantTrapdoorProtocol` — the modified protocol.
+
+A crash is a :class:`~repro.faults.plan.ChurnEvent` with no rejoin: the
+departed node goes silent and stops advancing, which is how the
+``fault_tolerance`` benchmark kills leaders.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 from repro.exceptions import ConfigurationError
 from repro.protocols.base import (
@@ -38,12 +37,11 @@ from repro.protocols.base import (
     SynchronizedOutputMixin,
     draw_one_to,
 )
-from repro.protocols.numbering import RoundNumbering
-from repro.protocols.timestamps import Timestamp
 from repro.protocols.trapdoor.config import TrapdoorConfig
 from repro.protocols.trapdoor.epochs import TrapdoorSchedule
 from repro.radio.actions import RadioAction, broadcast, listen
 from repro.radio.messages import ContenderMessage, LeaderMessage, Message
+from repro.timestamps import Timestamp
 from repro.types import Role, SyncOutput
 
 
@@ -140,7 +138,9 @@ class FaultTolerantTrapdoorProtocol(SynchronizedOutputMixin, SynchronizationProt
         self._start_round = 1
         self._leader_messages_seen = 0
         self._last_leader_contact: int | None = None
-        self._pending_numbering: RoundNumbering | None = None
+        # The first numbering heard, as (announced number − local round at
+        # receipt): local round r is global round r + offset.
+        self._numbering_offset: int | None = None
         self._restarts = 0
 
     @classmethod
@@ -234,10 +234,10 @@ class FaultTolerantTrapdoorProtocol(SynchronizedOutputMixin, SynchronizationProt
 
     def _become_leader(self) -> None:
         self._state = _State.LEADER
-        if self._pending_numbering is not None:
+        if self._numbering_offset is not None:
             # Preserve a numbering learned from a previous (crashed) leader so
             # agreement survives re-election.
-            self.adopt_round_number(self._pending_numbering.number_for(self.context.local_round))
+            self.adopt_round_number(self.context.local_round + self._numbering_offset)
         else:
             self.adopt_round_number(self.context.local_round)
 
@@ -251,120 +251,10 @@ class FaultTolerantTrapdoorProtocol(SynchronizedOutputMixin, SynchronizationProt
             return
         self._leader_messages_seen += 1
         self._last_leader_contact = self.context.local_round
-        if self._pending_numbering is None:
-            self._pending_numbering = RoundNumbering.adopted_from_message(
-                receiver_local_round=self.context.local_round,
-                announced_number=message.round_number,
-            )
+        if self._numbering_offset is None:
+            self._numbering_offset = message.round_number - self.context.local_round
         if self._state is not _State.COMMITTED:
             self._state = _State.KNOCKED_OUT
         if self._leader_messages_seen >= self.config.commit_threshold:
             self._state = _State.COMMITTED
-            self.adopt_round_number(
-                self._pending_numbering.number_for(self.context.local_round)
-            )
-
-
-# ---------------------------------------------------------------------------
-# Crash injection
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CrashSchedule:
-    """Which nodes fail-silent, and when (in *local* rounds).
-
-    Attributes
-    ----------
-    crash_rounds:
-        Mapping from node id to the local round after which the node is muted.
-        Nodes not present never crash.
-    """
-
-    crash_rounds: Mapping[int, int]
-
-    def crash_round_for(self, node_id: int) -> int | None:
-        """The crash round of ``node_id``, or ``None`` if it never crashes."""
-        return self.crash_rounds.get(node_id)
-
-
-class MutedProtocol(SynchronizationProtocol):
-    """A fail-silent wrapper: after ``mute_after`` local rounds the node stops
-    broadcasting and ignores everything it hears.
-
-    The muted node keeps outputting (its clock keeps ticking), which models a
-    device that left the network rather than one whose memory was wiped; what
-    matters for the experiments is that it stops *transmitting* — in
-    particular, a muted leader no longer announces the numbering.
-    """
-
-    def __init__(self, inner: SynchronizationProtocol, mute_after: int) -> None:
-        super().__init__(inner.context)
-        if mute_after < 1:
-            raise ConfigurationError(f"mute_after must be >= 1, got {mute_after}")
-        self.inner = inner
-        self.mute_after = mute_after
-
-    @property
-    def muted(self) -> bool:
-        """True once the node has crashed (fail-silent)."""
-        return self.context.local_round > self.mute_after
-
-    @property
-    def role(self) -> Role:
-        return self.inner.role
-
-    def on_activate(self) -> None:
-        self.inner.on_activate()
-
-    def choose_action(self) -> RadioAction:
-        if self.muted:
-            return listen(draw_one_to(self.context.rng, self.context.params.frequencies))
-        return self.inner.choose_action()
-
-    def on_reception(self, message: Message) -> None:
-        if self.muted:
-            return
-        self.inner.on_reception(message)
-
-    def current_output(self) -> SyncOutput:
-        return self.inner.current_output()
-
-
-@dataclass
-class CrashableProtocolFactory:
-    """A picklable crash-injecting :data:`~repro.protocols.base.ProtocolFactory`.
-
-    Because protocols do not know their engine-side node id, the crash
-    schedule is applied by activation order: the ``i``-th activated node gets
-    the crash round registered for id ``i``.  This matches how the benchmarks
-    construct their activation schedules (node ids are activation ranks).
-
-    The activation counter is *per execution*: the simulator calls
-    :meth:`fresh` before every run, so reusing one factory across a
-    multi-seed batch applies the crash schedule to every trial (a shared
-    counter would silently stop crashing nodes after the first execution),
-    and a parallel batch behaves identically to a serial one.
-    """
-
-    inner_factory: ProtocolFactory
-    schedule: CrashSchedule
-    _next_index: int = 0
-
-    def fresh(self) -> "CrashableProtocolFactory":
-        """A copy with the activation counter reset (one per execution)."""
-        return CrashableProtocolFactory(self.inner_factory, self.schedule)
-
-    def __call__(self, context: ProtocolContext) -> SynchronizationProtocol:
-        node_index = self._next_index
-        self._next_index += 1
-        inner = self.inner_factory(context)
-        crash_round = self.schedule.crash_round_for(node_index)
-        if crash_round is None:
-            return inner
-        return MutedProtocol(inner, crash_round)
-
-
-def crashable(inner_factory: ProtocolFactory, schedule: CrashSchedule) -> ProtocolFactory:
-    """Wrap a protocol factory with fail-silent crash injection."""
-    return CrashableProtocolFactory(inner_factory, schedule)
+            self.adopt_round_number(self.context.local_round + self._numbering_offset)

@@ -46,9 +46,9 @@ from repro.protocols.base import (
 from repro.protocols.good_samaritan.config import GoodSamaritanConfig
 from repro.protocols.good_samaritan.reports import SuccessLedger
 from repro.protocols.good_samaritan.schedule import EpochSpan, GoodSamaritanSchedule
-from repro.protocols.timestamps import Timestamp
 from repro.radio.actions import RadioAction, broadcast, listen
 from repro.radio.messages import ContenderMessage, LeaderMessage, Message, SamaritanMessage
+from repro.timestamps import Timestamp
 from repro.types import Frequency, Role
 
 

@@ -22,7 +22,7 @@ about:
 Every genome round-trips through ``to_dict``/:func:`genome_from_dict` and has
 a stable content-hashed :func:`genome_key`, which is what the checkpoint
 layer dedups evaluations by.  Decoded adversaries are picklable (the parallel
-runner ships them to worker processes) and carry a stable ``identity()``.
+runner ships them to worker processes).
 """
 
 from __future__ import annotations

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import random
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.protocols.numbering import RoundNumbering
+from repro.params import ModelParameters
+from repro.protocols.base import ProtocolContext, SynchronizedOutputMixin
 from repro.timestamps import Timestamp
 
 timestamps = st.builds(
@@ -13,6 +16,29 @@ timestamps = st.builds(
     rounds_active=st.integers(min_value=0, max_value=10_000),
     uid=st.integers(min_value=1, max_value=10**9),
 )
+
+
+class Adopter(SynchronizedOutputMixin):
+    """The output numbering every protocol uses, on a bare context."""
+
+    def __init__(self, local_round: int) -> None:
+        self.context = ProtocolContext(
+            params=ModelParameters(frequencies=4, disruption_budget=1, participant_bound=8),
+            rng=random.Random(0),
+            uid=1,
+            local_round=local_round,
+        )
+
+    def output_at(self, local_round: int):
+        self.context.local_round = local_round
+        return self.current_output()
+
+
+def adopted(local_round: int, round_number: int) -> Adopter:
+    """A node that adopts ``round_number`` in its local round ``local_round``."""
+    adopter = Adopter(local_round)
+    adopter.adopt_round_number(round_number)
+    return adopter
 
 
 class TestTimestampProperties:
@@ -59,26 +85,25 @@ class TestNumberingProperties:
     )
     @settings(max_examples=300, deadline=None)
     def test_numbering_is_affine_with_unit_slope(self, local_round, announced, offset):
-        numbering = RoundNumbering.adopted_from_message(local_round, announced)
-        assert numbering.number_for(local_round) == announced
-        assert numbering.number_for(local_round + offset) == announced + offset
+        numbering = adopted(local_round, announced)
+        assert numbering.output_at(local_round) == announced
+        assert numbering.output_at(local_round + offset) == announced + offset
 
     @given(st.integers(min_value=1, max_value=10_000), st.integers(min_value=0, max_value=5_000))
     @settings(max_examples=200, deadline=None)
     def test_leader_declaration_equals_activation_age(self, leader_round, offset):
-        numbering = RoundNumbering.declared_by_leader(leader_round)
-        assert numbering.number_for(leader_round + offset) == leader_round + offset
+        numbering = adopted(leader_round, leader_round)
+        assert numbering.output_at(leader_round + offset) == leader_round + offset
 
     @given(
-        st.integers(min_value=1, max_value=10_000),
         st.integers(min_value=0, max_value=10**6),
         st.integers(min_value=1, max_value=10_000),
     )
     @settings(max_examples=200, deadline=None)
-    def test_two_adopters_of_same_message_always_agree(self, sender_round, announced, receiver_round):
+    def test_two_adopters_of_same_message_always_agree(self, announced, receiver_round):
         # Two nodes adopting the same announcement in the same (global) round
         # produce identical outputs forever, regardless of their local ages.
-        a = RoundNumbering.adopted_from_message(receiver_round, announced)
-        b = RoundNumbering.adopted_from_message(receiver_round + 3, announced)
+        a = adopted(receiver_round, announced)
+        b = adopted(receiver_round + 3, announced)
         for step in range(5):
-            assert a.number_for(receiver_round + step) == b.number_for(receiver_round + 3 + step)
+            assert a.output_at(receiver_round + step) == b.output_at(receiver_round + 3 + step)

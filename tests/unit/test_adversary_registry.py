@@ -1,11 +1,10 @@
-"""Unit tests for the shared adversary registry and identity stability.
+"""Unit tests for the shared adversary registry and adversary state.
 
 The registry binds jammer names to constructors for the CLI, campaigns, and
-the strategy search.  The identity tests guard the dedup correctness of both
-the campaign store and the search checkpoints: ``identity()`` must be stable
-across instances (same behaviour → same key) and must *change* whenever
-constructor parameters change behaviour (different behaviour → different
-key).
+the strategy search.  The state tests check that an adversary's class and
+state pin down its behaviour: a name builds the same adversary every time,
+pickling keeps it, and constructor parameters that change behaviour change
+the state.
 """
 
 from __future__ import annotations
@@ -65,18 +64,23 @@ def _policy_table(action: str) -> tuple[str, ...]:
     return (action,) * (2 * HEAT_BUCKETS)
 
 
-class TestIdentityStability:
-    """``identity()`` is the dedup key; it must pin down behaviour exactly."""
+def behaviour(adversary):
+    """An adversary's class and state: equal pairs disrupt identically."""
+    return type(adversary), vars(adversary)
+
+
+class TestStateStability:
+    """An adversary's class and state pin down its behaviour exactly."""
 
     @pytest.mark.parametrize("name", sorted(ADVERSARY_FACTORIES))
-    def test_identity_is_stable_across_instances(self, name):
-        assert resolve(name).identity() == resolve(name).identity()
+    def test_state_is_stable_across_instances(self, name):
+        assert behaviour(resolve(name)) == behaviour(resolve(name))
 
     @pytest.mark.parametrize("name", sorted(ADVERSARY_FACTORIES))
-    def test_identity_survives_pickling(self, name):
+    def test_state_survives_pickling(self, name):
         adversary = resolve(name)
         clone = pickle.loads(pickle.dumps(adversary))
-        assert clone.identity() == adversary.identity()
+        assert behaviour(clone) == behaviour(adversary)
 
     @pytest.mark.parametrize(
         "first, second",
@@ -94,15 +98,17 @@ class TestIdentityStability:
             ),
         ],
     )
-    def test_identity_changes_with_parameters(self, first, second):
-        assert first.identity() != second.identity()
+    def test_state_changes_with_parameters(self, first, second):
+        assert behaviour(first) != behaviour(second)
         # ... while staying stable for behaviourally identical twins.
         twin = pickle.loads(pickle.dumps(first))
-        assert twin.identity() == first.identity()
+        assert behaviour(twin) == behaviour(first)
 
     def test_cyclic_and_truncating_schedules_differ_even_with_equal_content(self):
-        schedule = [{1}, {2, 3}]
-        assert ObliviousSchedule(schedule).identity() != CyclicObliviousSchedule(schedule).identity()
+        truncating = ObliviousSchedule([{1}, {2, 3}])
+        cyclic = CyclicObliviousSchedule([{1}, {2, 3}])
+        assert cyclic.schedule == truncating.schedule
+        assert behaviour(cyclic) != behaviour(truncating)
 
 
 class TestPolicyJammer:

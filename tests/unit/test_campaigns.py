@@ -824,9 +824,6 @@ class TestPooledRunner:
             def __init__(self):
                 self._closure = lambda: None
 
-            def identity(self):
-                return "ClosureAdversary"
-
         def closure_workload(node_count):
             base = quiet_start(node_count)
             return Workload(

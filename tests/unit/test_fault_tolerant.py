@@ -1,18 +1,11 @@
-"""Unit tests for the crash-tolerant Trapdoor variant and the crash injector."""
+"""Unit tests for the crash-tolerant Trapdoor variant."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.protocols.fault_tolerant import (
-    CrashSchedule,
-    FaultToleranceConfig,
-    FaultTolerantTrapdoorProtocol,
-    MutedProtocol,
-    crashable,
-)
-from repro.protocols.trapdoor.protocol import TrapdoorProtocol
+from repro.protocols.fault_tolerant import FaultToleranceConfig, FaultTolerantTrapdoorProtocol
 from repro.radio.messages import ContenderMessage, LeaderMessage
 from repro.timestamps import Timestamp
 from repro.types import Role
@@ -70,6 +63,48 @@ class TestDelayedCommitment:
         assert action.message.round_number == protocol.current_output()
 
 
+class TestPendingNumbering:
+    """The first numbering a node hears is kept as (announced number − local
+    round at receipt) until the node commits to it or becomes leader."""
+
+    def test_leader_with_no_numbering_heard_counts_its_local_rounds(self, make_context):
+        context = make_context(local_round=1)
+        protocol = FaultTolerantTrapdoorProtocol(context)
+        context.local_round = protocol.schedule.total_rounds + 1
+        protocol.choose_action()
+        assert protocol.role is Role.LEADER
+        assert protocol.current_output() == context.local_round
+        context.local_round += 9
+        assert protocol.current_output() == context.local_round
+
+    def test_commit_keeps_the_first_numbering_heard(self, make_context):
+        context = make_context(local_round=5)
+        protocol = FaultTolerantTrapdoorProtocol(context, FaultToleranceConfig(commit_threshold=2))
+        protocol.on_reception(LeaderMessage(leader_uid=1, round_number=30))
+        context.local_round = 7
+        protocol.on_reception(LeaderMessage(leader_uid=2, round_number=99))
+        assert protocol.role is Role.SYNCHRONIZED
+        assert protocol.current_output() == 32
+
+    def test_committed_node_ignores_later_numberings(self, make_context):
+        context = make_context(local_round=5)
+        protocol = FaultTolerantTrapdoorProtocol(context, FaultToleranceConfig(commit_threshold=1))
+        protocol.on_reception(LeaderMessage(leader_uid=1, round_number=30))
+        assert protocol.current_output() == 30
+        context.local_round = 9
+        protocol.on_reception(LeaderMessage(leader_uid=2, round_number=500))
+        assert protocol.current_output() == 34
+
+    def test_leader_ignores_other_leaders(self, make_context):
+        context = make_context(local_round=1)
+        protocol = FaultTolerantTrapdoorProtocol(context, FaultToleranceConfig(commit_threshold=1))
+        context.local_round = protocol.schedule.total_rounds + 1
+        protocol.choose_action()
+        protocol.on_reception(LeaderMessage(leader_uid=2, round_number=500))
+        assert protocol.role is Role.LEADER
+        assert protocol.current_output() == context.local_round
+
+
 class TestRestart:
     def test_knocked_out_node_restarts_after_silence(self, make_context):
         context = make_context(uid=2, local_round=3)
@@ -113,44 +148,3 @@ class TestRestart:
         expected = 50 + (context.local_round - 3)
         assert protocol.current_output() == expected
 
-
-class TestCrashInjection:
-    def test_muted_protocol_stops_broadcasting(self, make_context):
-        context = make_context()
-        inner = TrapdoorProtocol(context)
-        muted = MutedProtocol(inner, mute_after=5)
-        context.local_round = 6
-        assert muted.muted
-        assert all(muted.choose_action().is_listen for _ in range(50))
-
-    def test_muted_protocol_passes_through_before_crash(self, make_context):
-        context = make_context()
-        inner = TrapdoorProtocol(context)
-        muted = MutedProtocol(inner, mute_after=100)
-        assert not muted.muted
-        assert muted.role is inner.role
-
-    def test_muted_protocol_ignores_receptions_after_crash(self, make_context):
-        context = make_context()
-        muted = MutedProtocol(TrapdoorProtocol(context), mute_after=1)
-        context.local_round = 5
-        muted.on_reception(LeaderMessage(leader_uid=1, round_number=9))
-        assert muted.current_output() is None
-
-    def test_mute_after_must_be_positive(self, make_context):
-        with pytest.raises(ConfigurationError):
-            MutedProtocol(TrapdoorProtocol(make_context()), mute_after=0)
-
-    def test_crash_schedule_lookup(self):
-        schedule = CrashSchedule(crash_rounds={0: 10})
-        assert schedule.crash_round_for(0) == 10
-        assert schedule.crash_round_for(1) is None
-
-    def test_crashable_factory_wraps_by_activation_order(self, make_context):
-        factory = crashable(TrapdoorProtocol.factory(), CrashSchedule(crash_rounds={1: 7}))
-        first = factory(make_context(uid=1))
-        second = factory(make_context(uid=2))
-        third = factory(make_context(uid=3))
-        assert isinstance(first, TrapdoorProtocol)
-        assert isinstance(second, MutedProtocol) and second.mute_after == 7
-        assert isinstance(third, TrapdoorProtocol)

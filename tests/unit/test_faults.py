@@ -24,6 +24,7 @@ import functools
 import json
 import random
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Callable
 
@@ -53,7 +54,11 @@ from repro.faults import (
     load_fault_plan,
 )
 from repro.params import ModelParameters
+from repro.protocols.base import SynchronizationProtocol
 from repro.protocols.registry import PROTOCOL_FACTORIES, protocol_factory
+from repro.radio.actions import RadioAction, broadcast
+from repro.radio.messages import DataMessage, Message
+from repro.types import SyncOutput
 
 GOLDEN_PATH = Path(__file__).resolve().parents[1] / "golden" / "fault_equivalence.json"
 
@@ -429,6 +434,87 @@ class TestStabilizationTracker:
         tracker.record_epoch(1)
         self.feed(tracker, [{0: None}, {}])
         assert tracker.finalize(2) == StabilizationReport((1,), (2,), reconverged=False)
+
+
+class AgeProtocol(SynchronizationProtocol):
+    """Broadcasts and outputs its local round every round."""
+
+    def choose_action(self) -> RadioAction:
+        context = self.context
+        return broadcast(1, DataMessage(sender_uid=context.uid, payload=context.local_round))
+
+    def on_reception(self, message: Message) -> None:
+        pass
+
+    def current_output(self) -> SyncOutput:
+        return self.context.local_round
+
+
+def crash_config(activation: ActivationSchedule, *churn: ChurnEvent) -> SimulationConfig:
+    return SimulationConfig(
+        params=PARAMS,
+        protocol_factory=AgeProtocol,
+        activation=activation,
+        max_rounds=40,
+        faults=FaultPlan(churn=churn),
+    )
+
+
+def present_rounds(result, node_id: int) -> list[int]:
+    """The global rounds in which ``node_id`` output a value."""
+    return [r.global_round for r in result.trace.records if node_id in r.outputs]
+
+
+class TestCrash:
+    """A crash is a churn event with no rejoin: from its leave round on the
+    node neither acts nor outputs, and the run goes on with the survivors."""
+
+    def test_crashed_node_neither_broadcasts_nor_outputs_from_its_leave_round(self):
+        result = simulate(crash_config(SimultaneousActivation(count=3), ChurnEvent(0, 10)))
+        for record in result.trace.records:
+            before = record.global_round < 10
+            assert (0 in record.outputs) is before
+            assert (0 in record.activity.broadcasters[1]) is before
+            assert {1, 2} <= set(record.outputs)
+
+    def test_crash_holds_the_run_open_until_it_fires(self):
+        # Every node agrees from round 1; the run still reaches the crash,
+        # and the survivors agree at once.
+        result = simulate(crash_config(SimultaneousActivation(count=3), ChurnEvent(0, 25)))
+        assert result.rounds_simulated == 25
+        assert result.stabilization == StabilizationReport((25,), (0,), reconverged=True)
+
+    @pytest.mark.parametrize("node_id", [0, 2])
+    @pytest.mark.parametrize("local_round", [1, 7])
+    def test_leave_round_is_activation_round_plus_last_local_round(self, node_id, local_round):
+        # Node i of this schedule wakes in global round a = 1 + 4i; a crash
+        # after its local round k is a departure at global round a + k.
+        woke = 1 + 4 * node_id
+        crash = ChurnEvent(node_id, woke + local_round)
+        result = simulate(crash_config(StaggeredActivation(count=3, spacing=4), crash))
+        outputs = [r.outputs[node_id] for r in result.trace.records if node_id in r.outputs]
+        assert outputs == list(range(1, local_round + 1))
+        assert present_rounds(result, node_id) == list(range(woke, woke + local_round))
+
+    def test_survivors_are_checked_only_against_each_other(self):
+        # Node 1 wakes four rounds after node 0, so their local rounds never
+        # agree; once node 0 has crashed, node 1's numbering is the only one.
+        config = crash_config(StaggeredActivation(count=2, spacing=4), ChurnEvent(0, 5))
+        assert simulate(config).report.agreement_holds
+        assert not simulate(replace(config, faults=None, max_rounds=6)).report.agreement_holds
+
+    def test_crash_before_activation_is_skipped(self):
+        result = simulate(crash_config(StaggeredActivation(count=2, spacing=10), ChurnEvent(1, 3)))
+        assert present_rounds(result, 1) == list(range(11, result.rounds_simulated + 1))
+        assert result.stabilization == StabilizationReport()
+
+    def test_crash_of_every_node_never_reconverges(self):
+        result = simulate(
+            crash_config(SimultaneousActivation(count=2), ChurnEvent(0, 5), ChurnEvent(1, 5))
+        )
+        assert result.rounds_simulated == 40
+        assert present_rounds(result, 0) == present_rounds(result, 1) == [1, 2, 3, 4]
+        assert result.stabilization == StabilizationReport((5,), (36,), reconverged=False)
 
 
 class TestCampaignResume:

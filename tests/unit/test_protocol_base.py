@@ -7,9 +7,7 @@ import tracemalloc
 
 import pytest
 
-from repro.exceptions import ConfigurationError
 from repro.protocols.base import SynchronizationProtocol, SynchronizedOutputMixin, draw_one_to
-from repro.protocols.numbering import RoundNumbering
 from repro.protocols.registry import PROTOCOL_FACTORIES, protocol_factory
 from repro.radio.actions import RadioAction, listen
 from repro.radio.messages import LeaderMessage, Message
@@ -78,27 +76,6 @@ class TestSynchronizedOutputMixin:
         protocol = MixinProtocol(make_context())
         assert protocol.role is Role.CONTENDER
         assert not protocol.is_leader
-
-
-class TestRoundNumbering:
-    def test_leader_declaration(self):
-        numbering = RoundNumbering.declared_by_leader(leader_local_round=17)
-        assert numbering.number_for(17) == 17
-        assert numbering.number_for(20) == 20
-
-    def test_adoption_from_message(self):
-        numbering = RoundNumbering.adopted_from_message(receiver_local_round=4, announced_number=50)
-        assert numbering.number_for(4) == 50
-        assert numbering.number_for(10) == 56
-
-    def test_rejects_invalid_local_round(self):
-        with pytest.raises(ConfigurationError):
-            RoundNumbering(local_round=0, global_number=5)
-
-    def test_numbering_is_affine(self):
-        numbering = RoundNumbering(local_round=3, global_number=30)
-        deltas = [numbering.number_for(r + 1) - numbering.number_for(r) for r in range(3, 10)]
-        assert deltas == [1] * 7
 
 
 class TestRoleRead:

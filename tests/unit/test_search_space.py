@@ -1,7 +1,7 @@
 """Unit tests for the strategy genome space.
 
 Genomes must round-trip through their dict form, carry stable content-hashed
-keys, decode to picklable adversaries with stable identities, and stay inside
+keys, decode to picklable adversaries with stable state, and stay inside
 the model's constraints (disruption sets ≤ t, frequencies within the band)
 under sampling and mutation.
 """
@@ -28,6 +28,11 @@ from repro.search.space import (
 
 PARAMS = ModelParameters(frequencies=8, disruption_budget=3, participant_bound=64)
 SPACE = StrategySpace(params=PARAMS)
+
+
+def behaviour(adversary):
+    """An adversary's class and state: equal pairs disrupt identically."""
+    return type(adversary), vars(adversary)
 
 
 def sample_genomes(count: int = 30, seed: int = 0):
@@ -67,17 +72,18 @@ class TestGenomes:
             genome_from_dict({"kind": "quantum"})
 
     @pytest.mark.parametrize("genome", sample_genomes(12, seed=5), ids=lambda g: g.key)
-    def test_decode_is_picklable_with_stable_identity(self, genome):
+    def test_decode_is_picklable_with_stable_state(self, genome):
         adversary = genome.decode(PARAMS)
         again = genome.decode(PARAMS)
-        assert adversary.identity() == again.identity()
+        assert behaviour(adversary) == behaviour(again)
         clone = pickle.loads(pickle.dumps(adversary))
-        assert clone.identity() == adversary.identity()
+        assert behaviour(clone) == behaviour(adversary)
 
-    def test_distinct_genomes_decode_to_distinct_identities(self):
-        first = ObliviousGenome(period_sets=((1, 2),))
-        second = ObliviousGenome(period_sets=((1, 3),))
-        assert first.decode(PARAMS).identity() != second.decode(PARAMS).identity()
+    def test_distinct_genomes_decode_to_distinct_schedules(self):
+        first = ObliviousGenome(period_sets=((1, 2),)).decode(PARAMS)
+        second = ObliviousGenome(period_sets=((1, 3),)).decode(PARAMS)
+        assert type(first) is type(second)
+        assert first.schedule != second.schedule
 
 
 class TestSpace:

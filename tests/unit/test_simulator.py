@@ -168,18 +168,6 @@ class TestRunLoop:
         with pytest.raises(ConfigurationError):
             simulate(config)
 
-    def test_budget_enforcement_can_be_disabled(self, params):
-        config = SimulationConfig(
-            params=params,
-            protocol_factory=ListenerProtocol,
-            activation=SimultaneousActivation(count=2),
-            adversary=GreedyJammer(),
-            enforce_budget=False,
-            max_rounds=5,
-        )
-        result = simulate(config)
-        assert result.rounds_simulated >= 1
-
     def test_activation_rounds_recorded_in_trace(self, params):
         config = SimulationConfig(
             params=params,
@@ -386,30 +374,36 @@ def exactly(message: str) -> str:
     return f"^{re.escape(message)}$"
 
 
+#: The disruption checks run on a fault-free execution and on one whose
+#: second node crashes at the start of round 1, so the round loop takes its
+#: fault-plan path (injection, then the stabilization tracker) every round.
+CRASH_AT_ONCE = FaultPlan(churn=(ChurnEvent(node_id=1, leave_round=1),))
+
+
+@pytest.mark.parametrize("faults", [None, CRASH_AT_ONCE], ids=["fault-free", "crash"])
 class TestDisruptionChecks:
     """The band and the budget are checked once per round, in the round's order.
 
     The cases of ``test_network.py::TestBudgetValidation``, driven through the
-    simulator, with the budget enforced and not: out-of-band sets fail
-    either way, on the band first and on the first bad frequency in the
-    order given; an over-budget set fails only when the budget is enforced,
-    and only after the round's actions and disruption set have been checked.
+    simulator, with and without a crashed node: out-of-band sets fail on the
+    band first and on the first bad frequency in the order given; an
+    over-budget set fails only after the round's actions and disruption set
+    have been checked.
     """
 
     @staticmethod
-    def run(make, enforce_budget: bool, protocol_factory=ListenerProtocol):
+    def run(make, faults, protocol_factory=ListenerProtocol):
         return simulate(
             SimulationConfig(
                 params=ModelParameters(frequencies=8, disruption_budget=3, participant_bound=16),
                 protocol_factory=protocol_factory,
                 activation=SimultaneousActivation(count=2),
                 adversary=ScriptedAdversary(make),
-                enforce_budget=enforce_budget,
                 max_rounds=5,
+                faults=faults,
             )
         )
 
-    @pytest.mark.parametrize("enforce_budget", [True, False], ids=["enforced", "unenforced"])
     @pytest.mark.parametrize(
         "make, expected",
         [
@@ -420,44 +414,38 @@ class TestDisruptionChecks:
         ],
         ids=["list", "bool", "generator", "empty-frozenset"],
     )
-    def test_accepts(self, make, expected, enforce_budget):
-        # ListenerProtocol synchronizes at once: the run is one round long.
-        [record] = self.run(make, enforce_budget).trace.records
+    def test_accepts(self, make, expected, faults):
+        # ListenerProtocol synchronizes at once, and the crash has fired by
+        # the end of round 1: the run is one round long.
+        [record] = self.run(make, faults).trace.records
         assert record.activity.disrupted == frozenset(expected)
+        assert set(record.outputs) == ({0} if faults else {0, 1})
 
-    @pytest.mark.parametrize("enforce_budget", [True, False], ids=["enforced", "unenforced"])
     @pytest.mark.parametrize("container", [list, frozenset])
     @pytest.mark.parametrize("frequency", [0, 9, 2.0, "1"], ids=repr)
-    def test_rejects_out_of_band(self, frequency, container, enforce_budget):
+    def test_rejects_out_of_band(self, frequency, container, faults):
         message = f"frequency {frequency!r} outside band [1..8]"
         with pytest.raises(ConfigurationError, match=exactly(message)):
-            self.run(lambda: container([frequency]), enforce_budget)
+            self.run(lambda: container([frequency]), faults)
 
-    def test_rejects_over_budget_only_when_enforced(self):
+    def test_rejects_over_budget(self, faults):
         message = "adversary disrupted 4 frequencies, budget is 3"
         with pytest.raises(ConfigurationError, match=exactly(message)):
-            self.run(lambda: [1, 2, 3, 4], enforce_budget=True)
-        [record] = self.run(lambda: [1, 2, 3, 4], enforce_budget=False).trace.records
-        assert record.activity.disrupted == frozenset({1, 2, 3, 4})
+            self.run(lambda: [1, 2, 3, 4], faults)
 
-    @pytest.mark.parametrize("enforce_budget", [True, False], ids=["enforced", "unenforced"])
     @pytest.mark.parametrize("container", [list, frozenset])
-    def test_out_of_band_fails_before_over_budget(self, container, enforce_budget):
+    def test_out_of_band_fails_before_over_budget(self, container, faults):
         message = "frequency 9 outside band [1..8]"
         with pytest.raises(ConfigurationError, match=exactly(message)):
-            self.run(lambda: container([1, 2, 3, 9]), enforce_budget)
+            self.run(lambda: container([1, 2, 3, 9]), faults)
 
-    @pytest.mark.parametrize("enforce_budget", [True, False], ids=["enforced", "unenforced"])
     @pytest.mark.parametrize("first, second", [(9, 0), (0, 9)])
-    def test_first_out_of_band_frequency_in_order_given_is_named(
-        self, first, second, enforce_budget
-    ):
+    def test_first_out_of_band_frequency_in_order_given_is_named(self, first, second, faults):
         message = f"frequency {first} outside band [1..8]"
         with pytest.raises(ConfigurationError, match=exactly(message)):
-            self.run(lambda: [first, second], enforce_budget)
+            self.run(lambda: [first, second], faults)
 
-    @pytest.mark.parametrize("enforce_budget", [True, False], ids=["enforced", "unenforced"])
-    def test_out_of_band_action_fails_before_over_budget(self, enforce_budget):
+    def test_out_of_band_action_fails_before_over_budget(self, faults):
         message = "node 0 tuned to frequency 99 outside band [1..8]"
         with pytest.raises(SimulationError, match=exactly(message)):
-            self.run(lambda: [1, 2, 3, 4], enforce_budget, OutOfBandListener)
+            self.run(lambda: [1, 2, 3, 4], faults, OutOfBandListener)
