@@ -52,7 +52,8 @@ def run(factory, leave_round, activation_rounds, seed=11, max_rounds=150_000):
     return simulate(config)
 
 
-def describe(result, crashed_node=0):
+def describe(result, crashed_node=None):
+    """One row per node; ``crashed_node`` is the node the scenario crashed, if any."""
     rows = []
     for node in result.trace.node_ids:
         sync_round = result.trace.sync_round_of(node)
@@ -84,7 +85,8 @@ def main() -> None:
 
     for name, leave_round in scenarios.items():
         result = run(FaultTolerantTrapdoorProtocol.factory(FT_CONFIG), leave_round, activation)
-        print(render_table(describe(result), title=f"Scenario: {name}"))
+        crashed = 0 if leave_round is not None else None
+        print(render_table(describe(result, crashed), title=f"Scenario: {name}"))
         survivors = [n for n in result.trace.node_ids if n != 0]
         synced = all(result.trace.sync_round_of(n) is not None for n in survivors)
         print(f"  -> all surviving nodes synchronized: {'yes' if synced else 'NO'}"
@@ -105,7 +107,8 @@ def main() -> None:
         max_rounds=2_000,
         seed=11,
     )
-    print(render_table(describe(plain), title="Plain Trapdoor, leader crashed, straggler arrives late"))
+    print(render_table(describe(plain, crashed_node=0),
+                       title="Plain Trapdoor, leader crashed, straggler arrives late"))
 
     def straggler_agrees(result) -> bool:
         last = result.trace.records[-1]

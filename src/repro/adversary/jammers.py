@@ -22,11 +22,46 @@ to exercise the protocols we provide a representative family:
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro.adversary.base import AdversaryContext, InterferenceAdversary
 from repro.exceptions import ConfigurationError
 from repro.types import Frequency
+
+
+def _sample(rng: random.Random, population: Sequence[Frequency], k: int) -> list[Frequency]:
+    """``k`` distinct draws from ``population``: exactly ``rng.sample(population, k)``.
+
+    It returns the same list and leaves ``rng`` in the same state.  For
+    ``k <= 5`` and at most 21 elements, CPython's ``Random.sample`` takes its
+    pool branch: draw ``j`` below ``n - i`` for ``i = 0 .. k-1``, take
+    ``pool[j]`` and move the pool's last unchosen element into its place.
+    This runs that branch inline, each draw as
+    :func:`~repro.protocols.base.draw_one_to` runs ``_randbelow``, without
+    the frames ``sample`` -> ``_randbelow`` take.  Any other input (more
+    elements, a larger ``k``, or a ``k`` that ``sample`` refuses) goes to
+    ``rng.sample`` itself.  ``population`` is a tuple or a list.
+
+    :class:`RandomJammer`, :class:`BurstyJammer` and :class:`LowBandJammer`
+    draw through it.  The batch kernel (:mod:`repro.engine.batch`) replays
+    the same draws on numpy words.
+    """
+    n = len(population)
+    if n > 21 or not 0 <= k <= 5 or k > n:
+        return rng.sample(population, k)
+    getrandbits = rng.getrandbits
+    pool = list(population)
+    chosen = []
+    for remaining in range(n, n - k, -1):
+        bits = remaining.bit_length()
+        index = getrandbits(bits)
+        while index >= remaining:
+            index = getrandbits(bits)
+        chosen.append(pool[index])
+        pool[index] = pool[remaining - 1]
+    return chosen
 
 
 class NoInterference(InterferenceAdversary):
@@ -73,7 +108,7 @@ class RandomJammer(InterferenceAdversary):
         count = context.budget if self.strength is None else min(self.strength, context.budget)
         if count <= 0:
             return frozenset()
-        return frozenset(context.rng.sample(context.band.all_frequencies(), count))
+        return frozenset(_sample(context.rng, context.band.all_frequencies(), count))
 
     def describe(self) -> str:
         label = "t" if self.strength is None else str(self.strength)
@@ -137,7 +172,7 @@ class BurstyJammer(InterferenceAdversary):
         phase = (context.global_round - 1) % period if period else 0
         if phase >= self.on_rounds or context.budget <= 0:
             return frozenset()
-        return frozenset(context.rng.sample(context.band.all_frequencies(), context.budget))
+        return frozenset(_sample(context.rng, context.band.all_frequencies(), context.budget))
 
     def describe(self) -> str:
         return f"bursty jammer ({self.on_rounds} on / {self.off_rounds} off)"
@@ -187,12 +222,12 @@ class LowBandJammer(InterferenceAdversary):
         if context.budget <= 0:
             return frozenset()
         width = context.budget if self.prefix_width is None else self.prefix_width
-        prefix = [f for f in context.band.prefix(width)]
-        chosen = prefix[: context.budget]
+        chosen = list(context.band.prefix(width))[: context.budget]
         remaining = context.budget - len(chosen)
         if remaining > 0:
-            others = [f for f in context.band.all_frequencies() if f not in set(chosen)]
-            chosen.extend(context.rng.sample(others, min(remaining, len(others))))
+            taken = set(chosen)
+            others = [f for f in context.band.all_frequencies() if f not in taken]
+            chosen.extend(_sample(context.rng, others, min(remaining, len(others))))
         return frozenset(chosen)
 
     def describe(self) -> str:

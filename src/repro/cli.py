@@ -25,6 +25,11 @@ paper artefact inspected, without writing Python:
   the benchmark that regenerates each;
 * ``python -m repro bounds`` — evaluate the paper's bound formulas for a
   parameter point.
+
+``simulate`` and ``trials`` exit 0 when every trial synchronized and
+:data:`EXIT_UNSYNCHRONIZED` (3) when the run ended but some trial did not,
+for example at its ``--max-rounds`` cap.  An uncaught exception exits 1, as
+in any Python program, and a usage error 2, as argparse does.
 """
 
 from __future__ import annotations
@@ -164,6 +169,17 @@ def observability_options() -> argparse.ArgumentParser:
     return parent
 
 
+#: The exit status of ``simulate`` and ``trials`` when the run ended but some
+#: trial did not synchronize; an uncaught exception exits 1.
+EXIT_UNSYNCHRONIZED = 3
+
+_EXIT_STATUSES = (
+    "Exits 0 if every trial synchronized, "
+    f"{EXIT_UNSYNCHRONIZED} if the run ended but some trial did not, "
+    "1 on an uncaught exception and 2 on a usage error."
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -199,7 +215,10 @@ def build_parser() -> argparse.ArgumentParser:
                                "see repro.faults.FaultPlan) into every execution")
 
     sim = sub.add_parser(
-        "simulate", parents=[scenario], help="run one execution and print its summary"
+        "simulate",
+        parents=[scenario],
+        help="run one execution and print its summary",
+        description=f"Run one execution and print its summary.  {_EXIT_STATUSES}",
     )
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument(
@@ -215,6 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
         "trials",
         parents=[scenario, observability],
         help="run one configuration across many seeds",
+        description=f"Run one configuration across many seeds.  {_EXIT_STATUSES}",
     )
     trials.add_argument("--trials", type=int, default=10, dest="trial_count",
                         help="number of seeds to run (0 .. k-1)")
@@ -541,7 +561,7 @@ def _command_simulate(args: argparse.Namespace) -> int:
         path = write_round_log_csv(result.trace, args.csv)
         note = " (sampled rounds only)" if config.trace_level is TraceLevel.SAMPLED else ""
         print(f"wrote round log to {path}{note}")
-    return 0 if result.synchronized else 1
+    return 0 if result.synchronized else EXIT_UNSYNCHRONIZED
 
 
 def _telemetry_from_args(args: argparse.Namespace) -> Optional[Telemetry]:
@@ -709,7 +729,7 @@ def _command_trials(args: argparse.Namespace) -> int:
     if args.json:
         print(f"\nwrote JSON summary to {write_trials_json(summary, args.json)}")
     _finish_telemetry(telemetry, args)
-    return 0 if summary.liveness_rate == 1.0 else 1
+    return 0 if summary.liveness_rate == 1.0 else EXIT_UNSYNCHRONIZED
 
 
 def _command_campaign(args: argparse.Namespace) -> int:

@@ -120,7 +120,8 @@ def draw_one_to(rng: random.Random, width: int) -> int:
 
     Every bounded draw made per node-round calls it — protocol frequencies,
     a Byzantine node's forgeries — because it skips the three Python frames
-    ``randint`` -> ``randrange`` -> ``_randbelow`` take.
+    ``randint`` -> ``randrange`` -> ``_randbelow`` take.  Good Samaritan runs
+    the same loop inline, with each width's bit count computed once.
     """
     if width < 1:
         raise ValueError(f"empty range for draw_one_to: width {width}")

@@ -140,11 +140,6 @@ class ContentionProtocol(SynchronizedOutputMixin, SynchronizationProtocol):
     def role(self) -> Role:
         return self._state
 
-    @property
-    def state_name(self) -> str:
-        """The internal state name (contender / knocked_out / leader / synchronized)."""
-        return self._state.value
-
     def choose_action(self) -> RadioAction:
         context = self.context
         local_round = context.local_round

@@ -160,11 +160,6 @@ class FaultTolerantTrapdoorProtocol(SynchronizedOutputMixin, SynchronizationProt
         """How many times this node restarted its contention."""
         return self._restarts
 
-    @property
-    def state_name(self) -> str:
-        """The internal state name."""
-        return self._state.value
-
     # -- per-round behaviour -------------------------------------------------
 
     def choose_action(self) -> RadioAction:

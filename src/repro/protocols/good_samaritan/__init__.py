@@ -7,7 +7,6 @@ from repro.protocols.good_samaritan.schedule import (
     EpochSpan,
     FallbackPosition,
     GoodSamaritanSchedule,
-    SchedulePosition,
 )
 
 __all__ = [
@@ -17,5 +16,4 @@ __all__ = [
     "EpochSpan",
     "FallbackPosition",
     "GoodSamaritanSchedule",
-    "SchedulePosition",
 ]

@@ -28,8 +28,13 @@ Roles and transitions
   immediately adopts the numbering.
 
 A node asks its :class:`~repro.protocols.good_samaritan.schedule.GoodSamaritanSchedule`
-for its epoch once per epoch it enters, and once on entering the fallback:
-it caches the epoch's span and reads the cache in every other round.
+where it is once per epoch it enters, fallback epochs included.  It keeps
+what is constant within that epoch in its own fields (the epoch's span, the
+super-epoch's prefix width, whether the epoch is regular, its broadcast
+probability and, in the fallback, whether every fallback epoch is done) and
+reads them in every other round.  Its per-round draws run
+:func:`~repro.protocols.base.draw_one_to`'s loop inline, in the order the
+protocol's rules give them.
 """
 
 from __future__ import annotations
@@ -41,7 +46,6 @@ from repro.protocols.base import (
     ProtocolContext,
     SynchronizationProtocol,
     SynchronizedOutputMixin,
-    draw_one_to,
 )
 from repro.protocols.good_samaritan.config import GoodSamaritanConfig
 from repro.protocols.good_samaritan.reports import SuccessLedger
@@ -65,22 +69,40 @@ class GoodSamaritanProtocol(SynchronizedOutputMixin, SynchronizationProtocol):
 
     def __init__(self, context: ProtocolContext, config: GoodSamaritanConfig | None = None) -> None:
         super().__init__(context)
-        self.config = config or GoodSamaritanConfig()
-        self.schedule = GoodSamaritanSchedule(context.params, self.config)
+        self.config = config = config or GoodSamaritanConfig()
+        self.schedule = schedule = GoodSamaritanSchedule(context.params, config)
         self._state = Role.CONTENDER
         self._ledger = SuccessLedger()
         self._this_round_special = False
         self._leader_via_fallback = False
         self._downgrade_round: int | None = None
-        # Read every round: built once.
-        self._frequencies = context.params.frequencies
-        self._log_f = self.schedule.super_epoch_count
-        self._prefix_widths = self.schedule.prefix_widths
-        # The cached epoch span, valid for local rounds [first, last]; the
-        # empty range makes the first read ask the schedule.
+        # Read every round: built once.  A draw from [1 .. w] reads
+        # w.bit_length()-bit words (see draw_one_to), so each width keeps its
+        # bit count, and the node keeps one listen action per frequency.
+        self._rng = context.rng
+        self._log_n = context.params.log_participants
+        self._band = context.params.frequencies
+        self._band_bits = self._band.bit_length()
+        self._log_f = schedule.super_epoch_count
+        self._log_f_bits = self._log_f.bit_length()
+        self._prefix_widths = schedule.prefix_widths
+        self._prefix_bits = tuple(width.bit_length() for width in self._prefix_widths)
+        self._listens = tuple(listen(frequency) for frequency in range(1, self._band + 1))
+        self._local_band_probability = config.local_band_probability
+        self._special_round_probability = config.special_round_probability
+        # The current epoch, valid for local rounds [first, last]; the empty
+        # range makes the first read ask the schedule.  _enter_epoch fills
+        # the rest: the span (None in the fallback), and what the epoch's
+        # rounds draw with.
         self._span: EpochSpan | None = None
         self._span_first: float = 1
         self._span_last: float = 0
+        self._epoch_in_fallback = False
+        self._epoch_prefix = 1
+        self._epoch_prefix_bits = 1
+        self._epoch_regular = True
+        self._epoch_probability = 0.0
+        self._epoch_completed = False
 
     # -- factory -----------------------------------------------------------
 
@@ -97,17 +119,50 @@ class GoodSamaritanProtocol(SynchronizedOutputMixin, SynchronizationProtocol):
         return self._state
 
     def choose_action(self) -> RadioAction:
-        self._this_round_special = False
-
-        if self._state is Role.LEADER:
+        state = self._state
+        rng = self._rng
+        getrandbits = rng.getrandbits
+        if state is Role.PASSIVE or state is Role.SYNCHRONIZED:
+            # Listen for a leader: half the time on the special-round
+            # distribution, half the time anywhere in the band.
+            if rng.random() < 0.5:
+                return self._listens[self._special_frequency() - 1]
+            width, bits = self._band, self._band_bits
+            value = getrandbits(bits)
+            while value >= width:
+                value = getrandbits(bits)
+            return self._listens[value]
+        if state is Role.LEADER:
             return self._leader_action()
-        if self._state in (Role.PASSIVE, Role.SYNCHRONIZED):
-            return listen(self._monitoring_frequency())
 
-        span = self._epoch_span()
-        if span is not None:
-            return self._optimistic_action(span)
-        return self._fallback_action(self.context.local_round)
+        self._this_round_special = False
+        local_round = self.context.local_round
+        if not self._span_first <= local_round <= self._span_last:
+            self._enter_epoch(local_round)
+        if self._epoch_in_fallback:
+            return self._fallback_action()
+        if self._epoch_regular:
+            # Regular epochs: half the time the super-epoch prefix, half the
+            # time the whole band; broadcast with the epoch's probability.
+            if rng.random() < self._local_band_probability:
+                width, bits = self._epoch_prefix, self._epoch_prefix_bits
+            else:
+                width, bits = self._band, self._band_bits
+        elif rng.random() < self._special_round_probability:
+            # Critical and report epochs: half the rounds are special.
+            self._this_round_special = True
+            frequency = self._special_frequency()
+            if rng.random() < 0.5:
+                return broadcast(frequency, self._identity_message(special=True))
+            return self._listens[frequency - 1]
+        else:
+            width, bits = self._epoch_prefix, self._epoch_prefix_bits
+        value = getrandbits(bits)
+        while value >= width:
+            value = getrandbits(bits)
+        if rng.random() < self._epoch_probability:
+            return broadcast(value + 1, self._identity_message(special=False))
+        return self._listens[value]
 
     def on_reception(self, message: Message) -> None:
         if isinstance(message, LeaderMessage):
@@ -119,11 +174,6 @@ class GoodSamaritanProtocol(SynchronizedOutputMixin, SynchronizationProtocol):
             self._samaritan_reception(message)
 
     # -- introspection (tests, metrics) ---------------------------------------
-
-    @property
-    def state_name(self) -> str:
-        """The internal state name."""
-        return self._state.value
 
     @property
     def became_leader_via_fallback(self) -> bool:
@@ -146,36 +196,6 @@ class GoodSamaritanProtocol(SynchronizedOutputMixin, SynchronizationProtocol):
         return self.schedule.in_fallback(self.context.local_round)
 
     # -- optimistic portion -----------------------------------------------------
-
-    def _optimistic_action(self, span: EpochSpan) -> RadioAction:
-        rng = self.context.rng
-        prefix = self._prefix_widths[span.super_epoch - 1]
-
-        if span.epoch <= self.context.params.log_participants:
-            # Regular epochs: half the time the super-epoch prefix, half the
-            # time the whole band; broadcast with the epoch's probability.
-            if rng.random() < self.config.local_band_probability:
-                frequency = draw_one_to(rng, prefix)
-            else:
-                frequency = draw_one_to(rng, self._frequencies)
-            probability = self.schedule.broadcast_probability(span.epoch)
-            if rng.random() < probability:
-                return broadcast(frequency, self._identity_message(special=False))
-            return listen(frequency)
-
-        # Critical and report epochs: half the rounds are special.
-        if rng.random() < self.config.special_round_probability:
-            self._this_round_special = True
-            frequency = self._special_frequency()
-            if rng.random() < 0.5:
-                return broadcast(frequency, self._identity_message(special=True))
-            return listen(frequency)
-
-        frequency = draw_one_to(rng, prefix)
-        probability = self.schedule.broadcast_probability(span.epoch)
-        if rng.random() < probability:
-            return broadcast(frequency, self._identity_message(special=False))
-        return listen(frequency)
 
     def _contender_reception(self, message) -> None:
         if isinstance(message, ContenderMessage):
@@ -224,51 +244,43 @@ class GoodSamaritanProtocol(SynchronizedOutputMixin, SynchronizationProtocol):
 
     # -- fallback portion ----------------------------------------------------------
 
-    def _fallback_action(self, local_round: int) -> RadioAction:
-        rng = self.context.rng
-        fallback = self.schedule.fallback_position_of_round(local_round)
-        assert fallback is not None  # in_fallback is implied by the caller
-
-        if self._state is Role.CONTENDER and fallback.completed:
+    def _fallback_action(self) -> RadioAction:
+        rng = self._rng
+        contender = self._state is Role.CONTENDER
+        if contender and self._epoch_completed:
             self._become_leader(via_fallback=True)
             return self._leader_action()
 
         if rng.random() < 0.5:
-            # A special Good Samaritan round.
+            # A special Good Samaritan round: the node (a contender or a
+            # samaritan, the only roles that get here) broadcasts with
+            # probability 1/2.
             self._this_round_special = True
             frequency = self._special_frequency()
-            if self._state is Role.CONTENDER and rng.random() < 0.5:
+            if rng.random() < 0.5:
                 return broadcast(frequency, self._identity_message(special=True))
-            if self._state is Role.SAMARITAN and rng.random() < 0.5:
-                return broadcast(frequency, self._identity_message(special=True))
-            return listen(frequency)
+            return self._listens[frequency - 1]
 
         # A modified Trapdoor round: uniform frequency over the whole band,
         # broadcast with the fallback epoch's probability (contenders only).
-        frequency = draw_one_to(rng, self._frequencies)
-        if self._state is Role.CONTENDER:
-            probability = self.schedule.fallback_broadcast_probability(fallback.epoch)
-            if rng.random() < probability:
-                return broadcast(frequency, self._identity_message(special=False))
-        return listen(frequency)
+        getrandbits = rng.getrandbits
+        width, bits = self._band, self._band_bits
+        value = getrandbits(bits)
+        while value >= width:
+            value = getrandbits(bits)
+        if contender and rng.random() < self._epoch_probability:
+            return broadcast(value + 1, self._identity_message(special=False))
+        return self._listens[value]
 
     # -- leader / synchronized ---------------------------------------------------
 
     def _leader_action(self) -> RadioAction:
-        rng = self.context.rng
         frequency = self._special_frequency()
-        if rng.random() < self.config.leader_broadcast_probability:
+        if self._rng.random() < self.config.leader_broadcast_probability:
             output = self.current_output()
             assert output is not None
             return broadcast(frequency, LeaderMessage(leader_uid=self.context.uid, round_number=output))
-        return listen(frequency)
-
-    def _monitoring_frequency(self) -> Frequency:
-        """Where passive / synchronized nodes listen for leader messages."""
-        rng = self.context.rng
-        if rng.random() < 0.5:
-            return self._special_frequency()
-        return draw_one_to(rng, self._frequencies)
+        return self._listens[frequency - 1]
 
     def _become_leader(self, via_fallback: bool) -> None:
         self._state = Role.LEADER
@@ -289,39 +301,75 @@ class GoodSamaritanProtocol(SynchronizedOutputMixin, SynchronizationProtocol):
     def _epoch_span(self) -> EpochSpan | None:
         """The epoch span of the current local round, or ``None`` in the fallback.
 
-        The schedule is asked again only when ``local_round`` falls outside
-        the cached ``[first, last]``: once per epoch the node enters, and once
-        for the whole fallback.  The range is checked on every read, so
-        ``local_round`` may be set anywhere, backwards included.
+        The range is checked on every read, so ``local_round`` may be set
+        anywhere, backwards included.
         """
         local_round = self.context.local_round
-        if self._span_first <= local_round <= self._span_last:
-            return self._span
-        span = self.schedule.epoch_span(local_round)
-        if span is None:
-            self._span_first, self._span_last = self.schedule.optimistic_rounds + 1, math.inf
-        else:
+        if not self._span_first <= local_round <= self._span_last:
+            self._enter_epoch(local_round)
+        return self._span
+
+    def _enter_epoch(self, local_round: int) -> None:
+        """Cache the constants of the epoch ``local_round`` falls in.
+
+        Runs only when ``local_round`` leaves the cached ``[first, last]``:
+        once per epoch the node enters.  An optimistic epoch asks the
+        schedule for its :class:`EpochSpan`, a fallback epoch for its
+        :class:`~repro.protocols.good_samaritan.schedule.FallbackPosition`;
+        once every fallback epoch is done, the range runs to infinity.
+        """
+        schedule = self.schedule
+        if local_round <= schedule.optimistic_rounds:
+            span = schedule.epoch_span(local_round)
+            assert span is not None
+            index = span.super_epoch - 1
+            self._span = span
             self._span_first, self._span_last = span.first, span.last
-        self._span = span
-        return span
+            self._epoch_in_fallback = False
+            self._epoch_prefix = self._prefix_widths[index]
+            self._epoch_prefix_bits = self._prefix_bits[index]
+            self._epoch_regular = span.epoch <= self._log_n
+            self._epoch_probability = schedule.broadcast_probability(span.epoch)
+            return
+        position = schedule.fallback_position_of_round(local_round)
+        assert position is not None
+        if position.completed:
+            self._span_first, self._span_last = schedule.total_rounds + 1, math.inf
+        else:
+            first = local_round - position.round_in_epoch + 1
+            self._span_first = first
+            self._span_last = first + schedule.fallback_epoch_length - 1
+        self._span = None
+        self._epoch_in_fallback = True
+        self._epoch_probability = schedule.fallback_broadcast_probability(position.epoch)
+        self._epoch_completed = position.completed
 
     def _identity_message(self, special: bool):
-        span = self._epoch_span()
-        epoch = span.epoch if span is not None else 0
+        """This round's own message; ``choose_action`` has cached its epoch."""
         if self._state is Role.SAMARITAN:
             return SamaritanMessage(
                 timestamp=self._my_timestamp(),
                 reports=self._ledger.report(),
                 special=special,
             )
+        span = self._span
+        epoch = span.epoch if span is not None else 0
         return ContenderMessage(timestamp=self._my_timestamp(), special=special, epoch=epoch)
 
     def _special_frequency(self) -> Frequency:
         """Draw a frequency from the special-round distribution.
 
         Choose ``d`` uniformly from ``[1 .. lg F]`` and then a frequency
-        uniformly from ``[1 .. 2^d]`` (clamped to the band).
+        uniformly from ``[1 .. 2^d]`` (clamped to the band): two
+        :func:`~repro.protocols.base.draw_one_to` draws, run inline.
         """
-        rng = self.context.rng
-        d = draw_one_to(rng, self._log_f)
-        return draw_one_to(rng, self._prefix_widths[d - 1])
+        getrandbits = self._rng.getrandbits
+        count, bits = self._log_f, self._log_f_bits
+        index = getrandbits(bits)
+        while index >= count:
+            index = getrandbits(bits)
+        width, bits = self._prefix_widths[index], self._prefix_bits[index]
+        value = getrandbits(bits)
+        while value >= width:
+            value = getrandbits(bits)
+        return value + 1

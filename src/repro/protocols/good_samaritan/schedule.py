@@ -10,8 +10,9 @@ whose epochs are at least four times longer than the longest optimistic epoch.
 
 :class:`GoodSamaritanSchedule` materializes this structure for concrete
 parameters; the ``fig2`` benchmark renders it as the paper's Figure 2.  The
-protocol finds its place through :meth:`epoch_span`, once per epoch it enters:
-the span's first and last local round tell it when to ask again.
+protocol finds its place through :meth:`epoch_span`, once per epoch it enters,
+and through :meth:`fallback_position_of_round`, once per fallback epoch: the
+epoch's first and last local round tell it when to ask again.
 """
 
 from __future__ import annotations
@@ -22,25 +23,6 @@ from dataclasses import dataclass
 from repro.exceptions import ConfigurationError
 from repro.params import ModelParameters
 from repro.protocols.good_samaritan.config import GoodSamaritanConfig
-
-
-@dataclass(frozen=True)
-class SchedulePosition:
-    """Where one local round falls inside the optimistic portion.
-
-    Attributes
-    ----------
-    super_epoch:
-        1-based super-epoch index ``k`` (``1 .. lg F``).
-    epoch:
-        1-based epoch index within the super-epoch (``1 .. lg N + 2``).
-    round_in_epoch:
-        1-based round index within the epoch.
-    """
-
-    super_epoch: int
-    epoch: int
-    round_in_epoch: int
 
 
 @dataclass(frozen=True)
@@ -250,17 +232,6 @@ class GoodSamaritanSchedule:
                 )
             first += super_length
         return None
-
-    def position_of_round(self, local_round: int) -> SchedulePosition | None:
-        """The optimistic-portion position of a local round, or ``None`` if in fallback."""
-        span = self.epoch_span(local_round)
-        if span is None:
-            return None
-        return SchedulePosition(
-            super_epoch=span.super_epoch,
-            epoch=span.epoch,
-            round_in_epoch=local_round - span.first + 1,
-        )
 
     def fallback_position_of_round(self, local_round: int) -> FallbackPosition | None:
         """The fallback-portion position of a local round, or ``None`` if still optimistic."""

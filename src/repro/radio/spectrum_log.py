@@ -59,8 +59,7 @@ class SpectrumLog:
         Frequencies from ``universe`` that were never used rank last; ties are
         broken by frequency index for determinism.
         """
-        ranked = sorted(
-            universe,
-            key=lambda frequency: (-self._broadcast_counts[frequency], frequency),
-        )
+        # Sorting is stable, also with reverse=True: ranked by count alone,
+        # the ascending universe keeps equal counts in frequency order.
+        ranked = sorted(sorted(universe), key=self._broadcast_counts.__getitem__, reverse=True)
         return tuple(ranked[:count])

@@ -10,6 +10,12 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import settings
+
+# Thousands of examples for the property tests that leave their example count
+# to the profile (tests/properties/test_fast_path_twins.py); select it with
+# ``python -m pytest <files> --hypothesis-profile thorough``.
+settings.register_profile("thorough", max_examples=3_000, deadline=None, database=None)
 
 from repro.adversary.activation import SimultaneousActivation, StaggeredActivation
 from repro.adversary.jammers import NoInterference, RandomJammer

@@ -8,6 +8,7 @@ headline lines it promises.
 
 from __future__ import annotations
 
+import functools
 import os
 import subprocess
 import sys
@@ -26,7 +27,9 @@ EXPECTED_MARKERS = {
 }
 
 
+@functools.cache
 def run_example(name: str) -> str:
+    """The example's stdout; it runs once per test session."""
     script = EXAMPLES_DIR / name
     # The examples import `repro` from the src layout; make it importable in
     # the subprocess regardless of how the test runner itself was launched.
@@ -66,3 +69,23 @@ class TestExamples:
         output = run_example("quickstart.py")
         assert "VIOLATED" not in output
         assert "NOT achieved" not in output
+
+    def test_crash_recovery_marks_only_the_crashed_leader(self):
+        output = run_example("crash_recovery.py")
+        assert crashed_column(output, "Scenario: no crash") == {"no"}
+        early = crashed_column(output, "Scenario: leader crashes the moment it wins")
+        assert early == {"yes", "no"}
+
+
+def crashed_column(output: str, title: str) -> set[str]:
+    """The values of the ``crashed`` column in the table titled ``title``."""
+    lines = output.splitlines()
+    start = lines.index(title)
+    header = [cell.strip() for cell in lines[start + 2].split("|")]
+    column = header.index("crashed")
+    values = set()
+    for line in lines[start + 4 :]:
+        if "|" not in line:
+            break
+        values.add(line.split("|")[column].strip())
+    return values

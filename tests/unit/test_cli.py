@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -204,7 +208,7 @@ class TestTraceLevelAndTrials:
             ]
         )
         output = capsys.readouterr().out
-        assert exit_code == 1
+        assert exit_code == 3
         assert "NOT synchronized" in output
         assert "Per-node synchronization" in output
         # All four activated nodes are listed even though none synchronized.
@@ -401,3 +405,46 @@ class TestFaultsFlag:
                     "--faults", str(bad),
                 ]
             )
+
+
+#: A scenario no trial finishes: three rounds are too few to synchronize.
+CAPPED = ["--max-rounds", "3", "-N", "32", "--nodes", "4", "--workload", "quiet_start"]
+
+
+def run_cli(*args: str) -> subprocess.CompletedProcess:
+    """``python -m repro`` in a fresh process, for its real exit status."""
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "repro", *args],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=False,
+        env=env,
+    )
+
+
+class TestExitStatus:
+    """0: every trial synchronized; 3: the run ended but some did not; 1: a crash."""
+
+    def test_trials_that_all_synchronize_exit_0(self, capsys):
+        assert main(["trials", "-N", "32", "--nodes", "4", "--workload", "quiet_start",
+                     "--trials", "2"]) == 0
+
+    def test_trials_that_do_not_all_synchronize_exit_3(self, capsys):
+        assert main(["trials", *CAPPED, "--trials", "2"]) == 3
+        assert "liveness rate" in capsys.readouterr().out
+
+    def test_the_process_tells_a_capped_run_from_a_crash(self):
+        capped = run_cli("simulate", *CAPPED)
+        assert capped.returncode == 3, capped.stderr
+        assert "NOT synchronized" in capped.stdout
+        # Good Samaritan refuses t > F/2: the run raises before it starts.
+        crashed = run_cli(
+            "simulate", "--protocol", "good-samaritan", "-F", "4", "-t", "3", "-N", "8",
+            "--nodes", "2",
+        )
+        assert crashed.returncode == 1
+        assert "ConfigurationError" in crashed.stderr

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 from collections import Counter
 
+import pytest
+
 from repro.engine.observers import TraceLevel
 from repro.engine.simulator import SimulationConfig, simulate
-from repro.experiments.workloads import crowded_cafe
+from repro.experiments.workloads import crowded_cafe, reactive_attack
 from repro.params import ModelParameters
 from repro.protocols.good_samaritan.protocol import GoodSamaritanProtocol
 from repro.protocols.good_samaritan.schedule import GoodSamaritanSchedule
@@ -255,51 +257,77 @@ def epochs_entered(schedule: GoodSamaritanSchedule, last_round: int) -> int:
     return entered
 
 
+def fallback_epochs_entered(schedule: GoodSamaritanSchedule, last_round: int) -> int:
+    """How many fallback epochs start at or before ``last_round``.
+
+    The rounds after the last fallback epoch, where a contender becomes
+    leader, count as one more.
+    """
+    if not schedule.in_fallback(last_round):
+        return 0
+    offset = last_round - schedule.optimistic_rounds
+    started = (offset - 1) // schedule.fallback_epoch_length + 1
+    return min(started, schedule.params.log_participants) + (last_round > schedule.total_rounds)
+
+
 class TestScheduleLookups:
-    def test_a_node_looks_up_each_epoch_once(self, monkeypatch):
-        """A node asks its schedule once per epoch it enters, plus once for the fallback."""
+    @pytest.mark.parametrize(
+        "params, workload, max_rounds, seed, fallback_leaders",
+        [
+            # Optimistic epochs only: the run ends long before the fallback.
+            (ModelParameters(8, 3, 64), crowded_cafe(8), 2_000, 3, 0),
+            # Every fallback epoch, and a leader elected after the last one.
+            (ModelParameters(4, 1, 8), reactive_attack(4), 3_000, 1, 1),
+        ],
+        ids=["optimistic", "fallback"],
+    )
+    def test_a_node_looks_up_each_epoch_once(
+        self, monkeypatch, params, workload, max_rounds, seed, fallback_leaders
+    ):
+        """A node asks its schedule once per epoch it enters, fallback epochs included."""
         lookups: Counter = Counter()
-        depth = [0]
 
-        def counted(original):
+        def counted(name):
+            original = getattr(GoodSamaritanSchedule, name)
+
             def lookup(schedule, local_round):
-                if not depth[0]:  # position_of_round asking epoch_span is one lookup
-                    lookups[schedule] += 1
-                depth[0] += 1
-                try:
-                    return original(schedule, local_round)
-                finally:
-                    depth[0] -= 1
+                lookups[schedule, name] += 1
+                return original(schedule, local_round)
 
-            return lookup
+            monkeypatch.setattr(GoodSamaritanSchedule, name, lookup)
 
-        for name in ("epoch_span", "position_of_round"):
-            monkeypatch.setattr(
-                GoodSamaritanSchedule, name, counted(getattr(GoodSamaritanSchedule, name))
-            )
+        counted("epoch_span")
+        counted("fallback_position_of_round")
         protocols = []
 
         def factory(context):
             protocols.append(GoodSamaritanProtocol(context))
             return protocols[-1]
 
-        params = ModelParameters(frequencies=8, disruption_budget=3, participant_bound=64)
-        workload = crowded_cafe(8)
         result = simulate(
             SimulationConfig(
                 params=params,
                 protocol_factory=factory,
                 activation=workload.activation,
                 adversary=workload.adversary,
-                max_rounds=2_000,
-                seed=3,
+                max_rounds=max_rounds,
+                seed=seed,
                 trace_level=TraceLevel.NONE,
             )
         )
-        assert len(protocols) == 8
+        assert len(protocols) == len(result.metrics.activation_rounds)
         assert result.metrics.rounds_simulated > 100
         for protocol in protocols:
             schedule, last_round = protocol.schedule, protocol.context.local_round
-            allowed = epochs_entered(schedule, last_round) + schedule.in_fallback(last_round)
-            assert lookups[schedule] <= allowed, (last_round, lookups[schedule], allowed)
+            optimistic = lookups[schedule, "epoch_span"]
+            fallback = lookups[schedule, "fallback_position_of_round"]
+            assert optimistic <= epochs_entered(schedule, last_round), (last_round, optimistic)
+            assert fallback <= fallback_epochs_entered(schedule, last_round), (last_round, fallback)
+            if protocol.role in (Role.CONTENDER, Role.SAMARITAN) or protocol.became_leader_via_fallback:
+                # A node that contended to the end looked up every epoch it
+                # entered, once; a fallback leader entered all lg N fallback
+                # epochs and the rounds after them.
+                assert optimistic == epochs_entered(schedule, last_round)
+                assert fallback == fallback_epochs_entered(schedule, last_round)
+        assert sum(p.became_leader_via_fallback for p in protocols) == fallback_leaders
         assert sum(lookups.values()) > 0

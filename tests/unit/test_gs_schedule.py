@@ -101,27 +101,28 @@ class TestStructure:
 
 
 class TestPositions:
-    def test_position_of_first_round(self, params):
+    def test_span_of_first_round(self, params):
         schedule = GoodSamaritanSchedule(params)
-        position = schedule.position_of_round(1)
-        assert position.super_epoch == 1 and position.epoch == 1 and position.round_in_epoch == 1
+        span = schedule.epoch_span(1)
+        assert span.super_epoch == 1 and span.epoch == 1 and span.first == 1
+        assert span.last == schedule.epoch_length(1)
 
-    def test_position_walks_epoch_boundaries(self, params):
+    def test_span_walks_epoch_boundaries(self, params):
         schedule = GoodSamaritanSchedule(params)
         length = schedule.epoch_length(1)
-        assert schedule.position_of_round(length).epoch == 1
-        assert schedule.position_of_round(length + 1).epoch == 2
+        assert schedule.epoch_span(length).epoch == 1
+        assert schedule.epoch_span(length + 1).epoch == 2
 
-    def test_position_walks_super_epoch_boundaries(self, params):
+    def test_span_walks_super_epoch_boundaries(self, params):
         schedule = GoodSamaritanSchedule(params)
         first_super = schedule.epoch_length(1) * schedule.epochs_per_super_epoch
-        assert schedule.position_of_round(first_super).super_epoch == 1
-        assert schedule.position_of_round(first_super + 1).super_epoch == 2
+        assert schedule.epoch_span(first_super).super_epoch == 1
+        assert schedule.epoch_span(first_super + 1).super_epoch == 2
 
-    def test_position_beyond_optimistic_is_fallback(self, params):
+    def test_span_beyond_optimistic_is_fallback(self, params):
         schedule = GoodSamaritanSchedule(params)
         beyond = schedule.optimistic_rounds + 1
-        assert schedule.position_of_round(beyond) is None
+        assert schedule.epoch_span(beyond) is None
         assert schedule.in_fallback(beyond)
         assert not schedule.in_fallback(schedule.optimistic_rounds)
 
@@ -140,7 +141,7 @@ class TestPositions:
 
     def test_rejects_non_positive_round(self, params):
         with pytest.raises(ConfigurationError):
-            GoodSamaritanSchedule(params).position_of_round(0)
+            GoodSamaritanSchedule(params).epoch_span(0)
 
 
 class TestAdaptiveBounds:
@@ -223,9 +224,7 @@ class TestLookupTables:
             expected = reference.randint(1, min(2**d, frequencies))
             assert protocol._special_frequency() == expected
 
-    def test_epoch_span_and_position_agree_at_every_epoch_boundary(
-        self, frequencies, budget, participants
-    ):
+    def test_epoch_span_at_every_epoch_boundary(self, frequencies, budget, participants):
         schedule = GoodSamaritanSchedule(ModelParameters(frequencies, budget, participants))
         # Walk the epochs from their lengths; check each epoch's first two and
         # last two rounds, so both sides of every boundary are covered.
@@ -242,12 +241,5 @@ class TestLookupTables:
         for local_round, (k, epoch, first, last) in sorted(expected.items()):
             span = schedule.epoch_span(local_round)
             assert (span.super_epoch, span.epoch, span.first, span.last) == (k, epoch, first, last)
-            position = schedule.position_of_round(local_round)
-            assert (position.super_epoch, position.epoch, position.round_in_epoch) == (
-                k,
-                epoch,
-                local_round - first + 1,
-            )
         for local_round in range(schedule.optimistic_rounds + 1, schedule.optimistic_rounds + 4):
             assert schedule.epoch_span(local_round) is None
-            assert schedule.position_of_round(local_round) is None

@@ -100,12 +100,12 @@ class TestRoleRead:
             "round-robin",
         ],
     )
-    def test_state_name_is_role_value(self, name, make_context):
+    def test_role_value_names_the_state(self, name, make_context):
         protocol = activated(name, make_context())
-        assert protocol.state_name == protocol.role.value == "contender"
+        assert protocol.role.value == "contender"
         leader = LeaderMessage(leader_uid=99, round_number=40)
         protocol.on_reception(leader)
-        assert protocol.state_name == protocol.role.value == "synchronized"
+        assert protocol.role.value == "synchronized"
 
 
 #: Every width up to 300 (each power of two among them), plus one wide power

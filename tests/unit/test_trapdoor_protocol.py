@@ -14,7 +14,7 @@ class TestContenderBehaviour:
         protocol = TrapdoorProtocol(make_context())
         assert protocol.role is Role.CONTENDER
         assert protocol.current_output() is None
-        assert protocol.state_name == "contender"
+        assert protocol.role.value == "contender"
 
     def test_actions_stay_inside_effective_band(self, make_context, params):
         protocol = TrapdoorProtocol(make_context())
