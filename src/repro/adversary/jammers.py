@@ -44,9 +44,9 @@ def _sample(rng: random.Random, population: Sequence[Frequency], k: int) -> list
     elements, a larger ``k``, or a ``k`` that ``sample`` refuses) goes to
     ``rng.sample`` itself.  ``population`` is a tuple or a list.
 
-    :class:`RandomJammer`, :class:`BurstyJammer` and :class:`LowBandJammer`
-    draw through it.  The batch kernel (:mod:`repro.engine.batch`) replays
-    the same draws on numpy words.
+    :class:`RandomJammer`, :class:`BurstyJammer`, :class:`LowBandJammer`
+    and the policy jammer's ``random`` action draw through it.  The batch
+    kernel (:mod:`repro.engine.batch`) replays the same draws on numpy words.
     """
     n = len(population)
     if n > 21 or not 0 <= k <= 5 or k > n:
@@ -250,14 +250,10 @@ class TwoNodeProductJammer(InterferenceAdversary):
     def choose_disruption(self, context: AdversaryContext) -> frozenset[Frequency]:
         if context.budget <= 0:
             return frozenset()
-        history = context.history
-
-        def score(frequency: Frequency) -> tuple[int, int, Frequency]:
-            usage = history.broadcast_count(frequency) + history.delivery_count(frequency)
-            return (-usage, frequency, frequency)
-
-        ranked = sorted(context.band.all_frequencies(), key=score)
-        return frozenset(ranked[: context.budget])
+        targets = context.history.most_used_frequencies(
+            context.budget, context.band.all_frequencies()
+        )
+        return frozenset(targets)
 
     def describe(self) -> str:
         return "two-node product jammer"

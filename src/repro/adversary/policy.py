@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 from repro.adversary.base import AdversaryContext, InterferenceAdversary
+from repro.adversary.jammers import _sample
 from repro.exceptions import ConfigurationError
 from repro.types import Frequency
 
@@ -106,13 +107,9 @@ class PolicyJammer(InterferenceAdversary):
         if action == "busiest":
             return frozenset(history.busiest_frequencies(budget, band.all_frequencies()))
         if action == "quietest":
-            ranked = sorted(
-                band.all_frequencies(),
-                key=lambda frequency: (history.broadcast_count(frequency), frequency),
-            )
-            return frozenset(ranked[:budget])
+            return frozenset(history.quietest_frequencies(budget, band.all_frequencies()))
         if action == "random":
-            return frozenset(context.rng.sample(band.all_frequencies(), budget))
+            return frozenset(_sample(context.rng, band.all_frequencies(), budget))
         if action == "low-band":
             return frozenset(band.prefix(budget))
         if action == "high-band":

@@ -184,6 +184,6 @@ def export_campaign(
     }
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
-    with target.open("w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2)
+    # Encoded in one piece and written once: json.dump writes each token.
+    target.write_text(json.dumps(document, indent=2), encoding="utf-8")
     return target

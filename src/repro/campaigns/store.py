@@ -176,9 +176,10 @@ class ResultStore:
         Commits any open transaction and, in WAL mode, checkpoints the whole
         log back into the main database file — after this returns, the rows
         survive a power cut and the database is readable by tools that do not
-        speak WAL.  A no-op-safe call at any point; :meth:`close` (and the
-        context-manager exit) invokes it, so a cleanly closed store is always
-        durable.
+        speak WAL.  The checkpoint writes, fsyncs, and waits on any other
+        connection's open write transaction.  A no-op-safe call at any point;
+        a store kept open across many jobs calls it at the end of each one,
+        and :meth:`close` calls it for a connection that wrote.
         """
         self._connection.commit()
         if self._wal:
@@ -188,9 +189,17 @@ class ResultStore:
                 pass
 
     def close(self) -> None:
-        """Flush and close the underlying connection (idempotent)."""
+        """Close the underlying connection (idempotent).
+
+        A connection that changed rows (its ``total_changes``) is flushed
+        first, so a cleanly closed writer (and the context-manager exit after
+        writing) is always durable.  A connection that only read closes
+        without a checkpoint: it never writes, fsyncs or waits on another
+        connection's writer, and leaves the WAL as that writer left it.
+        """
         try:
-            self.flush()
+            if self._connection.total_changes:
+                self.flush()
         except sqlite3.ProgrammingError:
             return  # already closed
         self._connection.close()

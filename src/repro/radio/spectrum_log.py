@@ -63,3 +63,25 @@ class SpectrumLog:
         # the ascending universe keeps equal counts in frequency order.
         ranked = sorted(sorted(universe), key=self._broadcast_counts.__getitem__, reverse=True)
         return tuple(ranked[:count])
+
+    def quietest_frequencies(
+        self, count: int, universe: Iterable[Frequency]
+    ) -> tuple[Frequency, ...]:
+        """The ``count`` frequencies with the fewest observed broadcasts.
+
+        Ties are broken by frequency index, as in :meth:`busiest_frequencies`.
+        """
+        ranked = sorted(sorted(universe), key=self._broadcast_counts.__getitem__)
+        return tuple(ranked[:count])
+
+    def most_used_frequencies(
+        self, count: int, universe: Iterable[Frequency]
+    ) -> tuple[Frequency, ...]:
+        """The ``count`` distinct frequencies with the most broadcasts plus deliveries.
+
+        Ties are broken by frequency index, as in :meth:`busiest_frequencies`.
+        """
+        broadcasts, deliveries = self._broadcast_counts, self._delivery_counts
+        usage = {frequency: broadcasts[frequency] + deliveries[frequency] for frequency in universe}
+        ranked = sorted(sorted(usage), key=usage.__getitem__, reverse=True)
+        return tuple(ranked[:count])

@@ -12,16 +12,36 @@ because there is never a second writer interleaving cells.
 Three threads, one loop::
 
     asyncio loop thread ── start_server(), one coroutine per client,
-    │                      owns every Job.events buffer and subscriber set
+    │                      owns every Job.events buffer and subscriber set,
+    │                      and the one reader ResultStore store-status uses
     executor thread ────── JobQueue.pop() → run campaign/search via the
-    │                      ordinary runners; appends progress records to the
-    │                      job's pending list and wakes the loop only when
-    │                      that list was empty (never touches buffers
-    │                      directly)
+    │                      ordinary runners on the one writer ResultStore;
+    │                      appends progress records to the job's pending
+    │                      list and wakes the loop only when that list was
+    │                      empty (never touches buffers directly)
     HTTP facade thread ─── optional ThreadingHTTPServer serving /status and
                            /jobs/<id>/status in the RunMonitor snapshot
                            schema, so ``repro monitor watch`` works
                            unchanged against a service job
+
+Each job's :class:`~repro.telemetry.monitor.RunMonitor` is ticked by the
+process's one shared ``repro-monitor`` thread, so a job starts no thread.
+
+Each SQLite connection lives as long as the thread that owns it, not one
+request (sqlite3 connections stay on the thread that opened them).  The
+executor keeps one writer store and the loop one reader: each is reused
+while consecutive requests name the same file (the same path and the same
+``(st_dev, st_ino)``) and reopened otherwise, so a store deleted or replaced
+between two jobs is never written or read through a stale connection.  The
+reader is dropped when a ``store-status`` names a path that no longer
+exists, and each is closed when its thread exits.  The writer is flushed
+(:meth:`~repro.campaigns.store.ResultStore.flush`: commit plus a WAL
+checkpoint) at the end of every job, completed, failed or cancelled, before
+the job's ``job-finished`` record is published, so a client that has that
+record finds every row of the job in the main database file.  The reader
+never checkpoints: a ``store-status`` runs one query on an open connection
+and never writes, fsyncs or waits on the writer.  The service opens no
+connection and starts no ticker until the first request that needs one.
 
 Per job the service materializes a directory ``run_dir/jobs/<id>/`` holding
 ``request.json`` (the verbatim submission — resubmit it to resume a
@@ -111,6 +131,44 @@ def _empty_status(unit: str, state: str, job_id: str, kind: str) -> dict[str, An
     }
 
 
+class _KeptStore:
+    """One :class:`ResultStore` kept open across requests by the thread that owns it.
+
+    :meth:`open` returns the kept store while requests name the same file
+    (the same path and the same ``(st_dev, st_ino)``); otherwise it closes
+    the kept store and opens (creating, if need be) the file now at the
+    path.  Only the thread that opened the kept store may use or close it.
+    """
+
+    def __init__(self) -> None:
+        self._store: Optional[ResultStore] = None
+        self._identity: Optional[tuple[int, int]] = None
+
+    def open(self, path: Path) -> ResultStore:
+        identity = _file_identity(path)
+        store = self._store
+        if store is not None and (store.path, self._identity) == (str(path), identity):
+            return store
+        self.close()
+        store = self._store = ResultStore(str(path))
+        self._identity = _file_identity(path)
+        return store
+
+    def close(self) -> None:
+        store, self._store = self._store, None
+        if store is not None:
+            store.close()
+
+
+def _file_identity(path: Path) -> Optional[tuple[int, int]]:
+    """``(st_dev, st_ino)`` of the file at ``path``, or None when there is none."""
+    try:
+        stat = path.stat()
+    except (FileNotFoundError, NotADirectoryError):
+        return None
+    return stat.st_dev, stat.st_ino
+
+
 class CampaignService:
     """The async campaign/search job service.
 
@@ -184,6 +242,8 @@ class CampaignService:
         self._http_server: Optional[ThreadingHTTPServer] = None
         self._http_thread: Optional[threading.Thread] = None
         self._pool: Optional[ExecutionPool] = None
+        self._writer = _KeptStore()  # the executor thread's
+        self._reader = _KeptStore()  # the loop thread's
         self._stopping = threading.Event()
         self.port: Optional[int] = None
         self.http_port: Optional[int] = None
@@ -312,6 +372,7 @@ class CampaignService:
                     loop.run_until_complete(
                         asyncio.gather(*pending, return_exceptions=True)
                     )
+                self._reader.close()
         loop.close()
 
     async def _shutdown_async(self) -> None:
@@ -432,14 +493,14 @@ class CampaignService:
             raise ConfigurationError('store-status needs a "store" field')
         path = self.resolve_store(str(store_arg))
         if not path.exists():
-            # ResultStore(path) would *create* the database; a read-only
-            # query must not conjure empty stores on the server.
+            # Opening would *create* the database; a read-only query must
+            # not conjure empty stores on the server.
+            self._reader.close()
             raise ConfigurationError(f"no store at {path}")
-        with ResultStore(str(path)) as store:
-            campaigns = [
-                {"campaign": name, "completed": completed}
-                for name, completed in store.campaign_cell_counts().items()
-            ]
+        campaigns = [
+            {"campaign": name, "completed": completed}
+            for name, completed in self._reader.open(path).campaign_cell_counts().items()
+        ]
         return {"ok": True, "store": str(path), "campaigns": campaigns}
 
     async def _op_follow(
@@ -611,13 +672,16 @@ class CampaignService:
     # -- the executor thread ----------------------------------------------
 
     def _run_executor(self) -> None:
-        while True:
-            job = self._queue.pop()
-            if job is None:
-                return
-            if job.state.terminal:  # cancelled while queued, already withdrawn
-                continue
-            self._execute(job)
+        try:
+            while True:
+                job = self._queue.pop()
+                if job is None:
+                    return
+                if job.state.terminal:  # cancelled while queued, already withdrawn
+                    continue
+                self._execute(job)
+        finally:
+            self._writer.close()
 
     def _execute(self, job: Job) -> None:
         job.state = JobState.RUNNING
@@ -667,10 +731,15 @@ class CampaignService:
                 raise JobCancelled(f"job {job.id} cancelled")
 
         try:
-            with ResultStore(str(store_path)) as store:
+            store = self._writer.open(store_path)
+            try:
                 if request.kind == "campaign":
                     return self._run_campaign(job, store, telemetry, wiring, check_cancel)
                 return self._run_search(job, store, telemetry, wiring, check_cancel)
+            finally:
+                # Before _execute publishes job-finished: the job's rows are
+                # in the main database file when a client sees that record.
+                store.flush()
         finally:
             telemetry.remove_event_tap(tap)
             telemetry.close()

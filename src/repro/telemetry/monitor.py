@@ -1,8 +1,8 @@
 """The live run monitor: periodic status snapshots + stdlib HTTP endpoints.
 
 A :class:`RunMonitor` watches one live :class:`~repro.telemetry.Telemetry`
-handle from a background thread and makes a run observable while it is still
-in flight, two complementary ways:
+handle and makes a run observable while it is still in flight, two
+complementary ways:
 
 * **status file** — every ``interval`` seconds it writes a schema-versioned
   JSON document (:data:`STATUS_SCHEMA`) *atomically* (temp file +
@@ -18,6 +18,11 @@ in flight, two complementary ways:
   (:func:`~repro.telemetry.export.render_prometheus` text exposition, ready
   for a Prometheus scrape), and ``/events`` (a JSONL tail of the attached
   sink's stream via :func:`~repro.telemetry.events.read_jsonl_events`).
+
+Every live monitor in the process is ticked by one shared daemon thread,
+``repro-monitor``, started by the first :meth:`RunMonitor.start` and kept for
+the process's lifetime; each monitor keeps its own interval.  A service that
+runs a monitor per job therefore starts and joins no thread per job.
 
 The monitor is an observer only: it reads the registry and taps the event
 stream, never feeds execution, and degrades to a log line if a tick fails —
@@ -75,6 +80,12 @@ DEFAULT_DONE_METRICS = ("campaign.cells_committed", "campaign.cells_reused")
 
 class RunMonitor:
     """Publishes one live telemetry handle's state on a wall-clock interval.
+
+    The periodic snapshots come from the process's shared ticker thread:
+    :meth:`start` registers the monitor with it (starting the thread if this
+    is the process's first monitor) and :meth:`stop` unregisters it, waits
+    out a tick of this monitor already in flight, and only then writes the
+    final snapshot, so no periodic snapshot can replace the final one.
 
     Parameters
     ----------
@@ -162,8 +173,6 @@ class RunMonitor:
         self._ewma_rate: Optional[float] = None
         self._last_done: Optional[float] = None
         self._last_tick: Optional[float] = None
-        self._stop_event = threading.Event()
-        self._thread: Optional[threading.Thread] = None
         self._server: Optional[ThreadingHTTPServer] = None
         self._server_thread: Optional[threading.Thread] = None
 
@@ -194,7 +203,7 @@ class RunMonitor:
     # -- lifecycle --------------------------------------------------------
 
     def start(self) -> "RunMonitor":
-        """Start the snapshot thread (and the HTTP server, if a port was given)."""
+        """Join the shared ticker (and start the HTTP server, if a port was given)."""
         if self._started_at is not None:
             raise ConfigurationError("run monitor already started")
         self._telemetry.add_event_tap(self._tap)
@@ -209,18 +218,19 @@ class RunMonitor:
                 target=self._server.serve_forever, name="repro-monitor-http", daemon=True
             )
             self._server_thread.start()
-        self._thread = threading.Thread(target=self._run, name="repro-monitor", daemon=True)
-        self._thread.start()
+        _TICKER.register(self)
         return self
 
     def stop(self) -> None:
-        """Stop publishing: final snapshot (``final: true``), server down (idempotent)."""
+        """Stop publishing: final snapshot (``final: true``), server down (idempotent).
+
+        Returns after the final snapshot is written; no periodic snapshot of
+        this monitor is written after that.
+        """
         if self._finalized:
             return
         self._finalized = True
-        self._stop_event.set()
-        if self._thread is not None:
-            self._thread.join(timeout=self._interval + 5.0)
+        _TICKER.unregister(self)
         try:
             self._update_throughput()
             self._publish(final=True)
@@ -243,15 +253,15 @@ class RunMonitor:
     def __exit__(self, *exc_info: object) -> None:
         self.stop()
 
-    # -- the background loop ----------------------------------------------
+    # -- the periodic tick -------------------------------------------------
 
-    def _run(self) -> None:
-        while not self._stop_event.wait(self._interval):
-            try:
-                self._update_throughput()
-                self._publish(final=False)
-            except Exception:  # noqa: BLE001 - an observer must never kill the run
-                logger.exception("run monitor tick failed; continuing")
+    def _tick(self) -> None:
+        """One periodic snapshot — called from the shared ticker thread only."""
+        try:
+            self._update_throughput()
+            self._publish(final=False)
+        except Exception:  # noqa: BLE001 - an observer must never kill the run
+            logger.exception("run monitor tick failed; continuing")
 
     def _observe_event(self, event: TelemetryEvent) -> None:
         record = event.to_dict()
@@ -356,6 +366,64 @@ class RunMonitor:
         if limit is not None:
             records = records[-limit:]
         return "".join(json.dumps(record, sort_keys=True) + "\n" for record in records)
+
+
+class _Ticker:
+    """The one daemon thread that ticks every live :class:`RunMonitor`.
+
+    A registered monitor is due ``interval`` seconds after it registers and
+    then ``interval`` seconds after each of its ticks ends.  The thread
+    starts with the first registration and then lives as long as the
+    process, asleep while no monitor is registered.
+    """
+
+    def __init__(self) -> None:
+        self._condition = threading.Condition()
+        self._due: dict[RunMonitor, float] = {}
+        self._ticking: Optional[RunMonitor] = None
+        self._thread: Optional[threading.Thread] = None
+
+    def register(self, monitor: RunMonitor) -> None:
+        with self._condition:
+            self._due[monitor] = time.monotonic() + monitor._interval
+            if self._thread is None:
+                self._thread = threading.Thread(target=self._run, name="repro-monitor", daemon=True)
+                self._thread.start()
+            self._condition.notify_all()
+
+    def unregister(self, monitor: RunMonitor) -> None:
+        """Drop ``monitor``; returns once no tick of it is in flight."""
+        with self._condition:
+            self._due.pop(monitor, None)
+            self._condition.wait_for(lambda: self._ticking is not monitor)
+
+    def _run(self) -> None:
+        with self._condition:
+            while True:
+                if not self._due:
+                    self._condition.wait()
+                    continue
+                monitor = min(self._due, key=self._due.__getitem__)
+                delay = self._due[monitor] - time.monotonic()
+                if delay > 0:
+                    self._condition.wait(delay)
+                    continue
+                # Tick outside the lock, so start() and stop() of other
+                # monitors never wait on this one's snapshot write.
+                self._ticking = monitor
+                self._condition.release()
+                try:
+                    monitor._tick()
+                finally:
+                    self._condition.acquire()
+                    self._ticking = None
+                    self._condition.notify_all()
+                if monitor in self._due:
+                    self._due[monitor] = time.monotonic() + monitor._interval
+
+
+#: The process's ticker.  Its thread starts with the first monitor, never on import.
+_TICKER = _Ticker()
 
 
 class _MonitorRequestHandler(BaseHTTPRequestHandler):

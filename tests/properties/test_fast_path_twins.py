@@ -1,7 +1,7 @@
 """Generated walks: the inlined hot paths draw exactly what their slow twins draw.
 
-Three per-round fast paths replay a slower, plainer version without changing
-a single random draw:
+Each per-round fast path below replays a slower, plainer version without
+changing a single random draw:
 
 * :class:`GoodSamaritanProtocol` keeps each epoch's constants in its own
   fields and runs its draws inline.  :class:`ReferenceGoodSamaritan` below
@@ -15,6 +15,15 @@ a single random draw:
   ``random.Random.sample`` inline and hands every other input to it.
 * ``SpectrumLog.busiest_frequencies`` ranks with a stable reverse sort
   keyed on the broadcast counter, where it sorted on ``(-count, frequency)``.
+* :class:`PolicyJammer` draws its ``random`` action through ``_sample`` and
+  ranks ``quietest`` with one stable sort keyed on the broadcast counter
+  (``SpectrumLog.quietest_frequencies``), and :class:`TwoNodeProductJammer`
+  ranks with one stable reverse sort of broadcast plus delivery counts
+  (``SpectrumLog.most_used_frequencies``); each ranking also matches its
+  sort key on shuffled universes.  :class:`ReferencePolicyJammer` and
+  :func:`reference_product_disruption` keep the code they replaced; over a
+  walk of recorded rounds each jammer and its twin choose the same sets
+  and leave their generators in the same state.
 
 Tier-1 runs them derandomized with a few examples each; the ``thorough``
 profile (``tests/conftest.py``, selected with ``--hypothesis-profile
@@ -28,12 +37,15 @@ import random
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.adversary.jammers import _sample
+from repro.adversary.base import AdversaryContext
+from repro.adversary.jammers import TwoNodeProductJammer, _sample
+from repro.adversary.policy import HEAT_BUCKETS, POLICY_ACTIONS, PolicyJammer
 from repro.params import ModelParameters
 from repro.protocols.base import ProtocolContext, draw_one_to
 from repro.protocols.good_samaritan.protocol import GoodSamaritanProtocol
 from repro.radio.actions import RadioAction, broadcast, listen
 from repro.radio.events import RoundActivity
+from repro.radio.frequencies import FrequencyBand
 from repro.radio.messages import ContenderMessage, LeaderMessage, SamaritanMessage
 from repro.radio.spectrum_log import SpectrumLog
 from repro.timestamps import Timestamp
@@ -284,3 +296,108 @@ def test_busiest_frequencies_rank_as_the_count_then_frequency_key(counts, univer
     )
     assert log.busiest_frequencies(count, universe) == expected
     assert log.busiest_frequencies(count, tuple(universe)) == expected
+
+
+@given(
+    counts=st.dictionaries(
+        st.integers(min_value=1, max_value=24), st.integers(min_value=0, max_value=2), max_size=24
+    ),
+    delivered=st.frozensets(st.integers(min_value=1, max_value=24)),
+    universe=st.sets(st.integers(min_value=1, max_value=30)).map(sorted).flatmap(st.permutations),
+    count=st.integers(min_value=0, max_value=32),
+)
+@twin_settings(examples=150)
+def test_quietest_and_most_used_rank_as_their_keys(counts, delivered, universe, count):
+    log = SpectrumLog()
+    log.record(
+        RoundActivity(
+            global_round=1,
+            broadcasters={frequency: list(range(n)) for frequency, n in counts.items() if n},
+            delivered=delivered,
+        )
+    )
+
+    def usage(frequency):
+        return log.broadcast_count(frequency) + log.delivery_count(frequency)
+
+    quietest = sorted(universe, key=lambda frequency: (log.broadcast_count(frequency), frequency))
+    most_used = sorted(universe, key=lambda frequency: (-usage(frequency), frequency))
+    assert log.quietest_frequencies(count, universe) == tuple(quietest[:count])
+    assert log.most_used_frequencies(count, universe) == tuple(most_used[:count])
+
+
+class ReferencePolicyJammer(PolicyJammer):
+    """The policy jammer as it drew before: ``random`` through ``rng.sample``
+    and ``quietest`` sorted on ``(count, frequency)``."""
+
+    def _apply(self, action, context):
+        band, budget, history = context.band, context.budget, context.history
+        if action == "quietest":
+            ranked = sorted(
+                band.all_frequencies(),
+                key=lambda frequency: (history.broadcast_count(frequency), frequency),
+            )
+            return frozenset(ranked[:budget])
+        if action == "random":
+            return frozenset(context.rng.sample(band.all_frequencies(), budget))
+        return super()._apply(action, context)
+
+
+def reference_product_disruption(context: AdversaryContext) -> frozenset:
+    """``TwoNodeProductJammer.choose_disruption`` as it ranked with a
+    per-frequency ``(-usage, frequency, frequency)`` key."""
+    if context.budget <= 0:
+        return frozenset()
+    history = context.history
+
+    def score(frequency):
+        usage = history.broadcast_count(frequency) + history.delivery_count(frequency)
+        return (-usage, frequency, frequency)
+
+    ranked = sorted(context.band.all_frequencies(), key=score)
+    return frozenset(ranked[: context.budget])
+
+
+@given(data=st.data())
+@twin_settings(examples=60)
+def test_adaptive_jammers_choose_what_their_references_choose(data):
+    """F up to 24 and t up to 7 cover ``_sample``'s pool branch and both of
+    its hand-offs to ``rng.sample``; the rounds leave some frequencies
+    unused, so unused and tied counts rank too."""
+    frequencies = data.draw(st.integers(min_value=1, max_value=24), label="F")
+    budget = data.draw(st.integers(min_value=0, max_value=min(frequencies, 7)), label="t")
+    period = data.draw(st.integers(min_value=1, max_value=3), label="phase period")
+    table = data.draw(
+        st.lists(
+            st.sampled_from(POLICY_ACTIONS),
+            min_size=period * HEAT_BUCKETS,
+            max_size=period * HEAT_BUCKETS,
+        ),
+        label="table",
+    )
+    seed = data.draw(st.integers(min_value=0, max_value=2**32 - 1), label="seed")
+    band, log = FrequencyBand(frequencies), SpectrumLog()
+    policy, policy_twin = PolicyJammer(table, period), ReferencePolicyJammer(table, period)
+    product = TwoNodeProductJammer()
+    contexts = [
+        AdversaryContext(global_round=1, band=band, budget=budget, history=log, rng=random.Random(seed))
+        for _ in range(4)
+    ]
+    tuned = st.integers(min_value=1, max_value=frequencies)
+    for global_round in range(1, data.draw(st.integers(1, 12), label="rounds") + 1):
+        for context in contexts:
+            context.global_round = global_round
+        assert policy.choose_disruption(contexts[0]) == policy_twin.choose_disruption(contexts[1])
+        assert contexts[0].rng.getstate() == contexts[1].rng.getstate()
+        assert product.choose_disruption(contexts[2]) == reference_product_disruption(contexts[3])
+        assert contexts[2].rng.getstate() == contexts[3].rng.getstate()
+        broadcasters = data.draw(
+            st.dictionaries(tuned, st.lists(st.integers(0, 9), min_size=1, max_size=3)),
+            label="broadcasters",
+        )
+        delivered = data.draw(st.frozensets(tuned), label="delivered")
+        log.record(
+            RoundActivity(
+                global_round=global_round, broadcasters=broadcasters, delivered=delivered
+            )
+        )

@@ -688,6 +688,21 @@ class TestStoreDurability:
         finally:
             raw.close()
 
+    def test_closing_a_store_that_only_read_leaves_the_wal_alone(self, tmp_path):
+        path = tmp_path / "store.db"
+        wal = path.with_name(path.name + "-wal")
+        with ResultStore(path) as writer:
+            CampaignRunner(tiny_spec(), writer).run(max_cells=2)
+            size = wal.stat().st_size
+            assert size > 0
+            reader = ResultStore(path)
+            assert reader.cell_count() == 2
+            reader.close()
+            # No checkpoint: the writer's log is as the writer left it.
+            assert wal.stat().st_size == size
+        # The writer changed rows, so its close still checkpoints.
+        assert not wal.exists() or wal.stat().st_size == 0
+
     def test_close_is_idempotent(self, tmp_path):
         store = ResultStore(tmp_path / "store.db")
         store.register_campaign("c")

@@ -15,11 +15,13 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import threading
 import time
 import urllib.error
 import urllib.request
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 
@@ -369,6 +371,108 @@ class TestRunMonitor:
         finally:
             stop.set()
             writer.join()
+
+    @staticmethod
+    def _ticker_threads() -> list[threading.Thread]:
+        return [thread for thread in threading.enumerate() if thread.name == "repro-monitor"]
+
+    def test_start_stop_cycles_share_one_ticker_thread(self, tmp_path):
+        telemetry = self._live_telemetry()
+        seen: set[threading.Thread] = set()
+        paths = [tmp_path / f"status-{index}.json" for index in range(50)]
+        for path in paths:
+            monitor = RunMonitor(telemetry, status_path=path, interval=0.001).start()
+            seen.update(self._ticker_threads())
+            monitor.stop()
+        assert len(seen) == 1
+        assert len(self._ticker_threads()) <= 1
+        time.sleep(0.02)  # a periodic snapshot written late would land by now
+        assert all(json.loads(path.read_text())["final"] for path in paths)
+
+    def test_live_monitors_tick_on_their_own_intervals(self, tmp_path, monkeypatch):
+        periodic: dict[str, int] = {"fast": 0, "slow": 0}
+        publish = RunMonitor._publish
+
+        def counting_publish(monitor, final):
+            if not final:
+                periodic[monitor.status_path.stem] += 1
+            publish(monitor, final)
+
+        monkeypatch.setattr(RunMonitor, "_publish", counting_publish)
+        telemetry = self._live_telemetry()
+        with RunMonitor(telemetry, status_path=tmp_path / "fast.json", interval=0.01):
+            with RunMonitor(telemetry, status_path=tmp_path / "slow.json", interval=0.1):
+                deadline = time.monotonic() + 10.0
+                while periodic["slow"] < 2 and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                ticks = dict(periodic)
+        assert ticks["slow"] >= 2
+        assert ticks["fast"] > ticks["slow"]
+
+    def test_stop_waits_out_a_tick_in_flight(self, tmp_path, monkeypatch):
+        """A periodic snapshot already being written when stop() is called
+        lands before the final one, never after it."""
+        in_tick = threading.Event()
+        release = threading.Event()
+        written: list[bool] = []
+        publish = RunMonitor._publish
+
+        def slow_publish(monitor, final):
+            if not final:
+                in_tick.set()
+                release.wait(timeout=10.0)
+            publish(monitor, final)
+            written.append(final)
+
+        monkeypatch.setattr(RunMonitor, "_publish", slow_publish)
+        path = tmp_path / "status.json"
+        monitor = RunMonitor(self._live_telemetry(), status_path=path, interval=0.01).start()
+        assert in_tick.wait(timeout=10.0)
+        stopper = threading.Thread(target=monitor.stop)
+        stopper.start()
+        time.sleep(0.05)
+        assert stopper.is_alive()  # held until the tick in flight ends
+        release.set()
+        stopper.join(timeout=10.0)
+        assert not stopper.is_alive()
+        assert written[-1] is True and written.count(True) == 1
+        time.sleep(0.05)
+        assert written[-1] is True
+        assert json.loads(path.read_text())["final"] is True
+
+    def test_concurrent_start_stop_under_fast_switching(self, tmp_path):
+        """Six threads start and stop monitors against the one ticker at
+        once; after each stop() the snapshot on disk is final and stays so."""
+        telemetry = self._live_telemetry()
+        failures: list[str] = []
+        finished: list[Path] = []
+
+        def cycle(worker: int) -> None:
+            for index in range(8):
+                path = tmp_path / f"status-{worker}-{index}.json"
+                monitor = RunMonitor(telemetry, status_path=path, interval=0.001).start()
+                time.sleep(0.002)
+                monitor.stop()
+                if not json.loads(path.read_text())["final"]:
+                    failures.append(path.name)
+                finished.append(path)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            workers = [threading.Thread(target=cycle, args=(worker,)) for worker in range(6)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        time.sleep(0.02)
+        assert failures == []
+        assert len(finished) == 48
+        assert all(json.loads(path.read_text())["final"] for path in finished)
+        assert len(self._ticker_threads()) == 1
 
     def test_http_endpoints(self, tmp_path):
         telemetry = Telemetry(sink=JsonlSink(tmp_path / "events.jsonl"))

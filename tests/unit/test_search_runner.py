@@ -205,6 +205,7 @@ class TestReadBacks:
             result = StrategySearch(tiny_spec(), store).run()
             path = export_search(store, "unit-search", tmp_path / "best.json", top=3)
             document = json.loads(path.read_text())
+            assert path.read_text() == json.dumps(document, indent=2)
             assert document["best"]["key"] == result.best.key
             assert document["best"]["score"] == result.best.score
             assert len(document["top"]) == 3

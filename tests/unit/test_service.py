@@ -12,11 +12,17 @@ The properties pinned here are the ones the service's design exists for:
   submissions past the admission bound are refused, not buffered.
 - **Wire schema** — the NDJSON progress stream and the status documents are
   schema-complete and validate against the monitor's status schema.
+- **Kept connections** — the executor reuses one writer and the loop one
+  reader while requests name the same file, every job leaves its store
+  checkpointed before its final record, and a ``store-status`` never
+  checkpoints or waits on a writer.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import sqlite3
 import threading
 import time
 
@@ -30,6 +36,7 @@ from repro.exceptions import ConfigurationError
 from repro.search.checkpoint import SearchSpec
 from repro.search.objective import SearchObjective
 from repro.search.runner import StrategySearch
+from repro.service import server as service_server
 from repro.service import (
     AdmissionError,
     CampaignService,
@@ -522,6 +529,148 @@ class TestWireSchema:
                 assert client.ping()["ok"] is True
             doc = json.loads(announce.read_text())
             assert doc["port"] == service.port
+
+
+class TestKeptConnections:
+    """The executor's writer and the loop's reader outlive their requests."""
+
+    @pytest.fixture
+    def constructed(self, monkeypatch):
+        """The paths of the stores the service opens, one entry per construction."""
+        paths: list[str] = []
+
+        class CountingStore(ResultStore):
+            def __init__(self, path):
+                paths.append(str(path))
+                super().__init__(path)
+
+        monkeypatch.setattr(service_server, "ResultStore", CountingStore)
+        return paths
+
+    def test_jobs_on_one_store_share_one_writer(self, service, constructed):
+        with ServiceClient("127.0.0.1", service.port) as client:
+            for request in (
+                JobRequest.for_campaign(campaign_spec("shared"), store="shared.sqlite"),
+                JobRequest.for_search(search_spec("shared-search"), store="shared.sqlite"),
+            ):
+                assert client.submit(request, wait=True)["finished"]["state"] == "completed"
+        assert constructed == [str(service.resolve_store("shared.sqlite"))]
+
+    @pytest.mark.parametrize("change", ["deleted", "replaced"])
+    def test_a_job_writes_into_the_file_now_at_its_store_path(self, tmp_path, service, change):
+        path = service.resolve_store("moved.sqlite")
+        with ServiceClient("127.0.0.1", service.port) as client:
+            request = JobRequest.for_campaign(campaign_spec("before"), store="moved.sqlite")
+            assert client.submit(request, wait=True)["finished"]["state"] == "completed"
+            if change == "deleted":
+                path.unlink()
+            else:
+                other = tmp_path / "other.sqlite"
+                with ResultStore(str(other)) as store:
+                    store.register_campaign("other")
+                os.replace(other, path)
+            request = JobRequest.for_campaign(campaign_spec("after"), store="moved.sqlite")
+            assert client.submit(request, wait=True)["finished"]["state"] == "completed"
+        with ResultStore(str(path)) as store:
+            names = store.campaign_names()
+        assert names == (["after"] if change == "deleted" else ["after", "other"])
+
+    def test_every_job_leaves_its_store_checkpointed_before_it_finishes(
+        self, service, monkeypatch
+    ):
+        """Completed and failed jobs alike: once ``wait`` returns, the kept
+        writer's WAL is empty and the rows are in the main database file."""
+        record_cell = ResultStore.record_cell
+        commits = 0
+        inserted = 0
+
+        def fail_the_fourth_commit(store, *args, **kwargs):
+            nonlocal commits, inserted
+            commits += 1
+            if commits == 4:
+                raise RuntimeError("store refused the cell")
+            recorded = record_cell(store, *args, **kwargs)
+            inserted += recorded
+            return recorded
+
+        monkeypatch.setattr(ResultStore, "record_cell", fail_the_fourth_commit)
+        path = service.resolve_store("durable.sqlite")
+        wal = path.with_name(path.name + "-wal")
+        requests = [
+            JobRequest.for_campaign(campaign_spec("one", cells=2), store="durable.sqlite"),
+            JobRequest.for_campaign(campaign_spec("two", cells=2, seeds=3), store="durable.sqlite"),
+            JobRequest.for_search(search_spec("three"), store="durable.sqlite"),
+        ]
+        states = []
+        with ServiceClient("127.0.0.1", service.port) as client:
+            for request in requests:
+                states.append(client.submit(request, wait=True)["finished"]["state"])
+                assert wal.stat().st_size == 0
+                raw = sqlite3.connect(path)
+                try:
+                    assert raw.execute("SELECT COUNT(*) FROM cells").fetchone()[0] == inserted
+                finally:
+                    raw.close()
+        assert states == ["completed", "failed", "completed"]
+
+    def test_store_status_reads_through_one_kept_reader(self, service, constructed):
+        request = JobRequest.for_campaign(campaign_spec("read"), store="read.sqlite")
+        with ServiceClient("127.0.0.1", service.port) as client:
+            client.submit(request, wait=True)
+            del constructed[:]
+            for _ in range(10):
+                doc = client.store_status("read.sqlite")
+                assert doc["campaigns"] == [{"campaign": "read", "completed": 1}]
+        assert constructed == [str(service.resolve_store("read.sqlite"))]
+
+    def test_store_status_leaves_a_writers_wal_alone(self, service):
+        request = JobRequest.for_campaign(campaign_spec("wal"), store="wal.sqlite")
+        path = service.resolve_store("wal.sqlite")
+        wal = path.with_name(path.name + "-wal")
+        with ServiceClient("127.0.0.1", service.port) as client:
+            client.submit(request, wait=True)
+            writer = ResultStore(str(path))
+            try:
+                writer.register_campaign("pending")
+                size = wal.stat().st_size
+                assert size > 0
+                doc = client.store_status("wal.sqlite")
+                assert wal.stat().st_size == size
+            finally:
+                writer.close()
+        assert {"campaign": "pending", "completed": 0} in doc["campaigns"]
+
+    def test_store_status_does_not_wait_on_a_write_transaction(self, service):
+        request = JobRequest.for_campaign(campaign_spec("busy"), store="busy.sqlite")
+        path = service.resolve_store("busy.sqlite")
+        began = threading.Event()
+
+        def hold_a_write_transaction() -> None:
+            connection = sqlite3.connect(path, isolation_level=None)
+            try:
+                connection.execute("BEGIN IMMEDIATE")
+                connection.execute("INSERT INTO campaigns (name) VALUES ('held')")
+                began.set()
+                time.sleep(0.3)
+                connection.execute("COMMIT")
+            finally:
+                connection.close()
+
+        with ServiceClient("127.0.0.1", service.port) as client:
+            client.submit(request, wait=True)
+            holder = threading.Thread(target=hold_a_write_transaction)
+            holder.start()
+            try:
+                assert began.wait(timeout=10.0)
+                sent = time.perf_counter()
+                doc = client.store_status("busy.sqlite")
+                elapsed = time.perf_counter() - sent
+            finally:
+                holder.join(timeout=10.0)
+            assert not holder.is_alive()
+        # The read saw the last committed snapshot, without the held row.
+        assert doc["campaigns"] == [{"campaign": "busy", "completed": 1}]
+        assert elapsed < 0.1
 
 
 class TestJobRequestValidation:
