@@ -21,8 +21,11 @@ worker crash re-dispatches the outstanding chunks within the pool's
 ``crash_retries`` instead of failing the run, and a run stopped early
 cancels the chunks no worker has started.  One pool serves the whole run, and
 survives across ``run`` invocations, so a grid of ten thousand small cells
-pays pool spin-up once instead of ten thousand times.  None of this changes
-results: the stored rows are bit-identical to a serial campaign's.
+pays pool spin-up once instead of ten thousand times.  Every cell's seeds run
+on the engine :func:`~repro.engine.pool.seed_rows` picks, serially or in
+each worker chunk: the lockstep kernel for a batchable cell with enough
+seeds, the scalar loop otherwise.  None of this changes results: the stored
+rows are bit-identical to a serial campaign's.
 """
 
 from __future__ import annotations
@@ -108,7 +111,7 @@ def run_missing(
         pool = None
     rows: Generator[Sequence[ReducedTrial], None, None]
     if pool is not None:
-        rows = pool.iter_reduced(jobs, batch=plan.batch)
+        rows = pool.iter_reduced(jobs)
     else:
         rows = (
             run_reduced_trials(template, seeds=seeds, trace_level=None, plan=plan.serial())
@@ -174,9 +177,8 @@ class CampaignRunner:
         :class:`~repro.engine.pool.ExecutionPool` for its whole lifetime
         (all ``run`` invocations included) and batch every pending cell onto
         it with the plan's chunk size; a serial plan executes in-process.
-        ``plan.batch`` routes batchable cells through the vectorized
-        lockstep kernel with transparent scalar fallback.  No plan ever
-        changes the stored rows — they are bit-identical on every path.
+        No plan ever changes the stored rows — they are bit-identical on
+        every path.
     telemetry:
         Optional :class:`~repro.telemetry.Telemetry` handle.  A live handle
         gets campaign lifecycle events, per-cell
@@ -202,7 +204,6 @@ class CampaignRunner:
         self._spec = spec
         self._store = store
         self._plan = plan or ExecutionPlan()
-        self._batch = self._plan.batch
         self._telemetry = as_telemetry(telemetry)
         self._owns_pool = pool is None and self._plan.parallel
         self._pool = self._plan.pool(telemetry=self._telemetry) if self._owns_pool else pool
@@ -317,7 +318,6 @@ class CampaignRunner:
                     pending_cells=pending,
                     reused_cells=reused,
                     workers=self._pool.workers if self._pool is not None else 1,
-                    batch=self._batch,
                 )
             )
 

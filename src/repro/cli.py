@@ -169,6 +169,28 @@ def observability_options() -> argparse.ArgumentParser:
     return parent
 
 
+def execution_options() -> argparse.ArgumentParser:
+    """The shared execution option group for executing subcommands.
+
+    One definition covers ``trials``, ``campaign run``, ``search run`` and
+    ``serve``, like :func:`observability_options`; :func:`_plan_from_args`
+    turns the flags into an :class:`~repro.engine.plan.ExecutionPlan`.
+    Which engine runs the work is not an option: a batchable segment with
+    enough seeds runs on the lockstep kernel, any other on the scalar loop.
+    """
+    parent = argparse.ArgumentParser(add_help=False)
+    group = parent.add_argument_group("execution")
+    group.add_argument(
+        "--workers", type=int, default=1,
+        help="worker processes on the command's execution pool (1 = serial)",
+    )
+    group.add_argument(
+        "--pool-chunk", type=int, default=None,
+        help="seeds per dispatched pool chunk (default: automatic)",
+    )
+    return parent
+
+
 #: The exit status of ``simulate`` and ``trials`` when the run ended but some
 #: trial did not synchronize; an uncaught exception exits 1.
 EXIT_UNSYNCHRONIZED = 3
@@ -194,6 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     observability = observability_options()
+    execution = execution_options()
 
     scenario = argparse.ArgumentParser(add_help=False)
     scenario.add_argument("--protocol", choices=sorted(PROTOCOLS), default="trapdoor")
@@ -232,19 +255,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     trials = sub.add_parser(
         "trials",
-        parents=[scenario, observability],
+        parents=[scenario, execution, observability],
         help="run one configuration across many seeds",
         description=f"Run one configuration across many seeds.  {_EXIT_STATUSES}",
     )
     trials.add_argument("--trials", type=int, default=10, dest="trial_count",
                         help="number of seeds to run (0 .. k-1)")
-    trials.add_argument("--workers", type=int, default=1,
-                        help="worker processes for the batch (1 = serial)")
-    trials.add_argument("--pool-chunk", type=int, default=None,
-                        help="seeds per dispatched pool chunk (default: automatic)")
-    trials.add_argument("--batch", action="store_true",
-                        help="run the seed batch on the vectorized lockstep kernel "
-                             "(trace-free batchable configs; scalar fallback otherwise)")
     trials.add_argument(
         "--trace-level",
         choices=[level.value for level in TraceLevel],
@@ -261,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     camp_run = campaign_sub.add_parser(
         "run",
-        parents=[observability],
+        parents=[execution, observability],
         help="execute the missing cells of a campaign grid into a store",
     )
     camp_run.add_argument("--store", required=True, help="SQLite result store path")
@@ -287,14 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="inject this fault plan into every cell of the grid "
                                "(part of each cell's identity — fault-free cells "
                                "stay separately resumable)")
-    camp_run.add_argument("--workers", type=int, default=1,
-                          help="worker processes on the campaign's persistent execution "
-                               "pool (1 = serial)")
-    camp_run.add_argument("--pool-chunk", type=int, default=None,
-                          help="trials per dispatched pool chunk (default: automatic)")
-    camp_run.add_argument("--batch", action="store_true",
-                          help="run each cell's seeds on the vectorized lockstep kernel "
-                               "(batchable cells only; scalar fallback otherwise)")
     camp_run.add_argument("--max-cells", type=_run_cap, default=None,
                           help="cap on cells executed this invocation (resume later)")
     camp_run.add_argument("--quiet", action="store_true",
@@ -323,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     srch_run = search_sub.add_parser(
         "run",
-        parents=[observability],
+        parents=[execution, observability],
         help="run (or resume) an adversarial strategy search into a store",
     )
     srch_run.add_argument("--store", required=True, help="SQLite result store path")
@@ -352,14 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="the one seed all proposal randomness derives from")
     srch_run.add_argument("--no-warm-start", action="store_true",
                           help="skip seeding generation 0 with the hand-written jammers")
-    srch_run.add_argument("--workers", type=int, default=1,
-                          help="worker processes on the search's persistent execution "
-                               "pool (1 = serial)")
-    srch_run.add_argument("--pool-chunk", type=int, default=None,
-                          help="seeds per dispatched pool chunk (default: automatic)")
-    srch_run.add_argument("--batch", action="store_true",
-                          help="evaluate candidates on the vectorized lockstep kernel "
-                               "(batchable candidates only; scalar fallback otherwise)")
     srch_run.add_argument("--max-evaluations", type=_run_cap, default=None,
                           help="cap on live evaluations this invocation (resume later)")
 
@@ -399,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve = sub.add_parser(
         "serve",
-        parents=[observability],
+        parents=[execution, observability],
         help="run the campaign service: accept job submissions from many "
              "clients, execute them one at a time on a shared pool",
     )
@@ -417,11 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--announce", default=None, metavar="PATH",
                        help="write {host, port, http_port} JSON here once bound "
                             "(what repro client --connect reads)")
-    serve.add_argument("--workers", type=int, default=1,
-                       help="worker processes on the service's shared execution "
-                            "pool, reused across every job (1 = serial)")
-    serve.add_argument("--pool-chunk", type=int, default=None,
-                       help="trials per dispatched pool chunk (default: automatic)")
     serve.add_argument("--max-queued", type=int, default=8,
                        help="admission bound on waiting jobs; submissions past "
                             "it are refused immediately (default: 8)")
@@ -635,11 +630,7 @@ def _finish_telemetry(telemetry: Optional[Telemetry], args: argparse.Namespace) 
 
 def _plan_from_args(args: argparse.Namespace) -> ExecutionPlan:
     """The execution plan the command-line execution knobs describe."""
-    return ExecutionPlan(
-        workers=args.workers,
-        pool_chunk=args.pool_chunk,
-        batch=getattr(args, "batch", False),
-    )
+    return ExecutionPlan(workers=args.workers, pool_chunk=args.pool_chunk)
 
 
 def _command_trials(args: argparse.Namespace) -> int:
@@ -661,7 +652,6 @@ def _command_trials(args: argparse.Namespace) -> int:
                 workload=args.workload,
                 trials=args.trial_count,
                 workers=args.workers,
-                batch=args.batch,
             )
         )
     started = time.perf_counter()

@@ -38,14 +38,15 @@ the registries whose per-round logic is expressible as array ops:
 
 :func:`batchable` probes a configuration for membership; :func:`run_batch` /
 :func:`run_reduced_batch` transparently fall back to the scalar loop
-otherwise, so callers can pass any configuration.
+otherwise, so callers can pass any configuration.  Every runner reaches them
+through :func:`repro.engine.pool.seed_rows`, which sends each segment of
+``_KERNEL_FLOOR`` or more seeds here and runs smaller ones on the scalar loop.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-import multiprocessing
 import random
 from dataclasses import dataclass
 from collections import Counter
@@ -74,7 +75,7 @@ from repro.adversary.jammers import (
 from repro.engine.checker import PropertyViolation, agreement_violation, property_report
 from repro.engine.metrics import ExecutionMetrics
 from repro.engine.observers import TraceLevel
-from repro.engine.pool import ReducedTrial, simulate_one, warn_fault_batch_fallback
+from repro.engine.pool import ReducedTrial, simulate_one
 from repro.engine.results import SimulationResult
 from repro.engine.rng import derive_seed
 from repro.engine.simulator import SimulationConfig
@@ -709,11 +710,6 @@ def _lockstep(
     return results
 
 
-def _in_pool_worker() -> bool:
-    """Whether this process is a pool worker (its dispatch already warned)."""
-    return multiprocessing.current_process().name != "MainProcess"
-
-
 def run_batch(template: SimulationConfig, seeds: Sequence[int]) -> list[SimulationResult]:
     """Run a multi-seed batch, vectorized when possible, in seed order.
 
@@ -726,15 +722,20 @@ def run_batch(template: SimulationConfig, seeds: Sequence[int]) -> list[Simulati
         return []
     programs = _programs(template)
     if programs is None:
-        if template.faults is not None and not _in_pool_worker():
-            warn_fault_batch_fallback(template.faults)
         return [simulate_one(template, seed) for seed in seed_list]
     return _lockstep(template, seed_list, *programs)
 
 
 def run_reduced_batch(template: SimulationConfig, seeds: Sequence[int]) -> list[ReducedTrial]:
-    """Like :func:`run_batch`, reduced to the campaign store's scalar rows."""
-    return [
-        ReducedTrial.from_result(seed, result)
-        for seed, result in zip(seeds, run_batch(template, seeds))
-    ]
+    """Like :func:`run_batch`, reduced to the campaign store's scalar rows.
+
+    On the scalar fallback each trial is reduced as it finishes, so a large
+    batch the kernel cannot run (Good Samaritan, a fault plan) keeps memory
+    flat instead of holding every full result.
+    """
+    seed_list = list(seeds)
+    programs = _programs(template) if seed_list else None
+    if programs is None:
+        return [ReducedTrial.from_result(seed, simulate_one(template, seed)) for seed in seed_list]
+    results = _lockstep(template, seed_list, *programs)
+    return [ReducedTrial.from_result(seed, result) for seed, result in zip(seed_list, results)]

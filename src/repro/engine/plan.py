@@ -1,8 +1,8 @@
 """The one public spelling of how a batch executes: :class:`ExecutionPlan`.
 
 Execution knobs accreted across several call sites as the orchestration
-stack grew — worker count, pool chunk size and the batch kernel.  They live
-in one frozen, JSON-round-trippable plan object:
+stack grew — worker count and pool chunk size.  They live in one frozen,
+JSON-round-trippable plan object:
 
 * :func:`~repro.engine.runner.run_trials`,
   :func:`~repro.engine.runner.run_reduced_trials`,
@@ -13,22 +13,26 @@ in one frozen, JSON-round-trippable plan object:
 * a service :class:`~repro.service.protocol.JobRequest` embeds the plan's
   JSON form verbatim, so the wire schema and the Python API are one surface.
 
-A plan never changes results: it only chooses *where* work executes (serial,
-worker pool, vectorized lockstep kernel).  Telemetry outputs are not part of
-it: the CLI's ``--telemetry``, ``--telemetry-rotate-bytes`` and
+A plan never changes results: it only chooses *where* work executes (serial
+or on a worker pool).  Which engine runs a batch is not part of it either:
+:func:`~repro.engine.pool.seed_rows` picks the vectorized lockstep kernel or
+the scalar loop from the work itself.  A ``batch`` keyword or JSON key, which
+once asked for the kernel, is still accepted as a boolean and ignored, so
+stored job requests keep loading.  Telemetry outputs are not part of the
+plan: the CLI's ``--telemetry``, ``--telemetry-rotate-bytes`` and
 ``--metrics-out`` flags write them.
 The golden-equivalence suite pins ``plan=`` dispatch bit-identical to the
 serial engine.  A live :class:`~repro.engine.pool.ExecutionPool` is
 deliberately **not** part of the plan — pools are process-local handles that
 cannot cross a serialization boundary; callers that share one pool across
 subsystems keep passing ``pool=`` alongside the plan (the pool wins for
-dispatch; the plan still contributes ``batch``).
+dispatch).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields, replace
+from dataclasses import InitVar, dataclass, fields, replace
 from typing import TYPE_CHECKING, Any, Mapping, Optional
 
 from repro.exceptions import ConfigurationError
@@ -63,9 +67,9 @@ class ExecutionPlan:
     pool_chunk:
         Seeds per dispatched pool chunk (``None`` = automatic sizing).
     batch:
-        Run same-template seed batches on the vectorized lockstep kernel
-        (:mod:`repro.engine.batch`) where the configuration is batchable,
-        with transparent scalar fallback otherwise.
+        Accepted as a boolean and ignored; not a field, so it is absent
+        from :meth:`to_dict`, ``==`` and :meth:`describe`.  The engine is
+        chosen per segment (:func:`~repro.engine.pool.seed_rows`).
 
     None of these fields ever changes results — stores, checkpoints, and
     digests are bit-identical under every plan (the golden suite pins it).
@@ -73,9 +77,9 @@ class ExecutionPlan:
 
     workers: int = 1
     pool_chunk: Optional[int] = None
-    batch: bool = False
+    batch: InitVar[bool] = False
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, batch: bool) -> None:
         if not is_strict_int(self.workers) or self.workers < 1:
             raise ConfigurationError(f"workers must be an integer >= 1, got {self.workers!r}")
         chunk = self.pool_chunk
@@ -83,8 +87,8 @@ class ExecutionPlan:
             raise ConfigurationError(
                 f"pool_chunk must be a positive integer or null, got {chunk!r}"
             )
-        if not isinstance(self.batch, bool):
-            raise ConfigurationError(f"batch must be true or false, got {self.batch!r}")
+        if not isinstance(batch, bool):
+            raise ConfigurationError(f"batch must be true or false, got {batch!r}")
 
     # -- derived views ------------------------------------------------------
 
@@ -118,7 +122,6 @@ class ExecutionPlan:
             "schema": PLAN_SCHEMA,
             "workers": self.workers,
             "pool_chunk": self.pool_chunk,
-            "batch": self.batch,
         }
 
     def to_json(self) -> str:
@@ -131,7 +134,8 @@ class ExecutionPlan:
 
         Unknown keys are refused rather than silently dropped — a job request
         with a misspelled knob must fail admission, not run with defaults.
-        Keys of removed fields (``_RETIRED_FIELDS``) are read only as ``null``.
+        Keys of removed fields (``_RETIRED_FIELDS``) are read only as ``null``,
+        and ``batch`` only as a boolean, which is ignored.
         """
         if not isinstance(data, Mapping):
             raise ConfigurationError(
@@ -150,13 +154,16 @@ class ExecutionPlan:
                     f"{data[name]!r} (the CLI's telemetry flags write telemetry outputs)"
                 )
         known = {field.name for field in fields(cls)}
-        unknown = sorted(set(data) - known - {"schema", *_RETIRED_FIELDS})
+        unknown = sorted(set(data) - known - {"schema", "batch", *_RETIRED_FIELDS})
         if unknown:
             raise ConfigurationError(
                 f"execution plan has unknown fields: {', '.join(unknown)} "
                 f"(known: {', '.join(sorted(known))})"
             )
-        return cls(**{name: data[name] for name in known if name in data})
+        return cls(
+            **{name: data[name] for name in known if name in data},
+            batch=data.get("batch", False),
+        )
 
     @classmethod
     def from_json(cls, text: str) -> "ExecutionPlan":
@@ -172,6 +179,5 @@ class ExecutionPlan:
         parts = [f"{self.workers} worker(s)"]
         if self.pool_chunk is not None:
             parts.append(f"chunk {self.pool_chunk}")
-        parts.append("batch kernel" if self.batch else "scalar loop")
         return ", ".join(parts)
 

@@ -23,12 +23,14 @@ of three paths that applies:
 * **in-process** (a serial plan) — :func:`seed_rows`, the very row code each
   worker runs on its chunk.
 
-``plan.batch`` composes with all three: the batch runs on the vectorized
-lockstep kernel (:mod:`repro.engine.batch`), which advances a whole chunk
-through the round loop as numpy array ops — in each worker on the pool
-paths.  Only trace-free batchable configurations qualify
-(:func:`repro.engine.batch.batchable`); anything else transparently falls back
-to the scalar loop.  Results are bit-identical on every path (the
+Every path picks the engine the same way, per segment (one template and
+some of its seeds, as :func:`seed_rows` and each worker chunk see it): a
+segment of ``_KERNEL_FLOOR`` or more seeds whose template is batchable
+(:func:`repro.engine.batch.batchable`: trace-free, no fault plan, a
+Trapdoor-family protocol) runs on the vectorized lockstep kernel
+(:mod:`repro.engine.batch`), which advances all its seeds through the round
+loop as numpy array ops; any other segment runs on the scalar loop.  Nothing
+asks for an engine.  Results are bit-identical on every path (the
 golden-equivalence suite pins this).
 
 :class:`ExecutionPool` removes the orchestration tax three ways:
@@ -42,7 +44,8 @@ golden-equivalence suite pins this).
   config per trial.  A dispatch group (one batch for :meth:`run_seeds`, a
   campaign's missing cells or a search generation's missing candidates for
   :meth:`iter_reduced`) goes through one chunker: each batch is cut into
-  about four chunks per worker, and runs of small batches are split
+  about four chunks per worker (a batch bound for the kernel into chunks of
+  at least ``_KERNEL_FLOOR`` seeds), and runs of small batches are split
   together, in order and across batch boundaries, into even chunks of up to
   four seeds whose count the workers share evenly, so a service job pays a
   few executor round trips, not one per seed.  A worker runs one entry
@@ -68,7 +71,7 @@ worker exception is never misread as a pickling problem.
 Telemetry sits at the orchestration boundaries of these paths, never inside
 them: a live :class:`~repro.telemetry.Telemetry` handle on a pool counts each
 chunk at dispatch (``chunk-dispatched`` events, the in-flight gauge,
-scalar/batch counters), campaign runners open spans around the phases that
+chunk and trial counters), campaign runners open spans around the phases that
 *surround* execution (``campaign.run`` > ``campaign.cell`` >
 ``campaign.execute`` / ``campaign.commit``; on a pool ``campaign.execute`` is
 the wait for the cell's rows), and the search wraps the wait for each live
@@ -99,7 +102,6 @@ from repro.engine.results import SimulationResult
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.telemetry import Telemetry, as_telemetry
 from repro.telemetry.events import (
-    BatchFallback,
     ChunkDispatched,
     ChunkRetried,
     SerialFallback,
@@ -124,6 +126,21 @@ logger = logging.getLogger("repro.engine.pool")
 #: trip a small share of the chunk's work, and a 1,000-cell × 2-seed
 #: campaign still commits every 2 cells.
 _MERGE_FLOOR = 4
+
+#: Seeds from which a segment of a batchable template runs on the lockstep
+#: kernel instead of the scalar loop (:func:`seed_rows`), and below which the
+#: automatic chunker never cuts such a batch (:meth:`ExecutionPool._cut`).
+#: The kernel pays fixed numpy costs per lockstep step that a few trials
+#: cannot share.  Scalar time ÷ kernel time of one ``seed_rows(...,
+#: reduce=True)`` call, per batchable protocol × simple workload at (8, 3,
+#: 64) with 8 nodes (35 cells, median of 3 interleaved runs, two passes,
+#: 2-core host, Python 3.11.7, numpy 2.4.6): at 8 seeds the kernel was
+#: slower in 1 and 3 cells (0.83–3.64×); at 10 it was even at worst
+#: (1.008–4.26×); at 12 it won every cell (1.04–5.30×), and at 16 by more
+#: (1.25–5.71×).  ``batch_sweep``'s ``batch_equals_scalar`` check needs its
+#: 8-seed call on the scalar loop and CI's 16-trial identity runs need the
+#: kernel, so the floor must lie in 9..16.
+_KERNEL_FLOOR = 12
 
 
 class WorkerCrashError(SimulationError):
@@ -195,19 +212,18 @@ def simulate_one(template: "SimulationConfig", seed: int) -> SimulationResult:
     return simulate(replace(template, seed=seed))
 
 
-def seed_rows(
-    template: "SimulationConfig", seeds: Sequence[int], reduce: bool, batch: bool
-) -> list:
+def seed_rows(template: "SimulationConfig", seeds: Sequence[int], reduce: bool) -> list:
     """Run one template's seeds in this process and return the rows in seed order.
 
-    The one row-producing code path: a worker runs it on its chunk, and the
-    serial runners run it on the whole batch.  With ``batch=True`` the seeds
-    go through the vectorized lockstep kernel (:mod:`repro.engine.batch`),
-    which falls back to the scalar loop for a non-batchable template.  With
+    The one row-producing code path: a worker runs it on each segment of its
+    chunk, and the serial runners run it on the whole batch.  It picks the
+    engine: ``_KERNEL_FLOOR`` or more seeds go to the vectorized lockstep
+    kernel (:mod:`repro.engine.batch`), which runs a non-batchable template
+    on the scalar loop itself; fewer run on the scalar loop here.  With
     ``reduce=True`` each trial is reduced to a :class:`ReducedTrial` as it
     finishes, so memory stays flat.
     """
-    if batch:
+    if len(seeds) >= _KERNEL_FLOOR:
         from repro.engine.batch import run_batch, run_reduced_batch
 
         return run_reduced_batch(template, seeds) if reduce else run_batch(template, seeds)
@@ -266,28 +282,30 @@ def _chunk_stats(rows: Sequence, batch_trials: int, seconds: float) -> WorkerSta
 
 
 def _run_chunk(
-    segments: Sequence[tuple["SimulationConfig", tuple[int, ...]]],
-    reduce: bool,
-    batch: bool = False,
+    segments: Sequence[tuple["SimulationConfig", tuple[int, ...]]], reduce: bool
 ) -> ChunkResult:
     """Worker entry point: :func:`seed_rows` on each segment of one chunk, plus its stats.
 
     A segment is one template and some of its seeds; a chunk holds one
     segment or, when small batches were split together, several in group
     order.  The rows come back flat, segment after segment, and the stats
-    count each segment's trials as batch or scalar by whether its template
-    ran on the kernel.
+    count each segment's trials as batch or scalar by the engine
+    :func:`seed_rows` ran it on.
     """
     started = time.perf_counter()
     rows: list = []
     for template, seeds in segments:
-        rows += seed_rows(template, seeds, reduce, batch)
+        rows += seed_rows(template, seeds, reduce)
     seconds = time.perf_counter() - started
     batch_trials = 0
-    if batch:
+    if any(len(seeds) >= _KERNEL_FLOOR for _template, seeds in segments):
         from repro.engine.batch import batchable
 
-        batch_trials = sum(len(seeds) for template, seeds in segments if batchable(template))
+        batch_trials = sum(
+            len(seeds)
+            for template, seeds in segments
+            if len(seeds) >= _KERNEL_FLOOR and batchable(template)
+        )
     return ChunkResult(rows=tuple(rows), stats=_chunk_stats(rows, batch_trials, seconds))
 
 
@@ -329,23 +347,6 @@ def warn_serial_fallback(
         telemetry.emit(SerialFallback(detail=detail))
 
 
-def warn_fault_batch_fallback(plan: object, stacklevel: int = 3) -> None:
-    """The one ``--batch`` + fault-plan degrade-to-scalar notification.
-
-    Fault injection rewrites per-node state mid-run, which the vectorized
-    lockstep kernel cannot replay — the batch silently running a *different*
-    engine would be worse than the slowdown, so every entry point that routes
-    a fault-injected template at the kernel warns exactly once per batch
-    (parent-side; the in-worker fallback stays quiet).
-    """
-    message = (
-        f"fault plan {plan.describe()} cannot run on the vectorized lockstep "  # type: ignore[attr-defined]
-        "kernel; the batch degrades to the scalar engine per seed"
-    )
-    logger.warning(message)
-    warnings.warn(message, RuntimeWarning, stacklevel=stacklevel)
-
-
 def _completed_future(value: ChunkResult) -> "Future[ChunkResult]":
     future: "Future[ChunkResult]" = Future()
     future.set_result(value)
@@ -376,8 +377,10 @@ class ExecutionPool:
         batch on its own and never merges chunks.  ``None`` cuts each batch
         into roughly ``4 × workers`` chunks — large enough to amortize the
         template pickle, small enough to keep every worker busy — except
-        that runs of small batches are split together, across batch
-        boundaries, into even chunks of up to four seeds (see :meth:`_cut`).
+        that a batch bound for the lockstep kernel keeps at least
+        ``_KERNEL_FLOOR`` seeds a chunk, and runs of small batches are split
+        together, across batch boundaries, into even chunks of up to four
+        seeds (see :meth:`_cut`).
     crash_retries:
         How many times a chunk is re-dispatched on fresh workers after its
         executor broke — at submission, or mid-batch in :meth:`run_seeds` or
@@ -386,10 +389,10 @@ class ExecutionPool:
         ``0`` restores fail-fast.
     telemetry:
         Optional :class:`~repro.telemetry.Telemetry` handle.  A live handle
-        counts dispatched chunks/trials per execution path (scalar vs batch),
-        tracks the in-flight chunk queue depth, records worker restarts and
-        fallbacks, and emits :class:`~repro.telemetry.events.ChunkDispatched`
-        events.  ``None`` resolves to the shared disabled handle: every
+        counts dispatched chunks and trials, tracks the in-flight chunk
+        queue depth, records worker restarts and fallbacks, and emits
+        :class:`~repro.telemetry.events.ChunkDispatched` events.  ``None``
+        resolves to the shared disabled handle: every
         instrument is a no-op singleton and dispatch costs nothing extra.
         The handle lives in the submitting process only — a worker never
         receives a telemetry object; it ships back a plain
@@ -431,12 +434,6 @@ class ExecutionPool:
         )
         self._metric_trials = self._telemetry.counter(
             "pool.trials_dispatched", help="seeds submitted across all chunks"
-        )
-        self._metric_scalar_chunks = self._telemetry.counter(
-            "pool.scalar_chunks", help="chunks dispatched to the scalar per-seed loop"
-        )
-        self._metric_batch_chunks = self._telemetry.counter(
-            "pool.batch_chunks", help="chunks dispatched to the vectorized lockstep kernel"
         )
         self._metric_restarts = self._telemetry.counter(
             "pool.worker_restarts", help="executor restarts after a worker crash"
@@ -530,7 +527,7 @@ class ExecutionPool:
         return [tuple(items[start:stop]) for [(_batch, start, stop)] in self._cut([len(items)])]
 
     def _cut(
-        self, sizes: Sequence[int], alone: Container[int] = ()
+        self, sizes: Sequence[int], alone: Container[int] = (), kernel: Container[int] = ()
     ) -> list[list[tuple[int, int, int]]]:
         """The one chunker: split a dispatch group into chunks, in order.
 
@@ -540,17 +537,28 @@ class ExecutionPool:
         ``chunk_size`` seeds or, automatically, of ⌈n / (4 · workers)⌉:
         about four chunks per worker balance the template pickle against
         tail latency (the last chunks land on whichever worker frees up).
-        A batch whose automatic pieces would hold fewer than
-        ``_MERGE_FLOOR`` seeds is small instead: each run of consecutive
-        small batches is split as one, across batch boundaries, into a few
-        even chunks (:meth:`_split_run`), so small batches share round
-        trips and still keep every worker busy.  An explicit
-        ``chunk_size`` is never merged.  A batch in ``alone`` merges with
-        nothing.
+        A batch in ``kernel`` (a batchable template with at least
+        ``_KERNEL_FLOOR`` seeds) is cut automatically into even chunks, at
+        most four per worker and none below ``_KERNEL_FLOOR`` seeds, so
+        every chunk of it still runs on the kernel; more chunks than
+        workers come in a multiple of the workers.  Any other batch whose
+        automatic pieces would hold fewer than ``_MERGE_FLOOR`` seeds is
+        small: each run of consecutive small batches is split as one,
+        across batch boundaries, into a few even chunks
+        (:meth:`_split_run`), so small batches share round trips and still
+        keep every worker busy.  An explicit ``chunk_size`` is obeyed as it
+        is and never merged.  A batch in ``alone`` merges with nothing.
         """
         chunks: list[list[tuple[int, int, int]]] = []
         run: list[int] = []  # consecutive small batches, split when the run ends
         for index, count in enumerate(sizes):
+            if self._chunk_size is None and index in kernel:
+                pieces = max(1, min(self._workers * 4, count // _KERNEL_FLOOR))
+                if pieces > self._workers:
+                    pieces -= pieces % self._workers
+                chunks += self._split_run(run, sizes) + self._split_run([index], sizes, pieces)
+                run = []
+                continue
             step = self._chunk_size or max(1, -(-count // (self._workers * 4)))
             if self._chunk_size is None and step < _MERGE_FLOOR and index not in alone:
                 run.append(index)
@@ -561,20 +569,22 @@ class ExecutionPool:
         return chunks + self._split_run(run, sizes)
 
     def _split_run(
-        self, run: Sequence[int], sizes: Sequence[int]
+        self, run: Sequence[int], sizes: Sequence[int], count: Optional[int] = None
     ) -> list[list[tuple[int, int, int]]]:
-        """Split a run of small batches' seeds, in order, into a few even chunks.
+        """Split a run of batches' M seeds, in order, into ``count`` even chunks.
 
-        The run's M seeds go out as k = workers · ⌈M / (workers ·
-        ``_MERGE_FLOOR``)⌉ chunks, or M if fewer, the first M mod k of them
-        one seed larger.  So no chunk holds more than ``_MERGE_FLOOR``
-        seeds, the workers share the chunks evenly, and equal trials finish
-        in ⌈M / workers⌉ trial-times, as they would one seed per chunk.
+        The first M mod ``count`` chunks hold one seed more.  By default (a
+        run of small batches) ``count`` is k = workers · ⌈M / (workers ·
+        ``_MERGE_FLOOR``)⌉, or M if fewer: no chunk holds more than
+        ``_MERGE_FLOOR`` seeds, the workers share the chunks evenly, and
+        equal trials finish in ⌈M / workers⌉ trial-times, as they would one
+        seed per chunk.
         """
         total = sum(sizes[index] for index in run)
         if not total:
             return []
-        count = min(total, self._workers * -(-total // (self._workers * _MERGE_FLOOR)))
+        if count is None:
+            count = min(total, self._workers * -(-total // (self._workers * _MERGE_FLOOR)))
         base, larger = divmod(total, count)
         chunks: list[list[tuple[int, int, int]]] = []
         chunk: list[tuple[int, int, int]] = []
@@ -595,11 +605,7 @@ class ExecutionPool:
     # -- dispatch ---------------------------------------------------------
 
     def submit_seed_chunks(
-        self,
-        template: "SimulationConfig",
-        seeds: Sequence[int],
-        reduce: bool = False,
-        batch: bool = False,
+        self, template: "SimulationConfig", seeds: Sequence[int], reduce: bool = False
     ) -> list["Future[ChunkResult]"]:
         """Submit one template's seed batch as chunked futures, in chunk order.
 
@@ -610,46 +616,38 @@ class ExecutionPool:
         serial in-process execution (with a warning) behind
         already-completed futures, so callers never special-case it.
         :meth:`run_seeds` drains these futures.
-
-        With ``batch=True`` each chunk runs through the vectorized lockstep
-        kernel in its worker (scalar fallback for non-batchable templates);
-        results are still bit-identical, chunk and seed order unchanged.
         """
-        return self._submit_group([(template, tuple(seeds))], reduce, batch)
+        return self._submit_group([(template, tuple(seeds))], reduce)
 
     def _submit_group(
-        self,
-        batches: Sequence[tuple["SimulationConfig", tuple[int, ...]]],
-        reduce: bool,
-        batch: bool,
+        self, batches: Sequence[tuple["SimulationConfig", tuple[int, ...]]], reduce: bool
     ) -> list["Future[ChunkResult]"]:
         """Submit a group of seed batches as chunk futures, in group order.
 
         The one dispatch behind :meth:`run_seeds` and :meth:`iter_reduced`.
-        :meth:`_cut` splits the group; each chunk is one :func:`_run_chunk`
-        call.  Every batch is counted, probed and warned about on its own:
-        the batch-fallback probe (live telemetry only), and either the
-        unpicklable-template warning or the fault-plan warning, once per
-        batch.  An unpicklable batch runs in-process at its turn, behind
-        completed futures, after the worker chunks before it went out.
+        :meth:`_cut` splits the group, keeping a batchable batch of
+        ``_KERNEL_FLOOR`` or more seeds in chunks the kernel runs; each chunk
+        is one :func:`_run_chunk` call.  An unpicklable batch warns once and
+        runs in-process at its turn, behind completed futures, after the
+        worker chunks before it went out.
         """
         local = {
             index for index, (template, _seeds) in enumerate(batches)
             if not payload_is_picklable(template)
         }
-        chunks = self._cut([len(seeds) for _template, seeds in batches], alone=local)
+        kernel: set[int] = set()
+        if any(len(seeds) >= _KERNEL_FLOOR for _template, seeds in batches):
+            from repro.engine.batch import batchable
+
+            kernel = {
+                index for index, (template, seeds) in enumerate(batches)
+                if len(seeds) >= _KERNEL_FLOOR and batchable(template)
+            }
+        chunks = self._cut([len(seeds) for _template, seeds in batches], local, kernel)
         self._metric_trials.inc(sum(len(seeds) for _template, seeds in batches))
         self._metric_chunks.inc(len(chunks))
-        (self._metric_batch_chunks if batch else self._metric_scalar_chunks).inc(len(chunks))
-        for index, (template, _seeds) in enumerate(batches):
-            if batch and self._telemetry.enabled:
-                self._probe_batch_fallback(template)
-            if index in local:
-                warn_serial_fallback(telemetry=self._telemetry)
-            elif batch and template.faults is not None:
-                # The unpicklable path warns from run_batch in-process
-                # instead, so each batch warns exactly once either way.
-                warn_fault_batch_fallback(template.faults)
+        for _index in local:
+            warn_serial_fallback(telemetry=self._telemetry)
         futures: list["Future[ChunkResult]"] = []
         waiting: list[_ChunkPayload] = []
         for segments in chunks:
@@ -657,12 +655,12 @@ class ExecutionPool:
                 (batches[index][0], batches[index][1][start:stop]) for index, start, stop in segments
             )
             if segments[0][0] not in local:
-                waiting.append(_ChunkPayload((work, reduce, batch)))
+                waiting.append(_ChunkPayload((work, reduce)))
                 continue
             if waiting:
                 futures += self._submit(waiting)
                 waiting = []
-            futures.append(_completed_future(_run_chunk(work, reduce, batch)))
+            futures.append(_completed_future(_run_chunk(work, reduce)))
         if waiting:
             futures += self._submit(waiting)
         if self._telemetry.enabled:
@@ -673,15 +671,11 @@ class ExecutionPool:
                     if segments[0][0] not in local
                 ],
                 reduce=reduce,
-                batch=batch,
             )
         return futures
 
     def _observe_dispatch(
-        self,
-        dispatched: Sequence[tuple[int, "Future[ChunkResult]", int]],
-        reduce: bool,
-        batch: bool,
+        self, dispatched: Sequence[tuple[int, "Future[ChunkResult]", int]], reduce: bool
     ) -> None:
         """Track queue depth and emit one ChunkDispatched event per worker chunk.
 
@@ -700,55 +694,25 @@ class ExecutionPool:
                     chunk_index=index,
                     size=size,
                     reduce=reduce,
-                    batch=batch,
                     inflight=int(self._inflight.value),
                 )
             )
 
-    def _probe_batch_fallback(self, template: "SimulationConfig") -> None:
-        """Emit a BatchFallback event when a batch=True template is not batchable.
-
-        The probe itself is the same check the worker performs before falling
-        back to the scalar loop, run once per batch in the parent — live
-        telemetry only, so the disabled path never imports the kernel here.
-        """
-        from repro.engine.batch import batchable
-
-        if batchable(template):
-            return
-        self._telemetry.counter(
-            "pool.batch_fallbacks", help="batch=True dispatches that ran on the scalar loop"
-        ).inc()
-        faults_note = f", faults={template.faults.describe()}" if template.faults else ""
-        reason = (
-            f"config not batchable (protocol={type(template.protocol_factory).__name__}, "
-            f"adversary={type(template.adversary).__name__}, "
-            f"activation={type(template.activation).__name__}, "
-            f"trace_level={template.trace_level.value}{faults_note}); chunks run the scalar loop"
-        )
-        logger.info("batch fallback: %s", reason)
-        self._telemetry.emit(BatchFallback(reason=reason))
-
     def run_seeds(
-        self,
-        template: "SimulationConfig",
-        seeds: Sequence[int],
-        reduce: bool = False,
-        batch: bool = False,
+        self, template: "SimulationConfig", seeds: Sequence[int], reduce: bool = False
     ) -> list:
         """Run a multi-seed batch and return results in seed order.
 
         With ``reduce=True`` the returned list holds :class:`ReducedTrial`
         rows; otherwise full :class:`~repro.engine.results.SimulationResult`
-        objects.  With ``batch=True`` each chunk executes on the vectorized
-        lockstep kernel where the template allows it.  Either way the contents
-        are bit-identical to a serial run of the same template and seeds.
+        objects.  Either way the contents are bit-identical to a serial run
+        of the same template and seeds.
         """
-        futures = self.submit_seed_chunks(template, seeds, reduce=reduce, batch=batch)
+        futures = self.submit_seed_chunks(template, seeds, reduce=reduce)
         return [row for rows in self._gather(futures) for row in rows]
 
     def iter_reduced(
-        self, batches: Sequence[tuple["SimulationConfig", Sequence[int]]], batch: bool = False
+        self, batches: Sequence[tuple["SimulationConfig", Sequence[int]]]
     ) -> Generator[list[ReducedTrial], None, None]:
         """Run several seed batches reduced; yield each batch's rows, in order.
 
@@ -764,7 +728,7 @@ class ExecutionPool:
         already running may hold seeds of several batches.
         """
         group = [(template, tuple(seeds)) for template, seeds in batches]
-        chunks = self._gather(self._submit_group(group, reduce=True, batch=batch))
+        chunks = self._gather(self._submit_group(group, reduce=True))
         rows = itertools.chain.from_iterable(chunks)
         try:
             for _template, seeds in group:

@@ -8,6 +8,12 @@ agreement success rates, and the leader-count distribution;
 :func:`run_reduced_trials` returns only the per-trial
 :class:`~repro.engine.pool.ReducedTrial` rows.  Every statistic is computed
 from those rows by :class:`TrialStatistics`, live or read back from a store.
+
+Both run a batch serially or on a worker pool, as their ``plan`` and
+``pool`` say, and every path runs each segment of the batch through
+:func:`~repro.engine.pool.seed_rows`, which picks the engine: the vectorized
+lockstep kernel for a batchable template with enough seeds, the scalar loop
+otherwise.  The rows are the same on every path.
 """
 
 from __future__ import annotations
@@ -248,8 +254,8 @@ def _dispatch(
         if pool is not None:
             with pool:
                 return _dispatch(template, seeds, plan, pool, reduce)
-        return seed_rows(template, seeds, reduce, plan.batch)
-    return pool.run_seeds(template, seeds, reduce=reduce, batch=plan.batch)
+        return seed_rows(template, seeds, reduce)
+    return pool.run_seeds(template, seeds, reduce=reduce)
 
 
 def run_trials(
@@ -292,9 +298,7 @@ def run_trials(
     plan:
         The :class:`~repro.engine.plan.ExecutionPlan` for the batch: worker
         count (``1`` = serial, ``>1`` = a temporary pool opened and shut
-        down inside this call), optional pool chunk size, and whether
-        the batch routes through the vectorized lockstep kernel
-        (:mod:`repro.engine.batch`, transparent scalar fallback).  Every
+        down inside this call) and optional pool chunk size.  Every
         execution derives all randomness from its own seed and results come
         back in seed order, so no plan ever changes results.
     faults:
@@ -332,12 +336,10 @@ def run_reduced_trials(
     ``trace_level`` defaults to :attr:`TraceLevel.NONE` (summary consumers
     never read traces); pass ``None`` to keep the config's own level.
     ``pool`` and ``plan`` route execution exactly as in :func:`run_trials`
-    — a parallel plan without a live ``pool`` runs on a temporary pool;
-    ``plan.batch`` routes batchable templates through the vectorized
-    lockstep kernel (scalar fallback otherwise) — identical rows on every
-    path.  ``faults=`` applies a :class:`~repro.faults.plan.FaultPlan` to
-    every trial, exactly as in :func:`run_trials`; the rows then carry
-    ``stabilization_rounds``.
+    — a parallel plan without a live ``pool`` runs on a temporary pool —
+    with identical rows on every path.  ``faults=`` applies a
+    :class:`~repro.faults.plan.FaultPlan` to every trial, exactly as in
+    :func:`run_trials`; the rows then carry ``stabilization_rounds``.
     """
     seed_list = _normalize_seeds(seeds)
     template = _template_for(config, trace_level, faults)

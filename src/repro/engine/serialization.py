@@ -185,8 +185,7 @@ def write_trials_json(summary: TrialSummary, path: str | Path) -> Path:
     """Write a trial-batch summary as JSON and return the path."""
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
-    with target.open("w", encoding="utf-8") as handle:
-        json.dump(trial_summary_to_dict(summary), handle, indent=2)
+    target.write_text(json.dumps(trial_summary_to_dict(summary), indent=2), encoding="utf-8")
     return target
 
 
@@ -194,8 +193,8 @@ def write_result_json(result: SimulationResult, path: str | Path, include_rounds
     """Write a result summary as JSON and return the path."""
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
-    with target.open("w", encoding="utf-8") as handle:
-        json.dump(result_to_dict(result, include_rounds=include_rounds), handle, indent=2)
+    text = json.dumps(result_to_dict(result, include_rounds=include_rounds), indent=2)
+    target.write_text(text, encoding="utf-8")
     return target
 
 
@@ -322,9 +321,3 @@ def execution_digest(result: SimulationResult) -> str:
         execution_digest_dict(result), sort_keys=True, separators=(",", ":")
     )
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-def load_result_json(path: str | Path) -> dict[str, Any]:
-    """Load a result summary previously written by :func:`write_result_json`."""
-    with Path(path).open("r", encoding="utf-8") as handle:
-        return json.load(handle)

@@ -235,8 +235,7 @@ class SearchObjective:
         runs each generation's missing candidates as one group, through
         :meth:`config_for` and the campaign runner's store-backed cycle, and
         gets the same rows.  Neither ``plan`` (how the seed batch executes —
-        worker count, pool chunking, the vectorized lockstep kernel with
-        scalar fallback) nor ``pool`` (a persistent
+        worker count and pool chunking) nor ``pool`` (a persistent
         :class:`~repro.engine.pool.ExecutionPool` the caller reuses across
         calls) ever changes results, so neither is part of any candidate
         identity.

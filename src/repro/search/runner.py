@@ -13,6 +13,10 @@ candidates, same scores, same best strategy.
 :func:`search_status` and :func:`export_search` reconstruct a search's state
 purely from the store (no live evaluation), which is what the CLI's
 ``search status`` / ``search export`` subcommands print.
+
+A candidate's seeds run on the engine :func:`~repro.engine.pool.seed_rows`
+picks: the lockstep kernel for a batchable candidate with enough seeds, the
+scalar loop otherwise; the scores are the same either way.
 """
 
 from __future__ import annotations
@@ -104,9 +108,7 @@ class StrategySearch:
         :class:`~repro.engine.pool.ExecutionPool` across *all* candidates
         and generations (instead of paying pool spin-up per candidate) with
         the plan's chunk size, submitting a generation's missing candidates
-        at once; ``plan.batch`` evaluates candidates on the vectorized
-        lockstep kernel where their configurations are batchable (scalar
-        fallback otherwise).  No plan ever changes scores or stored records.
+        at once.  No plan ever changes scores or stored records.
     telemetry:
         Optional :class:`~repro.telemetry.Telemetry` handle.  The search
         emits lifecycle events (search/generation start and completion),
@@ -130,7 +132,6 @@ class StrategySearch:
         self._spec = spec
         self._checkpoint = SearchCheckpoint(store, spec)
         self._plan = plan or ExecutionPlan()
-        self._batch = self._plan.batch
         self._owns_pool = pool is None and self._plan.parallel
         self._telemetry = as_telemetry(telemetry)
         self._pool = self._plan.pool(telemetry=self._telemetry) if self._owns_pool else pool
@@ -222,7 +223,6 @@ class StrategySearch:
                     population=spec.population,
                     generations=spec.generations,
                     workers=self._pool.workers if self._pool is not None else 1,
-                    batch=self._batch,
                 )
             )
 

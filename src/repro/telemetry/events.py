@@ -2,8 +2,8 @@
 
 Every observable milestone of the execution stack is a frozen dataclass with
 a pinned ``kind`` string: run/campaign/search lifecycle, per-chunk pool
-dispatch, per-cell campaign commits, worker-crash recovery, the two fallback
-paths (serial and scalar-instead-of-batch), optimizer generations, and
+dispatch, per-cell campaign commits, worker-crash recovery, the serial
+fallback for unpicklable work, optimizer generations, and
 completed timing spans.  Events carry **monotonic** timestamps
 (:func:`time.monotonic`, seconds since an arbitrary process-local origin):
 deltas between two events of one process are meaningful; absolute values are
@@ -98,7 +98,6 @@ class RunStarted(TelemetryEvent):
     workload: str
     trials: int
     workers: int
-    batch: bool
 
 
 @dataclass(frozen=True)
@@ -125,7 +124,6 @@ class CampaignStarted(TelemetryEvent):
     pending_cells: int
     reused_cells: int
     workers: int
-    batch: bool
 
 
 @dataclass(frozen=True)
@@ -165,7 +163,6 @@ class SearchStarted(TelemetryEvent):
     population: int
     generations: int
     workers: int
-    batch: bool
 
 
 @dataclass(frozen=True)
@@ -224,7 +221,6 @@ class ChunkDispatched(TelemetryEvent):
     chunk_index: int
     size: int
     reduce: bool
-    batch: bool
     inflight: int
 
 
@@ -286,14 +282,6 @@ class SerialFallback(TelemetryEvent):
     detail: Optional[str]
 
 
-@dataclass(frozen=True)
-class BatchFallback(TelemetryEvent):
-    """A batch=True dispatch will run on the scalar loop (not batchable)."""
-
-    kind: ClassVar[str] = "batch-fallback"
-    reason: str
-
-
 # -- spans --------------------------------------------------------------------
 
 
@@ -328,7 +316,6 @@ EVENT_TYPES: dict[str, type[TelemetryEvent]] = {
         FaultInjected,
         WorkerCrashRecovered,
         SerialFallback,
-        BatchFallback,
         SpanCompleted,
     )
 }

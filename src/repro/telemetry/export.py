@@ -49,9 +49,8 @@ def write_metrics_json(registry: MetricsRegistry, path: Union[str, Path]) -> Pat
     """Write a registry snapshot as indented JSON and return the path."""
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
-    with target.open("w", encoding="utf-8") as handle:
-        json.dump(registry_snapshot(registry), handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    text = json.dumps(registry_snapshot(registry), indent=2, sort_keys=True) + "\n"
+    target.write_text(text, encoding="utf-8")
     return target
 
 

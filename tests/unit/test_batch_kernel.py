@@ -18,8 +18,10 @@ This suite pins that equivalence four ways:
 * multi-seed lockstep execution is compared seed-for-seed against scalar
   runs, so compacting early-finished trials out of the working arrays
   provably cannot bleed state across lanes;
-* the pooled/campaign plumbing (``batch=True``) is compared row-for-row
-  against the serial scalar path, down to the bytes SQLite hands back.
+* the engine choice (the kernel for a batchable segment of
+  ``_KERNEL_FLOOR`` or more seeds, the scalar loop otherwise) is compared
+  row-for-row across serial, pooled and campaign paths, down to the bytes
+  SQLite hands back.
 
 Regenerate the goldens (from the scalar engine, deliberately) with::
 
@@ -45,13 +47,14 @@ from repro.engine import batch
 from repro.engine.batch import _WordStreams, batchable, run_batch, run_reduced_batch
 from repro.engine.observers import TraceLevel
 from repro.engine.plan import ExecutionPlan
-from repro.engine.pool import ExecutionPool, ReducedTrial, _run_chunk
+from repro.engine.pool import _KERNEL_FLOOR, ExecutionPool, ReducedTrial, _run_chunk, simulate_one
 from repro.engine.runner import run_reduced_trials
 from repro.engine.serialization import execution_digest
 from repro.engine.simulator import SimulationConfig, simulate
 from repro.protocols.base import ProtocolContext
 from repro.protocols.registry import protocol_factory
 from repro.protocols.trapdoor.protocol import TrapdoorProtocol
+from repro.telemetry import Telemetry
 
 # The same pinned matrix the scalar golden suite uses (tests/unit is not a
 # package: both under pytest's rootdir import mode and as a __main__ script,
@@ -318,16 +321,22 @@ class TestGoldenEquivalence:
             return original(protocol, local_round)
 
         monkeypatch.setattr(TrapdoorProtocol, "contender_probability", looked_up)
-        chunk = _run_chunk(((config_for(key), (0, 1, 2, 3)),), True, True)
+        kernel_seeds = tuple(range(_KERNEL_FLOOR))
+        chunk = _run_chunk(((config_for(key), kernel_seeds),), True)
         horizon = TrapdoorProtocol(
             ProtocolContext(params=PARAMS, rng=random.Random(0), uid=1, local_round=1)
         ).victory_rounds
         assert horizon < MAX_ROUNDS
         assert lookups == list(range(1, horizon + 1))
-        assert (chunk.stats.batch_trials, chunk.stats.scalar_trials) == (4, 0)
-        assert list(chunk.rows) == run_reduced_batch(config_for(key), [0, 1, 2, 3])
-        chunk = _run_chunk(((traced, (0, 1)),), True, True)
-        assert (chunk.stats.batch_trials, chunk.stats.scalar_trials) == (0, 2)
+        assert (chunk.stats.batch_trials, chunk.stats.scalar_trials) == (_KERNEL_FLOOR, 0)
+        assert list(chunk.rows) == run_reduced_batch(config_for(key), kernel_seeds)
+        chunk = _run_chunk(((traced, kernel_seeds),), True)
+        assert (chunk.stats.batch_trials, chunk.stats.scalar_trials) == (0, _KERNEL_FLOOR)
+        # Below the floor a batchable segment stays on the scalar loop.
+        built.update(protocol=0, jammer=0)
+        chunk = _run_chunk(((config_for(key), kernel_seeds[:-1]),), True)
+        assert built == {"protocol": 0, "jammer": 0}
+        assert (chunk.stats.batch_trials, chunk.stats.scalar_trials) == (0, _KERNEL_FLOOR - 1)
 
         # A run shorter than the horizon stops the table at ``max_rounds``.
         lookups.clear()
@@ -349,29 +358,34 @@ class TestPlumbing:
         ]
         assert reduced == expected
 
-    def test_pooled_batch_execution_matches_serial_scalar(self):
-        """``batch=True`` through the persistent pool changes nothing but speed.
+    def test_pooled_kernel_chunks_match_serial_scalar(self):
+        """Automatic chunks of a batchable batch stay on the kernel, unchanged.
 
-        Both full results and in-worker-reduced rows, same insertion order —
-        the property that lets campaign stores and search scores turn the
-        kernel on without invalidating anything recorded before.
+        ``2 * _KERNEL_FLOOR + 1`` seeds on two workers go out as two chunks
+        of at least ``_KERNEL_FLOOR`` seeds, so both run on the kernel; an
+        explicit chunk size of 2 puts every chunk on the scalar loop.  Full
+        results and in-worker-reduced rows equal per-seed scalar runs on
+        both, in insertion order.
         """
-        seeds = [4, 0, 9, 2]
+        seeds = [4, 0, 9, 2] + list(range(100, 100 + 2 * _KERNEL_FLOOR - 3))
         keys = ["trapdoor|random|staggered", "round-robin|sweep|trickle"]
-        with ExecutionPool(workers=2, chunk_size=2) as pool:
-            for key in keys:
-                batched = pool.run_seeds(config_for(key), seeds, batch=True)
-                for seed, result in zip(seeds, batched):
-                    assert execution_digest(result) == execution_digest(
-                        simulate(config_for(key, seed))
-                    )
-                reduced = pool.run_seeds(config_for(key), seeds, reduce=True, batch=True)
-                assert reduced == [
-                    ReducedTrial.from_result(seed, simulate(config_for(key, seed)))
-                    for seed in seeds
-                ]
+        for chunk_size, on_kernel in ((None, 2 * len(keys) * len(seeds)), (2, 0)):
+            telemetry = Telemetry()
+            with ExecutionPool(workers=2, chunk_size=chunk_size, telemetry=telemetry) as pool:
+                for key in keys:
+                    pooled = pool.run_seeds(config_for(key), seeds)
+                    for seed, result in zip(seeds, pooled):
+                        assert execution_digest(result) == execution_digest(
+                            simulate(config_for(key, seed))
+                        )
+                    reduced = pool.run_seeds(config_for(key), seeds, reduce=True)
+                    assert reduced == [
+                        ReducedTrial.from_result(seed, simulate(config_for(key, seed)))
+                        for seed in seeds
+                    ]
+            assert telemetry.snapshot()["counters"]["worker.batch_trials"] == on_kernel
 
-    def test_run_reduced_trials_batch_flag_is_invisible_in_the_rows(self):
+    def test_run_reduced_trials_rows_are_the_same_on_both_sides_of_the_floor(self):
         from repro.experiments.workloads import quiet_start
 
         workload = quiet_start(4)
@@ -384,17 +398,21 @@ class TestPlumbing:
             seed=0,
             trace_level=TraceLevel.NONE,
         )
-        serial = run_reduced_trials(config, seeds=range(5))
-        batched = run_reduced_trials(config, seeds=range(5), plan=ExecutionPlan(batch=True))
-        assert batched == serial
+        seeds = range(_KERNEL_FLOOR)
+        kernel = run_reduced_trials(config, seeds=seeds)
+        assert kernel == tuple(
+            ReducedTrial.from_result(seed, simulate_one(config, seed)) for seed in seeds
+        )
+        assert kernel[:-1] == run_reduced_trials(config, seeds=seeds[:-1])
 
-    def test_campaign_store_rows_are_byte_identical_serial_vs_batch(self, tmp_path):
-        """A ``--batch`` campaign persists the exact bytes a serial one does.
+    def test_campaign_store_rows_are_byte_identical_kernel_vs_scalar(self, tmp_path):
+        """A campaign whose cells run on the kernel persists the scalar bytes.
 
-        The grid deliberately mixes a batchable protocol (trapdoor) with a
-        scalar-only one (good-samaritan), so both the kernel path and the
-        transparent fallback are driven through the store; cells must come
-        back in identical insertion order with identical trial rows.
+        The grid mixes a batchable protocol (trapdoor) with a scalar-only
+        one (good-samaritan).  Serially each trapdoor cell's
+        ``_KERNEL_FLOOR`` seeds run on the kernel; on a pool with one seed a
+        chunk every cell runs on the scalar loop.  Cells must come back in
+        identical insertion order with identical trial rows.
         """
         spec = dict(
             protocols=("trapdoor", "good-samaritan"),
@@ -403,20 +421,22 @@ class TestPlumbing:
             budgets=(1,),
             participants=(8,),
             node_counts=(2, 3),
-            seeds=2,
+            seeds=_KERNEL_FLOOR,
             max_rounds=5_000,
         )
-        with ResultStore(tmp_path / "serial.db") as serial_store:
-            with CampaignRunner(CampaignSpec(name="s", **spec), serial_store) as runner:
+        with ResultStore(tmp_path / "kernel.db") as kernel_store:
+            with CampaignRunner(CampaignSpec(name="s", **spec), kernel_store) as runner:
                 assert runner.run().complete
-            serial_cells = list(serial_store.iter_cells())
-        with ResultStore(tmp_path / "batch.db") as batch_store:
+            kernel_cells = list(kernel_store.iter_cells())
+        with ResultStore(tmp_path / "scalar.db") as scalar_store:
             with CampaignRunner(
-                CampaignSpec(name="s", **spec), batch_store, plan=ExecutionPlan(batch=True)
+                CampaignSpec(name="s", **spec),
+                scalar_store,
+                plan=ExecutionPlan(workers=2, pool_chunk=1),
             ) as runner:
                 assert runner.run().complete
-            batch_cells = list(batch_store.iter_cells())
-        assert batch_cells == serial_cells
+            scalar_cells = list(scalar_store.iter_cells())
+        assert scalar_cells == kernel_cells
 
 
 def regenerate() -> None:

@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import JAMMERS, PROTOCOLS, _telemetry_from_args, build_parser, main
+from repro.cli import JAMMERS, PROTOCOLS, _plan_from_args, _telemetry_from_args, build_parser, main
+from repro.engine.plan import ExecutionPlan
 
 
 class TestParser:
@@ -94,6 +95,25 @@ class TestObservabilityOptions:
         with _telemetry_from_args(args) as telemetry:
             assert telemetry.sink.path == events
         assert telemetry.sink.closed
+
+
+class TestExecutionOptions:
+    @pytest.mark.parametrize(
+        "command", list(EXECUTING_COMMANDS.values()), ids=list(EXECUTING_COMMANDS)
+    )
+    def test_every_executing_command_spells_the_plan_the_same_way(self, command):
+        args = build_parser().parse_args(command + ["--workers", "2", "--pool-chunk", "3"])
+        assert _plan_from_args(args) == ExecutionPlan(workers=2, pool_chunk=3)
+        assert _plan_from_args(build_parser().parse_args(command)) == ExecutionPlan()
+
+    @pytest.mark.parametrize(
+        "name", ["trials", "campaign-run", "search-run"]
+    )
+    def test_the_retired_batch_flag_is_a_usage_error(self, name, capsys):
+        with pytest.raises(SystemExit) as stop:
+            main(EXECUTING_COMMANDS[name] + ["--batch"])
+        assert stop.value.code == 2
+        assert "unrecognized arguments: --batch" in capsys.readouterr().err
 
 
 class TestSimulateCommand:

@@ -51,19 +51,30 @@ def small_config() -> SimulationConfig:
 
 class TestExecutionPlanValue:
     def test_json_round_trip_is_identity(self):
-        plan = ExecutionPlan(workers=4, pool_chunk=2, batch=True)
+        plan = ExecutionPlan(workers=4, pool_chunk=2)
         assert ExecutionPlan.from_json(plan.to_json()) == plan
         assert ExecutionPlan.from_dict(plan.to_dict()) == plan
 
-    def test_plan_holds_exactly_workers_pool_chunk_and_batch(self):
+    def test_plan_holds_exactly_workers_and_pool_chunk(self):
         assert [field.name for field in dataclasses.fields(ExecutionPlan)] == [
             "workers",
             "pool_chunk",
-            "batch",
         ]
-        assert set(ExecutionPlan().to_dict()) == {"schema", "workers", "pool_chunk", "batch"}
+        assert set(ExecutionPlan().to_dict()) == {"schema", "workers", "pool_chunk"}
         with pytest.raises(TypeError, match="metrics_out"):
             ExecutionPlan(metrics_out="m.json")  # type: ignore[call-arg]
+
+    def test_a_batch_keyword_or_key_is_accepted_and_ignored(self):
+        # The engine is chosen from the work, so a plan that still asks for
+        # the kernel is the plan that does not; perfbench and every stored
+        # request.json still pass the key.
+        assert ExecutionPlan(batch=True) == ExecutionPlan() == ExecutionPlan(batch=False)
+        plan = ExecutionPlan(workers=2, pool_chunk=3, batch=True)
+        assert plan.to_dict() == ExecutionPlan(workers=2, pool_chunk=3).to_dict()
+        assert plan.describe() == "2 worker(s), chunk 3"
+        for value in (True, False):
+            assert ExecutionPlan.from_dict({"batch": value}) == ExecutionPlan()
+        assert ExecutionPlan.from_json('{"workers": 2, "batch": true}') == ExecutionPlan(workers=2)
 
     def test_from_dict_reads_documents_with_the_removed_fields_as_null(self):
         # Every plan written before the three fields went, e.g. a stored job
@@ -77,12 +88,11 @@ class TestExecutionPlanValue:
             "telemetry_rotate_bytes": None,
             "metrics_out": None,
         }
-        assert ExecutionPlan.from_dict(data) == ExecutionPlan(workers=2, pool_chunk=4, batch=True)
+        assert ExecutionPlan.from_dict(data) == ExecutionPlan(workers=2, pool_chunk=4)
         assert ExecutionPlan.from_json(json.dumps(data)).to_dict() == {
             "schema": PLAN_SCHEMA,
             "workers": 2,
             "pool_chunk": 4,
-            "batch": True,
         }
 
     @pytest.mark.parametrize(
@@ -107,12 +117,9 @@ class TestExecutionPlanValue:
     def test_dict_form_is_schema_tagged(self):
         assert ExecutionPlan().to_dict()["schema"] == PLAN_SCHEMA
 
-    def test_serial_keeps_batch_drops_dispatch(self):
-        plan = ExecutionPlan(workers=8, pool_chunk=4, batch=True)
-        serial = plan.serial()
-        assert serial.workers == 1
-        assert serial.pool_chunk is None
-        assert serial.batch is True
+    def test_serial_drops_dispatch(self):
+        serial = ExecutionPlan(workers=8, pool_chunk=4).serial()
+        assert serial == ExecutionPlan()
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -133,6 +140,8 @@ class TestExecutionPlanValue:
         (name,) = kwargs
         with pytest.raises(ConfigurationError, match=name):
             ExecutionPlan(**kwargs)
+        with pytest.raises(ConfigurationError, match=name):
+            ExecutionPlan.from_dict(kwargs)
 
     def test_from_dict_rejects_unknown_schema(self):
         data = ExecutionPlan().to_dict()
@@ -274,7 +283,7 @@ class TestPlanOnTheWire:
     def test_job_request_embeds_the_plan_json(self):
         from repro.service import JobRequest
 
-        plan = ExecutionPlan(workers=2, pool_chunk=2, batch=True)
+        plan = ExecutionPlan(workers=2, pool_chunk=2)
         request = JobRequest.for_campaign(_campaign_spec("wire"), store="s.sqlite", plan=plan)
         wire = json.loads(request.to_json())
         assert wire["plan"] == plan.to_dict()
@@ -283,10 +292,12 @@ class TestPlanOnTheWire:
     def test_job_request_stored_with_the_removed_fields_as_null_still_loads(self):
         from repro.service import JobRequest
 
-        plan = ExecutionPlan(workers=2, batch=True)
+        plan = ExecutionPlan(workers=2)
         request = JobRequest.for_campaign(_campaign_spec("wire"), store="s.sqlite", plan=plan)
         stored = json.loads(request.to_json())
-        stored["plan"].update(telemetry_events=None, telemetry_rotate_bytes=None, metrics_out=None)
+        stored["plan"].update(
+            batch=True, telemetry_events=None, telemetry_rotate_bytes=None, metrics_out=None
+        )
         assert JobRequest.from_json(json.dumps(stored)) == request
 
     def test_job_request_with_a_removed_field_set_fails_admission(self):

@@ -24,6 +24,7 @@ import functools
 import json
 import random
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 from typing import Callable
@@ -40,7 +41,7 @@ from repro.adversary.jammers import NoInterference, ReactiveJammer
 from repro.adversary.registry import ADVERSARY_FACTORIES
 from repro.engine.observers import TraceLevel
 from repro.engine.plan import ExecutionPlan
-from repro.engine.pool import ExecutionPool
+from repro.engine.pool import _KERNEL_FLOOR, ExecutionPool
 from repro.engine.runner import run_reduced_trials, run_trials
 from repro.engine.serialization import execution_digest
 from repro.engine.simulator import SimulationConfig, simulate
@@ -584,32 +585,24 @@ class TestBatchRefusal:
         config = config_for("trapdoor|churn", trace_level=TraceLevel.NONE)
         assert not batchable(config)
 
-    def test_batch_plan_degrades_with_exactly_one_warning(self):
-        config = config_for("trapdoor|churn", trace_level=TraceLevel.NONE)
-        serial = run_trials(config, seeds=3)
-        with pytest.warns(RuntimeWarning, match="lockstep") as record:
-            batched = run_trials(config, seeds=3, plan=ExecutionPlan(batch=True))
-        fallback_warnings = [
-            w for w in record
-            if issubclass(w.category, RuntimeWarning) and "lockstep" in str(w.message)
-        ]
-        assert len(fallback_warnings) == 1
-        assert batched.latencies() == serial.latencies()
-        assert batched.stabilization_rounds() == serial.stabilization_rounds()
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_kernel_sized_fault_batch_runs_silently_on_the_scalar_loop(self, workers):
+        """A fault plan keeps a batch of any size on the scalar loop, unasked.
 
-    def test_pooled_batch_plan_also_warns_once(self):
+        ``_KERNEL_FLOOR`` seeds of a batchable protocol would go to the
+        kernel, but the fault plan makes the template non-batchable; the
+        batch, serial or pooled, gives each seed's own scalar result and
+        warns about nothing.
+        """
         config = config_for("trapdoor|churn", trace_level=TraceLevel.NONE)
-        with ExecutionPool(workers=2, chunk_size=1) as pool:
-            with pytest.warns(RuntimeWarning, match="lockstep") as record:
-                pooled = run_trials(
-                    config, seeds=3, pool=pool, plan=ExecutionPlan(batch=True)
-                )
-        fallback_warnings = [
-            w for w in record
-            if issubclass(w.category, RuntimeWarning) and "lockstep" in str(w.message)
+        seeds = range(_KERNEL_FLOOR)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            summary = run_trials(config, seeds=seeds, plan=ExecutionPlan(workers=workers))
+        assert [execution_digest(result) for result in summary.results] == [
+            execution_digest(simulate(replace(config, seed=seed))) for seed in seeds
         ]
-        assert len(fallback_warnings) == 1
-        assert pooled.latencies() == run_trials(config, seeds=3).latencies()
+        assert all(result.stabilization is not None for result in summary.results)
 
 
 def regenerate() -> None:

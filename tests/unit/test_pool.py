@@ -14,6 +14,8 @@ The pool's contract has three legs:
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
@@ -170,6 +172,46 @@ class TestChunking:
             [(1, 0, 1)],
             [(2, 0, 1), (3, 0, 1)],
         ]
+
+
+class TestEngineChoice:
+    def test_the_kernel_loads_only_for_a_segment_at_the_floor(self):
+        """Below ``_KERNEL_FLOOR`` seeds no path imports the kernel module.
+
+        Serial, pooled and grouped dispatches of a batchable template one
+        seed short of the floor run on the scalar loop; the first segment
+        at the floor loads the kernel.  A fresh interpreter, because this
+        test session has loaded it long ago.
+        """
+        script = """
+import sys
+from repro.engine.observers import TraceLevel
+from repro.engine.pool import _KERNEL_FLOOR, ExecutionPool, seed_rows
+from repro.engine.simulator import SimulationConfig
+from repro.experiments.workloads import quiet_start
+from repro.params import ModelParameters
+from repro.protocols.registry import protocol_factory
+
+workload = quiet_start(3)
+config = SimulationConfig(
+    params=ModelParameters(frequencies=4, disruption_budget=1, participant_bound=8),
+    protocol_factory=protocol_factory("trapdoor"),
+    activation=workload.activation,
+    adversary=workload.adversary,
+    max_rounds=2_000,
+    trace_level=TraceLevel.NONE,
+)
+below = tuple(range(_KERNEL_FLOOR - 1))
+seed_rows(config, below, True)
+with ExecutionPool(workers=1) as pool:
+    pool.run_seeds(config, below, reduce=True)
+    list(pool.iter_reduced([(config, below)] * 3))
+assert "repro.engine.batch" not in sys.modules, "loaded below the floor"
+seed_rows(config, range(_KERNEL_FLOOR), True)
+assert "repro.engine.batch" in sys.modules
+"""
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[2] / "src")}
+        subprocess.run([sys.executable, "-c", script], check=True, env=env, timeout=120)
 
 
 class TestBitIdentity:

@@ -3,15 +3,32 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
 
+from repro.adversary.activation import StaggeredActivation
+from repro.adversary.jammers import RandomJammer
+from repro.engine.observers import TraceLevel
+from repro.engine.runner import run_trials
 from repro.engine.serialization import (
-    load_result_json,
     result_to_dict,
     trace_to_dict,
+    trial_summary_to_dict,
     write_result_json,
     write_round_log_csv,
+    write_trials_json,
 )
+from repro.engine.simulator import SimulationConfig, simulate
+from repro.protocols.trapdoor.protocol import TrapdoorProtocol
+from repro.telemetry.export import registry_snapshot, write_metrics_json
+from repro.telemetry.metrics import MetricsRegistry
+
+
+def streamed(document, **options) -> bytes:
+    """The bytes ``json.dump`` streams into a file, token by token."""
+    buffer = io.StringIO()
+    json.dump(document, buffer, **options)
+    return buffer.getvalue().encode("utf-8")
 
 
 class TestTraceToDict:
@@ -50,7 +67,7 @@ class TestResultToDict:
 
     def test_round_trip_through_json_file(self, trapdoor_result, tmp_path):
         path = write_result_json(trapdoor_result, tmp_path / "result.json")
-        loaded = load_result_json(path)
+        loaded = json.loads(path.read_text(encoding="utf-8"))
         assert loaded == result_to_dict(trapdoor_result)
 
     def test_nested_directory_is_created(self, trapdoor_result, tmp_path):
@@ -85,13 +102,6 @@ class TestCsvLog:
 
 class TestIncompleteTraceSerialization:
     def test_sampled_trace_omits_round_derived_fields(self, params):
-
-        from repro.adversary.activation import StaggeredActivation
-        from repro.adversary.jammers import RandomJammer
-        from repro.engine.observers import TraceLevel
-        from repro.engine.simulator import SimulationConfig, simulate
-        from repro.protocols.trapdoor.protocol import TrapdoorProtocol
-
         config = SimulationConfig(
             params=params,
             protocol_factory=TrapdoorProtocol.factory(),
@@ -115,3 +125,35 @@ class TestIncompleteTraceSerialization:
         assert data["metrics"]["sync_latencies"] == {
             str(node): latency for node, latency in result.metrics.sync_latencies.items()
         }
+
+
+class TestJsonExportBytes:
+    """Each JSON export is encoded once and written once, in the bytes the
+    streaming ``json.dump`` wrote before."""
+
+    def test_result_json(self, trapdoor_result, tmp_path):
+        for include_rounds in (False, True):
+            path = write_result_json(trapdoor_result, tmp_path / "r.json", include_rounds)
+            document = result_to_dict(trapdoor_result, include_rounds=include_rounds)
+            assert path.read_bytes() == streamed(document, indent=2)
+
+    def test_trials_json(self, params, tmp_path):
+        template = SimulationConfig(
+            params=params,
+            protocol_factory=TrapdoorProtocol.factory(),
+            activation=StaggeredActivation(count=4, spacing=2),
+            adversary=RandomJammer(),
+            max_rounds=10_000,
+            trace_level=TraceLevel.NONE,
+        )
+        summary = run_trials(template, seeds=3)
+        path = write_trials_json(summary, tmp_path / "t.json")
+        assert path.read_bytes() == streamed(trial_summary_to_dict(summary), indent=2)
+
+    def test_metrics_json(self, tmp_path):
+        registry = MetricsRegistry()
+        registry.counter("pool.chunks_dispatched").inc(7)
+        registry.histogram("h", buckets=(1.0,)).observe(0.5)
+        path = write_metrics_json(registry, tmp_path / "m.json")
+        expected = streamed(registry_snapshot(registry), indent=2, sort_keys=True) + b"\n"
+        assert path.read_bytes() == expected

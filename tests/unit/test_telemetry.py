@@ -455,47 +455,38 @@ class TestPoolInstrumentation:
         snapshot = telemetry.snapshot()
         assert snapshot["counters"]["pool.trials_dispatched"] == 3
         assert snapshot["counters"]["pool.chunks_dispatched"] == 2
-        assert snapshot["counters"]["pool.scalar_chunks"] == 2
-        assert "pool.batch_chunks" not in {
-            k for k, v in snapshot["counters"].items() if v > 0
-        }
         # Every dispatched chunk completed, so the queue-depth gauge drained.
         assert snapshot["gauges"]["pool.inflight_chunks"] == 0
         records = read_jsonl_events(tmp_path / "pool.jsonl")
         dispatched = [r for r in records if r["kind"] == "chunk-dispatched"]
         assert [r["chunk_index"] for r in dispatched] == [0, 1]
         assert [r["size"] for r in dispatched] == [2, 1]
-        assert all(r["batch"] is False and r["reduce"] is False for r in dispatched)
+        assert all(r["reduce"] is False and "batch" not in r for r in dispatched)
 
-    def test_batch_path_counts_batch_chunks(self, tmp_path):
+    def test_worker_counters_split_trials_by_the_engine_that_ran_them(self):
+        """Nothing asks for an engine, so the workers' counters say which ran.
+
+        A trace-free template of ``_KERNEL_FLOOR`` seeds runs on the kernel;
+        fewer seeds, or a traced template of as many, run on the scalar loop.
+        No pool-side engine counter or fallback event is left.
+        """
         from repro.engine.observers import TraceLevel
-        from repro.engine.pool import ExecutionPool
+        from repro.engine.pool import _KERNEL_FLOOR, ExecutionPool
 
         telemetry = Telemetry()
-        # The batch kernel needs a trace-free template.
-        config = tiny_config(trace_level=TraceLevel.NONE)
-        with ExecutionPool(workers=2, chunk_size=4, telemetry=telemetry) as pool:
-            pool.run_seeds(config, [0, 1, 2, 3], reduce=True, batch=True)
+        trace_free = tiny_config(trace_level=TraceLevel.NONE)
+        seeds = list(range(_KERNEL_FLOOR))
+        with ExecutionPool(workers=2, telemetry=telemetry) as pool:
+            pool.run_seeds(trace_free, seeds, reduce=True)
+            pool.run_seeds(trace_free, seeds[:3], reduce=True)
+            pool.run_seeds(tiny_config(), seeds, reduce=True)
         counters = telemetry.snapshot()["counters"]
-        assert counters["pool.batch_chunks"] == 1
-        assert "pool.batch_fallbacks" not in counters
-
-    def test_batch_fallback_is_reported(self, tmp_path, caplog):
-        from repro.engine.pool import ExecutionPool
-
-        telemetry = Telemetry.to_jsonl(tmp_path / "fallback.jsonl")
-        # FULL trace level makes the template non-batchable.
-        config = tiny_config()
-        with caplog.at_level(logging.INFO, logger="repro.engine.pool"):
-            with ExecutionPool(workers=2, telemetry=telemetry) as pool:
-                pool.run_seeds(config, [11], batch=True)
-        telemetry.close()
-        assert telemetry.snapshot()["counters"]["pool.batch_fallbacks"] == 1
-        records = read_jsonl_events(tmp_path / "fallback.jsonl")
-        fallbacks = [r for r in records if r["kind"] == "batch-fallback"]
-        assert len(fallbacks) == 1
-        assert "not batchable" in fallbacks[0]["reason"]
-        assert any("batch fallback" in message for message in caplog.messages)
+        assert counters["worker.batch_trials"] == _KERNEL_FLOOR
+        assert counters["worker.scalar_trials"] == 3 + _KERNEL_FLOOR
+        assert not {"pool.batch_chunks", "pool.scalar_chunks", "pool.batch_fallbacks"} & set(
+            counters
+        )
+        assert "batch-fallback" not in EVENT_TYPES
 
     def test_serial_fallback_logs_and_emits(self, tmp_path, caplog):
         from repro.engine.pool import warn_serial_fallback
@@ -525,12 +516,10 @@ class TestPoolInstrumentation:
 
 
 class TestCampaignInstrumentation:
-    @pytest.mark.parametrize("workers,batch", [(1, False), (2, True)])
-    def test_store_contents_identical_with_and_without_telemetry(
-        self, tmp_path, workers, batch
-    ):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_store_contents_identical_with_and_without_telemetry(self, tmp_path, workers):
         spec = tiny_campaign()
-        plan = ExecutionPlan(workers=workers, batch=batch)
+        plan = ExecutionPlan(workers=workers)
         with ResultStore(tmp_path / "plain.db") as plain_store:
             with CampaignRunner(spec, plain_store, plan=plan) as runner:
                 runner.run()
